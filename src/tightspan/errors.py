@@ -39,10 +39,6 @@ class Infeasible(TightSpanError):
     """The degree equations admit no non-negative solution."""
 
 
-class ArithmeticOverflow(TightSpanError):
-    """Reserved; exact big-integer arithmetic never overflows."""
-
-
 class NonUniqueOptimum(TightSpanError):
     """Two distinct optimal matchings found where a unique one was required."""
 
@@ -95,10 +91,6 @@ class ScaleExceeded(TightSpanError):
 
 class NonSimple(TightSpanError):
     """The polyhedron has a vertex on more than n facets."""
-
-
-class DegenerateObjective(TightSpanError):
-    """Reserved; the lexicographic tie-break never produces ties."""
 
 
 class Mismatch(TightSpanError):

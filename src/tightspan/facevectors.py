@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 
 from .common import Verdict
 from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
+from .graphs import node_edge_masks
 from .metrics import Metric, strict_triangle_nodes
-from .subdivision import FaceSet, Subdivision, all_faces, _node_edge_masks
+from .subdivision import FaceSet, Subdivision, all_faces
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,7 @@ def induced_face_counts(F: FaceSet, kept_nodes: Sequence[int]) -> FVector:
     dropped coordinates vanish, a complex of dimension len(kept_nodes) - 1.
     """
     n = F.n
-    node_masks = _node_edge_masks(n)
+    node_masks = node_edge_masks(n)
     avoid = 0
     kept = set(kept_nodes)
     for v in range(1, n + 1):
@@ -334,7 +335,7 @@ def check_inductive_step(
     nodes = list(range(1, n + 1))
     for q in range(n - 1, 2, -1):
         seen: Optional[FVector] = None
-        for kept in _subsets(nodes, q):
+        for kept in combinations(nodes, q):
             fv = induced_face_counts(F, kept)
             if seen is None:
                 seen = fv
@@ -375,10 +376,6 @@ def check_inductive_step(
         if g_bd[k] != total:
             return Verdict(False, ("g-sum", k, g_bd[k], total))
     return Verdict(True)
-
-
-def _subsets(items: list[int], size: int):
-    return combinations(items, size)
 
 
 def report_json(

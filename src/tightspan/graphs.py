@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .common import pair_index, pair_table
@@ -197,13 +198,32 @@ def is_odd_unicyclic(G: EdgeGraph) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def node_edge_masks(n: int) -> tuple[int, ...]:
+    """Bitmask of the pair slots incident with each node (0-based); node v's full star."""
+    masks = [0] * n
+    for p, (i, j) in enumerate(pair_table(n)):
+        masks[i - 1] |= 1 << p
+        masks[j - 1] |= 1 << p
+    return tuple(masks)
+
+
+def is_interior_mask(n: int, mask: int) -> bool:
+    """Faces of the subdivision off the hypersimplex boundary: spanning, not a full star.
+
+    A spanning edge set inside one node's star is that whole star, so the
+    star test is a lookup among the node masks.
+    """
+    stars = node_edge_masks(n)
+    for star in stars:
+        if not mask & star:
+            return False
+    return mask not in stars
+
+
 def is_interior_graph(G: EdgeGraph) -> bool:
-    """Faces of the subdivision off the hypersimplex boundary: spanning, not a star."""
-    if not G.is_spanning():
-        return False
-    deg = G.degrees()
-    m = G.edge_count
-    return not (m == G.n - 1 and max(deg) == m)
+    """is_interior_mask for an EdgeGraph."""
+    return is_interior_mask(G.n, G.bits)
 
 
 def odd_path_sum(d: "Metric", G: EdgeGraph, v: int, w: int) -> Fraction:

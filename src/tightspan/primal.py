@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .common import num_pairs, pair_index, pair_table
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
-from .graphs import EdgeGraph, LoopyGraph
+from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
 from .metrics import Metric
 
 
@@ -125,9 +125,7 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     if n > 7:
         raise ScaleExceeded("vertex enumeration is capped at n = 7")
     rows, rhs = _constraints(d)
-    denom = 1
-    for v in rhs:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in rhs))
     rhs_int = [int(v * denom) for v in rhs]
     m = len(rows)
 
@@ -158,12 +156,6 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
         simple = len(edges) + len(loops) == n
         vertices.append(PrimalVertex(coords, tight, simple))
     return tuple(vertices)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _tight_ids(d: Metric, v: PrimalVertex) -> frozenset[int]:
@@ -293,7 +285,7 @@ def crosscheck(d: Metric) -> CrosscheckReport:
     raises Mismatch.
     """
     from .facevectors import glued_ball_f, h_from_f, tightspan_vectors
-    from .subdivision import all_faces, enumerate_cells, _node_edge_masks
+    from .subdivision import all_faces, enumerate_cells
 
     n = d.n
     if n > 6:
@@ -322,7 +314,7 @@ def crosscheck(d: Metric) -> CrosscheckReport:
     primal_patterns = {
         (f.tight.base.bits, f.tight.loops) for f in poset.faces
     }
-    node_masks = _node_edge_masks(n)
+    node_masks = node_edge_masks(n)
     dual_patterns: set[tuple[int, frozenset[int]]] = set()
     for level in F.interior_by_dim:
         for mask in level:

@@ -11,18 +11,22 @@ Two independent enumeration routes are provided: exhaustive filtration of
 all candidate graphs (the trusted oracle, default up to n = 8) and a
 ridge-pivot traversal seeded from one known cell (fast at any size).
 
-Certificate solving is done in integers scaled by twice the common entry
-denominator, so the hot loop never touches Fraction arithmetic.
+One solver (_solve_scaled) gives the heights of cells and the height pencil
+of ridges, in integers scaled by twice the common entry denominator.  The
+filtration and the pivot ratio test compare those integers directly, so
+neither loop touches Fraction arithmetic; Fractions appear only in the
+certificates that are returned.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .common import format_rational, num_pairs, pair_index, pair_table
@@ -35,7 +39,13 @@ from .errors import (
     SeedSearchFailed,
     ThresholdExceeded,
 )
-from .graphs import EdgeGraph, cell_volume, is_odd_unicyclic
+from .graphs import (
+    EdgeGraph,
+    cell_volume,
+    is_interior_mask,
+    is_odd_unicyclic,
+    node_edge_masks,
+)
 from .metrics import Metric, check_dmax_property, submetric
 
 
@@ -46,7 +56,7 @@ class Cell:
     graph: EdgeGraph
     heights: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def volume(self) -> int:
         return cell_volume(self.graph)
 
@@ -221,13 +231,18 @@ def _scaled_entries(d: Metric) -> tuple[tuple[int, ...], int]:
     return tuple(e.numerator * (D // e.denominator) for e in d.entries), D
 
 
-def _solve_heights_scaled(
+def _solve_scaled(
     n: int, mask: int, dnum: Sequence[int]
-) -> Optional[list[int]]:
-    """Heights scaled by 2D for the equality system of an odd-unicyclic mask.
+) -> Optional[tuple[list[int], list[int]]]:
+    """Equality system of a mask, in integers scaled by 2D: (lam, sigma).
 
-    Each odd cycle pins its values through the alternating distance sum; tree
-    edges propagate outward.  Returns None when a cycle turns out even.
+    Every component must be odd-unicyclic, except at most one tree.  Each
+    odd cycle pins its values through the alternating distance sum and tree
+    edges propagate outward, lam_u = 2*dnum[e] - lam_v.  A tree component
+    is rooted at its smallest node with lam = 0, sigma = +1, and sigma
+    alternates along its edges, so the solutions are lam + t*sigma; sigma
+    is 0 off the tree (all 0 for a cell).  Isolated nodes stay None.
+    Returns None when a cycle turns out even.
     """
     pairs = pair_table(n)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -292,7 +307,40 @@ def _solve_heights_scaled(
             if lam[u] is None:
                 lam[u] = 2 * dnum[eidx] - lam[v]
                 queue.append(u)
-    return lam  # type: ignore[return-value]
+    sigma = [0] * n
+    if len(queue) < n:
+        _solve_tree(adj, dnum, lam, sigma)
+    return lam, sigma  # type: ignore[return-value]
+
+
+def _solve_tree(
+    adj: Sequence[Sequence[tuple[int, int]]],
+    dnum: Sequence[int],
+    lam: list[Optional[int]],
+    sigma: list[int],
+) -> None:
+    """Solve the tree component left unsolved, rooted at its smallest node."""
+    rest = [v for v in range(len(lam)) if lam[v] is None and adj[v]]
+    if not rest:
+        return
+    lam[rest[0]] = 0
+    sigma[rest[0]] = 1
+    stack = [rest[0]]
+    while stack:
+        v = stack.pop()
+        for u, eidx in adj[v]:
+            if lam[u] is None:
+                lam[u] = 2 * dnum[eidx] - lam[v]
+                sigma[u] = -sigma[v]
+                stack.append(u)
+    if any(lam[v] is None for v in rest):
+        raise PreconditionViolated("mask has more than one tree component")
+
+
+@lru_cache(maxsize=None)
+def _pairs0(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of pair_table as 0-based node indices."""
+    return tuple((i - 1, j - 1) for i, j in pair_table(n))
 
 
 _STRICT, _FLAT, _LOOP, _VIOLATED = 0, 1, 2, 3
@@ -306,11 +354,12 @@ def _classify_scaled(
     status _STRICT  -> payload = scaled heights (a cell, all inequalities strict)
     status _FLAT    -> payload = (pair slot, heights): equality off the graph
     status _LOOP    -> payload = (node, heights): some height is not positive
-    status _VIOLATED-> payload = pair slot below d (not a cell; scan stops early)
+    status _VIOLATED-> payload = (pair slot below d, heights): not a cell; scan stops early
     """
-    lam = _solve_heights_scaled(n, mask, dnum)
-    if lam is None:
+    solved = _solve_scaled(n, mask, dnum)
+    if solved is None:
         raise PreconditionViolated("candidate has an even cycle")
+    lam = solved[0]
     flat_slot = None
     for p in range(len(pairs0)):
         if mask >> p & 1:
@@ -318,7 +367,7 @@ def _classify_scaled(
         u, v = pairs0[p]
         gap = lam[u] + lam[v] - 2 * dnum[p]
         if gap < 0:
-            return _VIOLATED, p
+            return _VIOLATED, (p, lam)
         if gap == 0 and flat_slot is None:
             flat_slot = p
     if flat_slot is not None:
@@ -331,7 +380,7 @@ def _classify_scaled(
 
 def _classify_chunk(args: tuple) -> tuple[list, list]:
     n, dnum, masks = args
-    pairs0 = tuple((i - 1, j - 1) for i, j in pair_table(n))
+    pairs0 = _pairs0(n)
     kept = []
     witnesses = []
     for mask in masks:
@@ -369,23 +418,15 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     _require_candidate(d, G)
     n = d.n
     dnum, D = _scaled_entries(d)
-    lam = _solve_heights_scaled(n, G.bits, dnum)
-    if lam is None:
-        raise PreconditionViolated("graph contains an even cycle")
+    status, payload = _classify_scaled(n, G.bits, dnum, _pairs0(n))
+    lam = payload if status == _STRICT else payload[1]
     heights = tuple(Fraction(v, 2 * D) for v in lam)
-    pairs = pair_table(n)
-    flat = None
-    for p, (i, j) in enumerate(pairs):
-        if G.bits >> p & 1:
-            continue
-        gap = lam[i - 1] + lam[j - 1] - 2 * dnum[p]
-        if gap < 0:
-            return NotACell(G, (i, j), heights)
-        if gap == 0 and flat is None:
-            flat = (i, j)
-    if flat is not None:
-        return DegeneracyReport(G, flat, heights)
-    return Cell(G, heights)
+    if status in (_STRICT, _LOOP):
+        return Cell(G, heights)
+    pair = pair_table(n)[payload[0]]
+    if status == _FLAT:
+        return DegeneracyReport(G, pair, heights)
+    return NotACell(G, pair, heights)
 
 
 def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision:
@@ -403,7 +444,7 @@ def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision
         )
     pool = candidate_graphs(n)
     dnum, D = _scaled_entries(d)
-    pairs0 = tuple((i - 1, j - 1) for i, j in pair_table(n))
+    pairs0 = _pairs0(n)
 
     kept: list[tuple[int, Sequence[int]]] = []
     witnesses: list[tuple[int, tuple[str, int]]] = []
@@ -535,169 +576,45 @@ def seed_cell(d: Metric) -> Cell:
 # -- ridge pivot traversal -----------------------------------------------------------
 
 
-def _ridge_family(
-    n: int, mask: int, d: Metric
-) -> tuple[list[Fraction], list[int]]:
-    """General solution lam0 + t*sigma of the equality system of a ridge mask.
+def _pivot_entering(n: int, dnum: Sequence[int], rmask: int, leaving: int) -> int:
+    """Slot of the unique other edge completing the ridge to a cell.
 
-    The mask has n-1 edges and spans; exactly one component is a tree, which
-    carries the one-parameter freedom (sigma alternates signs over it).
+    Along the ridge pencil lam + t*sigma each off-ridge pair bounds t by
+    -slack/s with s = sigma_i + sigma_j in {-2, -1, 1, 2}; bounds are
+    compared by cross-multiplying integers.
     """
-    pairs = pair_table(n)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    bits = mask
-    while bits:
-        low = bits & -bits
-        idx = low.bit_length() - 1
-        i, j = pairs[idx]
-        adj[i - 1].append((j - 1, idx))
-        adj[j - 1].append((i - 1, idx))
-        bits ^= low
-
-    lam0: list[Optional[Fraction]] = [None] * n
-    sigma = [0] * n
-    seen = [False] * n
-    trees = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        head = 0
-        while head < len(comp):
-            v = comp[head]
-            head += 1
-            for u, _ in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        edge_count = sum(len(adj[v]) for v in comp) // 2
-        if edge_count == len(comp) - 1:
-            trees += 1
-            root = min(comp)
-            lam0[root] = Fraction(0)
-            sigma[root] = 1
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for u, eidx in adj[v]:
-                    if lam0[u] is None:
-                        lam0[u] = d.entries[eidx] - lam0[v]
-                        sigma[u] = -sigma[v]
-                        stack.append(u)
-        elif edge_count == len(comp):
-            sub = _solve_component_fraction(n, adj, comp, d)
-            for v, val in sub.items():
-                lam0[v] = val
-        else:
-            raise PreconditionViolated("ridge component is not a tree or unicyclic")
-    if trees != 1:
-        raise PreconditionViolated("ridge must have exactly one tree component")
-    return lam0, sigma  # type: ignore[return-value]
-
-
-def _solve_component_fraction(
-    n: int, adj, comp: list[int], d: Metric
-) -> dict[int, Fraction]:
-    """Heights on one odd-unicyclic component, in exact fractions."""
-    inside = set(comp)
-    degw = {v: sum(1 for u, _ in adj[v] if u in inside) for v in comp}
-    removed = {v: False for v in comp}
-    order = [v for v in comp if degw[v] == 1]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        removed[v] = True
-        for u, _ in adj[v]:
-            if u in inside and not removed[u]:
-                degw[u] -= 1
-                if degw[u] == 1:
-                    order.append(u)
-    start = min(v for v in comp if not removed[v])
-    cyc_nodes = [start]
-    cyc_edges = []
-    prev, cur = -1, start
-    while True:
-        nxt = nidx = None
-        for u, eidx in adj[cur]:
-            if u in inside and not removed[u] and u != prev:
-                nxt, nidx = u, eidx
-                break
-        cyc_edges.append(nidx)
-        if nxt == start:
-            break
-        cyc_nodes.append(nxt)
-        prev, cur = cur, nxt
-    if len(cyc_nodes) % 2 == 0:
-        raise PreconditionViolated("component cycle is even")
-    acc = Fraction(0)
-    sign = 1
-    for eidx in cyc_edges:
-        acc += sign * d.entries[eidx]
-        sign = -sign
-    lam: dict[int, Fraction] = {cyc_nodes[0]: acc / 2}
-    for t in range(1, len(cyc_nodes)):
-        lam[cyc_nodes[t]] = d.entries[cyc_edges[t - 1]] - lam[cyc_nodes[t - 1]]
-    stack = list(lam.keys())
-    while stack:
-        v = stack.pop()
-        for u, eidx in adj[v]:
-            if u in inside and u not in lam:
-                lam[u] = d.entries[eidx] - lam[v]
-                stack.append(u)
-    return lam
-
-
-def _is_interior_ridge(n: int, mask: int) -> bool:
-    node_masks = _node_edge_masks(n)
-    if any(mask & node_masks[v] == 0 for v in range(n)):
-        return False
-    return not any(mask & ~node_masks[v] == 0 for v in range(n))
-
-
-@lru_cache(maxsize=None)
-def _node_edge_masks(n: int) -> tuple[int, ...]:
-    """Bitmask of pair slots incident with each node (0-based)."""
-    masks = [0] * n
-    for p, (i, j) in enumerate(pair_table(n)):
-        masks[i - 1] |= 1 << p
-        masks[j - 1] |= 1 << p
-    return tuple(masks)
-
-
-def _pivot_entering(n: int, d: Metric, rmask: int, leaving: int) -> int:
-    """Slot of the unique other edge completing the ridge to a cell."""
-    lam0, sigma = _ridge_family(n, rmask, d)
-    pairs = pair_table(n)
-    lo_t = hi_t = None
+    lam, sigma = _solve_scaled(n, rmask, dnum)  # type: ignore[misc]
+    lo_num = lo_den = hi_num = hi_den = 0
     lo_slots: list[int] = []
     hi_slots: list[int] = []
-    for p, (i, j) in enumerate(pairs):
+    for p, (i, j) in enumerate(_pairs0(n)):
         if rmask >> p & 1:
             continue
-        s = sigma[i - 1] + sigma[j - 1]
-        slack0 = lam0[i - 1] + lam0[j - 1] - d.entries[p]
+        s = sigma[i] + sigma[j]
+        slack = lam[i] + lam[j] - 2 * dnum[p]
         if s == 0:
-            if slack0 == 0:
+            if slack == 0:
                 raise DegenerateRidge(
-                    f"pair ({i},{j}) tight across the whole ridge pencil"
+                    f"pair ({i + 1},{j + 1}) tight across the whole ridge pencil"
                 )
             continue
-        t = Fraction(-slack0, s)
         if s > 0:
-            if lo_t is None or t > lo_t:
-                lo_t, lo_slots = t, [p]
-            elif t == lo_t:
+            # t >= -slack/s
+            order = -slack * lo_den - lo_num * s
+            if not lo_slots or order > 0:
+                lo_num, lo_den, lo_slots = -slack, s, [p]
+            elif order == 0:
                 lo_slots.append(p)
         else:
-            if hi_t is None or t < hi_t:
-                hi_t, hi_slots = t, [p]
-            elif t == hi_t:
+            # t <= slack/(-s)
+            order = slack * hi_den + hi_num * s
+            if not hi_slots or order < 0:
+                hi_num, hi_den, hi_slots = slack, -s, [p]
+            elif order == 0:
                 hi_slots.append(p)
-    if lo_t is None or hi_t is None:
+    if not lo_slots or not hi_slots:
         raise DegenerateRidge("ridge pencil is unbounded on one side")
-    if lo_t == hi_t:
+    if lo_num * hi_den == hi_num * lo_den:
         raise DegenerateRidge("ridge pencil collapses to a point")
     if leaving in lo_slots:
         side = hi_slots
@@ -713,8 +630,11 @@ def _pivot_entering(n: int, d: Metric, rmask: int, leaving: int) -> int:
 def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     """Breadth-first closure of the subdivision under ridge pivots.
 
-    Matches enumerate_cells on every generic input; scales to sizes where
-    exhaustive filtration is out of reach.
+    Each interior ridge is pivoted once, from the first of its two cells to
+    be reached.  The ratio test checks the far side for ties; a tie on the
+    near side would leave an equality off the near cell's graph, which its
+    strict certificate already excludes.  Matches enumerate_cells on every
+    generic input; scales to sizes where exhaustive filtration is out of reach.
     """
     n = d.n
     G = seed.graph
@@ -724,18 +644,21 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     if not isinstance(cert, Cell):
         raise SeedInvalid("seed graph carries no strict certificate")
 
+    dnum, _ = _scaled_entries(d)
     seen = {G.bits: cert}
-    frontier = [G.bits]
+    pivoted: set[int] = set()
+    frontier = deque([G.bits])
     while frontier:
-        mask = frontier.pop(0)
+        mask = frontier.popleft()
         bits = mask
         while bits:
             low = bits & -bits
             bits ^= low
             rmask = mask ^ low
-            if not _is_interior_ridge(n, rmask):
+            if rmask in pivoted or not is_interior_mask(n, rmask):
                 continue
-            entering = _pivot_entering(n, d, rmask, low.bit_length() - 1)
+            pivoted.add(rmask)
+            entering = _pivot_entering(n, dnum, rmask, low.bit_length() - 1)
             nmask = rmask | 1 << entering
             if nmask in seen:
                 continue
@@ -782,19 +705,16 @@ def all_faces(S: Subdivision) -> FaceSet:
                 low = bits & -bits
                 below.add(mask ^ low)
                 bits ^= low
-    node_masks = _node_edge_masks(n)
     by_dim = []
     interior = []
     for k in range(n):
         masks = tuple(sorted(levels[k]))
         by_dim.append(masks)
-        inner = frozenset(
-            mask
-            for mask in masks
-            if all(mask & node_masks[v] for v in range(n))
-            and not any(mask & ~node_masks[v] == 0 for v in range(n))
-        )
-        interior.append(inner)
+        # a k-face has k+1 edges, and fewer than ceil(n/2) edges cannot span
+        if 2 * (k + 1) < n:
+            interior.append(frozenset())
+        else:
+            interior.append(frozenset(m for m in masks if is_interior_mask(n, m)))
     return FaceSet(n, tuple(by_dim), tuple(interior))
 
 
@@ -804,7 +724,7 @@ def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Returns (missed nodes i, giving facets x_i = 0) and (star centers c, for
     faces inside the simplex facet at c).
     """
-    node_masks = _node_edge_masks(n)
+    node_masks = node_edge_masks(n)
     missed = tuple(v + 1 for v in range(n) if mask & node_masks[v] == 0)
     centers = tuple(v + 1 for v in range(n) if mask & ~node_masks[v] == 0)
     return missed, centers

@@ -28,6 +28,10 @@ def metric(name: str) -> Metric:
     if kind == "rand":
         n, seed = arg.split(".")
         return gen_random(int(n), int(seed))
+    if kind == "hires":
+        # resolution 10^12: a large common denominator and no accidental ties
+        n, seed = arg.split(".")
+        return gen_random(int(n), int(seed), 10**12)
     raise KeyError(name)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import FOUR_POINTS, IDEAL_FOUR
 from tightspan.cli import main
-from tightspan.metrics import load_metric, metric_to_json, validate_metric
+from tightspan.metrics import gen_dmin, load_metric, metric_to_json, validate_metric
 
 
 @pytest.fixture()
@@ -79,6 +79,21 @@ def test_compute_byte_deterministic(four_points_file, capsys):
     first = capsys.readouterr().out
     main(["compute", four_points_file, "--no-timestamp"])
     assert capsys.readouterr().out == first
+
+
+def test_compute_same_report_on_both_routes(tmp_path, capsys):
+    # threshold 6 sends n = 7 through seed search and ridge traversal; the
+    # default threshold enumerates.  Report and exported cells must agree.
+    # dmin-7 is generic and has a cell of volume 2.
+    path = tmp_path / "dmin7.json"
+    path.write_text(metric_to_json(gen_dmin(7)))
+    outputs = []
+    for k, flags in enumerate(([], ["--threshold", "6"])):
+        cells = tmp_path / f"cells{k}.json"
+        rc = main(["compute", str(path), "--no-timestamp", "--export-cells", str(cells), *flags])
+        assert rc == 0
+        outputs.append((capsys.readouterr().out, cells.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_compute_ideal_exits_3(ideal_file, capsys):

@@ -169,13 +169,48 @@ def test_seed_cell_probes_without_monotone_property():
 
 
 @pytest.mark.parametrize(
-    "name", ["4points", "dmax-5", "dmax-6", "dmin-5", "dmin-6", "rand-6.2"]
+    "name",
+    [
+        "4points",
+        "dmax-5",
+        "dmax-6",
+        "dmin-5",
+        "dmin-6",
+        "dmin-7",
+        "rand-6.2",
+        "hires-7.1",
+        "hires-8.1",
+    ],
 )
 def test_traverse_equals_enumerate(name):
+    # Traversal starts from an enumerated cell, so that this test does not
+    # depend on the seed search (seed_cell + traverse_cells is criterion 09).
+    # dmin-7 and both hires metrics have a cell of volume 2 (two components),
+    # so some ridge pencils move one component only and a pair joining the
+    # components has sigma_i + sigma_j = +-1.
+    d = metric(name)
+    E = subdivision(name)
+    T = traverse_cells(d, E.maximal_cells[-1])
+    assert T.maximal_cells == E.maximal_cells
+
+
+@pytest.mark.parametrize("name", ["dmax-8", "dmin-8"])
+def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
+    import tightspan.subdivision as sd
+
+    calls = []
+    pivot = sd._pivot_entering
+
+    def counting(*args):
+        calls.append(args[2])
+        return pivot(*args)
+
+    monkeypatch.setattr(sd, "_pivot_entering", counting)
     d = metric(name)
     T = traverse_cells(d, seed_cell(d))
-    E = subdivision(name)
-    assert T.maximal_cells == E.maximal_cells
+    F = all_faces(T)
+    assert len(calls) == len(set(calls)) == F.interior_counts()[d.n - 2]
+    assert set(calls) == F.interior_by_dim[d.n - 2]
 
 
 def test_traverse_rejects_bad_seed():
@@ -248,7 +283,7 @@ def test_ridge_incidences():
         S = subdivision(name)
         F = faces(name)
         n = S.n
-        from tightspan.subdivision import _is_interior_ridge
+        from tightspan.graphs import is_interior_mask
 
         counts = {}
         for cell in S.maximal_cells:
@@ -259,7 +294,7 @@ def test_ridge_incidences():
                 counts[mask ^ low] = counts.get(mask ^ low, 0) + 1
                 bits ^= low
         for rmask, c in counts.items():
-            if _is_interior_ridge(n, rmask):
+            if is_interior_mask(n, rmask):
                 assert c == 2
             else:
                 assert c == 1
