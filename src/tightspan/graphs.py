@@ -309,11 +309,58 @@ def _tree_path(parent: dict[int, int], target: int) -> list[int]:
     return path
 
 
+def cell_components(n: int, mask: int) -> Optional[int]:
+    """Component count of a candidate cell graph; None when the mask is not one.
+
+    A candidate is spanning, has n edges, and each of its components holds
+    exactly one cycle, of odd length.  One union-find pass over the edges
+    tracks each node's parity to its root: an edge inside a component closes
+    a cycle, odd when its ends have equal parity, and a component may close
+    only one.  A node left in a component without a cycle, isolated nodes
+    included, rejects the mask.
+    """
+    if mask.bit_count() != n:
+        return None
+    pairs = pair_table(n)
+    parent = list(range(n + 1))
+    parity = [0] * (n + 1)
+    cyclic = [False] * (n + 1)
+
+    def find(v: int) -> tuple[int, int]:
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    bits = mask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i, j = pairs[low.bit_length() - 1]
+        ri, pi = find(i)
+        rj, pj = find(j)
+        if ri == rj:
+            if pi != pj or cyclic[ri]:
+                return None
+            cyclic[ri] = True
+        else:
+            if cyclic[ri] and cyclic[rj]:
+                return None
+            parent[rj] = ri
+            parity[rj] = pi ^ pj ^ 1
+            cyclic[ri] = cyclic[ri] or cyclic[rj]
+    roots = [v for v in range(1, n + 1) if parent[v] == v]
+    if not all(cyclic[r] for r in roots):
+        return None
+    return len(roots)
+
+
 def cell_volume(G: EdgeGraph) -> int:
     """Normalized volume 2^(c-1) of the simplex spanned by an odd-unicyclic spanning graph."""
-    if G.edge_count != G.n or not G.is_spanning() or not is_odd_unicyclic(G):
+    c = cell_components(G.n, G.bits)
+    if c is None:
         raise PreconditionViolated("volume is defined for spanning odd-unicyclic graphs only")
-    c = len(components(G).components)
     return 1 << (c - 1)
 
 

@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations, repeat
 from typing import Optional, Sequence
 
 from .common import format_rational, num_pairs, pair_index, pair_table
@@ -41,9 +42,9 @@ from .errors import (
 )
 from .graphs import (
     EdgeGraph,
+    cell_components,
     cell_volume,
     is_interior_mask,
-    is_odd_unicyclic,
     node_edge_masks,
 )
 from .metrics import Metric, check_dmax_property, submetric
@@ -112,6 +113,8 @@ class FaceSet:
     """All faces of a triangulation grouped by dimension, with interior tags.
 
     A k-dimensional face is a graph with k+1 edges, stored as its bitmask.
+    Each level of by_dim is sorted by bitmask; graphs() and the face export
+    list the faces in that order, so the exported file is canonical.
     """
 
     n: int
@@ -401,7 +404,7 @@ def _classify_chunk(args: tuple) -> tuple[list, list]:
 def _require_candidate(d: Metric, G: EdgeGraph) -> None:
     if G.n != d.n:
         raise PreconditionViolated("graph and metric sizes differ")
-    if G.edge_count != d.n or not G.is_spanning() or not is_odd_unicyclic(G):
+    if cell_components(G.n, G.bits) is None:
         raise PreconditionViolated(
             "certificates exist only for spanning n-edge graphs"
             " with odd-unicyclic components"
@@ -416,8 +419,12 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     and NotACell when some pair falls below d.
     """
     _require_candidate(d, G)
-    n = d.n
-    dnum, D = _scaled_entries(d)
+    return _certificate(G, *_scaled_entries(d))
+
+
+def _certificate(G: EdgeGraph, dnum: Sequence[int], D: int):
+    """lambda_certificate of a checked candidate, from the scaled entries of d."""
+    n = G.n
     status, payload = _classify_scaled(n, G.bits, dnum, _pairs0(n))
     lam = payload if status == _STRICT else payload[1]
     heights = tuple(Fraction(v, 2 * D) for v in lam)
@@ -566,7 +573,7 @@ def seed_cell(d: Metric) -> Cell:
         w = [Fraction(2) + Fraction(j * t, n * n * n + t) for j in range(1, n + 1)]
         fm = solve_w_matching(d, w)
         G = fm.support
-        if G.edge_count == n and G.is_spanning() and is_odd_unicyclic(G):
+        if cell_components(n, G.bits) is not None:
             cert = lambda_certificate(d, G)
             if isinstance(cert, Cell):
                 return cert
@@ -638,13 +645,13 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     """
     n = d.n
     G = seed.graph
-    if G.n != n or G.edge_count != n or not G.is_spanning() or not is_odd_unicyclic(G):
+    if G.n != n or cell_components(n, G.bits) is None:
         raise SeedInvalid("seed graph is not a candidate cell")
     cert = lambda_certificate(d, G)
     if not isinstance(cert, Cell):
         raise SeedInvalid("seed graph carries no strict certificate")
 
-    dnum, _ = _scaled_entries(d)
+    dnum, D = _scaled_entries(d)
     seen = {G.bits: cert}
     pivoted: set[int] = set()
     frontier = deque([G.bits])
@@ -662,7 +669,9 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             nmask = rmask | 1 << entering
             if nmask in seen:
                 continue
-            ncert = lambda_certificate(d, EdgeGraph(n, nmask))
+            graph = EdgeGraph(n, nmask)
+            _require_candidate(d, graph)
+            ncert = _certificate(graph, dnum, D)
             if not isinstance(ncert, Cell):
                 raise DegenerateRidge("pivot produced a non-strict certificate")
             seen[nmask] = ncert
@@ -691,24 +700,43 @@ def compute_subdivision(
 
 
 def all_faces(S: Subdivision) -> FaceSet:
-    """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags."""
+    """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
+
+    The cells are walked in their stored order.  In each cell an edge e is
+    forced when the ridge cell - e already lies in an earlier cell.  Every
+    subgraph that misses a forced edge lies inside that ridge, so inside the
+    earlier cell, and is already in the closure: by induction over the
+    cells, all subgraphs of the earlier cells are.  Only the subgraphs that
+    keep every forced edge are generated, which holds for any cell order;
+    the order only decides how many faces are generated more than once.
+    The ridges of the earlier cells are level n-2 of the closure so far.
+    """
     if not S.generic:
         raise NotATriangulation("face closure requires a generic subdivision")
     n = S.n
     levels: list[set[int]] = [set() for _ in range(n)]
-    levels[n - 1] = {c.graph.bits for c in S.maximal_cells}
-    for k in range(n - 1, 0, -1):
-        below = levels[k - 1]
-        for mask in levels[k]:
-            bits = mask
-            while bits:
-                low = bits & -bits
-                below.add(mask ^ low)
-                bits ^= low
+    ridges = levels[n - 2]
+    for cell in S.maximal_cells:
+        mask = cell.graph.bits
+        forced = 0
+        free = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if mask ^ low in ridges:
+                forced |= low
+            else:
+                free.append(low)
+        # forced | (r free edges) has forced.bit_count() + r edges
+        base = forced.bit_count() - 1
+        for r in range(0 if forced else 1, len(free) + 1):
+            levels[base + r].update(map(sum, combinations(free, r), repeat(forced)))
     by_dim = []
     interior = []
-    for k in range(n):
-        masks = tuple(sorted(levels[k]))
+    for k, level in enumerate(levels):
+        masks = tuple(sorted(level))
+        level.clear()
         by_dim.append(masks)
         # a k-face has k+1 edges, and fewer than ceil(n/2) edges cannot span
         if 2 * (k + 1) < n:

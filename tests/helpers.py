@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from tightspan.facevectors import tightspan_vectors
+from tightspan.graphs import EdgeGraph
 from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
 from tightspan.subdivision import FaceSet, Subdivision, all_faces, enumerate_cells
 
@@ -103,6 +104,32 @@ def incidence_rows(n: int, edges) -> list[list[int]]:
         row[j - 1] = 1
         rows.append(row)
     return rows
+
+
+def naive_faces(S: Subdivision) -> tuple[tuple, tuple]:
+    """(by_dim, interior_by_dim) of a triangulation from every subset of every cell.
+
+    A face is interior when it covers every node and is not a full star.
+    """
+    n = S.n
+    levels: list[set[int]] = [set() for _ in range(n)]
+    for cell in S.maximal_cells:
+        mask = cell.graph.bits
+        edges = [1 << p for p in range(mask.bit_length()) if mask >> p & 1]
+        for r in range(1, n + 1):
+            for combo in combinations(edges, r):
+                levels[r - 1].add(sum(combo))
+    by_dim = tuple(tuple(sorted(level)) for level in levels)
+    interior = []
+    for level in by_dim:
+        tagged = set()
+        for mask in level:
+            G = EdgeGraph(n, mask)
+            star = G.edge_count == n - 1 and n - 1 in G.degrees()
+            if G.is_spanning() and not star:
+                tagged.add(mask)
+        interior.append(frozenset(tagged))
+    return by_dim, tuple(interior)
 
 
 def spanning_subgraph_masks(n: int, m_edges: int):

@@ -162,10 +162,22 @@ def test_verify_paper_examples(capsys):
     assert out.count("pass") >= 8 and "FAIL" not in out
 
 
-def test_verify_bounds(capsys):
+def test_verify_bounds(capsys, monkeypatch):
+    import tightspan.cli as cli
+
+    built = []
+    compute = cli.compute_subdivision
+
+    def counting(d, *args, **kwargs):
+        built.append(d.n)
+        return compute(d, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_subdivision", counting)
     rc = main(["verify", "--suite", "bounds"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
+    # one subdivision per (family, n): dmax 4, 5, 6 and dmin 5, 6
+    assert built == [4, 5, 6, 5, 6]
 
 
 def test_verify_oracle_random_small(capsys):

@@ -1,5 +1,6 @@
 """Graph kit: components, tours, interior test, path sums, cell volumes."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from tightspan.common import num_pairs, pair_index, pair_table
 from tightspan.errors import NodeOutOfRange, PreconditionViolated
 from tightspan.graphs import (
     EdgeGraph,
+    cell_components,
     cell_volume,
     components,
     cycle_graph,
@@ -149,6 +151,18 @@ def test_cell_volume_precondition():
     not_spanning = EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     with pytest.raises(PreconditionViolated):
         cell_volume(not_spanning)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cell_components_matches_component_walk(n):
+    # every n-edge graph of K_n: the union-find pass against components()
+    pairs = pair_table(n)
+    for combo in itertools.combinations(range(num_pairs(n)), n):
+        G = EdgeGraph.from_edges(n, [pairs[p] for p in combo])
+        expect = None
+        if G.is_spanning() and is_odd_unicyclic(G):
+            expect = len(components(G).components)
+        assert cell_components(n, G.bits) == expect
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -1,17 +1,18 @@
 """Certificates, cell enumeration, traversal, faces, and genericity verdicts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import faces, metric, subdivision
+from helpers import faces, metric, naive_faces, subdivision
 from tightspan.errors import (
     NotSupported,
     PreconditionViolated,
     SeedInvalid,
     ThresholdExceeded,
 )
-from tightspan.graphs import EdgeGraph, cycle_graph, star_graph
+from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, star_graph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, submetric
 from tightspan.subdivision import (
     Cell,
@@ -77,6 +78,23 @@ def test_certificate_preconditions():
         lambda_certificate(d, cycle_graph(4, [1, 2, 3, 4]))
     with pytest.raises(PreconditionViolated):
         lambda_certificate(d, star_graph(4, 1))
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # even cycle
+        (6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (5, 6)]),  # bicyclic beside a tree
+        (5, [(1, 2), (1, 3), (1, 4), (1, 5)]),  # spanning tree
+        (5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]),  # n edges missing node 5
+    ],
+)
+def test_candidate_checks_reject(n, edges):
+    G = EdgeGraph.from_edges(n, edges)
+    with pytest.raises(PreconditionViolated):
+        lambda_certificate(gen_dmax(n), G)
+    with pytest.raises(PreconditionViolated):
+        cell_volume(G)
 
 
 def test_enumerate_four_points():
@@ -251,6 +269,23 @@ def test_all_faces_four_points():
     assert F.interior_counts() == (0, 1, 4, 4)
     (pm,) = F.interior_by_dim[1]
     assert EdgeGraph(4, pm).edges() == ((1, 3), (2, 4))
+
+
+@pytest.mark.parametrize("name", ["dmin-7", "hires-7.1", "hires-8.1"])
+def test_all_faces_equals_naive_closure(name):
+    S = subdivision(name)
+    F = all_faces(S)
+    assert (F.by_dim, F.interior_by_dim) == naive_faces(S)
+    # which edges a cell finds forced depends on the cell order; the closure must not
+    assert all_faces(replace(S, maximal_cells=S.maximal_cells[::-1])) == F
+
+
+@pytest.mark.parametrize("name", ["dmax-8", "dmin-9"])
+def test_all_faces_equals_naive_closure_traversed(name):
+    d = metric(name)
+    S = traverse_cells(d, seed_cell(d))
+    F = all_faces(S)
+    assert (F.by_dim, F.interior_by_dim) == naive_faces(S)
 
 
 def test_faces_closed_under_subgraphs():
