@@ -6,7 +6,7 @@ Usage:
 
 For each n up to the cap, prints the bound row F_k(n), the tight-span
 f-vectors of the two extremal families, and which entries are attained.
-Enumeration runs up to n = 7; n = 8 uses the ridge traversal.
+compute_subdivision enumerates up to n = 7 and traverses from n = 8 on.
 """
 
 import argparse
@@ -16,14 +16,11 @@ import time
 from tightspan.bounds import F_bound, lower_bound_top, verify_metric_against_bounds
 from tightspan.facevectors import tightspan_vectors
 from tightspan.metrics import gen_dmax, gen_dmin
-from tightspan.subdivision import all_faces, enumerate_cells, seed_cell, traverse_cells
+from tightspan.subdivision import all_faces, compute_subdivision
 
 
 def span_vectors(d):
-    if d.n <= 7:
-        sub = enumerate_cells(d)
-    else:
-        sub = traverse_cells(d, seed_cell(d))
+    sub = compute_subdivision(d, threshold=7)
     return tightspan_vectors(d, sub, all_faces(sub))
 
 

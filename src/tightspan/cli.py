@@ -187,8 +187,10 @@ def cmd_compute(args) -> int:
                 for k in range(len(F.by_dim))
             },
         }
+        # streamed: json.dumps would hold the whole text and its pieces at once
         with open(args.export_faces, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(faces_payload, indent=2) + "\n")
+            fh.writelines(json.JSONEncoder(indent=2).iterencode(faces_payload))
+            fh.write("\n")
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
     return 0 if all(checks.values()) else 4

@@ -54,7 +54,15 @@ class ThresholdExceeded(TightSpanError):
 
 
 class DegenerateRidge(TightSpanError):
-    """A ridge pivot was ambiguous; the input is not generic."""
+    """A ridge pivot was ambiguous; the input is not generic.
+
+    On a ratio-test tie, witness is (graph, pair): the heights of the cell
+    graph meet d with equality on the pair off it.  Otherwise it is None.
+    """
+
+    def __init__(self, message: str, witness=None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class SeedInvalid(TightSpanError):

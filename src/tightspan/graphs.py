@@ -52,9 +52,6 @@ class EdgeGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.bits >> pair_index(self.n, i, j) & 1)
 
-    def add_edge(self, i: int, j: int) -> "EdgeGraph":
-        return EdgeGraph(self.n, self.bits | 1 << pair_index(self.n, i, j))
-
     def remove_edge(self, i: int, j: int) -> "EdgeGraph":
         return EdgeGraph(self.n, self.bits & ~(1 << pair_index(self.n, i, j)))
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .common import num_pairs, pair_table
 from .errors import Infeasible, NonUniqueOptimum, PreconditionViolated, StructureViolation
-from .graphs import EdgeGraph, components, has_even_tour, odd_path_sum
+from .graphs import EdgeGraph, _cycle_nodes, components, has_even_tour, odd_path_sum
 from .metrics import Metric
 
 
@@ -292,7 +292,7 @@ def b11_classify(d: Metric, b: int) -> B11Report:
             raise StructureViolation("star neighbor of node 1 has extra edges")
         return B11Report(S, "star", b, None, tuple(others))
     if comp1.cycle_dim == 1 and comp1.cycle_parity == "odd":
-        cycle_nodes = _component_cycle(S, comp1.nodes)
+        cycle_nodes = _cycle_nodes(S) & set(comp1.nodes)
         if 1 not in cycle_nodes:
             raise StructureViolation("cycle of node 1's component avoids node 1")
         pendants = [e for e in comp1_edges if not (set(e) <= cycle_nodes)]
@@ -311,19 +311,3 @@ def b11_classify(d: Metric, b: int) -> B11Report:
             S, "cycle_plus_pendants", b - 1, tuple(sorted(cycle_nodes)), tuple(others)
         )
     raise StructureViolation(f"component of node 1 has an even tour: {comp1}")
-
-
-def _component_cycle(S: EdgeGraph, nodes: tuple[int, ...]) -> set[int]:
-    adj = {v: [u for u in S.adjacency()[v] if u in nodes] for v in nodes}
-    degw = {v: len(adj[v]) for v in nodes}
-    alive = set(nodes)
-    stack = [v for v in nodes if degw[v] == 1]
-    while stack:
-        v = stack.pop()
-        alive.discard(v)
-        for u in adj[v]:
-            if u in alive:
-                degw[u] -= 1
-                if degw[u] == 1:
-                    stack.append(u)
-    return alive

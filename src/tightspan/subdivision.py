@@ -7,9 +7,13 @@ cell.  For generic metrics the subdivision is a triangulation: the maximal
 cells are the spanning n-edge subgraphs whose components each contain
 exactly one odd cycle.
 
-Two independent enumeration routes are provided: exhaustive filtration of
-all candidate graphs (the trusted oracle, default up to n = 8) and a
-ridge-pivot traversal seeded from one known cell (fast at any size).
+Two enumeration routes are provided: exhaustive filtration of all candidate
+graphs (the trusted oracle, default up to n = 8) and a ridge-pivot traversal
+seeded from one known cell (fast at any size).  compute_subdivision makes
+the one route choice, and is_generic is a view of it.  Both routes classify
+their cells with one loop (_classify_chunk) and build the Subdivision with
+one builder, so a cell with a zero height gives the same verdict and
+witness on either route.
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
 of ridges, in integers scaled by twice the common entry denominator.  The
@@ -381,8 +385,12 @@ def _classify_scaled(
     return _STRICT, lam
 
 
-def _classify_chunk(args: tuple) -> tuple[list, list]:
-    n, dnum, masks = args
+def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
+    """The one classification loop of both routes: (kept, witnesses) of masks.
+
+    kept holds (mask, scaled heights) of the cells; witnesses holds
+    (mask, ("pair", slot)) and (mask, ("loop", node)).
+    """
     pairs0 = _pairs0(n)
     kept = []
     witnesses = []
@@ -396,6 +404,24 @@ def _classify_chunk(args: tuple) -> tuple[list, list]:
             kept.append((mask, payload[1]))
             witnesses.append((mask, ("loop", payload[0])))
     return kept, witnesses
+
+
+def _subdivision(d: Metric, D: int, kept: list, witnesses: list) -> Subdivision:
+    """Cells sorted by mask; the least witness, a loop at i as the pair (i, i)."""
+    n = d.n
+    witness = None
+    if witnesses:
+        mask, (kind, slot) = min(witnesses)
+        if kind == "pair":
+            i, j = pair_table(n)[slot]
+        else:
+            i = j = slot + 1
+        witness = (EdgeGraph(n, mask), (i, j))
+    cells = tuple(
+        Cell(EdgeGraph(n, mask), tuple(Fraction(v, 2 * D) for v in lam))
+        for mask, lam in sorted(kept, key=lambda kv: kv[0])
+    )
+    return Subdivision(n, d, cells, witness is None, witness)
 
 
 # -- public certificate API -------------------------------------------------------
@@ -419,12 +445,8 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     and NotACell when some pair falls below d.
     """
     _require_candidate(d, G)
-    return _certificate(G, *_scaled_entries(d))
-
-
-def _certificate(G: EdgeGraph, dnum: Sequence[int], D: int):
-    """lambda_certificate of a checked candidate, from the scaled entries of d."""
     n = G.n
+    dnum, D = _scaled_entries(d)
     status, payload = _classify_scaled(n, G.bits, dnum, _pairs0(n))
     lam = payload if status == _STRICT else payload[1]
     heights = tuple(Fraction(v, 2 * D) for v in lam)
@@ -451,47 +473,20 @@ def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision
         )
     pool = candidate_graphs(n)
     dnum, D = _scaled_entries(d)
-    pairs0 = _pairs0(n)
-
-    kept: list[tuple[int, Sequence[int]]] = []
-    witnesses: list[tuple[int, tuple[str, int]]] = []
     if jobs > 1:
         chunks = max(1, len(pool) // (jobs * 4))
         parts = [pool[k : k + chunks] for k in range(0, len(pool), chunks)]
+        kept, witnesses = [], []
         with ProcessPoolExecutor(max_workers=jobs) as pom:
             for part_kept, part_wit in pom.map(
-                _classify_chunk, [(n, dnum, part) for part in parts]
+                _classify_chunk, repeat(n), repeat(dnum), parts
             ):
                 kept.extend(part_kept)
                 witnesses.extend(part_wit)
-        kept.sort(key=lambda kv: kv[0])
     else:
-        for mask in pool:
-            status, payload = _classify_scaled(n, mask, dnum, pairs0)
-            if status == _STRICT:
-                kept.append((mask, payload))
-            elif status == _FLAT:
-                witnesses.append((mask, ("pair", payload[0])))
-            elif status == _LOOP:
-                kept.append((mask, payload[1]))
-                witnesses.append((mask, ("loop", payload[0])))
-
-    witness = None
-    if witnesses:
-        mask, (kind, slot) = min(witnesses)
-        if kind == "pair":
-            i, j = pair_table(n)[slot]
-        else:
-            i = j = slot + 1
-        witness = (EdgeGraph(n, mask), (i, j))
-
-    cells = tuple(
-        Cell(EdgeGraph(n, mask), tuple(Fraction(v, 2 * D) for v in lam))
-        for mask, lam in kept
-    )
-    generic = witness is None
-    sub = Subdivision(n, d, cells, generic, witness)
-    if generic and sub.total_volume != (1 << (n - 1)) - n:
+        kept, witnesses = _classify_chunk(n, dnum, pool)
+    sub = _subdivision(d, D, kept, witnesses)
+    if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
         raise NotATriangulation(
             f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}"
         )
@@ -499,29 +494,20 @@ def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision
 
 
 def is_generic(d: Metric, threshold: int = 8) -> GenericityVerdict:
-    """Genericity verdict with a concrete witness on failure.
+    """Genericity verdict of compute_subdivision, with a concrete witness on failure.
 
     Generic means: no candidate height solution meets d with equality off its
     graph, and every strict certificate is strictly positive (so the corner
     simplex at each node is itself a cell).  This matches simplicity of the
-    tight-span polyhedron.
+    tight-span polyhedron.  A ridge tie found by the traversal gives the
+    witness of its DegenerateRidge and no subdivision.  SeedSearchFailed
+    propagates: a seed search that gives up says nothing about genericity.
     """
-    if d.n <= threshold:
-        sub = enumerate_cells(d, threshold=threshold)
-        return GenericityVerdict(sub.generic, sub.degeneracy_witness, sub)
     try:
-        sub = traverse_cells(d, seed_cell(d))
-    except (DegenerateRidge, SeedSearchFailed, SeedInvalid) as exc:
-        return GenericityVerdict(False, getattr(exc, "witness", None), None)
-    for cell in sub.maximal_cells:
-        for i, h in enumerate(cell.heights, start=1):
-            if h <= 0:
-                witness = (cell.graph, (i, i))
-                flagged = Subdivision(
-                    sub.n, sub.metric, sub.maximal_cells, False, witness
-                )
-                return GenericityVerdict(False, witness, flagged)
-    return GenericityVerdict(True, None, sub)
+        sub = compute_subdivision(d, threshold)
+    except DegenerateRidge as exc:
+        return GenericityVerdict(False, exc.witness, None)
+    return GenericityVerdict(sub.generic, sub.degeneracy_witness, sub)
 
 
 # -- known seed graphs -------------------------------------------------------------
@@ -630,7 +616,10 @@ def _pivot_entering(n: int, dnum: Sequence[int], rmask: int, leaving: int) -> in
     else:
         raise DegenerateRidge("leaving edge does not bound the ridge pencil")
     if len(side) != 1:
-        raise DegenerateRidge("ratio test tie; metric is not generic")
+        raise DegenerateRidge(
+            "ratio test tie; metric is not generic",
+            witness=(EdgeGraph(n, rmask | 1 << side[0]), pair_table(n)[side[1]]),
+        )
     return side[0]
 
 
@@ -642,17 +631,19 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     near side would leave an equality off the near cell's graph, which its
     strict certificate already excludes.  Matches enumerate_cells on every
     generic input; scales to sizes where exhaustive filtration is out of reach.
+    A cell with a height that is not positive is kept and makes the result
+    non-generic, as in enumerate_cells.
     """
     n = d.n
     G = seed.graph
     if G.n != n or cell_components(n, G.bits) is None:
         raise SeedInvalid("seed graph is not a candidate cell")
-    cert = lambda_certificate(d, G)
-    if not isinstance(cert, Cell):
+    dnum, D = _scaled_entries(d)
+    kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
+    if not kept:
         raise SeedInvalid("seed graph carries no strict certificate")
 
-    dnum, D = _scaled_entries(d)
-    seen = {G.bits: cert}
+    seen = {G.bits}
     pivoted: set[int] = set()
     frontier = deque([G.bits])
     while frontier:
@@ -669,16 +660,16 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             nmask = rmask | 1 << entering
             if nmask in seen:
                 continue
-            graph = EdgeGraph(n, nmask)
-            _require_candidate(d, graph)
-            ncert = _certificate(graph, dnum, D)
-            if not isinstance(ncert, Cell):
+            _require_candidate(d, EdgeGraph(n, nmask))
+            cell_kept, cell_witnesses = _classify_chunk(n, dnum, (nmask,))
+            if not cell_kept:
                 raise DegenerateRidge("pivot produced a non-strict certificate")
-            seen[nmask] = ncert
+            kept += cell_kept
+            witnesses += cell_witnesses
+            seen.add(nmask)
             frontier.append(nmask)
 
-    cells = tuple(seen[mask] for mask in sorted(seen))
-    sub = Subdivision(n, d, cells, True, None)
+    sub = _subdivision(d, D, kept, witnesses)
     if sub.total_volume != (1 << (n - 1)) - n:
         raise DegenerateRidge(
             f"traversal covered volume {sub.total_volume},"

@@ -104,6 +104,19 @@ def test_compute_ideal_exits_3(ideal_file, capsys):
     assert "witness-pair: {1,1}" in out
 
 
+def test_compute_ideal_same_report_on_both_routes(ideal_file, tmp_path, capsys):
+    # threshold 3 sends n = 4 through seed search and ridge traversal, which
+    # must find the zero height that enumeration finds
+    outputs = []
+    for k, flags in enumerate(([], ["--threshold", "3"])):
+        for fmt in ("text", "json"):
+            cells = tmp_path / f"cells{k}{fmt}.json"
+            args = ["--no-timestamp", "--format", fmt, "--export-cells", str(cells)]
+            assert main(["compute", ideal_file, *args, *flags]) == 3
+            outputs.append((capsys.readouterr().out, cells.read_bytes()))
+    assert outputs[:2] == outputs[2:]
+
+
 def test_compute_ideal_allow_degenerate(ideal_file):
     assert main(["compute", ideal_file, "--no-timestamp", "--allow-degenerate"]) == 0
 
@@ -138,6 +151,15 @@ def test_compute_exports(four_points_file, tmp_path, capsys):
     assert len(face_payload["faces"]["0"]) == 6
     interior_edges = [f for f in face_payload["faces"]["1"] if f["interior"]]
     assert len(interior_edges) == 1
+
+
+def test_compute_face_export_is_indented_json(four_points_file, tmp_path, capsys):
+    fcs = tmp_path / "faces.json"
+    rc = main(["compute", four_points_file, "--no-timestamp", "--export-faces", str(fcs)])
+    capsys.readouterr()
+    assert rc == 0
+    text = fcs.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_compute_jobs_flag(four_points_file, capsys):

@@ -7,9 +7,11 @@ import pytest
 
 from helpers import faces, metric, naive_faces, subdivision
 from tightspan.errors import (
+    DegenerateRidge,
     NotSupported,
     PreconditionViolated,
     SeedInvalid,
+    SeedSearchFailed,
     ThresholdExceeded,
 )
 from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, star_graph
@@ -244,7 +246,6 @@ def test_traverse_rejects_bad_seed():
 def test_traverse_detects_ridge_tie_on_flat_metric():
     # a weight-2 four-cycle zeroes an alternating distance sum, so the
     # subdivision has a flat cell; pivoting out of a strict one must tie
-    from tightspan.errors import DegenerateRidge
     from tightspan.metrics import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
@@ -254,6 +255,48 @@ def test_traverse_detects_ridge_tie_on_flat_metric():
     assert witness_pair == (3, 4)
     with pytest.raises(DegenerateRidge):
         traverse_cells(d, S.maximal_cells[0])
+
+
+def _assert_equality_witness(d, witness):
+    graph, (i, j) = witness
+    cert = lambda_certificate(d, graph)
+    assert isinstance(cert, DegeneracyReport) and not graph.has_edge(i, j)
+    assert cert.heights[i - 1] + cert.heights[j - 1] == d.d(i, j)
+
+
+def test_ridge_tie_witness_rechecks():
+    from tightspan.metrics import gen_dgamma
+
+    d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
+    with pytest.raises(DegenerateRidge) as tie:
+        traverse_cells(d, enumerate_cells(d).maximal_cells[0])
+    _assert_equality_witness(d, tie.value.witness)
+    # threshold 5 sends n = 6 through seed search and traversal, which ties
+    d = gen_random(6, 1, 100)
+    assert not enumerate_cells(d).generic
+    verdict = is_generic(d, threshold=5)
+    assert not verdict.generic and verdict.subdivision is None
+    _assert_equality_witness(d, verdict.witness)
+
+
+def test_traverse_reports_corner_tangency_like_enumeration():
+    # the ideal metric has the cells of 4points, but one cell height is zero
+    d = metric("ideal")
+    T = traverse_cells(d, seed_cell(d))
+    E = subdivision("ideal")
+    assert not T.generic
+    graph, pair = T.degeneracy_witness
+    assert graph.bits == 23 and pair == (1, 1)
+    assert T.degeneracy_witness == E.degeneracy_witness
+    assert T.maximal_cells == E.maximal_cells
+
+
+def test_is_generic_passes_on_seed_search_failure():
+    # enumeration finds hires-7.1 generic; a seed search that gives up on it
+    # must not be reported as a verdict
+    assert subdivision("hires-7.1").generic
+    with pytest.raises(SeedSearchFailed):
+        is_generic(metric("hires-7.1"), threshold=6)
 
 
 def test_traverse_volume_identity_n8():
