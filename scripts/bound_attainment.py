@@ -6,7 +6,7 @@ Usage:
 
 For each n up to the cap, prints the bound row F_k(n), the tight-span
 f-vectors of the two extremal families, and which entries are attained.
-compute_subdivision enumerates up to n = 7 and traverses from n = 8 on.
+compute_subdivision traverses the ridges from one LP seed cell at every n.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from tightspan.subdivision import all_faces, compute_subdivision
 
 
 def span_vectors(d):
-    sub = compute_subdivision(d, threshold=7)
+    sub = compute_subdivision(d)
     return tightspan_vectors(d, sub, all_faces(sub))
 
 

@@ -4,8 +4,10 @@ All numeric output is exact "p/q" text; no floats appear anywhere.  Reports
 are canonical: identical inputs give byte-identical output apart from the
 timestamp line, which --no-timestamp suppresses.
 
-Exit codes: 0 success, 2 parse or argument error, 3 non-generic input
-without --allow-degenerate, 4 failed check.
+`compute` takes its cells and verdict from compute_subdivision, the ridge
+traversal from one LP seed at every n.  Exit codes: 0 success, 2 parse or
+argument error, 3 non-generic input (with its witness) without
+--allow-degenerate, 4 failed check.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ def _parser() -> argparse.ArgumentParser:
     pc.add_argument("--export-faces", metavar="PATH")
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.add_argument("--allow-degenerate", action="store_true")
-    pc.add_argument("--jobs", type=int, default=1)
-    pc.add_argument("--threshold", type=int, default=8)
-    pc.add_argument("--force-enumerate", action="store_true")
     pc.add_argument("--no-timestamp", action="store_true")
 
     pg = sub.add_parser("gen", help="write a metric file")
@@ -94,10 +93,11 @@ def cmd_compute(args) -> int:
     except (OSError, ValueError, TightSpanError) as exc:
         print(f"error: cannot parse metric: {exc}", file=sys.stderr)
         return 2
+    if args.oracle and d.n > 6:
+        print("error: --oracle requires n <= 6", file=sys.stderr)
+        return 2
 
-    sub = compute_subdivision(
-        d, threshold=args.threshold, jobs=args.jobs, force_enumerate=args.force_enumerate
-    )
+    sub = compute_subdivision(d)
     lines = [f"metric: {args.file}", f"n: {d.n}"]
     if not args.no_timestamp:
         lines.append(
@@ -145,9 +145,6 @@ def cmd_compute(args) -> int:
         checks["bounds"] = False
         witnesses["bounds"] = str(exc)
     if args.oracle:
-        if d.n > 6:
-            print("error: --oracle requires n <= 6", file=sys.stderr)
-            return 2
         try:
             checks["oracle"] = crosscheck(d).ok
         except TightSpanError as exc:

@@ -70,7 +70,7 @@ class SeedInvalid(TightSpanError):
 
 
 class SeedSearchFailed(TightSpanError):
-    """No full-dimensional cell found within the probe budget."""
+    """Every weight drawn for the seed search landed on a wall between cells."""
 
 
 class NotATriangulation(TightSpanError):

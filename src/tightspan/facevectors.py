@@ -321,11 +321,11 @@ def check_inductive_step(
     """
     if d.n < 5:
         raise PreconditionViolated("inductive formulas need n >= 5")
-    from .subdivision import enumerate_cells
+    from .subdivision import compute_subdivision
 
     n = d.n
     if S is None:
-        S = enumerate_cells(d)
+        S = compute_subdivision(d)
     if not S.generic:
         raise NotGeneric("inductive formulas apply to generic metrics")
     if F is None:

@@ -285,12 +285,12 @@ def crosscheck(d: Metric) -> CrosscheckReport:
     raises Mismatch.
     """
     from .facevectors import glued_ball_f, h_from_f, tightspan_vectors
-    from .subdivision import all_faces, enumerate_cells
+    from .subdivision import all_faces, compute_subdivision
 
     n = d.n
     if n > 6:
         raise ScaleExceeded("crosscheck is capped at n = 6")
-    S = enumerate_cells(d)
+    S = compute_subdivision(d)
     F = all_faces(S)
     tv = tightspan_vectors(d, S, F)
 

@@ -7,13 +7,12 @@ cell.  For generic metrics the subdivision is a triangulation: the maximal
 cells are the spanning n-edge subgraphs whose components each contain
 exactly one odd cycle.
 
-Two enumeration routes are provided: exhaustive filtration of all candidate
-graphs (the trusted oracle, default up to n = 8) and a ridge-pivot traversal
-seeded from one known cell (fast at any size).  compute_subdivision makes
-the one route choice, and is_generic is a view of it.  Both routes classify
-their cells with one loop (_classify_chunk) and build the Subdivision with
-one builder, so a cell with a zero height gives the same verdict and
-witness on either route.
+compute_subdivision, the one production route at every n, is a ridge-pivot
+traversal from one seed cell that seed_cell reads off the matching LP; a
+flat seed or a ratio-test tie ends it with a witness.  is_generic is a view
+of it.  Exhaustive filtration of all candidates (enumerate_cells) is kept as
+the test oracle.  Both classify their cells with one loop (_classify_chunk)
+and build the Subdivision with one builder, so they give the same verdict.
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
 of ridges, in integers scaled by twice the common entry denominator.  The
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,7 +106,7 @@ class Subdivision:
 class GenericityVerdict:
     generic: bool
     witness: Optional[tuple[EdgeGraph, tuple[int, int]]]
-    subdivision: Optional[Subdivision]
+    subdivision: Subdivision
 
     def __bool__(self) -> bool:
         return self.generic
@@ -389,7 +389,8 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
     """The one classification loop of both routes: (kept, witnesses) of masks.
 
     kept holds (mask, scaled heights) of the cells; witnesses holds
-    (mask, ("pair", slot)) and (mask, ("loop", node)).
+    (mask, (i, j)) for an equality on the pair {i,j} off the graph and
+    (mask, (i, i)) for a height at node i that is not positive.
     """
     pairs0 = _pairs0(n)
     kept = []
@@ -399,24 +400,18 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
         if status == _STRICT:
             kept.append((mask, payload))
         elif status == _FLAT:
-            witnesses.append((mask, ("pair", payload[0])))
+            witnesses.append((mask, pair_table(n)[payload[0]]))
         elif status == _LOOP:
             kept.append((mask, payload[1]))
-            witnesses.append((mask, ("loop", payload[0])))
+            witnesses.append((mask, (payload[0] + 1,) * 2))
     return kept, witnesses
 
 
 def _subdivision(d: Metric, D: int, kept: list, witnesses: list) -> Subdivision:
-    """Cells sorted by mask; the least witness, a loop at i as the pair (i, i)."""
+    """Cells sorted by mask, with heights over 2D; the witness of least mask."""
     n = d.n
-    witness = None
-    if witnesses:
-        mask, (kind, slot) = min(witnesses)
-        if kind == "pair":
-            i, j = pair_table(n)[slot]
-        else:
-            i = j = slot + 1
-        witness = (EdgeGraph(n, mask), (i, j))
+    mask, pair = min(witnesses, default=(0, None))
+    witness = None if pair is None else (EdgeGraph(n, mask), pair)
     cells = tuple(
         Cell(EdgeGraph(n, mask), tuple(Fraction(v, 2 * D) for v in lam))
         for mask, lam in sorted(kept, key=lambda kv: kv[0])
@@ -459,7 +454,7 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
 
 
 def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision:
-    """All maximal cells by exhaustive candidate filtration.
+    """All maximal cells by exhaustive candidate filtration: the test oracle.
 
     Every spanning odd-unicyclic n-edge graph is tested for a strict height
     certificate.  The result is non-generic when some candidate yields an
@@ -493,20 +488,16 @@ def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision
     return sub
 
 
-def is_generic(d: Metric, threshold: int = 8) -> GenericityVerdict:
+def is_generic(d: Metric) -> GenericityVerdict:
     """Genericity verdict of compute_subdivision, with a concrete witness on failure.
 
     Generic means: no candidate height solution meets d with equality off its
     graph, and every strict certificate is strictly positive (so the corner
     simplex at each node is itself a cell).  This matches simplicity of the
-    tight-span polyhedron.  A ridge tie found by the traversal gives the
-    witness of its DegenerateRidge and no subdivision.  SeedSearchFailed
-    propagates: a seed search that gives up says nothing about genericity.
+    tight-span polyhedron.  SeedSearchFailed propagates: a seed search that
+    gives up says nothing about genericity.
     """
-    try:
-        sub = compute_subdivision(d, threshold)
-    except DegenerateRidge as exc:
-        return GenericityVerdict(False, exc.witness, None)
+    sub = compute_subdivision(d)
     return GenericityVerdict(sub.generic, sub.degeneracy_witness, sub)
 
 
@@ -540,13 +531,15 @@ def interleaved_cycle_graph(n: int) -> EdgeGraph:
     return EdgeGraph.from_edges(n, edges)
 
 
-def seed_cell(d: Metric) -> Cell:
-    """A starting cell for the traversal.
+def seed_cell(d: Metric) -> Cell | DegeneracyReport:
+    """A starting cell for the traversal, read off the matching LP.
 
-    Metrics with the monotone difference property get the interleaved cycle
-    seed directly; otherwise deterministic weight probes of the matching LP
-    are scanned until a spanning n-edge support with a strict certificate
-    appears.
+    Metrics with the monotone difference property get the interleaved cycle.
+    Otherwise the LP is solved at up to eight weights w_j = 2 + k_j/2^30 with
+    k_j from random.Random(n).  Off every wall the optimal support is the cell
+    that contains w; the first support that is a candidate cell gives its
+    lambda_certificate, a DegeneracyReport when d is not generic.
+    SeedSearchFailed means that every draw landed on a wall.
     """
     n = d.n
     if n >= 4 and check_dmax_property(d):
@@ -555,15 +548,13 @@ def seed_cell(d: Metric) -> Cell:
             return cert
     from .matching import solve_w_matching
 
-    for t in range(1, 33):
-        w = [Fraction(2) + Fraction(j * t, n * n * n + t) for j in range(1, n + 1)]
-        fm = solve_w_matching(d, w)
-        G = fm.support
+    rng = random.Random(n)
+    for _ in range(8):
+        w = [2 + Fraction(rng.getrandbits(30), 1 << 30) for _ in range(n)]
+        G = solve_w_matching(d, w).support
         if cell_components(n, G.bits) is not None:
-            cert = lambda_certificate(d, G)
-            if isinstance(cert, Cell):
-                return cert
-    raise SeedSearchFailed(f"no full-dimensional cell found for n={n}")
+            return lambda_certificate(d, G)
+    raise SeedSearchFailed(f"all 8 LP weight draws landed on a wall for n={n}")
 
 
 # -- ridge pivot traversal -----------------------------------------------------------
@@ -678,13 +669,24 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     return sub
 
 
-def compute_subdivision(
-    d: Metric, threshold: int = 8, jobs: int = 1, force_enumerate: bool = False
-) -> Subdivision:
-    """Enumerate up to the threshold, traverse beyond it."""
-    if d.n <= threshold or force_enumerate:
-        return enumerate_cells(d, threshold=max(threshold, d.n), jobs=jobs)
-    return traverse_cells(d, seed_cell(d))
+def compute_subdivision(d: Metric) -> Subdivision:
+    """The subdivision of d by ridge traversal from seed_cell, at every n.
+
+    A flat seed, or a ratio-test tie, gives a subdivision without cells,
+    generic False and the (graph, pair) witness of the equality.  Another
+    DegenerateRidge, and SeedSearchFailed, propagate.
+    """
+    seed = seed_cell(d)
+    if isinstance(seed, Cell):
+        try:
+            return traverse_cells(d, seed)
+        except DegenerateRidge as exc:
+            if exc.witness is None:
+                raise
+            graph, pair = exc.witness
+    else:
+        graph, pair = seed.graph, seed.pair
+    return _subdivision(d, 1, [], [(graph.bits, pair)])
 
 
 # -- faces -----------------------------------------------------------------------

@@ -9,7 +9,14 @@ from itertools import combinations
 from tightspan.facevectors import tightspan_vectors
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
-from tightspan.subdivision import FaceSet, Subdivision, all_faces, enumerate_cells
+from tightspan.subdivision import (
+    DegeneracyReport,
+    FaceSet,
+    Subdivision,
+    all_faces,
+    enumerate_cells,
+    lambda_certificate,
+)
 
 FOUR_POINTS = [[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]]
 IDEAL_FOUR = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
@@ -52,6 +59,14 @@ def tsv(name: str):
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def assert_equality_witness(d: Metric, witness) -> None:
+    """The witness graph's heights meet d with equality on the pair off it."""
+    graph, (i, j) = witness
+    cert = lambda_certificate(d, graph)
+    assert isinstance(cert, DegeneracyReport) and not graph.has_edge(i, j)
+    assert cert.heights[i - 1] + cert.heights[j - 1] == d.d(i, j)
 
 
 def det_int(rows: list[list[int]]) -> int:

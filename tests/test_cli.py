@@ -1,12 +1,24 @@
 """Command-line interface: generation, pipeline runs, suites, exit codes."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
-from helpers import FOUR_POINTS, IDEAL_FOUR
+import tightspan.cli as cli
+from helpers import FOUR_POINTS, IDEAL_FOUR, assert_equality_witness, metric
 from tightspan.cli import main
-from tightspan.metrics import gen_dmin, load_metric, metric_to_json, validate_metric
+from tightspan.graphs import EdgeGraph
+from tightspan.metrics import (
+    gen_dmin,
+    gen_random,
+    load_metric,
+    metric_from_upper,
+    metric_to_json,
+    validate_metric,
+)
+from tightspan.subdivision import enumerate_cells
 
 
 @pytest.fixture()
@@ -81,19 +93,26 @@ def test_compute_byte_deterministic(four_points_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_compute_same_report_on_both_routes(tmp_path, capsys):
-    # threshold 6 sends n = 7 through seed search and ridge traversal; the
-    # default threshold enumerates.  Report and exported cells must agree.
-    # dmin-7 is generic and has a cell of volume 2.
-    path = tmp_path / "dmin7.json"
-    path.write_text(metric_to_json(gen_dmin(7)))
-    outputs = []
-    for k, flags in enumerate(([], ["--threshold", "6"])):
-        cells = tmp_path / f"cells{k}.json"
-        rc = main(["compute", str(path), "--no-timestamp", "--export-cells", str(cells), *flags])
-        assert rc == 0
-        outputs.append((capsys.readouterr().out, cells.read_bytes()))
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("name, code", [("dmin-7", 0), ("ideal", 3)], ids=["dmin-7", "ideal"])
+def test_compute_report_equals_enumeration_oracle(name, code, tmp_path, capsys, monkeypatch):
+    # the same reports and exported cells when the CLI builds the subdivision
+    # by exhaustive filtration; dmin-7 is generic with a cell of volume 2, and
+    # one cell height of the ideal metric is zero
+    path = tmp_path / f"{name}.json"
+    path.write_text(metric_to_json(metric(name)))
+
+    def reports():
+        out = []
+        for fmt in ("text", "json"):
+            cells = tmp_path / "cells.json"
+            args = ["--no-timestamp", "--format", fmt, "--export-cells", str(cells)]
+            assert main(["compute", str(path), *args]) == code
+            out.append((capsys.readouterr().out, cells.read_bytes()))
+        return out
+
+    traversed = reports()
+    monkeypatch.setattr(cli, "compute_subdivision", enumerate_cells)
+    assert reports() == traversed
 
 
 def test_compute_ideal_exits_3(ideal_file, capsys):
@@ -104,17 +123,24 @@ def test_compute_ideal_exits_3(ideal_file, capsys):
     assert "witness-pair: {1,1}" in out
 
 
-def test_compute_ideal_same_report_on_both_routes(ideal_file, tmp_path, capsys):
-    # threshold 3 sends n = 4 through seed search and ridge traversal, which
-    # must find the zero height that enumeration finds
-    outputs = []
-    for k, flags in enumerate(([], ["--threshold", "3"])):
-        for fmt in ("text", "json"):
-            cells = tmp_path / f"cells{k}{fmt}.json"
-            args = ["--no-timestamp", "--format", fmt, "--export-cells", str(cells)]
-            assert main(["compute", ideal_file, *args, *flags]) == 3
-            outputs.append((capsys.readouterr().out, cells.read_bytes()))
-    assert outputs[:2] == outputs[2:]
+@pytest.mark.parametrize(
+    "d",
+    [metric_from_upper(9, (Fraction(2),) * 36), gen_random(6, 1, 100)],
+    ids=["flat-9", "random-6.1-res100"],
+)
+def test_compute_non_generic_exits_3_with_witness(d, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(metric_to_json(d))
+    assert main(["compute", str(path), "--no-timestamp"]) == 3
+    text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert main(["compute", str(path), "--no-timestamp", "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert text["generic"] == "false" and payload["generic"] is False
+    assert text["witness-graph"] == payload["witness"]["graph"]
+    i, j = payload["witness"]["pair"]
+    assert text["witness-pair"] == f"{{{i},{j}}}"
+    edges = [(int(a), int(b)) for a, b in re.findall(r"\{(\d+),(\d+)\}", text["witness-graph"])]
+    assert_equality_witness(d, (EdgeGraph.from_edges(d.n, edges), (i, j)))
 
 
 def test_compute_ideal_allow_degenerate(ideal_file):
@@ -127,6 +153,30 @@ def test_compute_parse_error(tmp_path):
     assert main(["compute", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["compute", str(missing)]) == 2
+
+
+def test_compute_rejects_route_options(four_points_file):
+    for flags in (["--threshold", "3"], ["--jobs", "2"], ["--force-enumerate"]):
+        assert main(["compute", four_points_file, *flags]) == 2
+
+
+def test_compute_oracle_size_checked_first(tmp_path, capsys, monkeypatch):
+    # a non-generic n = 7 input must not exit 3 before the size check
+    path = tmp_path / "d.json"
+    path.write_text(metric_to_json(gen_random(7, 1, 100)))
+    assert main(["compute", str(path), "--no-timestamp"]) == 3
+    capsys.readouterr()
+    assert main(["compute", str(path), "--oracle"]) == 2
+    assert "--oracle requires n <= 6" in capsys.readouterr().err
+
+    # a generic one must fail before any subdivision or face closure is built
+    def refuse(d):
+        raise AssertionError("subdivision built before the --oracle size check")
+
+    monkeypatch.setattr(cli, "compute_subdivision", refuse)
+    path.write_text(metric_to_json(gen_dmin(7)))
+    assert main(["compute", str(path), "--oracle"]) == 2
+    assert "--oracle requires n <= 6" in capsys.readouterr().err
 
 
 def test_compute_exports(four_points_file, tmp_path, capsys):
@@ -162,14 +212,6 @@ def test_compute_face_export_is_indented_json(four_points_file, tmp_path, capsys
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def test_compute_jobs_flag(four_points_file, capsys):
-    rc1 = main(["compute", four_points_file, "--no-timestamp"])
-    out1 = capsys.readouterr().out
-    rc2 = main(["compute", four_points_file, "--no-timestamp", "--jobs", "2"])
-    out2 = capsys.readouterr().out
-    assert rc1 == rc2 == 0 and out1 == out2
-
-
 def test_verify_identities(capsys):
     rc = main(["verify", "--suite", "identities", "--n-max", "10"])
     out = capsys.readouterr().out
@@ -185,8 +227,6 @@ def test_verify_paper_examples(capsys):
 
 
 def test_verify_bounds(capsys, monkeypatch):
-    import tightspan.cli as cli
-
     built = []
     compute = cli.compute_subdivision
 

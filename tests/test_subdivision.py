@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import faces, metric, naive_faces, subdivision
+from helpers import assert_equality_witness, faces, metric, naive_faces, subdivision
 from tightspan.errors import (
     DegenerateRidge,
     NotSupported,
@@ -23,6 +23,7 @@ from tightspan.subdivision import (
     all_faces,
     boundary_tags,
     candidate_graphs,
+    compute_subdivision,
     enumerate_cells,
     interleaved_cycle_graph,
     is_generic,
@@ -188,6 +189,19 @@ def test_seed_cell_probes_without_monotone_property():
     assert isinstance(cert, Cell)
 
 
+@pytest.mark.parametrize("n, seed", [(7, 1), (7, 7), (8, 7), (8, 8), (8, 10), (8, 11)])
+def test_seed_cell_on_generic_random_metrics(n, seed):
+    # generic metrics whose cell walls catch every weight of a fixed 2-plane
+    assert isinstance(seed_cell(gen_random(n, seed, 10**12)), Cell)
+
+
+@pytest.mark.parametrize(
+    "name", ["4points", "ideal", "rand-6.2", "dmin-7", "hires-7.1", "hires-7.7", "hires-8.1"]
+)
+def test_compute_subdivision_equals_enumeration(name):
+    assert compute_subdivision(metric(name)) == subdivision(name)
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -257,26 +271,22 @@ def test_traverse_detects_ridge_tie_on_flat_metric():
         traverse_cells(d, S.maximal_cells[0])
 
 
-def _assert_equality_witness(d, witness):
-    graph, (i, j) = witness
-    cert = lambda_certificate(d, graph)
-    assert isinstance(cert, DegeneracyReport) and not graph.has_edge(i, j)
-    assert cert.heights[i - 1] + cert.heights[j - 1] == d.d(i, j)
-
-
 def test_ridge_tie_witness_rechecks():
     from tightspan.metrics import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
     with pytest.raises(DegenerateRidge) as tie:
         traverse_cells(d, enumerate_cells(d).maximal_cells[0])
-    _assert_equality_witness(d, tie.value.witness)
-    # threshold 5 sends n = 6 through seed search and traversal, which ties
-    d = gen_random(6, 1, 100)
-    assert not enumerate_cells(d).generic
-    verdict = is_generic(d, threshold=5)
-    assert not verdict.generic and verdict.subdivision is None
-    _assert_equality_witness(d, verdict.witness)
+    assert_equality_witness(d, tie.value.witness)
+    # the seed of random-6.1 (resolution 100) is flat; the traversal of
+    # random-6.5 ties.  Either way the verdict has no cells and a witness.
+    for seed, flat in ((1, True), (5, False)):
+        d = gen_random(6, seed, 100)
+        assert isinstance(seed_cell(d), DegeneracyReport) == flat
+        assert not enumerate_cells(d).generic
+        verdict = is_generic(d)
+        assert not verdict.generic and verdict.subdivision.maximal_cells == ()
+        assert_equality_witness(d, verdict.witness)
 
 
 def test_traverse_reports_corner_tangency_like_enumeration():
@@ -291,12 +301,22 @@ def test_traverse_reports_corner_tangency_like_enumeration():
     assert T.maximal_cells == E.maximal_cells
 
 
-def test_is_generic_passes_on_seed_search_failure():
-    # enumeration finds hires-7.1 generic; a seed search that gives up on it
-    # must not be reported as a verdict
+def test_is_generic_passes_on_seed_search_failure(monkeypatch):
+    # every LP draw lands on a wall when the support loses an edge; a seed
+    # search that gives up must propagate and never be read as a verdict
+    import tightspan.matching as matching
+
+    solve = matching.solve_w_matching
+
+    def on_a_wall(d, w):
+        fm = solve(d, w)
+        low = fm.support.bits & -fm.support.bits
+        return replace(fm, support=EdgeGraph(d.n, fm.support.bits ^ low))
+
+    monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
     assert subdivision("hires-7.1").generic
     with pytest.raises(SeedSearchFailed):
-        is_generic(metric("hires-7.1"), threshold=6)
+        is_generic(metric("hires-7.1"))
 
 
 def test_traverse_volume_identity_n8():
