@@ -15,7 +15,7 @@ from collections import Counter
 
 from tightspan.facevectors import tightspan_vectors
 from tightspan.metrics import gen_random
-from tightspan.subdivision import is_generic
+from tightspan.subdivision import compute_subdivision
 
 
 def main() -> int:
@@ -30,11 +30,11 @@ def main() -> int:
         dims = Counter()
         for seed in range(1, args.seeds + 1):
             d = gen_random(n, seed, args.resolution)
-            verdict = is_generic(d)
-            if not verdict.generic:
+            sub = compute_subdivision(d)
+            if not sub.generic:
                 bad.append(seed)
                 continue
-            tv = tightspan_vectors(d, verdict.subdivision)
+            tv = tightspan_vectors(d, sub)
             dims[tv.dim] += 1
         rate = (args.seeds - len(bad)) / args.seeds
         print(f"n = {n}: {rate:.0%} generic over {args.seeds} seeds")

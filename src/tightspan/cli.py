@@ -7,7 +7,8 @@ timestamp line, which --no-timestamp suppresses.
 `compute` takes its cells and verdict from compute_subdivision, the ridge
 traversal from one LP seed at every n.  Exit codes: 0 success, 2 parse or
 argument error, 3 non-generic input (with its witness) without
---allow-degenerate, 4 failed check.
+--allow-degenerate, 4 failed check (also a traversal whose ridge pencils or
+covered volume break an invariant without a witness).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bounds import (
     lower_bound_top,
     verify_metric_against_bounds,
 )
-from .errors import TightSpanError
+from .errors import DegenerateRidge, TightSpanError
 from .facevectors import (
     check_asff,
     check_ball_relations,
@@ -97,7 +98,11 @@ def cmd_compute(args) -> int:
         print("error: --oracle requires n <= 6", file=sys.stderr)
         return 2
 
-    sub = compute_subdivision(d)
+    try:
+        sub = compute_subdivision(d)
+    except DegenerateRidge as exc:
+        print(f"error: ridge traversal failed: {exc}", file=sys.stderr)
+        return 4
     lines = [f"metric: {args.file}", f"n: {d.n}"]
     if not args.no_timestamp:
         lines.append(

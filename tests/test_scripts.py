@@ -1,0 +1,30 @@
+"""The experiment scripts run end to end on small sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/genericity_survey.py", "--n", "5", "--seeds", "5"],
+        ["scripts/bound_attainment.py", "--n-max", "6"],
+    ],
+    ids=["genericity_survey", "bound_attainment"],
+)
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    r = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout

@@ -10,9 +10,8 @@ from tightspan.errors import (
     DegenerateRidge,
     NotSupported,
     PreconditionViolated,
+    ScaleExceeded,
     SeedInvalid,
-    SeedSearchFailed,
-    ThresholdExceeded,
 )
 from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, star_graph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, submetric
@@ -26,7 +25,6 @@ from tightspan.subdivision import (
     compute_subdivision,
     enumerate_cells,
     interleaved_cycle_graph,
-    is_generic,
     lambda_certificate,
     restrict_to_facet,
     seed_cell,
@@ -128,7 +126,7 @@ def test_enumerate_dmin6():
 
 
 def test_enumerate_threshold():
-    with pytest.raises(ThresholdExceeded):
+    with pytest.raises(ScaleExceeded):
         enumerate_cells(gen_dmax(9))
 
 
@@ -159,14 +157,14 @@ def test_ideal_metric_flagged_degenerate():
 
 
 def test_is_generic_verdicts():
-    assert is_generic(metric("4points")).generic
-    assert not is_generic(metric("ideal")).generic
+    assert compute_subdivision(metric("4points")).generic
+    assert not compute_subdivision(metric("ideal")).generic
     for n in (4, 5, 6, 7):
-        assert is_generic(gen_dmax(n)).generic
+        assert compute_subdivision(gen_dmax(n)).generic
 
 
 def test_random_genericity_rate():
-    flags = [is_generic(gen_random(6, seed)).generic for seed in range(1, 21)]
+    flags = [compute_subdivision(gen_random(6, seed)).generic for seed in range(1, 21)]
     assert sum(flags) >= 18
     assert not flags[14]  # seed 15 carries an engineered-looking coincidence
 
@@ -191,8 +189,51 @@ def test_seed_cell_probes_without_monotone_property():
 
 @pytest.mark.parametrize("n, seed", [(7, 1), (7, 7), (8, 7), (8, 8), (8, 10), (8, 11)])
 def test_seed_cell_on_generic_random_metrics(n, seed):
-    # generic metrics whose cell walls catch every weight of a fixed 2-plane
+    # generic metrics, so the seed must be a Cell, never a DegeneracyReport
     assert isinstance(seed_cell(gen_random(n, seed, 10**12)), Cell)
+
+
+def test_seed_weights_off_every_wall(monkeypatch):
+    # a wall of the matching LP is sum_A w = sum_B w on the two sides of a
+    # tree (w_v = 0 for a single node), so no nonzero signed sum may vanish
+    import tightspan.matching as matching
+
+    seen = []
+    solve = matching.solve_w_matching
+
+    def recording(d, w):
+        seen.append(list(w))
+        return solve(d, w)
+
+    monkeypatch.setattr(matching, "solve_w_matching", recording)
+    for n in range(3, 11):
+        seed_cell(gen_dmin(n))  # no monotone difference property, so the LP runs
+        w = seen.pop()
+        assert len(w) == n and not seen
+        # number of s in {-1,0,1}^n with each signed sum, one weight at a time
+        ways = {0: 1}
+        for x in w:
+            nxt = {}
+            for total, k in ways.items():
+                for t in (total - x, total, total + x):
+                    nxt[t] = nxt.get(t, 0) + k
+            ways = nxt
+        assert ways[0] == 1  # only s = 0
+        assert max(w) < sum(w) - max(w)  # w is a degree vector of K_n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_seed_cell_and_verdict_on_coarse_random_metrics(n):
+    # resolution 100 makes most of these metrics non-generic
+    for s in range(1, 31):
+        d = gen_random(n, s, 100)
+        assert isinstance(seed_cell(d), (Cell, DegeneracyReport))
+        T, E = compute_subdivision(d), enumerate_cells(d)
+        assert T.generic == E.generic
+        if T.maximal_cells:
+            assert T == E
+        else:
+            assert_equality_witness(d, T.degeneracy_witness)
 
 
 @pytest.mark.parametrize(
@@ -284,9 +325,9 @@ def test_ridge_tie_witness_rechecks():
         d = gen_random(6, seed, 100)
         assert isinstance(seed_cell(d), DegeneracyReport) == flat
         assert not enumerate_cells(d).generic
-        verdict = is_generic(d)
-        assert not verdict.generic and verdict.subdivision.maximal_cells == ()
-        assert_equality_witness(d, verdict.witness)
+        S = compute_subdivision(d)
+        assert not S.generic and S.maximal_cells == ()
+        assert_equality_witness(d, S.degeneracy_witness)
 
 
 def test_traverse_reports_corner_tangency_like_enumeration():
@@ -301,9 +342,10 @@ def test_traverse_reports_corner_tangency_like_enumeration():
     assert T.maximal_cells == E.maximal_cells
 
 
-def test_is_generic_passes_on_seed_search_failure(monkeypatch):
-    # every LP draw lands on a wall when the support loses an edge; a seed
-    # search that gives up must propagate and never be read as a verdict
+def test_seed_support_off_the_candidates_raises(monkeypatch):
+    # an LP support that is not a candidate cell (here one edge short) can
+    # only come from a broken solver; the candidate guard must refuse it
+    # and never let it become a verdict
     import tightspan.matching as matching
 
     solve = matching.solve_w_matching
@@ -315,8 +357,10 @@ def test_is_generic_passes_on_seed_search_failure(monkeypatch):
 
     monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
     assert subdivision("hires-7.1").generic
-    with pytest.raises(SeedSearchFailed):
-        is_generic(metric("hires-7.1"))
+    with pytest.raises(PreconditionViolated):
+        seed_cell(metric("hires-7.1"))
+    with pytest.raises(PreconditionViolated):
+        compute_subdivision(metric("hires-7.1"))
 
 
 def test_traverse_volume_identity_n8():
@@ -481,9 +525,9 @@ def test_is_generic_traversal_detects_corner_tangency():
     )
     shifted = validate_metric(shift_by_isolated(d, [IsolatedDistance(1, -v / 2)]))
     assert shifted.satisfies_triangle
-    verdict = is_generic(shifted)
-    assert not verdict.generic and verdict.witness[1] == (1, 1)
-    assert verdict.subdivision.cell_graphs() == is_generic(d).subdivision.cell_graphs()
+    S = compute_subdivision(shifted)
+    assert not S.generic and S.degeneracy_witness[1] == (1, 1)
+    assert S.cell_graphs() == compute_subdivision(d).cell_graphs()
 
 
 def test_certificate_agrees_with_lp_sampled_n7():
