@@ -8,7 +8,9 @@ timestamp line, which --no-timestamp suppresses.
 traversal from one LP seed at every n.  Exit codes: 0 success, 2 parse or
 argument error, 3 non-generic input (with its witness) without
 --allow-degenerate, 4 failed check (also a traversal whose ridge pencils or
-covered volume break an invariant without a witness).
+covered volume break an invariant without a witness, or any other package
+error while the subdivision is built).  `verify` exits 2 on bad arguments
+and on a package error inside a suite, with one `error:` line.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ def cmd_compute(args) -> int:
         sub = compute_subdivision(d)
     except DegenerateRidge as exc:
         print(f"error: ridge traversal failed: {exc}", file=sys.stderr)
+        return 4
+    except TightSpanError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     lines = [f"metric: {args.file}", f"n: {d.n}"]
     if not args.no_timestamp:
@@ -318,7 +323,14 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
 
 def cmd_verify(args) -> int:
-    lines, ok = _verify_lines(args.suite, args)
+    if args.suite == "oracle-random" and not (3 <= args.n <= 6 and args.count >= 1):
+        print("error: oracle-random requires 3 <= --n <= 6 and --count >= 1", file=sys.stderr)
+        return 2
+    try:
+        lines, ok = _verify_lines(args.suite, args)
+    except TightSpanError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(lines))
     print(f"suite {args.suite}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 4

@@ -1,8 +1,11 @@
-"""Shared helpers: pair indexing, exact rational parsing, verdicts.
+"""Shared helpers: pair indexing, the pivot step, exact rational parsing, verdicts.
 
 Nodes are numbered 1..n throughout.  The C(n,2) unordered pairs {i,j}, i<j,
 are laid out in lexicographic order (1,2),(1,3),...,(1,n),(2,3),...,(n-1,n);
 pair_index gives the 0-based slot of a pair in that order.
+
+pivot is the one elimination step of the package: the matching LP and the
+primal oracle solve all their linear systems with it, in integers.
 """
 
 from __future__ import annotations
@@ -27,6 +30,27 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
 
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def pivot(T: list[list[int]], r: int, c: int, scale: int) -> int:
+    """Fraction-free Gauss-Jordan step on an integer table; returns the new scale.
+
+    T holds scale * B^-1 [A | b] for the current basis B.  Row r stays as it
+    is and every other row becomes (a*p - f*b) // scale, where p = T[r][c]
+    is the new scale.  Every entry is then a minor of [A | b] (Edmonds,
+    Bareiss), so the division is exact.
+    """
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = [(a * p - f * b) // scale for a, b in zip(row, prow)]
+        elif p != scale:  # f = 0 only rescales the row
+            T[i] = [a * p // scale for a in row]
+    return p
 
 
 def parse_rational(value: object) -> Fraction:

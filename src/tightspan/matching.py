@@ -2,19 +2,22 @@
 
 For a weight vector w the LP maximizes <mu, d> over non-negative edge
 vectors mu with degree sums sum_i mu(i,j) = w_j.  The solver is a dense
-two-phase primal simplex over Fraction entries with Bland's smallest-index
-rule, so it terminates, is deterministic, and returns a basic optimum.
-Every solve is certified against its own dual vector (complementary
-slackness and objective equality) before it is returned.
+two-phase primal simplex with Bland's smallest-index rule, so it
+terminates, is deterministic, and returns a basic optimum.  Its table is
+fraction-free: integers over one scale, updated by common.pivot, with the
+reduced costs as the last row.  Every solve is certified in Fractions
+against its own dual vector (complementary slackness and objective
+equality) before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .common import num_pairs, pair_table
+from .common import num_pairs, pair_table, pivot
 from .errors import Infeasible, NonUniqueOptimum, PreconditionViolated, StructureViolation
 from .graphs import EdgeGraph, _cycle_nodes, components, has_even_tour, odd_path_sum
 from .metrics import Metric
@@ -33,47 +36,36 @@ class FractionalMatching:
 
 
 def _simplex_bland(
-    costs: list[Fraction],
-    allowed: int,
-    basis: list[int],
-    table: list[list[Fraction]],
-) -> None:
+    T: list[list[int]], basis: list[int], allowed: int, scale: int
+) -> int:
     """Run primal simplex pivots in place until no allowed column improves.
 
-    table rows are the current B^-1 [A | b]; basis maps rows to column ids.
-    Entering: smallest allowed column with negative (z_j - c_j); leaving:
-    smallest ratio, ties by smallest basis column id (Bland).
+    T is the integer table scale * B^-1 [A | b] with the reduced costs
+    (z_j - c_j, scaled alike) as its last row; basis maps the other rows to
+    column ids.  Entering: smallest allowed column with a negative reduced
+    cost; leaving: smallest ratio T[r][-1] / T[r][enter], compared by
+    cross-multiplying, ties by smallest basis column id (Bland).  Returns the
+    scale, which stays positive.
     """
-    m = len(table)
     while True:
-        enter = -1
-        for j in range(allowed):
-            if j in basis:
-                continue
-            z = sum(costs[basis[r]] * table[r][j] for r in range(m))
-            if z - costs[j] < 0:
-                enter = j
-                break
+        costs = T[-1]
+        enter = next((j for j in range(allowed) if costs[j] < 0), -1)
         if enter < 0:
-            return
-        ratio = None
+            return scale
         leave = -1
-        for r in range(m):
-            if table[r][enter] > 0:
-                cand = table[r][-1] / table[r][enter]
-                if ratio is None or cand < ratio or (
-                    cand == ratio and basis[r] < basis[leave]
-                ):
-                    ratio = cand
-                    leave = r
+        for r in range(len(basis)):
+            a = T[r][enter]
+            if a <= 0:
+                continue
+            if leave < 0:
+                leave = r
+                continue
+            diff = T[r][-1] * T[leave][enter] - T[leave][-1] * a
+            if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                leave = r
         if leave < 0:
             raise Infeasible("objective unbounded; degree polytope must be bounded")
-        piv = table[leave][enter]
-        table[leave] = [x / piv for x in table[leave]]
-        for r in range(m):
-            if r != leave and table[r][enter] != 0:
-                f = table[r][enter]
-                table[r] = [a - f * b for a, b in zip(table[r], table[leave])]
+        scale = pivot(T, leave, enter, scale)
         basis[leave] = enter
 
 
@@ -87,63 +79,54 @@ def solve_w_matching(d: Metric, w: Sequence) -> FractionalMatching:
         raise PreconditionViolated("weights must be non-negative")
 
     m = num_pairs(n)
-    pairs = pair_table(n)
-    total = m + n  # real columns then artificials
-    rows = []
+    W = lcm(*(x.denominator for x in weights))
+    D = lcm(*(e.denominator for e in d.entries))
+    # rows [A | I | W*w]: real columns, then artificials, then the right side
+    T = []
     for i in range(n):
-        row = [Fraction(0)] * (total + 1)
-        row[-1] = weights[i]
-        rows.append(row)
-    for p, (i, j) in enumerate(pairs):
-        rows[i - 1][p] = Fraction(1)
-        rows[j - 1][p] = Fraction(1)
-    for i in range(n):
-        rows[i][m + i] = Fraction(1)
+        row = [0] * (m + n + 1)
+        row[m + i] = 1
+        row[-1] = weights[i].numerator * (W // weights[i].denominator)
+        T.append(row)
+    for p, (i, j) in enumerate(pair_table(n)):
+        T[i - 1][p] = T[j - 1][p] = 1
 
+    # phase 1: minimize the artificial sum; each real column meets two rows
+    T.append([-2] * m + [0] * n + [-sum(row[-1] for row in T)])
     basis = list(range(m, m + n))
-
-    # phase 1: minimize the artificial sum
-    phase1 = [Fraction(0)] * m + [Fraction(-1)] * n
-    _simplex_bland(phase1, total, basis, rows)
-    art_level = sum(rows[r][-1] for r in range(n) if basis[r] >= m)
-    if art_level > 0:
+    scale = _simplex_bland(T, basis, m + n, 1)
+    if T.pop()[-1] < 0:  # -scale times the artificial sum left at the optimum
         raise Infeasible("degree equations admit no non-negative solution")
     for r in range(n):
         if basis[r] >= m:
-            enter = next((j for j in range(m) if rows[r][j] != 0), None)
+            enter = next((j for j in range(m) if T[r][j]), None)
             if enter is None:
                 raise Infeasible("degree matrix lost rank")  # cannot happen for n >= 3
-            piv = rows[r][enter]
-            rows[r] = [x / piv for x in rows[r]]
-            for r2 in range(n):
-                if r2 != r and rows[r2][enter] != 0:
-                    f = rows[r2][enter]
-                    rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[r])]
+            scale = pivot(T, r, enter, scale)
             basis[r] = enter
+    if scale < 0:
+        T = [[-a for a in row] for row in T]
+        scale = -scale
 
-    # phase 2: maximize <mu, d> over real columns only
-    phase2 = [d.entries[p] for p in range(m)] + [Fraction(0)] * n
-    _simplex_bland(phase2, m, basis, rows)
+    # phase 2: maximize <mu, D*d> over real columns only
+    cost = [e.numerator * (D // e.denominator) for e in d.entries] + [0] * (n + 1)
+    T.append([
+        sum(cost[b] * row[j] for b, row in zip(basis, T)) - scale * c
+        for j, c in enumerate(cost)
+    ])
+    scale = _simplex_bland(T, basis, m, scale)
 
     mu = [Fraction(0)] * m
-    for r in range(n):
-        if basis[r] < m:
-            mu[basis[r]] = rows[r][-1]
+    for r, b in enumerate(basis):
+        mu[b] = Fraction(T[r][-1], scale * W)
     value = sum(mu[p] * d.entries[p] for p in range(m))
     support = EdgeGraph(
         n, sum(1 << p for p in range(m) if mu[p] > 0)
     )
-    # dual from the artificial columns, which hold B^-1
-    dual = [
-        sum(phase2[basis[r]] * rows[r][m + i] for r in range(n)) for i in range(n)
-    ]
-    unique = True
-    for j in range(m):
-        if j in basis:
-            continue
-        if dual[pairs[j][0] - 1] + dual[pairs[j][1] - 1] == d.entries[j]:
-            unique = False
-            break
+    # dual from the artificial columns of the cost row, which hold c_B B^-1
+    dual = [Fraction(T[-1][m + i], scale * D) for i in range(n)]
+    basic = set(basis)
+    unique = all(T[-1][j] for j in range(m) if j not in basic)
     _certify(d, weights, mu, value, dual)
     return FractionalMatching(
         n, tuple(mu), value, support, unique, tuple(dual)

@@ -1,10 +1,12 @@
 """Independent ground truth from the tight-span polyhedron itself.
 
 The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
-x_i >= 0) is attacked head on: vertices by exhaustive basis enumeration with
-exact solves, bounded faces as intersection-closed tight-set patterns, and
-the h-vector by counting descending edges under a generic positive
-objective.  Deliberately small and slow; everything dual-side is checked
+x_i >= 0) is attacked head on: vertices by exhaustive basis enumeration,
+each basis solved and tested for feasibility in integers (common.pivot),
+bounded faces as intersection-closed tight-set patterns, and the h-vector
+by counting descending edges under a generic positive objective.
+Deliberately small and slow; it shares no heights, cells or traversal with
+the dual side, only the pivot step, and everything dual-side is checked
 against it.
 """
 
@@ -16,7 +18,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .common import num_pairs, pair_index, pair_table
+from .common import num_pairs, pair_index, pair_table, pivot
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
 from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
 from .metrics import Metric
@@ -56,48 +58,21 @@ class OrientationSpec:
         return OrientationSpec(tuple(Fraction(1) for _ in range(n)))
 
 
-def _solve_int(A: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
-    """Exact solve of a square integer system by fraction-free elimination."""
-    n = len(A)
-    M = [A[i][:] + [b[i]] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(M[i][n])
-        for j in range(i + 1, n):
-            s -= M[i][j] * x[j]
-        x[i] = s / M[i][i]
-    return x
+def _eliminate(M: list[list[int]], cols: int) -> tuple[int, int]:
+    """Gauss-Jordan over the first cols columns of M, in place, by pivot.
 
-
-def _int_rank(rows: list[tuple[int, ...]]) -> int:
-    M = [list(r) for r in rows]
-    rank = 0
-    cols = len(M[0]) if M else 0
+    The k-th pivot is swapped into row k.  Returns (rank, scale) and leaves
+    M as scale times its reduced row echelon form.
+    """
+    rank, scale = 0, 1
     for c in range(cols):
-        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
-        if piv is None:
+        r = next((r for r in range(rank, len(M)) if M[r][c]), None)
+        if r is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for r in range(len(M)):
-            if r != rank and M[r][c]:
-                f_a, f_b = M[rank][c], M[r][c]
-                M[r] = [f_a * x - f_b * y for x, y in zip(M[r], M[rank])]
+        M[rank], M[r] = M[r], M[rank]
+        scale = pivot(M, rank, c, scale)
         rank += 1
-        if rank == len(M):
-            break
-    return rank
+    return rank, scale
 
 
 def _constraints(d: Metric) -> tuple[list[tuple[int, ...]], list[Fraction]]:
@@ -131,16 +106,21 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
 
     found: dict[tuple[Fraction, ...], None] = {}
     for subset in combinations(range(m), n):
-        A = [list(rows[i]) for i in subset]
-        b = [rhs_int[i] for i in subset]
-        x = _solve_int(A, b)
-        if x is None:
+        M = [list(rows[i]) + [rhs_int[i]] for i in subset]
+        rank, scale = _eliminate(M, n)
+        if rank < n:
             continue
-        x = [v / denom for v in x]
+        # x = num / (scale * denom); test every constraint on the numerators
+        if scale < 0:
+            num = [-row[n] for row in M]
+            scale = -scale
+        else:
+            num = [row[n] for row in M]
         if all(
-            sum(r * xi for r, xi in zip(rows[c], x)) >= rhs[c] for c in range(m)
+            sum(r * xi for r, xi in zip(rows[c], num)) >= rhs_int[c] * scale
+            for c in range(m)
         ):
-            found.setdefault(tuple(x))
+            found.setdefault(tuple(Fraction(v, scale * denom) for v in num))
 
     vertices = []
     for coords in sorted(found):
@@ -203,7 +183,7 @@ def bounded_faces(
         vertex_ids = tuple(
             i for i, t in enumerate(tights) if F <= t
         )
-        dim = n - _int_rank([rows[c] for c in F])
+        dim = n - _eliminate([list(rows[c]) for c in F], n)[0]
         edges = [pair_table(n)[c] for c in sorted(F) if c < num_pairs(n)]
         loops = frozenset(c - num_pairs(n) + 1 for c in F if c >= num_pairs(n))
         faces.append(

@@ -51,7 +51,7 @@ from .graphs import (
     is_interior_mask,
     node_edge_masks,
 )
-from .metrics import Metric, check_dmax_property, submetric
+from .metrics import Metric, submetric
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     return sub
 
 
-# -- known seed graphs -------------------------------------------------------------
+# -- seed cells ----------------------------------------------------------------
 
 
 def interleaved_cycle_graph(n: int) -> EdgeGraph:
@@ -510,20 +510,15 @@ def interleaved_cycle_graph(n: int) -> EdgeGraph:
 def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     """A starting cell for the traversal, read off the matching LP.
 
-    Metrics with the monotone difference property get the interleaved cycle.
-    Otherwise the LP is solved once, at w_i = 2^n + 2^(n-i).  A wall is
-    sum_A w = sum_B w on the two sides of a tree, and no signed sum of these
-    w_i vanishes (the 2^(n-i) parts differ and stay below 2^n), so the basis
-    is nondegenerate: its support is the cell that contains w, and its
+    The LP is solved once, at w_i = 2^n + 2^(n-i), for every metric.  A wall
+    is sum_A w = sum_B w on the two sides of a tree, and no signed sum of
+    these w_i vanishes (the 2^(n-i) parts differ and stay below 2^n), so the
+    basis is nondegenerate: its support is the cell that contains w, and its
     lambda_certificate is a Cell, or a DegeneracyReport when d is not generic.
     """
-    n = d.n
-    if n >= 4 and check_dmax_property(d):
-        cert = lambda_certificate(d, interleaved_cycle_graph(n))
-        if isinstance(cert, Cell):
-            return cert
     from .matching import solve_w_matching
 
+    n = d.n
     # powers falling with i: Bland's rule then takes about 8% fewer pivots
     # than with rising ones on random n = 11 metrics
     w = [(1 << n) + (1 << (n - 1 - i)) for i in range(n)]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import tightspan.matching as matching
 from tightspan.facevectors import tightspan_vectors
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
@@ -67,6 +69,22 @@ def assert_equality_witness(d: Metric, witness) -> None:
     cert = lambda_certificate(d, graph)
     assert isinstance(cert, DegeneracyReport) and not graph.has_edge(i, j)
     assert cert.heights[i - 1] + cert.heights[j - 1] == d.d(i, j)
+
+
+def break_lp_support(monkeypatch) -> None:
+    """Make the matching LP return its support one edge short.
+
+    Such a support is never a candidate cell; only a broken solver could
+    return it, and the candidate guard must refuse it.
+    """
+    solve = matching.solve_w_matching
+
+    def on_a_wall(d, w):
+        fm = solve(d, w)
+        low = fm.support.bits & -fm.support.bits
+        return replace(fm, support=EdgeGraph(d.n, fm.support.bits ^ low))
+
+    monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import tightspan.cli as cli
-from helpers import FOUR_POINTS, IDEAL_FOUR, assert_equality_witness, metric
+from helpers import FOUR_POINTS, IDEAL_FOUR, assert_equality_witness, break_lp_support, metric
 from tightspan.cli import main
 from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
@@ -163,6 +163,20 @@ def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkey
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
+    # an LP support one edge short fails the candidate guard: a package
+    # error with its own exit code, not a traceback
+    break_lp_support(monkeypatch)
+    path = tmp_path / "hires-7.1.json"
+    path.write_text(metric_to_json(metric("hires-7.1")))
+    assert main(["compute", str(path), "--format", fmt]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: PreconditionViolated: ")
+
+
 def test_compute_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "upper": [1.25, "1", "1"]}')
@@ -262,3 +276,20 @@ def test_verify_oracle_random_small(capsys):
     rc = main(["verify", "--suite", "oracle-random", "--n", "4", "--count", "3"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "oracle-random", "--n", "4", "--count", "401"],  # NotGeneric
+        ["--suite", "oracle-random", "--n", "2"],  # BadArity
+        ["--suite", "identities", "--n-max", "2"],  # BadArity
+        ["--suite", "oracle-random", "--n", "7"],  # above the crosscheck cap
+        ["--suite", "oracle-random", "--count", "0"],  # nothing to check
+    ],
+)
+def test_verify_bad_arguments_exit_2(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

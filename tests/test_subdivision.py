@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_equality_witness, faces, metric, naive_faces, subdivision
+from helpers import (
+    assert_equality_witness,
+    break_lp_support,
+    faces,
+    metric,
+    naive_faces,
+    subdivision,
+)
 from tightspan.errors import (
     DegenerateRidge,
     NotSupported,
@@ -170,6 +177,7 @@ def test_random_genericity_rate():
 
 
 def test_seed_cell_interleaved():
+    # seed_cell's one LP solve lands on the interleaved cycle for dmax 5, 8, 9
     assert seed_cell(gen_dmax(9)).graph == interleaved_cycle_graph(9)
     assert seed_cell(gen_dmax(8)).graph == interleaved_cycle_graph(8)
     assert seed_cell(gen_dmax(5)).graph == interleaved_cycle_graph(5)
@@ -202,14 +210,19 @@ def test_seed_weights_off_every_wall(monkeypatch):
     solve = matching.solve_w_matching
 
     def recording(d, w):
-        seen.append(list(w))
-        return solve(d, w)
+        fm = solve(d, w)
+        seen.append((list(w), fm))
+        return fm
 
     monkeypatch.setattr(matching, "solve_w_matching", recording)
     for n in range(3, 11):
-        seed_cell(gen_dmin(n))  # no monotone difference property, so the LP runs
-        w = seen.pop()
-        assert len(w) == n and not seen
+        for d in (gen_dmin(n), gen_dmax(n)):
+            seed_cell(d)
+            [(w, fm)] = seen  # exactly one LP solve per seed_cell call
+            seen.clear()
+            assert len(w) == n
+            # a nondegenerate basis: all n basic variables are positive
+            assert fm.support.edge_count == n
         # number of s in {-1,0,1}^n with each signed sum, one weight at a time
         ways = {0: 1}
         for x in w:
@@ -343,19 +356,10 @@ def test_traverse_reports_corner_tangency_like_enumeration():
 
 
 def test_seed_support_off_the_candidates_raises(monkeypatch):
-    # an LP support that is not a candidate cell (here one edge short) can
-    # only come from a broken solver; the candidate guard must refuse it
-    # and never let it become a verdict
-    import tightspan.matching as matching
-
-    solve = matching.solve_w_matching
-
-    def on_a_wall(d, w):
-        fm = solve(d, w)
-        low = fm.support.bits & -fm.support.bits
-        return replace(fm, support=EdgeGraph(d.n, fm.support.bits ^ low))
-
-    monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
+    # an LP support that is not a candidate cell can only come from a broken
+    # solver; the candidate guard must refuse it and never let it become a
+    # verdict
+    break_lp_support(monkeypatch)
     assert subdivision("hires-7.1").generic
     with pytest.raises(PreconditionViolated):
         seed_cell(metric("hires-7.1"))
