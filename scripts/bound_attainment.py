@@ -13,15 +13,10 @@ import argparse
 import sys
 import time
 
-from tightspan.bounds import F_bound, lower_bound_top, verify_metric_against_bounds
-from tightspan.facevectors import tightspan_vectors
+from tightspan.bounds import F_bound, verify_metric_against_bounds
+from tightspan.facevectors import face_report
 from tightspan.metrics import gen_dmax, gen_dmin
-from tightspan.subdivision import all_faces, compute_subdivision
-
-
-def span_vectors(d):
-    sub = compute_subdivision(d)
-    return tightspan_vectors(d, sub, all_faces(sub))
+from tightspan.subdivision import compute_subdivision
 
 
 def main() -> int:
@@ -36,7 +31,7 @@ def main() -> int:
         for name, gen in (("max family", gen_dmax), ("min family", gen_dmin)):
             d = gen(n)
             t0 = time.monotonic()
-            tv = span_vectors(d)
+            tv = face_report(d, compute_subdivision(d)).span
             rep = verify_metric_against_bounds(d, tv)
             marks = "".join("*" if r.f_attained else "." for r in rep.rows)
             print(
@@ -46,7 +41,7 @@ def main() -> int:
             if rep.top_count is not None:
                 print(
                     f"  {'':<15}  top faces {rep.top_count}"
-                    f" vs guaranteed {lower_bound_top(n)}"
+                    f" vs guaranteed {rep.top_lower_bound}"
                 )
     return 0
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 from collections import Counter
 
-from tightspan.facevectors import tightspan_vectors
+from tightspan.facevectors import face_report
 from tightspan.metrics import gen_random
 from tightspan.subdivision import compute_subdivision
 
@@ -34,8 +34,7 @@ def main() -> int:
             if not sub.generic:
                 bad.append(seed)
                 continue
-            tv = tightspan_vectors(d, sub)
-            dims[tv.dim] += 1
+            dims[face_report(d, sub).span.dim] += 1
         rate = (args.seeds - len(bad)) / args.seeds
         print(f"n = {n}: {rate:.0%} generic over {args.seeds} seeds")
         if bad:

@@ -135,8 +135,9 @@ def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> BoundReport
     """Assert every face and h count against its proven bound; mark attained rows.
 
     The top-face lower bound applies only when the tight span has the least
-    possible dimension ceil(n/3).  Any violation raises BoundViolated: the
-    bounds are theorems, so a violation is an implementation bug.
+    possible dimension ceil(n/3), and only for n >= 4, where it is stated.
+    Any violation raises BoundViolated: the bounds are theorems, so a
+    violation is an implementation bug.
     """
     n = d.n
     rows = []
@@ -156,7 +157,7 @@ def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> BoundReport
     if not low <= dim <= high:
         raise BoundViolated(f"dim {dim} outside [{low}, {high}] at n={n}")
     top_count = top_lower = None
-    if dim == low:
+    if dim == low and n >= 4:
         top_count = tv.fT[dim]
         top_lower = lower_bound_top(n)
         if top_count < top_lower:

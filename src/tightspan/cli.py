@@ -5,8 +5,10 @@ are canonical: identical inputs give byte-identical output apart from the
 timestamp line, which --no-timestamp suppresses.
 
 `compute` takes its cells and verdict from compute_subdivision, the ridge
-traversal from one LP seed at every n.  Exit codes: 0 success, 2 parse or
-argument error, 3 non-generic input (with its witness) without
+traversal from one LP seed at every n, and every vector and check of a
+generic report from one FaceReport; text and JSON render the same ROWS.
+Exit codes: 0 success, 2 parse or argument error (also an unwritable
+--export-* or -o path), 3 non-generic input (with its witness) without
 --allow-degenerate, 4 failed check (also a traversal whose ridge pencils or
 covered volume break an invariant without a witness, or any other package
 error while the subdivision is built).  `verify` exits 2 on bad arguments
@@ -19,41 +21,60 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 from .bounds import (
     BoundViolated,
     F_bound,
+    f_bound_or_zero,
     identity_checks,
     lower_bound_top,
     verify_metric_against_bounds,
 )
+from .common import Verdict
 from .errors import DegenerateRidge, TightSpanError
 from .facevectors import (
+    FaceReport,
     check_asff,
     check_ball_relations,
     check_dehn_sommerville,
-    g_from_h,
-    h_from_f,
+    face_report,
     report_json,
-    split_interior_boundary,
-    tightspan_vectors,
 )
 from .graphs import parse_edge_list
 from .metrics import (
+    Metric,
     gen_dgamma,
     gen_dmax,
     gen_dmin,
     gen_random,
     load_metric,
-    save_metric,
+    metric_to_json,
+    validate_metric,
 )
 from .primal import crosscheck
 from .subdivision import (
-    all_faces,
     boundary_tags,
     compute_subdivision,
     random_generic_metrics,
     subdivision_to_json,
+)
+
+# (JSON key, text label) of each vector row of a generic report, in report
+# order; the ideal rows are JSON-only
+ROWS = (
+    ("f", "f(subdivision)"),
+    ("f_boundary", "f(boundary)"),
+    ("f_interior", "f(interior)"),
+    ("h", "h(subdivision)"),
+    ("h_boundary", "h(boundary)"),
+    ("h_interior", "h(interior)"),
+    ("g_boundary", "g(boundary)"),
+    ("fT", "fT"),
+    ("hT", "hT"),
+    ("ideal_fT", None),
+    ("ideal_hT", None),
+    ("glued", "glued"),
 )
 
 
@@ -118,9 +139,8 @@ def cmd_compute(args) -> int:
     lines.append(f"volume: {sub.total_volume}")
 
     payload: dict = {"n": d.n, "generic": sub.generic, "cells": len(sub.maximal_cells)}
-    if args.export_cells:
-        with open(args.export_cells, "w", encoding="utf-8") as fh:
-            fh.write(subdivision_to_json(sub))
+    if args.export_cells and not _write(args.export_cells, [subdivision_to_json(sub)]):
+        return 2
 
     if not sub.generic:
         graph, pair = sub.degeneracy_witness
@@ -130,56 +150,31 @@ def cmd_compute(args) -> int:
         print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
         return 0 if args.allow_degenerate else 3
 
-    F = all_faces(sub)
-    f_total, f_bd, f_int = split_interior_boundary(F)
-    tv = tightspan_vectors(d, sub, F)
-
+    rep = face_report(d, sub)
     checks: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
-    ds = check_dehn_sommerville(f_bd)
-    checks["dehn_sommerville_boundary"] = bool(ds)
-    if not ds:
-        witnesses["dehn_sommerville_boundary"] = list(ds.witness)
-    ball = check_ball_relations(F)
-    checks["ball_relations"] = bool(ball)
-    if not ball:
-        witnesses["ball_relations"] = list(ball.witness)
-    asff = check_asff(F)
-    checks["asff"] = asff.ok
-    if not asff.ok:
-        witnesses["asff"] = asff.__dict__
-    try:
-        verify_metric_against_bounds(d, tv)
-        checks["bounds"] = True
-    except BoundViolated as exc:
-        checks["bounds"] = False
-        witnesses["bounds"] = str(exc)
-    if args.oracle:
+    for name, check in _checks(d, rep, args.oracle):
         try:
-            checks["oracle"] = crosscheck(d).ok
-        except TightSpanError as exc:
-            checks["oracle"] = False
-            witnesses["oracle"] = str(exc)
+            verdict = check()
+        except TightSpanError as exc:  # a documented failure, its message the witness
+            verdict = Verdict(False, str(exc))
+        checks[name] = verdict.ok
+        if not verdict.ok:
+            witnesses[name] = verdict.witness
 
-    rep = report_json(f_total, f_bd, f_int, tv, checks)
-    payload.update(rep)
+    vectors = report_json(rep)
+    for key, label in ROWS:
+        payload[key] = vectors[key]
+        if label:
+            lines.append(f"{label}: {vectors[key]}")
+    payload["checks"] = checks
     if witnesses:
         payload["check_witnesses"] = witnesses
-
-    lines.append(f"f(subdivision): {list(f_total.counts)}")
-    lines.append(f"f(boundary): {list(f_bd.counts)}")
-    lines.append(f"f(interior): {list(f_int.counts)}")
-    lines.append(f"h(subdivision): {list(h_from_f(f_total))}")
-    lines.append(f"h(boundary): {list(h_from_f(f_bd))}")
-    lines.append(f"h(interior): {list(h_from_f(f_int))}")
-    lines.append(f"g(boundary): {list(g_from_h(h_from_f(f_bd)))}")
-    lines.append(f"fT: {list(tv.fT)}")
-    lines.append(f"hT: {list(tv.hT)}")
-    lines.append(f"glued: {sorted(tv.glued)}")
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
 
     if args.export_faces:
+        F = rep.faces
         faces_payload = {
             "n": F.n,
             "faces": {
@@ -195,12 +190,42 @@ def cmd_compute(args) -> int:
             },
         }
         # streamed: json.dumps would hold the whole text and its pieces at once
-        with open(args.export_faces, "w", encoding="utf-8") as fh:
-            fh.writelines(json.JSONEncoder(indent=2).iterencode(faces_payload))
-            fh.write("\n")
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(faces_payload), ["\n"])
+        if not _write(args.export_faces, chunks):
+            return 2
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
     return 0 if all(checks.values()) else 4
+
+
+def _write(path: str, chunks) -> bool:
+    """Write the text chunks to path; False, with one error line, if the path is unwritable."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _checks(d: Metric, rep: FaceReport, oracle: bool):
+    """(name, check) pairs in report order; a check returns the Verdict the report prints."""
+
+    def asff() -> Verdict:
+        a = check_asff(rep)
+        return Verdict(a.ok, vars(a))
+
+    def bounds() -> Verdict:
+        verify_metric_against_bounds(d, rep.span)  # raises BoundViolated
+        return Verdict(True)
+
+    yield "dehn_sommerville_boundary", lambda: check_dehn_sommerville(rep.h_boundary)
+    yield "ball_relations", lambda: check_ball_relations(rep)
+    yield "asff", asff
+    yield "bounds", bounds
+    if oracle:
+        yield "oracle", lambda: Verdict(crosscheck(d, rep).ok)
 
 
 def _facet_tags(n: int, mask: int, interior: frozenset) -> dict:
@@ -226,8 +251,7 @@ def cmd_gen(args) -> int:
     except (TightSpanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_metric(d, args.output)
-    return 0
+    return 0 if _write(args.output, [metric_to_json(d)]) else 2
 
 
 def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
@@ -241,8 +265,6 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
     if suite == "identities":
         item(f"alternating identities up to n={args.n_max}", bool(identity_checks(args.n_max)))
-        from .bounds import f_bound_or_zero
-
         rec = all(
             f_bound_or_zero(n, k)
             == 2 * f_bound_or_zero(n - 1, k) + f_bound_or_zero(n - 2, k - 1)
@@ -257,30 +279,22 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         return lines, ok_all
 
     if suite == "paper-examples":
-        from .metrics import validate_metric
-
         d4 = validate_metric([[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]])
         sub = compute_subdivision(d4)
-        F = all_faces(sub)
-        f_total, f_bd, f_int = split_interior_boundary(F)
-        tv = tightspan_vectors(d4, sub, F)
+        rep = face_report(d4, sub)
         item("four-point metric: 4 cells", len(sub.maximal_cells) == 4)
-        item("four-point metric: f = (6,13,12,4)", f_total.counts == (6, 13, 12, 4))
+        item("four-point metric: f = (6,13,12,4)", rep.f.counts == (6, 13, 12, 4))
         item(
             "four-point metric: h triple",
-            h_from_f(f_total) == (1, 2, 1, 0, 0)
-            and h_from_f(f_bd) == (1, 3, 3, 1)
-            and h_from_f(f_int) == (0, 0, 1, 2, 1),
+            rep.h == (1, 2, 1, 0, 0)
+            and rep.h_boundary == (1, 3, 3, 1)
+            and rep.h_interior == (0, 0, 1, 2, 1),
         )
-        item("four-point metric: tight span (8,8,1)", tv.fT == (8, 8, 1))
+        item("four-point metric: tight span (8,8,1)", rep.span.fT == (8, 8, 1))
         for n, expect in ((5, (16, 20, 5)), (6, (32, 48, 18, 1))):
-            d = gen_dmax(n)
-            tv = tightspan_vectors(d, compute_subdivision(d))
-            item(f"dmax{n} tight span {expect}", tv.fT == expect)
+            item(f"dmax{n} tight span {expect}", _report(gen_dmax(n)).span.fT == expect)
         for n, expect in ((5, (16, 20, 5)), (6, (31, 45, 15))):
-            d = gen_dmin(n)
-            tv = tightspan_vectors(d, compute_subdivision(d))
-            item(f"dmin{n} tight span {expect}", tv.fT == expect)
+            item(f"dmin{n} tight span {expect}", _report(gen_dmin(n)).span.fT == expect)
         return lines, ok_all
 
     if suite == "bounds":
@@ -288,9 +302,8 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         for gen, ns in ((gen_dmax, (4, 5, 6)), (gen_dmin, (5, 6))):
             for n in ns:
                 d = gen(n)
-                tv = tightspan_vectors(d, compute_subdivision(d))
                 try:
-                    reports[gen, n] = verify_metric_against_bounds(d, tv)
+                    reports[gen, n] = verify_metric_against_bounds(d, _report(d).span)
                 except BoundViolated:
                     reports[gen, n] = None
                 item(f"{gen.__name__[4:]}{n} within bounds", reports[gen, n] is not None)
@@ -315,11 +328,15 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
     found = random_generic_metrics(args.n, args.count)
     for seed, d in found:
         try:
-            ok = crosscheck(d).ok
+            ok = crosscheck(d, _report(d)).ok
         except TightSpanError:
             ok = False
         item(f"random n={args.n} seed={seed} primal/dual agree", ok)
     return lines, ok_all
+
+
+def _report(d: Metric) -> FaceReport:
+    return face_report(d, compute_subdivision(d))
 
 
 def cmd_verify(args) -> int:

@@ -69,6 +69,8 @@ def parse_rational(value: object) -> Fraction:
             raise ValueError(f"floating-point literal rejected: {value!r}")
         if "/" in text:
             num, den = text.split("/", 1)
+            if int(den) == 0:
+                raise ValueError(f"zero denominator: {value!r}")
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     raise ValueError(f"not a rational: {value!r}")

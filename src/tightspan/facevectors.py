@@ -11,6 +11,10 @@ k-faces match the interior (n-1-k)-faces, plus one extra vertex and edge for
 every node whose corner simplex survives (all n of them for generic input).
 The tight-span h-vector comes from the out-degree transform, inverted here
 by binomial inversion.
+
+face_report derives all of these once per generic subdivision, from one
+face closure, into a FaceReport; the checks, the CLI report, the verify
+suites and the primal crosscheck all read that record.
 """
 
 from __future__ import annotations
@@ -118,20 +122,14 @@ def _invert_outdegree(f: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def tightspan_vectors(
-    d: Metric, S: Subdivision, faces: Optional[FaceSet] = None
-) -> TightSpanVectors:
-    """Tight-span f/h-vectors from the dual triangulation.
+def tightspan_vectors(d: Metric, f_interior: FVector) -> TightSpanVectors:
+    """Tight-span f/h-vectors from the interior face counts of the dual triangulation.
 
     fT_k before gluing is the count of interior (n-1-k)-faces; each strictly
     positive corner node then contributes one vertex and one edge.
     """
-    if not S.generic:
-        raise NotGeneric("tight-span vectors are defined for generic metrics")
-    F = faces if faces is not None else all_faces(S)
-    n = S.n
-    interior = F.interior_counts()
-    ideal = [interior[n - 1 - k] for k in range(n)]
+    n = d.n
+    ideal = [f_interior.counts[n - 1 - k] for k in range(n)]
     while ideal and ideal[-1] == 0:
         ideal.pop()
     glued = strict_triangle_nodes(d)
@@ -142,30 +140,56 @@ def tightspan_vectors(
         fT[0] += len(glued)
         fT[1] += len(glued)
     return TightSpanVectors(
-        tuple(fT),
-        _invert_outdegree(fT),
-        glued,
-        tuple(ideal),
-        _invert_outdegree(ideal),
+        tuple(fT), _invert_outdegree(fT), glued, tuple(ideal), _invert_outdegree(ideal)
     )
 
 
-def glued_ball_f(F: FaceSet, glued_count: int) -> FVector:
+@dataclass(frozen=True)
+class FaceReport:
+    """Every face vector of one generic subdivision, derived once.
+
+    f, f_boundary and f_interior are the ball, its boundary sphere and its
+    interior (split_interior_boundary); h, h_boundary and h_interior their
+    h-vectors; g_boundary the boundary g-vector; span the tight-span
+    vectors.  The checks and every report read these fields.
+    """
+
+    faces: FaceSet
+    f: FVector
+    f_boundary: FVector
+    f_interior: FVector
+    h: tuple[int, ...]
+    h_boundary: tuple[int, ...]
+    h_interior: tuple[int, ...]
+    g_boundary: tuple[int, ...]
+    span: TightSpanVectors
+
+
+def face_report(d: Metric, S: Subdivision) -> FaceReport:
+    """The face vectors of d's generic subdivision S, from one face closure."""
+    if not S.generic:
+        raise NotGeneric("tight-span vectors are defined for generic metrics")
+    F = all_faces(S)
+    f, f_bd, f_int = split_interior_boundary(F)
+    h_bd = h_from_f(f_bd)
+    return FaceReport(
+        F, f, f_bd, f_int, h_from_f(f), h_bd, h_from_f(f_int), g_from_h(h_bd),
+        tightspan_vectors(d, f_int),
+    )
+
+
+def glued_ball_f(f: FVector, glued_count: int) -> FVector:
     """f-vector of the triangulation with a corner simplex glued at each counted node.
 
     A glued corner simplex at node i has the star edges plus one new vertex;
     it contributes C(n-1, k) new k-faces.
     """
-    n = F.n
-    total = list(F.face_counts())
-    for k in range(n):
-        total[k] += glued_count * comb(n - 1, k)
-    return FVector(tuple(total), 1)
+    n = f.dim + 1
+    return FVector(tuple(c + glued_count * comb(n - 1, k) for k, c in enumerate(f.counts)))
 
 
-def check_dehn_sommerville(f_boundary: FVector) -> Verdict:
-    """Sphere symmetry h_k = h_{dim+1-k}; witness is the first failing index."""
-    h = h_from_f(f_boundary)
+def check_dehn_sommerville(h: Sequence[int]) -> Verdict:
+    """Sphere symmetry h_k = h_{dim+1-k} of an h-vector; witness is the first failing index."""
     top = len(h) - 1
     for k in range(len(h)):
         if h[k] != h[top - k]:
@@ -173,19 +197,10 @@ def check_dehn_sommerville(f_boundary: FVector) -> Verdict:
     return Verdict(True, h)
 
 
-def check_ball_relations(F: FaceSet) -> Verdict:
+def check_ball_relations(rep: FaceReport) -> Verdict:
     """Ball-boundary identities g_k(bd) = h_k(B) - h_{n-k}(B) and h_{n-k}(B) = h_k(int)."""
-    f_total, f_bd, f_int = split_interior_boundary(F)
-    return ball_relations_from_vectors(f_total, f_bd, f_int)
-
-
-def ball_relations_from_vectors(
-    f_total: FVector, f_bd: FVector, f_int: FVector
-) -> Verdict:
-    n = f_total.dim + 1
-    hB = h_from_f(f_total)
-    h_int = h_from_f(f_int)
-    g_bd = g_from_h(h_from_f(f_bd))
+    n = rep.faces.n
+    hB, h_int, g_bd = rep.h, rep.h_interior, rep.g_boundary
     for k in range(n):
         if g_bd[k] != hB[k] - hB[n - k]:
             return Verdict(False, ("boundary-g", k, g_bd[k], hB[k] - hB[n - k]))
@@ -210,7 +225,7 @@ class AsffReport:
     boundary_determines_f_ok: bool
 
 
-def check_asff(F: FaceSet) -> AsffReport:
+def check_asff(rep: FaceReport) -> AsffReport:
     """Interior-dimension floor, h-vanishing, and the top interior-face cap.
 
     For an n-point triangulation: no interior face has dimension below
@@ -220,16 +235,14 @@ def check_asff(F: FaceSet) -> AsffReport:
     n for odd n; and the boundary determines f (odd n exactly, even n up to
     the single h_(n/2) entry).
     """
-    n = F.n
-    f_total, f_bd, f_int = split_interior_boundary(F)
+    n = rep.faces.n
     floor_dim = (n - 1) // 2
-    interior = F.interior_counts()
+    interior = rep.f_interior.counts
     min_int_dim = next((k for k, c in enumerate(interior) if c), n - 1)
     sff_ok = min_int_dim >= floor_dim
 
     e = floor_dim - 1
-    hB = h_from_f(f_total)
-    g_bd = g_from_h(h_from_f(f_bd))
+    hB, g_bd = rep.h, rep.g_boundary
     vanish_ok = all(hB[k] == 0 for k in range(n - e - 1, n + 1))
     match_ok = all(hB[k] == g_bd[k] for k in range(0, e + 2))
 
@@ -238,33 +251,18 @@ def check_asff(F: FaceSet) -> AsffReport:
     top_cap = 1 if n % 2 == 0 else n
     top_ok = top_count <= top_cap
 
-    # boundary data rebuilds the reversed interior counts (the dual face counts)
-    reversed_interior = [interior[n - 1 - k] for k in range(n)]
-    recon = True
-    if n % 2 == 1:
-        for k in range(n):
-            expect = sum(comb(i, k) * g_bd[i] for i in range(k, (n - 1) // 2 + 1))
-            if reversed_interior[k] != expect:
-                recon = False
-    else:
-        for k in range(n):
-            expect = sum(comb(i, k) * g_bd[i] for i in range(k, n // 2)) + comb(
-                n // 2, k
-            ) * hB[n // 2]
-            if reversed_interior[k] != expect:
-                recon = False
+    # boundary data rebuilds the reversed interior counts (the dual face counts):
+    # g_bd up to index ceil(n/2) - 1, and for even n the entry h_(n/2) besides
+    middle = hB[n // 2] if n % 2 == 0 else 0
+    recon = all(
+        interior[n - 1 - k]
+        == sum(comb(i, k) * g_bd[i] for i in range(k, (n + 1) // 2)) + comb(n // 2, k) * middle
+        for k in range(n)
+    )
 
     ok = sff_ok and vanish_ok and match_ok and top_ok and recon
     return AsffReport(
-        ok,
-        min_int_dim,
-        floor_dim,
-        vanish_ok,
-        match_ok,
-        top_count,
-        top_cap,
-        top_ok,
-        recon,
+        ok, min_int_dim, floor_dim, vanish_ok, match_ok, top_count, top_cap, top_ok, recon
     )
 
 
@@ -307,11 +305,7 @@ def _level_fvector(n: int, q: int, common: dict[int, FVector]) -> FVector:
     return FVector((0,) * (m + 1) if m >= 0 else (), 1)
 
 
-def check_inductive_step(
-    d: Metric,
-    S: Optional[Subdivision] = None,
-    F: Optional[FaceSet] = None,
-) -> Verdict:
+def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
     """Boundary face counts from the common facet restrictions, all levels.
 
     Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
@@ -321,22 +315,13 @@ def check_inductive_step(
     """
     if d.n < 5:
         raise PreconditionViolated("inductive formulas need n >= 5")
-    from .subdivision import compute_subdivision
-
     n = d.n
-    if S is None:
-        S = compute_subdivision(d)
-    if not S.generic:
-        raise NotGeneric("inductive formulas apply to generic metrics")
-    if F is None:
-        F = all_faces(S)
-
     common: dict[int, FVector] = {}
     nodes = list(range(1, n + 1))
     for q in range(n - 1, 2, -1):
         seen: Optional[FVector] = None
         for kept in combinations(nodes, q):
-            fv = induced_face_counts(F, kept)
+            fv = induced_face_counts(rep.faces, kept)
             if seen is None:
                 seen = fv
             elif fv != seen:
@@ -346,8 +331,7 @@ def check_inductive_step(
                 )
         common[q] = seen  # type: ignore[assignment]
 
-    _, f_bd, _ = split_interior_boundary(F)
-
+    f_bd = rep.f_boundary
     top_expected = n + n * _level_fvector(n, n - 1, common).at(n - 2)
     if f_bd.at(n - 2) != top_expected:
         return Verdict(False, ("top", f_bd.at(n - 2), top_expected))
@@ -359,41 +343,34 @@ def check_inductive_step(
         if f_bd.at(k) != total:
             return Verdict(False, ("alternating", k, f_bd.at(k), total))
 
-    g_bd = g_from_h(h_from_f(f_bd))
-    level_h = {
-        i: h_from_f(_level_fvector(n, n - i, common)) for i in range(1, n + 1)
-    }
+    g_bd = rep.g_boundary
+    level_h = {i: h_from_f(_level_fvector(n, n - i, common)) for i in range(1, n + 1)}
     for k in range(0, n // 2 + 1):
-        total = 0
-        for i in range(1, n + 1):
-            h_level = level_h[i]
-            for j in range(0, min(i, k) + 1):
-                idx = k - j
-                if 0 <= idx < len(h_level):
-                    total += (
-                        (-1) ** (i + j - 1) * comb(n, i) * comb(i, j) * h_level[idx]
-                    )
+        total = sum(
+            (-1) ** (i + j - 1) * comb(n, i) * comb(i, j) * level_h[i][k - j]
+            for i in range(1, n + 1)
+            for j in range(0, min(i, k) + 1)
+            if k - j < len(level_h[i])
+        )
         if g_bd[k] != total:
             return Verdict(False, ("g-sum", k, g_bd[k], total))
     return Verdict(True)
 
 
-def report_json(
-    f_total: FVector, f_bd: FVector, f_int: FVector, tv: TightSpanVectors, checks: dict
-) -> dict:
-    """Machine-readable report payload used by the CLI."""
+def report_json(rep: FaceReport) -> dict:
+    """The report's vectors as JSON lists, by the keys of the CLI report rows."""
+    tv = rep.span
     return {
-        "f": list(f_total.counts),
-        "f_boundary": list(f_bd.counts),
-        "f_interior": list(f_int.counts),
-        "h": list(h_from_f(f_total)),
-        "h_boundary": list(h_from_f(f_bd)),
-        "h_interior": list(h_from_f(f_int)),
-        "g_boundary": list(g_from_h(h_from_f(f_bd))),
+        "f": list(rep.f.counts),
+        "f_boundary": list(rep.f_boundary.counts),
+        "f_interior": list(rep.f_interior.counts),
+        "h": list(rep.h),
+        "h_boundary": list(rep.h_boundary),
+        "h_interior": list(rep.h_interior),
+        "g_boundary": list(rep.g_boundary),
         "fT": list(tv.fT),
         "hT": list(tv.hT),
         "ideal_fT": list(tv.ideal_fT),
         "ideal_hT": list(tv.ideal_hT),
         "glued": sorted(tv.glued),
-        "checks": checks,
     }

@@ -6,8 +6,8 @@ each basis solved and tested for feasibility in integers (common.pivot),
 bounded faces as intersection-closed tight-set patterns, and the h-vector
 by counting descending edges under a generic positive objective.
 Deliberately small and slow; it shares no heights, cells or traversal with
-the dual side, only the pivot step, and everything dual-side is checked
-against it.
+the dual side, only the pivot step.  crosscheck holds it against the dual
+side's FaceReport, the record the CLI report prints.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .common import num_pairs, pair_index, pair_table, pivot
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
+from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
 from .metrics import Metric
 
@@ -256,23 +257,18 @@ class CrosscheckReport:
     faces_matched: int
 
 
-def crosscheck(d: Metric) -> CrosscheckReport:
-    """Full dual pipeline against the full primal pipeline.
+def crosscheck(d: Metric, rep: FaceReport) -> CrosscheckReport:
+    """The dual face report of d against the full primal pipeline.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
     glued-ball transform), and the face-by-face bijection between tight
     patterns and interior dual faces must all agree; the first difference
     raises Mismatch.
     """
-    from .facevectors import glued_ball_f, h_from_f, tightspan_vectors
-    from .subdivision import all_faces, compute_subdivision
-
     n = d.n
     if n > 6:
         raise ScaleExceeded("crosscheck is capped at n = 6")
-    S = compute_subdivision(d)
-    F = all_faces(S)
-    tv = tightspan_vectors(d, S, F)
+    F, tv = rep.faces, rep.span
 
     poset = bounded_faces(d)
     f_primal = poset.f_vector
@@ -284,7 +280,7 @@ def crosscheck(d: Metric) -> CrosscheckReport:
     if h_primal != h_dual:
         raise Mismatch(f"h-vectors differ: primal {h_primal}, dual {h_dual}")
 
-    hB = h_from_f(glued_ball_f(F, len(tv.glued)))
+    hB = h_from_f(glued_ball_f(rep.f, len(tv.glued)))
     if tuple(hB) != h_dual:
         raise Mismatch(
             f"glued-ball h-vector {hB} differs from out-degree h {h_dual}"

@@ -8,14 +8,13 @@ from functools import lru_cache
 from itertools import combinations
 
 import tightspan.matching as matching
-from tightspan.facevectors import tightspan_vectors
+from tightspan.facevectors import FaceReport, face_report
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
 from tightspan.subdivision import (
     DegeneracyReport,
     FaceSet,
     Subdivision,
-    all_faces,
     enumerate_cells,
     lambda_certificate,
 )
@@ -51,13 +50,16 @@ def subdivision(name: str) -> Subdivision:
 
 
 @lru_cache(maxsize=None)
+def report(name: str) -> FaceReport:
+    return face_report(metric(name), subdivision(name))
+
+
 def faces(name: str) -> FaceSet:
-    return all_faces(subdivision(name))
+    return report(name).faces
 
 
-@lru_cache(maxsize=None)
 def tsv(name: str):
-    return tightspan_vectors(metric(name), subdivision(name), faces(name))
+    return report(name).span
 
 
 # -- independent oracles -------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import faces, metric, subdivision, tsv
+from helpers import faces, metric, report, subdivision, tsv
 from tightspan.bounds import (
     F_bound,
     f_bound_or_zero,
@@ -24,9 +24,9 @@ from tightspan.facevectors import (
     check_ball_relations,
     check_dehn_sommerville,
     check_inductive_step,
+    face_report,
     h_from_f,
     split_interior_boundary,
-    tightspan_vectors,
 )
 from tightspan.graphs import EdgeGraph, components
 from tightspan.matching import b11_classify, is_cell_lp, is_cell_oddpath
@@ -75,8 +75,8 @@ def test_criterion_01_four_point_example():
         assert h_from_f(f_bd) == (1, 3, 3, 1)
         assert h_from_f(f_int) == (0, 0, 1, 2, 1)
         assert tsv("4points").fT == (8, 8, 1)
-        report = crosscheck(metric("4points"))
-        assert report.ok and report.f_primal == (8, 8, 1)
+        cross = crosscheck(metric("4points"), report("4points"))
+        assert cross.ok and cross.f_primal == (8, 8, 1)
 
 
 def test_criterion_02_dmax_attainment():
@@ -90,7 +90,7 @@ def test_criterion_02_dmax_attainment():
             assert hT == tuple(comb(n, 2 * i) for i in range(n // 2 + 1))
         start = time.monotonic()
         S7 = enumerate_cells(gen_dmax(7))
-        tv7 = tightspan_vectors(gen_dmax(7), S7)
+        tv7 = face_report(gen_dmax(7), S7).span
         elapsed = time.monotonic() - start
         assert tv7.fT == (64, 112, 56, 7)
         assert tv7.fT == tuple(F_bound(7, k) for k in range(4))
@@ -131,19 +131,15 @@ def test_criterion_05_theorem_checks():
             f"rand-6.{s}" for s in (1, 2, 3)
         )
         for name in NAMED_FIXTURES + random_names:
-            F = faces(name)
-            _, f_bd, _ = split_interior_boundary(F)
-            assert check_dehn_sommerville(f_bd)
-            assert check_ball_relations(F)
-            rep = check_asff(F)
+            assert check_dehn_sommerville(report(name).h_boundary)
+            assert check_ball_relations(report(name))
+            rep = check_asff(report(name))
             assert rep.ok
         for n in (4, 5, 6, 7):
-            rep = check_asff(faces(f"dmax-{n}"))
+            rep = check_asff(report(f"dmax-{n}"))
             assert rep.top_interior_count == rep.top_interior_cap  # dmax is tight
         for n in (5, 6, 7):
-            assert check_inductive_step(
-                metric(f"dmax-{n}"), subdivision(f"dmax-{n}"), faces(f"dmax-{n}")
-            )
+            assert check_inductive_step(metric(f"dmax-{n}"), report(f"dmax-{n}"))
 
 
 def test_criterion_06_cell_lemmas():
@@ -165,9 +161,9 @@ def test_criterion_06_cell_lemmas():
 def test_criterion_07_oracle_equivalence():
     with _criterion(7, "primal oracle agrees with the dual pipeline"):
         for name in ("4points", "dmax-4", "dmax-5", "dmax-6", "dmin-5", "dmin-6"):
-            assert crosscheck(metric(name)).ok
+            assert crosscheck(metric(name), report(name)).ok
         for seed, d in random_generic_metrics(5, 20):
-            assert crosscheck(d).ok
+            assert crosscheck(d, face_report(d, compute_subdivision(d))).ok
         d = metric("dmax-5")
         poset = bounded_faces(d)
         specs = [
@@ -221,7 +217,7 @@ def test_criterion_10_negative_controls():
         assert not S.generic
         graph, pair = S.degeneracy_witness
         assert pair == (1, 1) and graph.edge_count == 4
-        assert not check_dehn_sommerville(FVector((6, 12, 7)))
-        assert not check_dehn_sommerville(FVector((6, 13, 8)))
+        assert not check_dehn_sommerville(h_from_f(FVector((6, 12, 7))))
+        assert not check_dehn_sommerville(h_from_f(FVector((6, 13, 8))))
         with pytest.raises(InapplicablePremise):
-            check_inductive_step(metric("rand-7.1"))
+            check_inductive_step(metric("rand-7.1"), report("rand-7.1"))

@@ -17,7 +17,8 @@ from tightspan.bounds import (
     verify_metric_against_bounds,
 )
 from tightspan.errors import BadArity, BoundViolated, OutOfRange
-from tightspan.facevectors import TightSpanVectors
+from tightspan.facevectors import TightSpanVectors, face_report
+from tightspan.subdivision import compute_subdivision
 
 
 def test_f_bound_values():
@@ -69,6 +70,19 @@ def test_lower_bound_top_values():
     assert lower_bound_top(7) == 3
     assert lower_bound_top(4) == 1
     assert lower_bound_top(9) == 9 * 3 + 27
+    with pytest.raises(BadArity):
+        lower_bound_top(3)
+
+
+def test_bound_report_three_points():
+    # the n = 3 tripod has dimension 1 = ceil(3/3), but the top-face bound is
+    # stated for n >= 4 only
+    from tightspan.metrics import gen_dmax
+
+    d = gen_dmax(3)
+    rep = verify_metric_against_bounds(d, face_report(d, compute_subdivision(d)).span)
+    assert rep.dim == rep.dim_low == 1
+    assert rep.top_count is None and rep.top_lower_bound is None
     with pytest.raises(BadArity):
         lower_bound_top(3)
 

@@ -1,7 +1,10 @@
 """Command-line interface: generation, pipeline runs, suites, exit codes."""
 
+import importlib
 import json
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -59,6 +62,14 @@ def test_gen_random_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "d.json"
+    assert main(["gen", "--kind", "dmax", "--n", "4", "-o", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_gen_dgamma_requires_graph(tmp_path):
     out = tmp_path / "g.json"
     assert main(["gen", "--kind", "dgamma", "--n", "5", "-o", str(out)]) == 2
@@ -85,6 +96,97 @@ def test_compute_json_format(four_points_file, capsys):
     assert payload["f"] == [6, 13, 12, 4]
     assert payload["hT"] == [1, 6, 1]
     assert payload["glued"] == [1, 2, 3, 4]
+
+
+# text label -> JSON key of every vector line of a generic text report
+TEXT_KEYS = {
+    "f(subdivision)": "f",
+    "f(boundary)": "f_boundary",
+    "f(interior)": "f_interior",
+    "h(subdivision)": "h",
+    "h(boundary)": "h_boundary",
+    "h(interior)": "h_interior",
+    "g(boundary)": "g_boundary",
+    "fT": "fT",
+    "hT": "hT",
+    "glued": "glued",
+}
+
+
+@pytest.mark.parametrize("name, flags", [("dmax-6", ["--oracle"]), ("dmin-7", [])])
+def test_compute_text_and_json_agree(name, flags, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(metric_to_json(metric(name)))
+    assert main(["compute", str(path), "--no-timestamp", *flags]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main(["compute", str(path), "--no-timestamp", "--format", "json", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    pairs = [line.split(": ", 1) for line in text]
+    vectors = [(label, value) for label, value in pairs if label in TEXT_KEYS]
+    assert [label for label, _ in vectors] == list(TEXT_KEYS)
+    for label, value in vectors:
+        assert json.loads(value) == payload[TEXT_KEYS[label]]
+    checks = [re.fullmatch(r"check (\w+): (pass|FAIL)", line) for line in text if line.startswith("check ")]
+    assert {m[1]: m[2] == "pass" for m in checks} == payload["checks"]
+    assert list(payload["checks"]) == [m[1] for m in checks]
+    assert ("oracle" in payload["checks"]) == bool(flags)
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each tightspan.<module>.<name> through every module that binds it."""
+    calls = Counter()
+    modules = [m for key, m in list(sys.modules.items()) if key.partition(".")[0] == "tightspan"]
+    for qualname in names:
+        module_name, _, attr = qualname.partition(".")
+        original = getattr(importlib.import_module("tightspan." + module_name), attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["4points", "dmax-5"])
+def test_compute_builds_one_pipeline(name, tmp_path, capsys, monkeypatch):
+    # the --oracle crosscheck checks the report it prints instead of rebuilding it
+    path = tmp_path / f"{name}.json"
+    path.write_text(metric_to_json(metric(name)))
+    calls = _count_calls(
+        monkeypatch,
+        (
+            "subdivision.compute_subdivision",
+            "subdivision.all_faces",
+            "facevectors.split_interior_boundary",
+            "facevectors.tightspan_vectors",
+        ),
+    )
+    assert main(["compute", str(path), "--oracle", "--no-timestamp"]) == 0
+    assert "check oracle: pass" in capsys.readouterr().out
+    assert calls == {
+        "compute_subdivision": 1,
+        "all_faces": 1,
+        "split_interior_boundary": 1,
+        "tightspan_vectors": 1,
+    }
+
+
+@pytest.mark.parametrize("kind", ["dmax", "random"])
+def test_compute_three_points(kind, tmp_path, capsys):
+    # the n = 3 tripod has dimension 1 = ceil(3/3); the top-face lower bound
+    # is stated for n >= 4 only and must not be applied
+    path = tmp_path / "d3.json"
+    assert main(["gen", "--kind", kind, "--n", "3", "-o", str(path)]) == 0
+    assert main(["compute", str(path), "--no-timestamp"]) == 0
+    assert "check bounds: pass" in capsys.readouterr().out.splitlines()
+    assert main(["compute", str(path), "--no-timestamp", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fT"] == [4, 3] and payload["checks"]["bounds"] is True
 
 
 def test_compute_byte_deterministic(four_points_file, capsys):
@@ -177,12 +279,28 @@ def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
     assert err.startswith("error: PreconditionViolated: ")
 
 
-def test_compute_parse_error(tmp_path):
+def test_compute_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "upper": [1.25, "1", "1"]}')
     assert main(["compute", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["compute", str(missing)]) == 2
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"n": 3, "upper": ["1/0", "1", "1"]}')
+    capsys.readouterr()
+    assert main(["compute", str(zero)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot parse metric: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("flag", ["--export-cells", "--export-faces"])
+def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["compute", four_points_file, "--format", fmt, flag, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_compute_rejects_route_options(four_points_file):

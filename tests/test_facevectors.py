@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import faces, metric, subdivision, tsv
+from dataclasses import replace
+
+from helpers import faces, metric, report, tsv
 from tightspan.errors import InapplicablePremise, NotGeneric, PreconditionViolated
 from tightspan.facevectors import (
     FVector,
@@ -14,13 +16,13 @@ from tightspan.facevectors import (
     check_inductive_step,
     f_from_h,
     g_from_h,
+    face_report,
     glued_ball_f,
     h_from_f,
-    ball_relations_from_vectors,
     split_interior_boundary,
-    tightspan_vectors,
 )
 from tightspan.metrics import gen_random
+from tightspan.subdivision import compute_subdivision
 
 
 def test_h_from_f_octahedron_triple():
@@ -92,66 +94,64 @@ def test_tightspan_requires_generic():
     d = metric("ideal")
     S = enumerate_cells(d)
     with pytest.raises(NotGeneric):
-        tightspan_vectors(d, S)
+        face_report(d, S)
 
 
 def test_dehn_sommerville():
     for name in ("4points", "dmax-5", "dmax-6", "dmin-5", "dmin-6"):
-        _, bd, _ = split_interior_boundary(faces(name))
-        assert check_dehn_sommerville(bd)
+        assert check_dehn_sommerville(report(name).h_boundary)
     # one facet removed breaks the symmetry
-    assert not check_dehn_sommerville(FVector((6, 12, 7)))
+    assert not check_dehn_sommerville(h_from_f(FVector((6, 12, 7))))
 
 
 def test_ball_relations():
     for name in ("4points", "dmax-5", "dmax-6", "dmin-6", "rand-5.3"):
-        assert check_ball_relations(faces(name))
+        assert check_ball_relations(report(name))
 
 
 def test_ball_relations_negative_control():
-    total, bd, inner = split_interior_boundary(faces("4points"))
     broken = FVector((0, 1, 3, 4), empty=0)  # one interior face removed
     broken_total = FVector((6, 13, 11, 4))
-    assert not ball_relations_from_vectors(broken_total, bd, broken)
+    rep = replace(report("4points"), h=h_from_f(broken_total), h_interior=h_from_f(broken))
+    assert not check_ball_relations(rep)
 
 
 def test_asff_reports():
-    rep = check_asff(faces("dmax-6"))
+    rep = check_asff(report("dmax-6"))
     assert rep.ok and rep.top_interior_count == 1 and rep.top_interior_cap == 1
-    rep5 = check_asff(faces("dmax-5"))
+    rep5 = check_asff(report("dmax-5"))
     assert rep5.ok and rep5.top_interior_count == 5 and rep5.top_interior_cap == 5
-    repm = check_asff(faces("dmin-6"))
+    repm = check_asff(report("dmin-6"))
     assert repm.ok
     assert repm.min_interior_dim == 3 and repm.very_small_bound == 2
     assert repm.top_interior_count == 0  # no interior squares: the span is 2-dimensional
 
 
 def test_asff_even_case_uses_top_h_entry():
-    rep = check_asff(faces("4points"))
+    rep = check_asff(report("4points"))
     assert rep.ok and rep.boundary_determines_f_ok
 
 
 def test_inductive_step_dmax():
     for name in ("dmax-5", "dmax-6"):
-        assert check_inductive_step(metric(name), subdivision(name), faces(name))
+        assert check_inductive_step(metric(name), report(name))
 
 
 def test_inductive_step_needs_n5():
     with pytest.raises(PreconditionViolated):
-        check_inductive_step(metric("4points"))
+        check_inductive_step(metric("4points"), report("4points"))
 
 
 def test_inductive_step_detects_mixed_restrictions():
     d = gen_random(7, 1)
     with pytest.raises(InapplicablePremise):
-        check_inductive_step(d)
+        check_inductive_step(d, face_report(d, compute_subdivision(d)))
 
 
 def test_glued_ball_h_matches_tightspan_h():
     for name in ("4points", "dmax-5", "dmax-6", "dmin-6"):
-        F = faces(name)
         tv = tsv(name)
-        hB = h_from_f(glued_ball_f(F, len(tv.glued)))
+        hB = h_from_f(glued_ball_f(report(name).f, len(tv.glued)))
         padded = tv.hT + (0,) * (len(hB) - len(tv.hT))
         assert hB == padded
 

@@ -223,6 +223,11 @@ def test_json_rejects_floats():
         metric_from_json('{"n": 3, "upper": ["1.5", "1", "1"]}')
 
 
+def test_json_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        metric_from_json('{"n": 3, "upper": ["1/0", "1", "1"]}')
+
+
 def test_json_canonical_pair_order():
     d = gen_dmax(4)
     import json

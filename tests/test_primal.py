@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import metric
+from helpers import metric, report
 from tightspan.errors import NonSimple, ScaleExceeded
+from tightspan.facevectors import face_report
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random
 from tightspan.primal import (
     OrientationSpec,
@@ -108,7 +109,7 @@ def test_outdegree_refuses_non_simple():
 
 def test_crosscheck_small_fixtures():
     for name in ("4points", "dmax-4", "dmax-5", "dmin-5"):
-        assert crosscheck(metric(name)).ok
+        assert crosscheck(metric(name), report(name)).ok
 
 
 def test_crosscheck_graph_weighted_family():
@@ -119,13 +120,14 @@ def test_crosscheck_graph_weighted_family():
     one_edge = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2)]))
     one_triangle = gen_dgamma(6, EdgeGraph.from_edges(6, [(2, 3), (2, 4), (3, 4)]))
     for d in (one_edge, one_triangle):
-        assert compute_subdivision(d).generic
-        assert crosscheck(d).ok
+        S = compute_subdivision(d)
+        assert S.generic
+        assert crosscheck(d, face_report(d, S)).ok
 
 
 def test_crosscheck_caps_scale():
     with pytest.raises(ScaleExceeded):
-        crosscheck(gen_dmax(7))
+        crosscheck(metric("dmax-7"), report("dmax-7"))
 
 
 def test_scale_cap_vertices():
