@@ -8,17 +8,19 @@ timestamp line, which --no-timestamp suppresses.
 traversal from one LP seed at every n, and every vector and check of a
 generic report from one FaceReport; text and JSON render the same ROWS.
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
---export-* or -o path), 3 non-generic input (with its witness) without
---allow-degenerate, 4 failed check (also a traversal whose ridge pencils or
-covered volume break an invariant without a witness, or any other package
-error while the subdivision is built).  `verify` exits 2 on bad arguments
-and on a package error inside a suite, with one `error:` line.
+--export-* or -o path, or a stdout closed by its reader), 3 non-generic
+input (with its witness) without --allow-degenerate, 4 failed check (also a
+traversal whose ridge pencils or covered volume break an invariant without a
+witness, or any other package error while the subdivision is built).
+`verify` exits 2 on bad arguments, on a package error inside a suite and on
+a closed stdout, with one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from itertools import chain
@@ -358,11 +360,17 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "compute":
-        return cmd_compute(args)
-    if args.command == "gen":
-        return cmd_gen(args)
-    return cmd_verify(args)
+    command = {"compute": cmd_compute, "gen": cmd_gen}.get(args.command, cmd_verify)
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout was closed by its reader: send what is left to devnull, so
+        # the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -49,9 +49,6 @@ class FVector:
             return self.counts[k]
         return 0
 
-    def euler(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.counts))
-
 
 def h_from_f(f: FVector) -> tuple[int, ...]:
     """Binomial transform: h_k = sum_i (-1)^(k-i) C(dim+1-i, dim+1-k) f_{i-1}."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .common import num_pairs, pair_index, pair_table, pivot
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
@@ -146,9 +146,7 @@ def _tight_ids(d: Metric, v: PrimalVertex) -> frozenset[int]:
     return frozenset(ids)
 
 
-def bounded_faces(
-    d: Metric, vertices: Optional[Sequence[PrimalVertex]] = None
-) -> BoundedFacePoset:
+def bounded_faces(d: Metric) -> BoundedFacePoset:
     """Intersection closure of vertex tight sets, keeping the bounded patterns.
 
     A pattern is bounded exactly when its constraints touch every node: the
@@ -156,8 +154,7 @@ def bounded_faces(
     node free of tight constraints yields an escape ray.
     """
     n = d.n
-    if vertices is None:
-        vertices = enumerate_vertices(d)
+    vertices = enumerate_vertices(d)
     rows, _ = _constraints(d)
     tights = [_tight_ids(d, v) for v in vertices]
 

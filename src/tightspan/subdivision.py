@@ -16,7 +16,11 @@ cells with one loop (_classify_chunk) and build the Subdivision with one
 builder, so they give the same verdict.
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
-of ridges, in integers scaled by twice the common entry denominator.  The
+lam + t*sigma of ridges, in integers scaled by twice the common entry
+denominator, by one propagation over each component; a mask outside its
+domain raises PreconditionViolated.  One classifier (_classify_scaled) reads
+the heights against d and returns them with the first equality or
+non-positive height as a pair, and whether that pair drops below d.  The
 filtration and the pivot ratio test compare those integers directly, so
 neither loop touches Fraction arithmetic; Fractions appear only in the
 certificates that are returned.
@@ -228,18 +232,16 @@ def _scaled_entries(d: Metric) -> tuple[tuple[int, ...], int]:
     return tuple(e.numerator * (D // e.denominator) for e in d.entries), D
 
 
-def _solve_scaled(
-    n: int, mask: int, dnum: Sequence[int]
-) -> Optional[tuple[list[int], list[int]]]:
+def _solve_scaled(n: int, mask: int, dnum: Sequence[int]) -> tuple[list[int], list[int]]:
     """Equality system of a mask, in integers scaled by 2D: (lam, sigma).
 
-    Every component must be odd-unicyclic, except at most one tree.  Each
-    odd cycle pins its values through the alternating distance sum and tree
-    edges propagate outward, lam_u = 2*dnum[e] - lam_v.  A tree component
-    is rooted at its smallest node with lam = 0, sigma = +1, and sigma
-    alternates along its edges, so the solutions are lam + t*sigma; sigma
-    is 0 off the tree (all 0 for a cell).  Isolated nodes stay None.
-    Returns None when a cycle turns out even.
+    One propagation per component, from its smallest node with lam = 0 and
+    sigma = +1: each newly reached node gets lam_u = 2*dnum[e] - lam_v and
+    sigma_u = -sigma_v.  The solutions are lam + t*sigma.  A non-tree edge
+    with sigma_u = sigma_v closes an odd cycle and pins its component's t,
+    which is then folded in (sigma = 0 there, all 0 for a cell).  An even
+    cycle, a second cycle in one component or a second tree component
+    (isolated nodes count as trees) raises PreconditionViolated.
     """
     pairs = pair_table(n)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -252,86 +254,44 @@ def _solve_scaled(
         adj[j - 1].append((i - 1, idx))
         bits ^= low
 
-    degw = [len(a) for a in adj]
-    removed = [False] * n
-    order = [v for v in range(n) if degw[v] == 1]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        removed[v] = True
-        for u, _ in adj[v]:
-            if not removed[u]:
-                degw[u] -= 1
-                if degw[u] == 1:
-                    order.append(u)
-
-    lam: list[Optional[int]] = [None] * n
+    lam: list[int] = [0] * n
+    sigma: list[int] = [0] * n
+    reached = [False] * n
+    read = 0  # slots of the edges already read
+    tree = False
     for s in range(n):
-        if removed[s] or lam[s] is not None or not adj[s]:
+        if reached[s]:
             continue
-        cyc_nodes = [s]
-        cyc_edges = []
-        prev, cur = -1, s
-        while True:
-            nxt = nidx = None
-            for u, eidx in adj[cur]:
-                if not removed[u] and u != prev:
-                    nxt, nidx = u, eidx
-                    break
-            cyc_edges.append(nidx)
-            if nxt == s:
-                break
-            cyc_nodes.append(nxt)
-            prev, cur = cur, nxt
-        if len(cyc_nodes) % 2 == 0:
-            return None
-        acc = 0
-        sign = 1
-        for eidx in cyc_edges:
-            acc += sign * dnum[eidx]
-            sign = -sign
-        lam[s] = acc
-        for t in range(1, len(cyc_nodes)):
-            lam[cyc_nodes[t]] = 2 * dnum[cyc_edges[t - 1]] - lam[cyc_nodes[t - 1]]
-
-    queue = [v for v in range(n) if lam[v] is not None]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for u, eidx in adj[v]:
-            if lam[u] is None:
-                lam[u] = 2 * dnum[eidx] - lam[v]
-                queue.append(u)
-    sigma = [0] * n
-    if len(queue) < n:
-        _solve_tree(adj, dnum, lam, sigma)
-    return lam, sigma  # type: ignore[return-value]
-
-
-def _solve_tree(
-    adj: Sequence[Sequence[tuple[int, int]]],
-    dnum: Sequence[int],
-    lam: list[Optional[int]],
-    sigma: list[int],
-) -> None:
-    """Solve the tree component left unsolved, rooted at its smallest node."""
-    rest = [v for v in range(len(lam)) if lam[v] is None and adj[v]]
-    if not rest:
-        return
-    lam[rest[0]] = 0
-    sigma[rest[0]] = 1
-    stack = [rest[0]]
-    while stack:
-        v = stack.pop()
-        for u, eidx in adj[v]:
-            if lam[u] is None:
-                lam[u] = 2 * dnum[eidx] - lam[v]
-                sigma[u] = -sigma[v]
-                stack.append(u)
-    if any(lam[v] is None for v in rest):
-        raise PreconditionViolated("mask has more than one tree component")
+        reached[s] = True
+        sigma[s] = 1
+        comp = [s]
+        t = None
+        for v in comp:
+            for u, e in adj[v]:
+                if read >> e & 1:
+                    continue
+                read |= 1 << e
+                if not reached[u]:
+                    reached[u] = True
+                    lam[u] = 2 * dnum[e] - lam[v]
+                    sigma[u] = -sigma[v]
+                    comp.append(u)
+                elif sigma[u] != sigma[v]:
+                    raise PreconditionViolated("mask has an even cycle")
+                elif t is not None:
+                    raise PreconditionViolated("mask has two cycles in one component")
+                else:
+                    # exact: every lam of the walk is even, sigma_u + sigma_v = +-2
+                    t = (2 * dnum[e] - lam[u] - lam[v]) // (2 * sigma[v])
+        if t is None:
+            if tree:
+                raise PreconditionViolated("mask has more than one tree component")
+            tree = True
+        else:
+            for v in comp:
+                lam[v] += t * sigma[v]
+                sigma[v] = 0
+    return lam, sigma
 
 
 @lru_cache(maxsize=None)
@@ -340,60 +300,50 @@ def _pairs0(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in pair_table(n))
 
 
-_STRICT, _FLAT, _LOOP, _VIOLATED = 0, 1, 2, 3
-
-
 def _classify_scaled(
-    n: int, mask: int, dnum: Sequence[int], pairs0: Sequence[tuple[int, int]]
-) -> tuple[int, object]:
-    """Classify one candidate mask; returns (status, payload).
+    n: int, mask: int, dnum: Sequence[int]
+) -> tuple[list[int], Optional[tuple[int, int]], bool]:
+    """Classify one candidate mask: (scaled heights, pair, below).
 
-    status _STRICT  -> payload = scaled heights (a cell, all inequalities strict)
-    status _FLAT    -> payload = (pair slot, heights): equality off the graph
-    status _LOOP    -> payload = (node, heights): some height is not positive
-    status _VIOLATED-> payload = (pair slot below d, heights): not a cell; scan stops early
+    pair is None for a cell with every inequality strict, (i, j) for the
+    first pair off the graph met with equality, and (i, i) for the first
+    node i whose height is not positive.  below is True when pair drops
+    under d; the scan stops there, as the mask is not a cell.
     """
-    solved = _solve_scaled(n, mask, dnum)
-    if solved is None:
-        raise PreconditionViolated("candidate has an even cycle")
-    lam = solved[0]
-    flat_slot = None
-    for p in range(len(pairs0)):
+    lam, _ = _solve_scaled(n, mask, dnum)
+    pair = None
+    for p, (u, v) in enumerate(_pairs0(n)):
         if mask >> p & 1:
             continue
-        u, v = pairs0[p]
         gap = lam[u] + lam[v] - 2 * dnum[p]
         if gap < 0:
-            return _VIOLATED, (p, lam)
-        if gap == 0 and flat_slot is None:
-            flat_slot = p
-    if flat_slot is not None:
-        return _FLAT, (flat_slot, lam)
-    for i in range(n):
-        if lam[i] <= 0:
-            return _LOOP, (i, lam)
-    return _STRICT, lam
+            return lam, pair_table(n)[p], True
+        if gap == 0 and pair is None:
+            pair = pair_table(n)[p]
+    if pair is None:
+        for i in range(n):
+            if lam[i] <= 0:
+                return lam, (i + 1, i + 1), False
+    return lam, pair, False
 
 
 def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
     """The one classification loop of both routes: (kept, witnesses) of masks.
 
-    kept holds (mask, scaled heights) of the cells; witnesses holds
-    (mask, (i, j)) for an equality on the pair {i,j} off the graph and
-    (mask, (i, i)) for a height at node i that is not positive.
+    kept holds (mask, scaled heights) of the cells, those with a height that
+    is not positive included; witnesses holds (mask, pair) for every mask
+    that is not below d and has a pair.
     """
-    pairs0 = _pairs0(n)
     kept = []
     witnesses = []
     for mask in masks:
-        status, payload = _classify_scaled(n, mask, dnum, pairs0)
-        if status == _STRICT:
-            kept.append((mask, payload))
-        elif status == _FLAT:
-            witnesses.append((mask, pair_table(n)[payload[0]]))
-        elif status == _LOOP:
-            kept.append((mask, payload[1]))
-            witnesses.append((mask, (payload[0] + 1,) * 2))
+        lam, pair, below = _classify_scaled(n, mask, dnum)
+        if below:
+            continue
+        if pair is None or pair[0] == pair[1]:
+            kept.append((mask, lam))
+        if pair is not None:
+            witnesses.append((mask, pair))
     return kept, witnesses
 
 
@@ -430,17 +380,14 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     and NotACell when some pair falls below d.
     """
     _require_candidate(d, G)
-    n = G.n
     dnum, D = _scaled_entries(d)
-    status, payload = _classify_scaled(n, G.bits, dnum, _pairs0(n))
-    lam = payload if status == _STRICT else payload[1]
+    lam, pair, below = _classify_scaled(G.n, G.bits, dnum)
     heights = tuple(Fraction(v, 2 * D) for v in lam)
-    if status in (_STRICT, _LOOP):
+    if below:
+        return NotACell(G, pair, heights)
+    if pair is None or pair[0] == pair[1]:
         return Cell(G, heights)
-    pair = pair_table(n)[payload[0]]
-    if status == _FLAT:
-        return DegeneracyReport(G, pair, heights)
-    return NotACell(G, pair, heights)
+    return DegeneracyReport(G, pair, heights)
 
 
 def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
@@ -535,7 +482,7 @@ def _pivot_entering(n: int, dnum: Sequence[int], rmask: int, leaving: int) -> in
     -slack/s with s = sigma_i + sigma_j in {-2, -1, 1, 2}; bounds are
     compared by cross-multiplying integers.
     """
-    lam, sigma = _solve_scaled(n, rmask, dnum)  # type: ignore[misc]
+    lam, sigma = _solve_scaled(n, rmask, dnum)
     lo_num = lo_den = hi_num = hi_den = 0
     lo_slots: list[int] = []
     hi_slots: list[int] = []

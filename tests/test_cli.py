@@ -303,6 +303,35 @@ def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["compute", "{file}", "--format", "json"], ["verify", "--suite", "identities"]]
+)
+def test_closed_stdout_exits_2(argv, four_points_file):
+    # the read end of stdout is closed before the program writes anything
+    import os
+    import subprocess
+    from pathlib import Path
+
+    argv = [a.format(file=four_points_file) for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightspan.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+
+
 def test_compute_rejects_route_options(four_points_file):
     for flags in (["--threshold", "3"], ["--jobs", "2"], ["--force-enumerate"]):
         assert main(["compute", four_points_file, *flags]) == 2

@@ -105,6 +105,52 @@ def test_candidate_checks_reject(n, edges):
         cell_volume(G)
 
 
+def test_solver_ends_on_every_small_mask():
+    # every mask of K_5 with 4, 5 or 6 edges: the solver returns exactly on
+    # its domain (odd-unicyclic components and at most one tree, an isolated
+    # node counting as a tree) and raises PreconditionViolated elsewhere
+    from itertools import combinations
+
+    import tightspan.subdivision as sd
+    from tightspan.common import pair_table
+    from tightspan.graphs import cell_components, components
+
+    d = gen_dmax(5)
+    dnum, D = sd._scaled_entries(d)
+    pairs = pair_table(5)
+    masks = [sum(1 << p for p in c) for k in (4, 5, 6) for c in combinations(range(10), k)]
+    assert len(masks) == 672
+    solved = 0
+    for mask in masks:
+        comps = components(EdgeGraph(5, mask))
+        trees = len(comps.isolated) + sum(c.cycle_dim == 0 for c in comps.components)
+        in_domain = trees <= 1 and all(
+            c.cycle_dim == 0 or (c.cycle_dim == 1 and c.cycle_parity == "odd")
+            for c in comps.components
+        )
+        try:
+            lam, sigma = sd._solve_scaled(5, mask, dnum)
+        except PreconditionViolated:
+            assert not in_domain, mask
+            continue
+        assert in_domain, mask
+        solved += 1
+        for p, (i, j) in enumerate(pairs):
+            if mask >> p & 1:
+                assert lam[i - 1] + lam[j - 1] == 2 * dnum[p]
+                assert sigma[i - 1] == -sigma[j - 1]
+        assert (trees == 1) == any(sigma)
+        if cell_components(5, mask) is not None:
+            heights = lambda_certificate(d, EdgeGraph(5, mask)).heights
+            assert lam == [2 * D * h for h in heights]
+            assert sigma == [0] * 5
+    assert solved > 0
+    # with 4 or more edges on 5 nodes, two trees come only beside another fault
+    two_trees = EdgeGraph.from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
+    with pytest.raises(PreconditionViolated):
+        sd._solve_scaled(7, two_trees.bits, sd._scaled_entries(gen_dmax(7))[0])
+
+
 def test_enumerate_four_points():
     S = subdivision("4points")
     assert S.generic and len(S.maximal_cells) == 4
@@ -299,6 +345,32 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
     F = all_faces(T)
     assert len(calls) == len(set(calls)) == F.interior_counts()[d.n - 2]
     assert set(calls) == F.interior_by_dim[d.n - 2]
+
+
+@pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
+def test_adjacent_cells_lie_on_one_pencil(name):
+    # two cells sharing a ridge differ by t*sigma along the ridge pencil:
+    # sigma alternates across the ridge edges and moves one of its components
+    from tightspan.graphs import components
+
+    S = compute_subdivision(metric(name))
+    n = S.n
+    by_ridge: dict[int, list[Cell]] = {}
+    for cell in S.maximal_cells:
+        for i, j in cell.graph.edges():
+            by_ridge.setdefault(cell.graph.remove_edge(i, j).bits, []).append(cell)
+    shared = [(r, cells) for r, cells in by_ridge.items() if len(cells) == 2]
+    assert shared
+    for rmask, (a, b) in shared:
+        ridge = EdgeGraph(n, rmask)
+        diff = [y - x for x, y in zip(a.heights, b.heights)]
+        t = next(abs(v) for v in diff if v)
+        sigma = [v / t for v in diff]
+        assert set(sigma) <= {-1, 0, 1}
+        for i, j in ridge.edges():
+            assert sigma[i - 1] == -sigma[j - 1]
+        moved = {v for v in range(1, n + 1) if sigma[v - 1]}
+        assert moved in [set(c.nodes) for c in components(ridge).components]
 
 
 def test_traverse_rejects_bad_seed():
