@@ -1,10 +1,13 @@
 """Independent ground truth from the tight-span polyhedron itself.
 
 The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
-x_i >= 0) is attacked head on: vertices by exhaustive basis enumeration,
-each basis solved and tested for feasibility in integers (common.pivot),
-bounded faces as intersection-closed tight-set patterns, and the h-vector
-by counting descending edges under a generic positive objective.
+x_i >= 0) is attacked head on: vertices by a depth-first walk over all
+bases, in which bases that share a prefix of constraints share its
+elimination and a linearly dependent prefix is pruned with every basis
+through it, each basis solved and tested for feasibility in integers
+(common.pivot); bounded faces as intersection-closed tight-set patterns,
+and the h-vector by counting descending edges under a generic positive
+objective.
 Deliberately small and slow; it shares no heights, cells or traversal with
 the dual side, only the pivot step.  crosscheck holds it against the dual
 side's FaceReport, the record the CLI report prints.
@@ -14,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Optional
 
 from .common import num_pairs, pair_index, pair_table, pivot
@@ -96,7 +98,18 @@ def _constraints(d: Metric) -> tuple[list[tuple[int, ...]], list[Fraction]]:
 
 
 def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
-    """All vertices of the tight-span polyhedron by exact basis enumeration."""
+    """All vertices of the tight-span polyhedron by a depth-first walk over bases.
+
+    The n-subsets of the constraints are visited in lexicographic order as a
+    tree of prefixes, so a prefix shared by many bases is eliminated once.
+    A node appends one constraint row r to its parent's table T = scale *
+    B^-1 [A | b], reduced first to scale*r - sum r[c_j]*T_j over the parent's
+    pivot columns c_j (det(B) times the Schur complement, so exact without
+    division), and makes one pivot on it.  A row that reduces to zero in the
+    first n columns makes the prefix singular, and its whole subtree is
+    skipped.  A full-rank leaf is tested against every constraint on its
+    integer numerators; Fractions are built only for the vertices kept.
+    """
     n = d.n
     if n > 7:
         raise ScaleExceeded("vertex enumeration is capped at n = 7")
@@ -105,23 +118,38 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     rhs_int = [int(v * denom) for v in rhs]
     m = len(rows)
 
-    found: dict[tuple[Fraction, ...], None] = {}
-    for subset in combinations(range(m), n):
-        M = [list(rows[i]) + [rhs_int[i]] for i in subset]
-        rank, scale = _eliminate(M, n)
-        if rank < n:
-            continue
-        # x = num / (scale * denom); test every constraint on the numerators
-        if scale < 0:
-            num = [-row[n] for row in M]
-            scale = -scale
-        else:
-            num = [row[n] for row in M]
-        if all(
-            sum(r * xi for r, xi in zip(rows[c], num)) >= rhs_int[c] * scale
-            for c in range(m)
-        ):
-            found.setdefault(tuple(Fraction(v, scale * denom) for v in num))
+    found: set[tuple[Fraction, ...]] = set()
+
+    def extend(T: list[list[int]], cols: list[int], scale: int, start: int) -> None:
+        k = len(T)
+        for i in range(start, m - n + k + 1):
+            r = [scale * a for a in rows[i]] + [scale * rhs_int[i]]
+            for row, c in zip(T, cols):
+                f = rows[i][c]
+                if f:
+                    r = [a - f * b for a, b in zip(r, row)]
+            c = next((c for c in range(n) if r[c]), None)
+            if c is None:
+                continue  # a dependent prefix: every basis through it is singular
+            child, child_cols = T + [r], cols + [c]
+            p = pivot(child, k, c, scale)
+            if k + 1 < n:
+                extend(child, child_cols, p, i + 1)
+                continue
+            # x = num / (p * denom); test every constraint on the numerators
+            num = [0] * n
+            for row, col in zip(child, child_cols):
+                num[col] = row[n]
+            if p < 0:
+                num = [-v for v in num]
+                p = -p
+            if all(
+                sum(a * xi for a, xi in zip(rows[q], num)) >= rhs_int[q] * p
+                for q in range(m)
+            ):
+                found.add(tuple(Fraction(v, p * denom) for v in num))
+
+    extend([], [], 1, 0)
 
     vertices = []
     for coords in sorted(found):

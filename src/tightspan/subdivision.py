@@ -566,7 +566,8 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             nmask = rmask | 1 << entering
             if nmask in seen:
                 continue
-            _require_candidate(d, EdgeGraph(n, nmask))
+            # on n edges the solver raises PreconditionViolated exactly on
+            # the masks that are not candidates
             cell_kept, cell_witnesses = _classify_chunk(n, dnum, (nmask,))
             if not cell_kept:
                 raise DegenerateRidge("pivot produced a non-strict certificate")

@@ -6,11 +6,15 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 import tightspan.matching as matching
+import tightspan.subdivision as sd
+from tightspan.common import num_pairs, pair_table
 from tightspan.facevectors import FaceReport, face_report
-from tightspan.graphs import EdgeGraph
+from tightspan.graphs import EdgeGraph, LoopyGraph, cell_components
 from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
+from tightspan.primal import PrimalVertex, _constraints, _eliminate
 from tightspan.subdivision import (
     DegeneracyReport,
     FaceSet,
@@ -87,6 +91,23 @@ def break_lp_support(monkeypatch) -> None:
         return replace(fm, support=EdgeGraph(d.n, fm.support.bits ^ low))
 
     monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
+
+
+def break_ridge_pivot(monkeypatch) -> None:
+    """Make the ridge pivot complete a ridge by an edge that gives no candidate.
+
+    The first such edge is returned when the ridge has one; only a broken
+    ratio test could pick it, and the height solver must refuse the mask.
+    """
+    pivot = sd._pivot_entering
+
+    def off_the_candidates(n, dnum, rmask, leaving):
+        for p in range(num_pairs(n)):
+            if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
+                return p
+        return pivot(n, dnum, rmask, leaving)
+
+    monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -169,8 +190,6 @@ def naive_faces(S: Subdivision) -> tuple[tuple, tuple]:
 
 def spanning_subgraph_masks(n: int, m_edges: int):
     """All m_edges-subsets of K_n edges covering every node (brute force)."""
-    from tightspan.common import num_pairs, pair_table
-
     pairs = pair_table(n)
     for combo in combinations(range(num_pairs(n)), m_edges):
         covered = set()
@@ -196,3 +215,47 @@ def best_perfect_matching(d: Metric) -> tuple[Fraction, frozenset]:
 
     rec(frozenset(range(1, n + 1)), Fraction(0), frozenset())
     return best[0], best[1]
+
+
+def vertices_by_bases(d: Metric) -> tuple[PrimalVertex, ...]:
+    """Vertices of the tight-span polyhedron by one full elimination per basis.
+
+    Every n-subset of the constraints is eliminated on its own and its
+    solution tested against every constraint on integer numerators: the
+    slow, exhaustive reference for primal.enumerate_vertices.
+    """
+    n = d.n
+    rows, rhs = _constraints(d)
+    denom = lcm(*(v.denominator for v in rhs))
+    rhs_int = [int(v * denom) for v in rhs]
+    m = len(rows)
+
+    found: dict[tuple[Fraction, ...], None] = {}
+    for subset in combinations(range(m), n):
+        M = [list(rows[i]) + [rhs_int[i]] for i in subset]
+        rank, scale = _eliminate(M, n)
+        if rank < n:
+            continue
+        # x = num / (scale * denom); test every constraint on the numerators
+        if scale < 0:
+            num = [-row[n] for row in M]
+            scale = -scale
+        else:
+            num = [row[n] for row in M]
+        if all(
+            sum(r * xi for r, xi in zip(rows[c], num)) >= rhs_int[c] * scale
+            for c in range(m)
+        ):
+            found.setdefault(tuple(Fraction(v, scale * denom) for v in num))
+
+    vertices = []
+    for coords in sorted(found):
+        tight = [
+            c for c in range(m)
+            if sum(r * xi for r, xi in zip(rows[c], coords)) == rhs[c]
+        ]
+        edges = [pair_table(n)[c] for c in tight if c < num_pairs(n)]
+        loops = frozenset(c - num_pairs(n) + 1 for c in tight if c >= num_pairs(n))
+        graph = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
+        vertices.append(PrimalVertex(coords, graph, len(tight) == n))
+    return tuple(vertices)

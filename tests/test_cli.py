@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 import tightspan.cli as cli
-from helpers import FOUR_POINTS, IDEAL_FOUR, assert_equality_witness, break_lp_support, metric
+from helpers import (
+    FOUR_POINTS,
+    IDEAL_FOUR,
+    assert_equality_witness,
+    break_lp_support,
+    break_ridge_pivot,
+    metric,
+)
 from tightspan.cli import main
 from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
@@ -270,6 +277,20 @@ def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
     # an LP support one edge short fails the candidate guard: a package
     # error with its own exit code, not a traceback
     break_lp_support(monkeypatch)
+    path = tmp_path / "hires-7.1.json"
+    path.write_text(metric_to_json(metric("hires-7.1")))
+    assert main(["compute", str(path), "--format", fmt]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: PreconditionViolated: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_pivot_off_the_candidates_exits_4(fmt, capsys, monkeypatch, tmp_path):
+    # a ridge completed to a mask that is no candidate is refused by the
+    # height solver: a package error with its own exit code
+    break_ridge_pivot(monkeypatch)
     path = tmp_path / "hires-7.1.json"
     path.write_text(metric_to_json(metric("hires-7.1")))
     assert main(["compute", str(path), "--format", fmt]) == 4

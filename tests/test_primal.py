@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import metric, report
+import tightspan.primal as primal
+from helpers import metric, report, vertices_by_bases
 from tightspan.errors import NonSimple, ScaleExceeded
 from tightspan.facevectors import face_report
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random
@@ -41,6 +42,47 @@ def test_ideal_metric_vertices_non_simple():
 def test_dmax4_has_eight_simple_vertices():
     vs = enumerate_vertices(gen_dmax(4))
     assert len(vs) == 8 and all(v.simple for v in vs)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [gen_dmax(n) for n in range(3, 7)]
+    + [gen_dmin(n) for n in range(3, 7)]
+    + [gen_random(n, s) for n in range(4, 7) for s in (1, 2, 3)],
+    ids=[f"dmax-{n}" for n in range(3, 7)]
+    + [f"dmin-{n}" for n in range(3, 7)]
+    + [f"rand-{n}.{s}" for n in range(4, 7) for s in (1, 2, 3)],
+)
+def test_vertices_equal_one_elimination_per_basis(d):
+    assert enumerate_vertices(d) == vertices_by_bases(d)
+
+
+@pytest.mark.parametrize(
+    "d, non_simple",
+    [(metric("ideal"), 4), (metric("4points"), 0)]
+    + [(gen_random(6, s, 100), k) for s, k in ((1, 1), (4, 8))],
+    ids=["ideal", "4points", "coarse-6.1", "coarse-6.4"],
+)
+def test_degenerate_vertices_equal_one_elimination_per_basis(d, non_simple):
+    # a non-simple vertex is reached from several bases and kept once
+    vs = enumerate_vertices(d)
+    assert vs == vertices_by_bases(d)
+    assert sum(not v.simple for v in vs) == non_simple
+
+
+def test_walk_pivots_once_per_independent_prefix(monkeypatch):
+    # the n-subsets of the 21 constraints at n = 6 share 63,205 prefixes;
+    # 25,506 of them are dependent and pruned, each of the rest is one pivot
+    calls = []
+    step = primal.pivot
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(primal, "pivot", counted)
+    enumerate_vertices(gen_dmax(6))
+    assert len(calls) == 37699
 
 
 def test_every_vertex_feasible_and_tight():

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     assert_equality_witness,
     break_lp_support,
+    break_ridge_pivot,
     faces,
     metric,
     naive_faces,
@@ -149,6 +150,25 @@ def test_solver_ends_on_every_small_mask():
     two_trees = EdgeGraph.from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
     with pytest.raises(PreconditionViolated):
         sd._solve_scaled(7, two_trees.bits, sd._scaled_entries(gen_dmax(7))[0])
+
+
+@pytest.mark.parametrize("d24, pair", [(2, (2, 4)), (1, (1, 1))])
+def test_classifier_reports_an_equality_before_a_zero_height(d24, pair):
+    # triangle 1-2-3 with the pendant edge 1-4 carries heights (0, 1, 1, 1):
+    # node 1 sits at height 0, and the pair (2, 4) off the graph is met with
+    # equality when d(2,4) = 2; the equality is reported, the zero height
+    # only when no pair is met
+    import tightspan.subdivision as sd
+    from tightspan.metrics import validate_metric
+
+    d = validate_metric(
+        [[0, 1, 1, 1], [1, 0, 2, d24], [1, 2, 0, 1], [1, d24, 1, 0]]
+    )
+    G = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
+    dnum, D = sd._scaled_entries(d)
+    lam, got, below = sd._classify_scaled(4, G.bits, dnum)
+    assert lam == [0, 2 * D, 2 * D, 2 * D]
+    assert (got, below) == (pair, False)
 
 
 def test_enumerate_four_points():
@@ -437,6 +457,18 @@ def test_seed_support_off_the_candidates_raises(monkeypatch):
         seed_cell(metric("hires-7.1"))
     with pytest.raises(PreconditionViolated):
         compute_subdivision(metric("hires-7.1"))
+
+
+def test_pivot_off_the_candidates_raises(monkeypatch):
+    # the traversal has no candidate guard of its own: the height solver
+    # must refuse a mask that a broken ratio test completes wrongly
+    d = metric("hires-7.1")
+    seed = seed_cell(d)
+    break_ridge_pivot(monkeypatch)
+    with pytest.raises(PreconditionViolated):
+        traverse_cells(d, seed)
+    with pytest.raises(PreconditionViolated):
+        compute_subdivision(d)
 
 
 def test_traverse_volume_identity_n8():
