@@ -239,27 +239,18 @@ def odd_path_sum(d: "Metric", G: EdgeGraph, v: int, w: int) -> Fraction:
     if v == w or G.has_edge(v, w):
         raise PreconditionViolated(f"{{{v},{w}}} must be a non-edge of the graph")
 
-    walk = _odd_walk(G, v, w)
-    total = Fraction(0)
-    for k in range(len(walk) - 1):
-        term = d.d(walk[k], walk[k + 1])
-        total += term if k % 2 == 0 else -term
-    return total
-
-
-def _odd_walk(G: EdgeGraph, v: int, w: int) -> list[int]:
-    """Walk of odd edge count from v to w: tree path, or rerouted once around the odd cycle."""
-    cyc = _cycle_nodes(G)
-    a, b = _cycle_edge(G, cyc)
-    tree = G.remove_edge(a, b)
-    parent = _bfs_parents(tree, v)
-    path_vw = _tree_path(parent, w)
-    if (len(path_vw) - 1) % 2 == 1:
-        return path_vw
-    path_va = _tree_path(parent, a)
-    parent_b = _bfs_parents(tree, b)
-    path_bw = _tree_path(parent_b, w)
-    return path_va + path_bw
+    # breadth first over (node, parity of the walk so far) from (v, 0): a step
+    # that leaves parity 0 adds its distance, one that leaves parity 1 subtracts it
+    adj = G.adjacency()
+    value = {(v, 0): Fraction(0)}
+    queue = [(v, 0)]
+    for u, parity in queue:  # the queue grows while it is read
+        for x in adj[u]:
+            if (x, 1 - parity) not in value:
+                step = d.d(u, x)
+                value[x, 1 - parity] = value[u, parity] + (-step if parity else step)
+                queue.append((x, 1 - parity))
+    return value[w, 1]
 
 
 def _cycle_nodes(G: EdgeGraph) -> set[int]:
@@ -276,34 +267,6 @@ def _cycle_nodes(G: EdgeGraph) -> set[int]:
                 pending.append(u)
         adj[v] = set()
     return alive
-
-
-def _cycle_edge(G: EdgeGraph, cycle: set[int]) -> tuple[int, int]:
-    for i, j in G.edges():
-        if i in cycle and j in cycle:
-            return i, j
-    raise PreconditionViolated("graph has no cycle")
-
-
-def _bfs_parents(G: EdgeGraph, root: int) -> dict[int, int]:
-    adj = G.adjacency()
-    parent = {root: 0}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for u in sorted(adj[v]):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
-    return parent
-
-
-def _tree_path(parent: dict[int, int], target: int) -> list[int]:
-    path = [target]
-    while parent[path[-1]]:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def cell_components(n: int, mask: int) -> Optional[int]:

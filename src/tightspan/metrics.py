@@ -266,7 +266,7 @@ def metric_from_json(text: str) -> Metric:
     if not isinstance(payload, dict) or "n" not in payload or "upper" not in payload:
         raise ValueError('metric JSON must be {"n": ..., "upper": [...]}')
     n = payload["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("n must be an integer")
     upper = [parse_rational(x) for x in payload["upper"]]
     return metric_from_upper(n, tuple(upper))

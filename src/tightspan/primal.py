@@ -3,11 +3,12 @@
 The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
 x_i >= 0) is attacked head on: vertices by a depth-first walk over all
 bases, in which bases that share a prefix of constraints share its
-elimination and a linearly dependent prefix is pruned with every basis
-through it, each basis solved and tested for feasibility in integers
-(common.pivot); bounded faces as intersection-closed tight-set patterns,
-and the h-vector by counting descending edges under a generic positive
-objective.
+elimination (common.pivot) and a linearly dependent prefix is pruned with
+every basis through it.  One integer pass per full-rank leaf decides
+feasibility and yields the tight set as one bitmask over the constraint
+slots: the C(n,2) pairs in EdgeGraph bit order, then x_1 >= 0, ..., x_n >= 0.
+Bounded faces are the intersection closure of those masks, and the
+h-vector counts descending edges under a generic positive objective.
 Deliberately small and slow; it shares no heights, cells or traversal with
 the dual side, only the pivot step.  crosscheck holds it against the dual
 side's FaceReport, the record the CLI report prints.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .common import num_pairs, pair_index, pair_table, pivot
+from .common import num_pairs, pair_table, pivot
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
@@ -107,8 +108,11 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     pivot columns c_j (det(B) times the Schur complement, so exact without
     division), and makes one pivot on it.  A row that reduces to zero in the
     first n columns makes the prefix singular, and its whole subtree is
-    skipped.  A full-rank leaf is tested against every constraint on its
-    integer numerators; Fractions are built only for the vertices kept.
+    skipped.  At a full-rank leaf one integer pass takes each constraint's
+    slack from the one or two numerators it touches: a negative slack rejects
+    the leaf, and the zero slacks make the vertex's tight set, one bitmask
+    over the constraint slots.  Fractions are built only for the vertices
+    kept.
     """
     n = d.n
     if n > 7:
@@ -117,8 +121,21 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     denom = lcm(*(v.denominator for v in rhs))
     rhs_int = [int(v * denom) for v in rhs]
     m = len(rows)
+    # the numerators of constraint q at ends[q]; x_i >= 0 pairs x_i with a zero
+    # numerator kept at index n
+    ends = [(i - 1, j - 1) for i, j in pair_table(n)] + [(i, n) for i in range(n)]
 
-    found: set[tuple[Fraction, ...]] = set()
+    found: dict[tuple[Fraction, ...], int] = {}
+
+    def tight_mask(num: list[int], p: int) -> Optional[int]:
+        mask = 0
+        for q, (i, j) in enumerate(ends):
+            slack = num[i] + num[j] - rhs_int[q] * p
+            if slack < 0:
+                return None
+            if not slack:
+                mask |= 1 << q
+        return mask
 
     def extend(T: list[list[int]], cols: list[int], scale: int, start: int) -> None:
         k = len(T)
@@ -136,57 +153,52 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
             if k + 1 < n:
                 extend(child, child_cols, p, i + 1)
                 continue
-            # x = num / (p * denom); test every constraint on the numerators
-            num = [0] * n
+            # x = num / (p * denom)
+            num = [0] * (n + 1)
             for row, col in zip(child, child_cols):
                 num[col] = row[n]
             if p < 0:
                 num = [-v for v in num]
                 p = -p
-            if all(
-                sum(a * xi for a, xi in zip(rows[q], num)) >= rhs_int[q] * p
-                for q in range(m)
-            ):
-                found.add(tuple(Fraction(v, p * denom) for v in num))
+            mask = tight_mask(num, p)
+            if mask is not None:
+                found[tuple(Fraction(v, p * denom) for v in num[:n])] = mask
 
     extend([], [], 1, 0)
-
-    vertices = []
-    for coords in sorted(found):
-        edges = []
-        loops = []
-        for c in range(m):
-            if sum(r * xi for r, xi in zip(rows[c], coords)) == rhs[c]:
-                if c < num_pairs(n):
-                    edges.append(pair_table(n)[c])
-                else:
-                    loops.append(c - num_pairs(n) + 1)
-        tight = LoopyGraph(EdgeGraph.from_edges(n, edges), frozenset(loops))
-        simple = len(edges) + len(loops) == n
-        vertices.append(PrimalVertex(coords, tight, simple))
-    return tuple(vertices)
+    return tuple(
+        PrimalVertex(coords, _loopy(n, mask), mask.bit_count() == n)
+        for coords, mask in sorted(found.items())
+    )
 
 
-def _tight_ids(d: Metric, v: PrimalVertex) -> frozenset[int]:
-    n = d.n
-    ids = [pair_index(n, i, j) for i, j in v.tight.base.edges()]
-    ids += [num_pairs(n) + i - 1 for i in v.tight.loops]
-    return frozenset(ids)
+def _loopy(n: int, mask: int) -> LoopyGraph:
+    """A constraint mask as a graph: pair slots as edges, x_i >= 0 slots as loops."""
+    first_loop = num_pairs(n)
+    return LoopyGraph(
+        EdgeGraph(n, mask & ((1 << first_loop) - 1)),
+        frozenset(i + 1 for i in range(n) if mask >> (first_loop + i) & 1),
+    )
 
 
 def bounded_faces(d: Metric) -> BoundedFacePoset:
     """Intersection closure of vertex tight sets, keeping the bounded patterns.
 
-    A pattern is bounded exactly when its constraints touch every node: the
-    recession cone of the polyhedron is the non-negative orthant, so any
-    node free of tight constraints yields an escape ray.
+    Each tight set is one bitmask over the constraint slots, as
+    enumerate_vertices builds it.  A pattern is bounded exactly when its
+    constraints touch every node, that is, when it meets each node's star
+    and loop bit: the recession cone of the polyhedron is the non-negative
+    orthant, so any node free of tight constraints yields an escape ray.
     """
     n = d.n
     vertices = enumerate_vertices(d)
     rows, _ = _constraints(d)
-    tights = [_tight_ids(d, v) for v in vertices]
+    first_loop = num_pairs(n)
+    tights = [
+        v.tight.base.bits | sum(1 << (first_loop + i - 1) for i in v.tight.loops)
+        for v in vertices
+    ]
 
-    patterns: set[frozenset[int]] = set(tights)
+    patterns = set(tights)
     work = list(patterns)
     while work:
         F = work.pop()
@@ -196,27 +208,14 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
                 patterns.add(G)
                 work.append(G)
 
+    nodes = [star | 1 << (first_loop + i) for i, star in enumerate(node_edge_masks(n))]
     faces = []
     for F in patterns:
-        covered = set()
-        for c in F:
-            if c < num_pairs(n):
-                covered.update(pair_table(n)[c])
-            else:
-                covered.add(c - num_pairs(n) + 1)
-        if len(covered) < n:
+        if not all(F & node for node in nodes):
             continue  # unbounded: a free node spans an escape ray
-        vertex_ids = tuple(
-            i for i, t in enumerate(tights) if F <= t
-        )
-        dim = n - _eliminate([list(rows[c]) for c in F], n)[0]
-        edges = [pair_table(n)[c] for c in sorted(F) if c < num_pairs(n)]
-        loops = frozenset(c - num_pairs(n) + 1 for c in F if c >= num_pairs(n))
-        faces.append(
-            BoundedFace(
-                LoopyGraph(EdgeGraph.from_edges(n, edges), loops), vertex_ids, dim
-            )
-        )
+        vertex_ids = tuple(i for i, t in enumerate(tights) if F & t == F)
+        dim = n - _eliminate([list(r) for c, r in enumerate(rows) if F >> c & 1], n)[0]
+        faces.append(BoundedFace(_loopy(n, F), vertex_ids, dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
 
     max_dim = max((f.dim for f in faces), default=-1)

@@ -228,6 +228,13 @@ def test_json_rejects_zero_denominator():
         metric_from_json('{"n": 3, "upper": ["1/0", "1", "1"]}')
 
 
+@pytest.mark.parametrize("n", ["true", "false", '"3"'])
+def test_json_rejects_a_non_integer_n(n):
+    # bool is an int subclass: true must not read as 1 point
+    with pytest.raises(ValueError, match="n must be an integer"):
+        metric_from_json('{"n": %s, "upper": []}' % n)
+
+
 def test_json_canonical_pair_order():
     d = gen_dmax(4)
     import json

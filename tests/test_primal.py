@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 import tightspan.primal as primal
-from helpers import metric, report, vertices_by_bases
+from helpers import metric, rank_int, report, vertices_by_bases
 from tightspan.errors import NonSimple, ScaleExceeded
 from tightspan.facevectors import face_report
+from tightspan.graphs import EdgeGraph, LoopyGraph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random
 from tightspan.primal import (
+    BoundedFace,
     OrientationSpec,
     bounded_faces,
     crosscheck,
@@ -100,6 +102,45 @@ def test_bounded_faces_vectors():
     assert bounded_faces(metric("4points")).f_vector == (8, 8, 1)
     assert bounded_faces(gen_dmax(5)).f_vector == (16, 20, 5)
     assert bounded_faces(gen_dmin(5)).f_vector == (16, 20, 5)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [metric("ideal"), metric("4points"), gen_random(6, 1, 100), gen_random(6, 4, 100)],
+    ids=["ideal", "4points", "coarse-6.1", "coarse-6.4"],
+)
+def test_bounded_faces_equal_closure_of_reference_tight_sets(d):
+    # tight sets as frozensets of pairs (i, j) and loops (i, i), closed under
+    # intersection; non-simple vertices included
+    n = d.n
+    vertices = vertices_by_bases(d)
+    tights = [
+        frozenset(v.tight.base.edges()) | {(i, i) for i in v.tight.loops}
+        for v in vertices
+    ]
+    patterns = set(tights)
+    while True:
+        new = {F & t for F in patterns for t in tights} - patterns - {frozenset()}
+        if not new:
+            break
+        patterns |= new
+    faces = []
+    for F in patterns:
+        if {i for pair in F for i in pair} != set(range(1, n + 1)):
+            continue  # a node without a tight constraint: unbounded
+        edges = [(i, j) for i, j in F if i != j]
+        loops = frozenset(i for i, j in F if i == j)
+        tight = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
+        ids = tuple(k for k, t in enumerate(tights) if F <= t)
+        rows = [[int(k in pair) for k in range(1, n + 1)] for pair in F]
+        faces.append(BoundedFace(tight, ids, n - rank_int(rows)))
+    faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+    f_vector = tuple(sum(f.dim == k for f in faces) for k in range(faces[-1].dim + 1))
+
+    poset = bounded_faces(d)
+    assert poset.vertices == vertices
+    assert poset.faces == tuple(faces)
+    assert poset.f_vector == f_vector
 
 
 def test_bounded_faces_covering_relations():
