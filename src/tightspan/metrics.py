@@ -268,6 +268,8 @@ def metric_from_json(text: str) -> Metric:
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("n must be an integer")
+    if not isinstance(payload["upper"], list):
+        raise ValueError("upper must be a list")
     upper = [parse_rational(x) for x in payload["upper"]]
     return metric_from_upper(n, tuple(upper))
 

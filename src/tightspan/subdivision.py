@@ -21,9 +21,11 @@ denominator, by one propagation over each component; a mask outside its
 domain raises PreconditionViolated.  One classifier (_classify_scaled) reads
 the heights against d and returns them with the first equality or
 non-positive height as a pair, and whether that pair drops below d.  The
-filtration and the pivot ratio test compare those integers directly, so
-neither loop touches Fraction arithmetic; Fractions appear only in the
-certificates that are returned.
+filtration classifies every candidate; the traversal classifies only its
+seed and takes each further cell, heights included, from the ratio test of
+a ridge pencil.  Both compare those integers directly, so neither loop
+touches Fraction arithmetic; Fractions appear only in the certificates that
+are returned.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -320,11 +321,15 @@ def _classify_scaled(
             return lam, pair_table(n)[p], True
         if gap == 0 and pair is None:
             pair = pair_table(n)[p]
-    if pair is None:
-        for i in range(n):
-            if lam[i] <= 0:
-                return lam, (i + 1, i + 1), False
-    return lam, pair, False
+    return lam, pair or _corner(lam), False
+
+
+def _corner(lam: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(i, i) for the first node i whose height is not positive, else None."""
+    for i, h in enumerate(lam, 1):
+        if h <= 0:
+            return i, i
+    return None
 
 
 def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
@@ -405,6 +410,8 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     pool = candidate_graphs(n)
     dnum, D = _scaled_entries(d)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = max(1, len(pool) // (jobs * 4))
         parts = [pool[k : k + chunks] for k in range(0, len(pool), chunks)]
         kept, witnesses = [], []
@@ -475,70 +482,56 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
 # -- ridge pivot traversal -----------------------------------------------------------
 
 
-def _pivot_entering(n: int, dnum: Sequence[int], rmask: int, leaving: int) -> int:
-    """Slot of the unique other edge completing the ridge to a cell.
+def _pivot_entering(
+    n: int, dnum: Sequence[int], rmask: int, leaving: int, lam: list[int]
+) -> tuple[int, list[int]]:
+    """The neighbour across a ridge: (entering slot, its scaled heights).
 
-    Along the ridge pencil lam + t*sigma each off-ridge pair bounds t by
-    -slack/s with s = sigma_i + sigma_j in {-2, -1, 1, 2}; bounds are
-    compared by cross-multiplying integers.
+    lam holds the current cell's heights, the point t = 0 of the ridge pencil
+    lam + t*sigma, and sigma is signed so that the leaving pair's slack grows
+    with t.  The cell is strict, so only a pair with s = sigma_i + sigma_j < 0
+    bounds t, from above by slack/-s (ridge edges have s = 0); bounds are
+    compared by cross-multiplying integers, and the least one enters.  Every
+    other pair stays strictly above d, so the neighbour needs no classifying.
     """
-    lam, sigma = _solve_scaled(n, rmask, dnum)
-    lo_num = lo_den = hi_num = hi_den = 0
-    lo_slots: list[int] = []
-    hi_slots: list[int] = []
+    _, sigma = _solve_scaled(n, rmask, dnum)
+    i, j = _pairs0(n)[leaving]
+    if sigma[i] + sigma[j] < 0:
+        sigma = [-v for v in sigma]
+    num = den = 0
+    slots: list[int] = []
     for p, (i, j) in enumerate(_pairs0(n)):
-        if rmask >> p & 1:
-            continue
         s = sigma[i] + sigma[j]
-        slack = lam[i] + lam[j] - 2 * dnum[p]
-        if s == 0:
-            if slack == 0:
-                raise DegenerateRidge(
-                    f"pair ({i + 1},{j + 1}) tight across the whole ridge pencil"
-                )
-            continue
-        if s > 0:
-            # t >= -slack/s
-            order = -slack * lo_den - lo_num * s
-            if not lo_slots or order > 0:
-                lo_num, lo_den, lo_slots = -slack, s, [p]
+        if s < 0:
+            slack = lam[i] + lam[j] - 2 * dnum[p]
+            order = slack * den + num * s
+            if not slots or order < 0:
+                num, den, slots = slack, -s, [p]
             elif order == 0:
-                lo_slots.append(p)
-        else:
-            # t <= slack/(-s)
-            order = slack * hi_den + hi_num * s
-            if not hi_slots or order < 0:
-                hi_num, hi_den, hi_slots = slack, -s, [p]
-            elif order == 0:
-                hi_slots.append(p)
-    if not lo_slots or not hi_slots:
-        raise DegenerateRidge("ridge pencil is unbounded on one side")
-    if lo_num * hi_den == hi_num * lo_den:
-        raise DegenerateRidge("ridge pencil collapses to a point")
-    if leaving in lo_slots:
-        side = hi_slots
-    elif leaving in hi_slots:
-        side = lo_slots
-    else:
-        raise DegenerateRidge("leaving edge does not bound the ridge pencil")
-    if len(side) != 1:
+                slots.append(p)
+    if not slots:
+        raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
+    if len(slots) != 1:
         raise DegenerateRidge(
             "ratio test tie; metric is not generic",
-            witness=(EdgeGraph(n, rmask | 1 << side[0]), pair_table(n)[side[1]]),
+            witness=(EdgeGraph(n, rmask | 1 << slots[0]), pair_table(n)[slots[1]]),
         )
-    return side[0]
+    # exact: both cells' heights are integers at scale 2D
+    t = num // den
+    return slots[0], [h + t * v for h, v in zip(lam, sigma)]
 
 
 def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     """Breadth-first closure of the subdivision under ridge pivots.
 
-    Each interior ridge is pivoted once, from the first of its two cells to
-    be reached.  The ratio test checks the far side for ties; a tie on the
-    near side would leave an equality off the near cell's graph, which its
-    strict certificate already excludes.  Matches enumerate_cells on every
-    generic input; scales to sizes where exhaustive filtration is out of reach.
-    A cell with a height that is not positive is kept and makes the result
-    non-generic, as in enumerate_cells.
+    Only the seed is solved and classified.  Each interior ridge is pivoted
+    once, from the first of its two cells to be reached, and the ratio test
+    gives the neighbour with its heights; a tie on the far side raises with
+    its witness, and the near side needs no test, as the current cell is
+    strict.  Matches enumerate_cells on every generic input; scales to sizes
+    where exhaustive filtration is out of reach.  A cell with a height that
+    is not positive is kept and makes the result non-generic, with the
+    (i, i) witness of its first such node, as in enumerate_cells.
     """
     n = d.n
     G = seed.graph
@@ -551,9 +544,9 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
 
     seen = {G.bits}
     pivoted: set[int] = set()
-    frontier = deque([G.bits])
+    frontier = deque(kept)
     while frontier:
-        mask = frontier.popleft()
+        mask, lam = frontier.popleft()
         bits = mask
         while bits:
             low = bits & -bits
@@ -562,19 +555,19 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             if rmask in pivoted or not is_interior_mask(n, rmask):
                 continue
             pivoted.add(rmask)
-            entering = _pivot_entering(n, dnum, rmask, low.bit_length() - 1)
+            entering, nlam = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, lam)
             nmask = rmask | 1 << entering
             if nmask in seen:
                 continue
-            # on n edges the solver raises PreconditionViolated exactly on
-            # the masks that are not candidates
-            cell_kept, cell_witnesses = _classify_chunk(n, dnum, (nmask,))
-            if not cell_kept:
-                raise DegenerateRidge("pivot produced a non-strict certificate")
-            kept += cell_kept
-            witnesses += cell_witnesses
+            # only a broken ratio test leaves the candidates
+            if cell_components(n, nmask) is None:
+                raise PreconditionViolated("ridge pivot entered a non-candidate mask")
+            corner = _corner(nlam)
+            if corner is not None:
+                witnesses.append((nmask, corner))
+            kept.append((nmask, nlam))
             seen.add(nmask)
-            frontier.append(nmask)
+            frontier.append((nmask, nlam))
 
     sub = _subdivision(d, D, kept, witnesses)
     if sub.total_volume != (1 << (n - 1)) - n:

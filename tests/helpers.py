@@ -101,11 +101,11 @@ def break_ridge_pivot(monkeypatch) -> None:
     """
     pivot = sd._pivot_entering
 
-    def off_the_candidates(n, dnum, rmask, leaving):
+    def off_the_candidates(n, dnum, rmask, leaving, lam):
         for p in range(num_pairs(n)):
             if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
-                return p
-        return pivot(n, dnum, rmask, leaving)
+                return p, lam
+        return pivot(n, dnum, rmask, leaving, lam)
 
     monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)
 

@@ -1,11 +1,15 @@
 """Command-line interface: generation, pipeline runs, suites, exit codes."""
 
+import hashlib
 import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from tightspan.cli import main
 from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
+    gen_dmax,
     gen_dmin,
     gen_random,
     load_metric,
@@ -203,6 +208,48 @@ def test_compute_byte_deterministic(four_points_file, capsys):
     assert capsys.readouterr().out == first
 
 
+# sha256 of stdout and of the exported cells of `tspan compute --format json
+# --no-timestamp --export-cells`, generated by a traversal that solved every
+# new cell on its own, independently of the heights the ratio test carries
+PINNED = [
+    ("dmax-10", gen_dmax(10), 0,
+     "8de5226c6c492a2777043d81deff9965b86f0a5223a4825b73fea54b19845aa4",
+     "46336ae0577da4cb2d89a910a9e23d8393a235a6ee50ffbb28bba0452592be58"),
+    ("dmin-10", gen_dmin(10), 0,
+     "3055590102a1edd47056199380e99ea89e088aa5c3a49191fd17748ea6aae68e",
+     "cdbe141d1660ebf42bbe2b410964c0cd9b9b767cd20b3279aee5e22a34a91390"),
+    ("hires-10.1", gen_random(10, 1, 10**12), 0,
+     "643ad9e6afc16f0b215ab09b1a0b9966e8cca64e205d5c920b881d19bec6adfb",
+     "4057fe4db55fe38e0b47468b36f1af315b2a5dd45150a71112419dd2f85ba988"),
+    ("hires-10.2", gen_random(10, 2, 10**12), 0,
+     "5e1bd43e0ab8464f91e237744ff41190e282ae291cdffd3de61aafc734000edb",
+     "d65bbe73bf2c1babaf40af3e93922c17ba47692bf692861fdb54e904cacf4185"),
+    ("hires-10.3", gen_random(10, 3, 10**12), 0,
+     "fff3c874f6d41f3b0378a4a136932b70fd508d638ad345c57a6d0f77ee054b4d",
+     "ccea1186918b2333c2c1babd1005fa584d55c41a51261855810e9af6d5ef9660"),
+    # a ratio-test tie
+    ("random-6.5-res100", gen_random(6, 5, 100), 3,
+     "833ec54f62d0447793f1d2c442dca5a4a948fcac42cca81edd5f88fbd30d8236",
+     "f01b44f5ae4a9585c7c784e0c60d057fa5c8f1123123020eb56a47898d3caef8"),
+    # a zero cell height
+    ("ideal", validate_metric(IDEAL_FOUR), 3,
+     "ff5a4d763404dc1269415d94b19ee145261ce92658b11c182df31f6b78362a0f",
+     "c23ae7ba6dd4ad5e528013ad9cd368fa6579f27ed6eb3cc4f27c32bef141f085"),
+]
+
+
+@pytest.mark.parametrize("d, code, out_sha, cells_sha", [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
+def test_compute_pins_traversal_output(d, code, out_sha, cells_sha, tmp_path, capsys):
+    # above n = 8 no enumeration can check the traversal's heights
+    path = tmp_path / "d.json"
+    path.write_text(metric_to_json(d))
+    cells = tmp_path / "cells.json"
+    argv = ["compute", str(path), "--format", "json", "--no-timestamp", "--export-cells", str(cells)]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(cells.read_bytes()).hexdigest() == cells_sha
+
+
 @pytest.mark.parametrize("name, code", [("dmin-7", 0), ("ideal", 3)], ids=["dmin-7", "ideal"])
 def test_compute_report_equals_enumeration_oracle(name, code, tmp_path, capsys, monkeypatch):
     # the same reports and exported cells when the CLI builds the subdivision
@@ -314,6 +361,15 @@ def test_compute_parse_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: cannot parse metric: ")
 
 
+def test_compute_upper_not_a_list_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "upper": {"2": "a", "3": "b", "4": "c"}}')
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse metric: upper must be a list\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("flag", ["--export-cells", "--export-faces"])
 def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path, capsys):
@@ -324,26 +380,27 @@ def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.mark.parametrize(
     "argv", [["compute", "{file}", "--format", "json"], ["verify", "--suite", "identities"]]
 )
 def test_closed_stdout_exits_2(argv, four_points_file):
     # the read end of stdout is closed before the program writes anything
-    import os
-    import subprocess
-    from pathlib import Path
-
     argv = [a.format(file=four_points_file) for a in argv]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
-    )
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "tightspan.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_fresh_env(), timeout=120,
         )
     finally:
         os.close(write_end)
@@ -351,6 +408,24 @@ def test_closed_stdout_exits_2(argv, four_points_file):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+
+
+def test_cli_loads_no_process_pool(tmp_path):
+    # no command runs a process pool, so no command may pay for its imports
+    script = (
+        "import sys\n"
+        "from tightspan.cli import main\n"
+        "assert main(['gen', '--kind', 'dmax', '--n', '4', '-o', sys.argv[1]]) == 0\n"
+        "assert main(['compute', sys.argv[1], '--no-timestamp']) == 0\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(sorted(m for m in pool if m in sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "dmax4.json")],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
 
 
 def test_compute_rejects_route_options(four_points_file):

@@ -235,6 +235,17 @@ def test_json_rejects_a_non_integer_n(n):
         metric_from_json('{"n": %s, "upper": []}' % n)
 
 
+@pytest.mark.parametrize(
+    "upper",
+    ['"123"', "5", '{"2": "a", "3": "b", "4": "c"}', "null"],
+    ids=["string", "int", "object", "null"],
+)
+def test_json_rejects_an_upper_that_is_not_a_list(upper):
+    # a string or an object must not be read entry by entry
+    with pytest.raises(ValueError, match="upper must be a list"):
+        metric_from_json('{"n": 3, "upper": %s}' % upper)
+
+
 def test_json_canonical_pair_order():
     d = gen_dmax(4)
     import json

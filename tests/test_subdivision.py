@@ -350,21 +350,71 @@ def test_traverse_equals_enumerate(name):
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8"])
 def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
+    # one solve per interior ridge and one for the seed, which alone is
+    # classified: the pivot hands every other cell over with its heights
     import tightspan.subdivision as sd
 
     calls = []
+    solves = []
+    classified = []
     pivot = sd._pivot_entering
+    solve = sd._solve_scaled
+    classify = sd._classify_chunk
 
     def counting(*args):
         calls.append(args[2])
         return pivot(*args)
 
-    monkeypatch.setattr(sd, "_pivot_entering", counting)
+    def counting_solve(*args):
+        solves.append(args[1])
+        return solve(*args)
+
+    def counting_classify(*args):
+        classified.append(args[2])
+        return classify(*args)
+
     d = metric(name)
-    T = traverse_cells(d, seed_cell(d))
+    seed = seed_cell(d)
+    monkeypatch.setattr(sd, "_pivot_entering", counting)
+    monkeypatch.setattr(sd, "_solve_scaled", counting_solve)
+    monkeypatch.setattr(sd, "_classify_chunk", counting_classify)
+    T = traverse_cells(d, seed)
     F = all_faces(T)
     assert len(calls) == len(set(calls)) == F.interior_counts()[d.n - 2]
     assert set(calls) == F.interior_by_dim[d.n - 2]
+    assert len(solves) == len(calls) + 1
+    assert classified == [(seed.graph.bits,)]
+
+
+@pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
+def test_pivot_carries_heights_to_the_neighbour(name):
+    # from either cell of an interior ridge, the ratio test returns the other
+    # cell's edge and its heights, scaled by 2D as the traversal keeps them
+    import tightspan.subdivision as sd
+
+    S = subdivision(name)
+    n = S.n
+    dnum, D = sd._scaled_entries(S.metric)
+    scaled = {}
+    for cell in S.maximal_cells:
+        lam = [2 * D * h for h in cell.heights]
+        assert all(v.denominator == 1 for v in lam)
+        scaled[cell.graph.bits] = [int(v) for v in lam]
+    by_ridge: dict[int, list[int]] = {}
+    for mask in scaled:
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            by_ridge.setdefault(mask ^ low, []).append(mask)
+    shared = [(r, masks) for r, masks in by_ridge.items() if len(masks) == 2]
+    assert len(shared) == all_faces(S).interior_counts()[n - 2]
+    for rmask, (a, b) in shared:
+        for here, there in ((a, b), (b, a)):
+            leaving = (here ^ rmask).bit_length() - 1
+            entering = (there ^ rmask).bit_length() - 1
+            got = sd._pivot_entering(n, dnum, rmask, leaving, scaled[here])
+            assert got == (entering, scaled[there])
 
 
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
