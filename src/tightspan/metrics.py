@@ -99,6 +99,8 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
 
 def metric_from_upper(n: int, upper: Sequence[Fraction]) -> Metric:
     """Metric from an upper-triangle entry list (validated via the full table)."""
+    if n < 3:
+        raise BadArity(f"need at least 3 points, got {n}")
     if len(upper) != num_pairs(n):
         raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
     table = [[Fraction(0)] * n for _ in range(n)]

@@ -16,16 +16,18 @@ cells with one loop (_classify_chunk) and build the Subdivision with one
 builder, so they give the same verdict.
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
-lam + t*sigma of ridges, in integers scaled by twice the common entry
-denominator, by one propagation over each component; a mask outside its
-domain raises PreconditionViolated.  One classifier (_classify_scaled) reads
-the heights against d and returns them with the first equality or
-non-positive height as a pair, and whether that pair drops below d.  The
-filtration classifies every candidate; the traversal classifies only its
-seed and takes each further cell, heights included, from the ratio test of
-a ridge pencil.  Both compare those integers directly, so neither loop
-touches Fraction arithmetic; Fractions appear only in the certificates that
-are returned.
+lam + t*sigma of ridges, in integers at scale twice the common entry
+denominator, by one propagation per component; a mask outside its domain
+raises PreconditionViolated.  One classifier (_classify_scaled) reads the
+heights against d: the first equality or non-positive height as a pair, and
+whether it drops below d.  The filtration classifies every candidate, the
+traversal only its seed: each further cell, heights included, comes from a
+ridge pencil's ratio test.  Neither loop touches Fraction arithmetic;
+Fractions appear only in the certificates returned.
+
+all_faces walks the cells in ascending w.lambda at the seed weight, which
+ties no two adjacent cells, and builds each face exactly once from its
+lowest cell and each interior face exactly once from its highest cell.
 """
 
 from __future__ import annotations
@@ -472,11 +474,13 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     """
     from .matching import solve_w_matching
 
-    n = d.n
-    # powers falling with i: Bland's rule then takes about 8% fewer pivots
-    # than with rising ones on random n = 11 metrics
-    w = [(1 << n) + (1 << (n - 1 - i)) for i in range(n)]
-    return lambda_certificate(d, solve_w_matching(d, w).support)
+    return lambda_certificate(d, solve_w_matching(d, _seed_weight(d.n)).support)
+
+
+def _seed_weight(n: int) -> list[int]:
+    """w_i = 2^n + 2^(n-i): the seed's LP weight and the cell order of all_faces."""
+    # falling with i: about 8% fewer Bland pivots than rising powers on random n = 11
+    return [(1 << n) + (1 << (n - 1 - i)) for i in range(n)]
 
 
 # -- ridge pivot traversal -----------------------------------------------------------
@@ -535,14 +539,15 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     """
     n = d.n
     G = seed.graph
-    if G.n != n or cell_components(n, G.bits) is None:
+    c = cell_components(n, G.bits) if G.n == n else None
+    if c is None:
         raise SeedInvalid("seed graph is not a candidate cell")
     dnum, D = _scaled_entries(d)
     kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
     if not kept:
         raise SeedInvalid("seed graph carries no strict certificate")
 
-    seen = {G.bits}
+    components = {G.bits: c}
     pivoted: set[int] = set()
     frontier = deque(kept)
     while frontier:
@@ -557,19 +562,22 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             pivoted.add(rmask)
             entering, nlam = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, lam)
             nmask = rmask | 1 << entering
-            if nmask in seen:
+            if nmask in components:
                 continue
             # only a broken ratio test leaves the candidates
-            if cell_components(n, nmask) is None:
+            c = cell_components(n, nmask)
+            if c is None:
                 raise PreconditionViolated("ridge pivot entered a non-candidate mask")
             corner = _corner(nlam)
             if corner is not None:
                 witnesses.append((nmask, corner))
             kept.append((nmask, nlam))
-            seen.add(nmask)
+            components[nmask] = c
             frontier.append((nmask, nlam))
 
     sub = _subdivision(d, D, kept, witnesses)
+    for cell in sub.maximal_cells:  # the guard's count c fills Cell.volume's cache
+        object.__setattr__(cell, "volume", 1 << components[cell.graph.bits] - 1)
     if sub.total_volume != (1 << (n - 1)) - n:
         raise DegenerateRidge(
             f"traversal covered volume {sub.total_volume},"
@@ -605,48 +613,40 @@ def compute_subdivision(d: Metric) -> Subdivision:
 def all_faces(S: Subdivision) -> FaceSet:
     """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
 
-    The cells are walked in their stored order.  In each cell an edge e is
-    forced when the ridge cell - e already lies in an earlier cell.  Every
-    subgraph that misses a forced edge lies inside that ridge, so inside the
-    earlier cell, and is already in the closure: by induction over the
-    cells, all subgraphs of the earlier cells are.  Only the subgraphs that
-    keep every forced edge are generated, which holds for any cell order;
-    the order only decides how many faces are generated more than once.
-    The ridges of the earlier cells are level n-2 of the closure so far.
+    Cells are the vertices of the simple polyhedron dual to S, and the seed
+    weight w, positive on its recession cone, ties no two adjacent cells in
+    w.lambda.  In ascending w.lambda, an edge e of a cell is down when the
+    ridge cell - e lies in an earlier cell, else up (boundary ridges too).
+    Each face is built exactly once, from its lowest cell with every down
+    edge, and each interior (bounded) face from its highest with every up edge.
     """
     if not S.generic:
         raise NotATriangulation("face closure requires a generic subdivision")
     n = S.n
-    levels: list[set[int]] = [set() for _ in range(n)]
-    ridges = levels[n - 2]
-    for cell in S.maximal_cells:
+    w = [2 * _scaled_entries(S.metric)[1] * wi for wi in _seed_weight(n)]
+
+    def height(cell: Cell) -> int:  # w.lambda at scale 2D, where heights are integers
+        return sum(wi * h.numerator // h.denominator for wi, h in zip(w, cell.heights))
+
+    levels, interior = [[] for _ in range(n)], [[] for _ in range(n)]
+    ridges: set[int] = set()
+    for cell in sorted(S.maximal_cells, key=height):
         mask = cell.graph.bits
-        forced = 0
-        free = []
+        downs, ups = [], []
         bits = mask
         while bits:
             low = bits & -bits
             bits ^= low
             if mask ^ low in ridges:
-                forced |= low
+                downs.append(low)
             else:
-                free.append(low)
-        # forced | (r free edges) has forced.bit_count() + r edges
-        base = forced.bit_count() - 1
-        for r in range(0 if forced else 1, len(free) + 1):
-            levels[base + r].update(map(sum, combinations(free, r), repeat(forced)))
-    by_dim = []
-    interior = []
-    for k, level in enumerate(levels):
-        masks = tuple(sorted(level))
-        level.clear()
-        by_dim.append(masks)
-        # a k-face has k+1 edges, and fewer than ceil(n/2) edges cannot span
-        if 2 * (k + 1) < n:
-            interior.append(frozenset())
-        else:
-            interior.append(frozenset(m for m in masks if is_interior_mask(n, m)))
-    return FaceSet(n, tuple(by_dim), tuple(interior))
+                ups.append(low)
+                ridges.add(mask ^ low)
+        for kept, free, out in ((downs, ups, levels), (ups, downs, interior)):
+            base = sum(kept)
+            for r in range(0 if kept else 1, len(free) + 1):
+                out[len(kept) + r - 1].extend(map(sum, combinations(free, r), repeat(base)))
+    return FaceSet(n, tuple(map(tuple, map(sorted, levels))), tuple(map(frozenset, interior)))
 
 
 def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

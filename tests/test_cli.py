@@ -370,6 +370,15 @@ def test_compute_upper_not_a_list_exits_2(tmp_path, capsys):
     assert err == "error: cannot parse metric: upper must be a list\n"
 
 
+def test_compute_negative_n_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": -5, "upper": ["1"] * 15}))
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse metric: need at least 3 points, got -5\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("flag", ["--export-cells", "--export-faces"])
 def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path, capsys):

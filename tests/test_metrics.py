@@ -235,6 +235,12 @@ def test_json_rejects_a_non_integer_n(n):
         metric_from_json('{"n": %s, "upper": []}' % n)
 
 
+def test_json_rejects_a_negative_n():
+    # n = -5 asks for (-5)(-6)/2 = 15 entries, as n = 6 does: the error names n
+    with pytest.raises(BadArity, match="need at least 3 points, got -5$"):
+        metric_from_json('{"n": -5, "upper": [%s]}' % ", ".join(['"1"'] * 15))
+
+
 @pytest.mark.parametrize(
     "upper",
     ['"123"', "5", '{"2": "a", "3": "b", "4": "c"}', "null"],

@@ -21,6 +21,7 @@ from tightspan.errors import (
     ScaleExceeded,
     SeedInvalid,
 )
+from tightspan.facevectors import face_report
 from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, star_graph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, submetric
 from tightspan.subdivision import (
@@ -386,6 +387,73 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
     assert classified == [(seed.graph.bits,)]
 
 
+@pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
+def test_traversal_counts_components_once_per_cell(name, monkeypatch):
+    # the seed's components are counted twice (by lambda_certificate in
+    # seed_cell and by the traversal's guard), every other cell's once, by
+    # the guard; that count is the cell's volume, so neither the covered-volume
+    # check nor the export counts again
+    import tightspan.graphs as graphs
+    import tightspan.subdivision as sd
+
+    calls = []
+    count = graphs.cell_components
+
+    def counting(n, mask):
+        calls.append(mask)
+        return count(n, mask)
+
+    monkeypatch.setattr(sd, "cell_components", counting)
+    monkeypatch.setattr(graphs, "cell_components", counting)
+    S = compute_subdivision(metric(name))
+    assert S.total_volume == (1 << (S.n - 1)) - S.n
+    subdivision_to_json(S)
+    assert len(calls) == len(S.maximal_cells) + 1
+    assert set(calls) == {cell.graph.bits for cell in S.maximal_cells}
+    monkeypatch.undo()
+    assert [c.volume for c in S.maximal_cells] == [
+        cell_volume(c.graph) for c in S.maximal_cells
+    ]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["4points"]
+    + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in range(5, 10)]
+    + ["hires-6.1", "hires-6.2", "hires-8.1", "hires-8.2"],
+)
+def test_seed_weight_orders_adjacent_cells(name):
+    # all_faces walks the cells in ascending w.lambda: no two cells of an
+    # interior ridge may tie, and each cell's count of down edges (ridges to a
+    # lower neighbour) is its out-degree in the dual simple polyhedron, whose
+    # histogram is the h-vector of the ball
+    import tightspan.subdivision as sd
+
+    d = metric(name)
+    S = compute_subdivision(d)
+    w = sd._seed_weight(S.n)
+    height = {
+        c.graph.bits: sum(x * h for x, h in zip(w, c.heights)) for c in S.maximal_cells
+    }
+    by_ridge: dict[int, list[int]] = {}
+    for mask in height:
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            by_ridge.setdefault(mask ^ low, []).append(mask)
+    down = dict.fromkeys(height, 0)
+    for masks in by_ridge.values():
+        if len(masks) == 2:
+            lower, upper = sorted(masks, key=height.get)
+            assert height[lower] != height[upper]
+            down[upper] += 1
+    histogram = [0] * (S.n + 1)
+    for k in down.values():
+        histogram[k] += 1
+    assert tuple(histogram) == face_report(d, S).h
+
+
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
 def test_pivot_carries_heights_to_the_neighbour(name):
     # from either cell of an interior ridge, the ratio test returns the other
@@ -545,7 +613,7 @@ def test_all_faces_equals_naive_closure(name):
     assert all_faces(replace(S, maximal_cells=S.maximal_cells[::-1])) == F
 
 
-@pytest.mark.parametrize("name", ["dmax-8", "dmin-9"])
+@pytest.mark.parametrize("name", ["dmax-8", "dmin-9", "hires-9.1"])
 def test_all_faces_equals_naive_closure_traversed(name):
     d = metric(name)
     S = traverse_cells(d, seed_cell(d))
