@@ -10,6 +10,7 @@ primal oracle solve all their linear systems with it, in integers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +54,9 @@ def pivot(T: list[list[int]], r: int, c: int, scale: int) -> int:
     return p
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def parse_rational(value: object) -> Fraction:
     """Exact rational from "p/q" or "p" strings or int; floats are rejected."""
     if isinstance(value, bool):
@@ -67,12 +71,15 @@ def parse_rational(value: object) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"floating-point literal rejected: {value!r}")
-        if "/" in text:
-            num, den = text.split("/", 1)
+        # ASCII digits only: int() would also take "1_0" and non-ASCII digits
+        match = _RATIONAL.fullmatch(text)
+        if match:
+            num, den = match.groups()
+            if den is None:
+                return Fraction(int(num))
             if int(den) == 0:
                 raise ValueError(f"zero denominator: {value!r}")
             return Fraction(int(num), int(den))
-        return Fraction(int(text))
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -3,6 +3,13 @@
 An EdgeGraph stores its edge set as one integer bitset over the lexicographic
 pair slots of common.pair_index, which makes graphs hashable, cheap to compare
 and canonically ordered (the bitset integer is the sort key everywhere).
+
+The odd-cycle rule of the cells (each component holds one cycle, and it is
+odd) lives in one parity union-find: _join adds an edge or refuses it when it
+closes an even or a second cycle, _split undoes a join.  cell_components,
+has_even_tour, the path-sum preconditions and subdivision.candidate_graphs
+all decide with it; components() and is_odd_unicyclic are the independent
+depth-first reference that the tests hold it against.
 """
 
 from __future__ import annotations
@@ -173,18 +180,64 @@ def _is_bipartite(adj: dict[int, list[int]], nodes: set[int]) -> bool:
     return True
 
 
+# -- the odd-cycle rule: one parity union-find ----------------------------------
+
+
+def _find(parent: list[int], parity: list[int], v: int) -> tuple[int, int]:
+    """Root of v and the parity of v's tree path to it."""
+    p = 0
+    while parent[v] != v:
+        p ^= parity[v]
+        v = parent[v]
+    return v, p
+
+
+def _join(
+    parent: list[int], parity: list[int], cyclic: list[bool], i: int, j: int
+) -> Optional[tuple[int, int, bool]]:
+    """Add edge {i,j} to the forest; its undo record, or None when it is refused.
+
+    An edge inside a component closes a cycle, odd when its ends have equal
+    parity; it is refused when the cycle is even or the component already
+    holds one.  An edge between two components that both hold a cycle is
+    refused too, since their union would hold two.  A refused edge changes
+    nothing.
+    """
+    ri, pi = _find(parent, parity, i)
+    rj, pj = _find(parent, parity, j)
+    if ri == rj:
+        if pi != pj or cyclic[ri]:
+            return None
+        cyclic[ri] = True
+        return ri, ri, False
+    if cyclic[ri] and cyclic[rj]:
+        return None
+    undo = (ri, rj, cyclic[ri])
+    parent[rj] = ri
+    parity[rj] = pi ^ pj ^ 1
+    cyclic[ri] = cyclic[ri] or cyclic[rj]
+    return undo
+
+
+def _split(
+    parent: list[int], parity: list[int], cyclic: list[bool], undo: tuple[int, int, bool]
+) -> None:
+    """Undo the _join that returned undo; joins are undone last first."""
+    ri, rj, was_cyclic = undo
+    cyclic[ri] = was_cyclic
+    parent[rj] = rj
+    parity[rj] = 0
+
+
 def has_even_tour(G: EdgeGraph) -> bool:
     """True unless every component is a tree or unicyclic with an odd cycle.
 
     A component with two independent cycles concatenates them into a
-    non-trivial even closed tour, and an even cycle is one directly.
+    non-trivial even closed tour, and an even cycle is one directly.  True
+    at the first edge that _join refuses.
     """
-    for comp in components(G).components:
-        if comp.cycle_dim >= 2:
-            return True
-        if comp.cycle_dim == 1 and comp.cycle_parity == "even":
-            return True
-    return False
+    parent, parity, cyclic = list(range(G.n + 1)), [0] * (G.n + 1), [False] * (G.n + 1)
+    return any(_join(parent, parity, cyclic, i, j) is None for i, j in G.edges())
 
 
 def is_odd_unicyclic(G: EdgeGraph) -> bool:
@@ -226,16 +279,14 @@ def is_interior_graph(G: EdgeGraph) -> bool:
 def odd_path_sum(d: "Metric", G: EdgeGraph, v: int, w: int) -> Fraction:
     """Alternating distance sum along an odd-length walk from v to w in G.
 
-    G must be connected, spanning, with n edges and no even tour, and {v,w}
-    must not be an edge of G.  The value does not depend on the walk chosen.
+    G must be connected, spanning, with n edges and no even tour (one
+    component with one odd cycle), and {v,w} must not be an edge of G.  The
+    value does not depend on the walk chosen.
     """
-    decomp = components(G)
-    if decomp.isolated or len(decomp.components) != 1:
-        raise PreconditionViolated("graph must be connected and spanning")
-    if G.edge_count != G.n:
-        raise PreconditionViolated(f"graph must have exactly {G.n} edges")
-    if has_even_tour(G):
-        raise PreconditionViolated("graph contains a non-trivial even tour")
+    if cell_components(G.n, G.bits) != 1:
+        raise PreconditionViolated(
+            f"graph must be connected and spanning with {G.n} edges and one odd cycle"
+        )
     if v == w or G.has_edge(v, w):
         raise PreconditionViolated(f"{{{v},{w}}} must be a non-edge of the graph")
 
@@ -273,47 +324,23 @@ def cell_components(n: int, mask: int) -> Optional[int]:
     """Component count of a candidate cell graph; None when the mask is not one.
 
     A candidate is spanning, has n edges, and each of its components holds
-    exactly one cycle, of odd length.  One union-find pass over the edges
-    tracks each node's parity to its root: an edge inside a component closes
-    a cycle, odd when its ends have equal parity, and a component may close
-    only one.  A node left in a component without a cycle, isolated nodes
-    included, rejects the mask.
+    exactly one cycle, of odd length.  One _join per edge; a refused edge
+    rejects the mask.  Otherwise each component, isolated nodes included,
+    has at most as many edges as nodes, and the n edges on n nodes leave
+    none with fewer: every component holds its one odd cycle.
     """
     if mask.bit_count() != n:
         return None
     pairs = pair_table(n)
-    parent = list(range(n + 1))
-    parity = [0] * (n + 1)
-    cyclic = [False] * (n + 1)
-
-    def find(v: int) -> tuple[int, int]:
-        p = 0
-        while parent[v] != v:
-            p ^= parity[v]
-            v = parent[v]
-        return v, p
-
+    parent, parity, cyclic = list(range(n + 1)), [0] * (n + 1), [False] * (n + 1)
     bits = mask
     while bits:
         low = bits & -bits
         bits ^= low
         i, j = pairs[low.bit_length() - 1]
-        ri, pi = find(i)
-        rj, pj = find(j)
-        if ri == rj:
-            if pi != pj or cyclic[ri]:
-                return None
-            cyclic[ri] = True
-        else:
-            if cyclic[ri] and cyclic[rj]:
-                return None
-            parent[rj] = ri
-            parity[rj] = pi ^ pj ^ 1
-            cyclic[ri] = cyclic[ri] or cyclic[rj]
-    roots = [v for v in range(1, n + 1) if parent[v] == v]
-    if not all(cyclic[r] for r in roots):
-        return None
-    return len(roots)
+        if _join(parent, parity, cyclic, i, j) is None:
+            return None
+    return sum(parent[v] == v for v in range(1, n + 1))
 
 
 def cell_volume(G: EdgeGraph) -> int:

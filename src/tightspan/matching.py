@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .common import num_pairs, pair_table, pivot
 from .errors import Infeasible, NonUniqueOptimum, PreconditionViolated, StructureViolation
-from .graphs import EdgeGraph, _cycle_nodes, components, has_even_tour, odd_path_sum
+from .graphs import EdgeGraph, _cycle_nodes, cell_components, components, odd_path_sum
 from .metrics import Metric
 
 
@@ -181,14 +181,7 @@ def is_cell_oddpath(d: Metric, G: EdgeGraph) -> bool:
     G must be connected and spanning with n edges and no even tour.  G is a
     cell exactly when no off-graph pair beats its alternating bound.
     """
-    decomp = components(G)
-    if (
-        G.n != d.n
-        or decomp.isolated
-        or len(decomp.components) != 1
-        or G.edge_count != G.n
-        or has_even_tour(G)
-    ):
+    if G.n != d.n or cell_components(G.n, G.bits) != 1:
         raise PreconditionViolated(
             "criterion needs a connected spanning n-edge graph without even tours"
         )

@@ -264,7 +264,10 @@ def _reject_float(text: str) -> Fraction:
 
 
 def metric_from_json(text: str) -> Metric:
-    payload = json.loads(text, parse_float=_reject_float)
+    try:
+        payload = json.loads(text, parse_float=_reject_float)
+    except RecursionError:
+        raise ValueError("metric JSON is nested too deeply") from None
     if not isinstance(payload, dict) or "n" not in payload or "upper" not in payload:
         raise ValueError('metric JSON must be {"n": ..., "upper": [...]}')
     n = payload["n"]

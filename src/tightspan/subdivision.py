@@ -53,6 +53,8 @@ from .errors import (
 )
 from .graphs import (
     EdgeGraph,
+    _join,
+    _split,
     cell_components,
     cell_volume,
     is_interior_mask,
@@ -141,85 +143,46 @@ def candidate_graphs(n: int) -> tuple[int, ...]:
 
     These are exactly the edge sets whose incidence vectors e_i + e_j form a
     basis, hence the candidate maximal cells for every metric on n points.
-    Generated once per n by a pruned search over edge combinations.
+    Generated once per n by a depth-first search over edges in slot order
+    that joins each edge into graphs._join's parity forest, skips the edges
+    it refuses and splits it again on the way back; it prunes when the edges
+    left cannot cover the uncovered nodes, or when the first uncovered node's
+    last edge slot is passed.
     """
     m = num_pairs(n)
     pairs = pair_table(n)
-    ends = [(i - 1, j - 1) for i, j in pairs]
     last_edge = [pair_index(n, v, n) if v < n else m - 1 for v in range(1, n + 1)]
-
-    parent = list(range(n))
-    rank_ = [0] * n
-    par = [0] * n
-    cyc = [False] * n
-    covered = [False] * n
-    ncov = 0
+    parent, parity, cyclic = list(range(n + 1)), [0] * (n + 1), [False] * (n + 1)
+    degree = [0] * (n + 1)
     results: list[int] = []
 
-    def find(x: int) -> tuple[int, int]:
-        p = 0
-        while parent[x] != x:
-            p ^= par[x]
-            x = parent[x]
-        return x, p
-
-    def rec(start: int, count: int, mask: int) -> None:
-        nonlocal ncov
-        if count == n:
-            if ncov == n and all(cyc[r] for r in range(n) if parent[r] == r):
-                results.append(mask)
-            return
+    def rec(start: int, count: int, mask: int, covered: int) -> None:
         remaining = n - count
-        if n - ncov > 2 * remaining:
+        if n - covered > 2 * remaining:
+            return
+        if not remaining:
+            # n edges on n nodes, no component with two cycles: each holds one
+            results.append(mask)
             return
         cap = m - remaining
-        for v in range(n):
-            if not covered[v]:
-                cap = min(cap, last_edge[v])
+        for v in range(1, n + 1):
+            if not degree[v]:
+                cap = min(cap, last_edge[v - 1])
                 break
         for e in range(start, cap + 1):
-            u, v = ends[e]
-            ru, pu = find(u)
-            rv, pv = find(v)
-            undo = []
-            if ru == rv:
-                # closing a cycle: must be odd (equal parity) and the first one
-                if pu != pv or cyc[ru]:
-                    continue
-                cyc[ru] = True
-                undo.append(("c", ru))
-            else:
-                if cyc[ru] and cyc[rv]:
-                    continue
-                if rank_[ru] < rank_[rv]:
-                    ru, rv, pu, pv = rv, ru, pv, pu
-                undo.append(("u", rv, ru, rank_[ru], cyc[ru]))
-                parent[rv] = ru
-                par[rv] = pu ^ pv ^ 1
-                if rank_[ru] == rank_[rv]:
-                    rank_[ru] += 1
-                if cyc[rv]:
-                    cyc[ru] = True
-            for x in (u, v):
-                if not covered[x]:
-                    covered[x] = True
-                    ncov += 1
-                    undo.append(("v", x))
-            rec(e + 1, count + 1, mask | (1 << e))
-            for item in reversed(undo):
-                if item[0] == "c":
-                    cyc[item[1]] = False
-                elif item[0] == "u":
-                    _, rv2, ru2, old_rank, old_cyc = item
-                    parent[rv2] = rv2
-                    par[rv2] = 0
-                    rank_[ru2] = old_rank
-                    cyc[ru2] = old_cyc
-                else:
-                    covered[item[1]] = False
-                    ncov -= 1
+            i, j = pairs[e]
+            undo = _join(parent, parity, cyclic, i, j)
+            if undo is None:
+                continue
+            newly = (not degree[i]) + (not degree[j])
+            degree[i] += 1
+            degree[j] += 1
+            rec(e + 1, count + 1, mask | 1 << e, covered + newly)
+            degree[i] -= 1
+            degree[j] -= 1
+            _split(parent, parity, cyclic, undo)
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     results.sort()
     return tuple(results)
 

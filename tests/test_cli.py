@@ -370,6 +370,15 @@ def test_compute_upper_not_a_list_exits_2(tmp_path, capsys):
     assert err == "error: cannot parse metric: upper must be a list\n"
 
 
+def test_compute_deeply_nested_metric_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse metric: metric JSON is nested too deeply\n"
+
+
 def test_compute_negative_n_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": -5, "upper": ["1"] * 15}))

@@ -25,6 +25,8 @@ from tightspan.graphs import (
     parse_edge_list,
     star_graph,
 )
+from tightspan.matching import is_cell_oddpath
+from tightspan.metrics import gen_dmax
 from tightspan.subdivision import candidate_graphs
 
 
@@ -129,6 +131,38 @@ def test_odd_path_sum_many_fixtures_agree_with_heights():
                         assert odd_path_sum(d, G, v, w) == lam[v - 1] + lam[w - 1]
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_union_find_callers_match_component_walk_on_every_graph(n):
+    # every edge subset of K_n, not only the n-edge spanning ones; K_6 is the
+    # first to hold two disjoint odd cycles, which one more edge must not join
+    d = gen_dmax(n)
+    for mask in range(1 << num_pairs(n)):
+        G = EdgeGraph(n, mask)
+        decomp = components(G)
+        comps = decomp.components
+        assert has_even_tour(G) == any(
+            c.cycle_dim >= 2 or c.cycle_parity == "even" for c in comps
+        )
+        cell = (
+            not decomp.isolated
+            and len(comps) == 1
+            and comps[0].edge_count == n
+            and comps[0].cycle_parity == "odd"
+        )
+        # a non-edge, so that only the graph precondition can refuse the call
+        v, w = next(
+            ((i, j) for i, j in pair_table(n) if not G.has_edge(i, j)), (1, 2)
+        )
+        if cell:
+            odd_path_sum(d, G, v, w)
+            is_cell_oddpath(d, G)
+        else:
+            with pytest.raises(PreconditionViolated):
+                odd_path_sum(d, G, v, w)
+            with pytest.raises(PreconditionViolated):
+                is_cell_oddpath(d, G)
+
+
 def test_odd_path_sum_preconditions():
     d = metric("4points")
     G = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
@@ -177,7 +211,7 @@ def test_cell_volume_against_determinant(n):
 
 def test_candidates_are_exactly_the_independent_spanning_graphs():
     # cross-check the pruned generator against brute force at small n
-    for n in (4, 5):
+    for n in (4, 5, 6):
         pairs = pair_table(n)
         brute = set()
         for combo in spanning_subgraph_masks(n, n):

@@ -241,6 +241,22 @@ def test_json_rejects_a_negative_n():
         metric_from_json('{"n": -5, "upper": [%s]}' % ", ".join(['"1"'] * 15))
 
 
+@pytest.mark.parametrize("template", ["%s", '{"n": 3, "upper": %s}'], ids=["top", "upper"])
+def test_json_rejects_deep_nesting(template):
+    # the decoder's RecursionError must not escape as a traceback
+    with pytest.raises(ValueError, match="nested too deeply"):
+        metric_from_json(template % ("[" * 100_000 + "]" * 100_000))
+
+
+@pytest.mark.parametrize(
+    "entry", ["1_0", "\u0661", "3/ 4"], ids=["underscore", "arabic-indic", "space"]
+)
+def test_json_rejects_entries_int_would_read(entry):
+    # int() takes "1_0" as 10, an Arabic-Indic one as 1 and " 4" as 4
+    with pytest.raises(ValueError, match="not a rational"):
+        metric_from_json('{"n": 3, "upper": ["%s", "1", "1"]}' % entry)
+
+
 @pytest.mark.parametrize(
     "upper",
     ['"123"', "5", '{"2": "a", "3": "b", "4": "c"}', "null"],
