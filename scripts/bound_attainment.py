@@ -7,13 +7,18 @@ Usage:
 For each n up to the cap, prints the bound row F_k(n), the tight-span
 f-vectors of the two extremal families, and which entries are attained.
 compute_subdivision traverses the ridges from one LP seed cell at every n.
+
+Exits 4, after one `error:` line on stderr per miss, when the max family
+misses some F_k(n) or the min family's top-face count differs from
+lower_bound_top(n): the paper's bounds are attained there, so a miss is a
+bug.
 """
 
 import argparse
 import sys
 import time
 
-from tightspan.bounds import F_bound, verify_metric_against_bounds
+from tightspan.bounds import F_bound, lower_bound_top, verify_metric_against_bounds
 from tightspan.facevectors import face_report
 from tightspan.metrics import gen_dmax, gen_dmin
 from tightspan.subdivision import compute_subdivision
@@ -24,6 +29,7 @@ def main() -> int:
     ap.add_argument("--n-max", type=int, default=8)
     args = ap.parse_args()
 
+    misses = []
     for n in range(4, args.n_max + 1):
         bounds = [F_bound(n, k) for k in range(n // 2 + 1)]
         print(f"n = {n}")
@@ -43,7 +49,16 @@ def main() -> int:
                     f"  {'':<15}  top faces {rep.top_count}"
                     f" vs guaranteed {rep.top_lower_bound}"
                 )
-    return 0
+            if gen is gen_dmax and not rep.all_f_attained:
+                misses.append(f"dmax{n} misses F_k({n}): fT = {list(tv.fT)}")
+            if gen is gen_dmin and rep.top_count != lower_bound_top(n):
+                misses.append(
+                    f"dmin{n} has top count {rep.top_count} at dim {rep.dim},"
+                    f" guaranteed {lower_bound_top(n)} at dim {rep.dim_low}"
+                )
+    for miss in misses:
+        print(f"error: {miss}", file=sys.stderr)
+    return 4 if misses else 0
 
 
 if __name__ == "__main__":

@@ -56,6 +56,47 @@ def pivot(T: list[list[int]], r: int, c: int, scale: int) -> int:
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
+# digits per piece below CPython's default int <-> str limit of 4,300 digits
+_PIECE = 4000
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) for a validated decimal string, past the int <-> str digit limit.
+
+    Longer strings are split in halves, so no conversion meets the limit and
+    the interpreter-wide setting stays as it is.
+    """
+    if len(digits) <= _PIECE:
+        return int(digits)
+    if digits[0] in "+-":
+        value = _int_of(digits[1:])
+        return -value if digits[0] == "-" else value
+    k = len(digits) // 2
+    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
+def _str_of(x: int) -> str:
+    """str(x), past the int <-> str digit limit by splitting x in decimal halves."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _str_of(-x)
+    k = x.bit_length() * 3 // 20  # about half of x's decimal digits
+    high, low = divmod(x, 10**k)
+    return _str_of(high) + _str_of(low).zfill(k)
+
+
+# characters of a bad entry's repr that its error message quotes
+_QUOTED = 60
+
+
+def _quote(value: object) -> str:
+    """repr(value) for an error message, cut to a fixed-length prefix."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from "p/q" or "p" strings or int; floats are rejected."""
@@ -70,24 +111,24 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
-            raise ValueError(f"floating-point literal rejected: {value!r}")
+            raise ValueError(f"floating-point literal rejected: {_quote(value)}")
         # ASCII digits only: int() would also take "1_0" and non-ASCII digits
         match = _RATIONAL.fullmatch(text)
         if match:
             num, den = match.groups()
             if den is None:
-                return Fraction(int(num))
-            if int(den) == 0:
-                raise ValueError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
-    raise ValueError(f"not a rational: {value!r}")
+                return Fraction(_int_of(num))
+            if _int_of(den) == 0:
+                raise ValueError(f"zero denominator: {_quote(value)}")
+            return Fraction(_int_of(num), _int_of(den))
+    raise ValueError(f"not a rational: {_quote(value)}")
 
 
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" text, plain "p" for integers."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _str_of(q.numerator)
+    return f"{_str_of(q.numerator)}/{_str_of(q.denominator)}"
 
 
 @dataclass(frozen=True)

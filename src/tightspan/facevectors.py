@@ -12,14 +12,18 @@ every node whose corner simplex survives (all n of them for generic input).
 The tight-span h-vector comes from the out-degree transform, inverted here
 by binomial inversion.
 
-face_report derives all of these once per generic subdivision, from one
-face closure, into a FaceReport; the checks, the CLI report, the verify
-suites and the primal crosscheck all read that record.
+face_report derives all of these once per generic subdivision into a
+FaceReport, counting the faces from the histogram of the cells' down degrees
+(down_degrees) without listing one; the checks, the CLI report, the verify
+suites and the primal crosscheck all read that record.  Its face listing
+(all_faces) is built on first read, for the face export, the primal face
+bijection and the inductive step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -28,7 +32,7 @@ from .common import Verdict
 from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
 from .graphs import node_edge_masks
 from .metrics import Metric, strict_triangle_nodes
-from .subdivision import FaceSet, Subdivision, all_faces
+from .subdivision import DownDegrees, FaceSet, Subdivision, all_faces, down_degrees
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ def g_from_h(h: Sequence[int]) -> tuple[int, ...]:
     return (1,) + tuple(h[k] - h[k - 1] for k in range(1, len(h)))
 
 
-def split_interior_boundary(F: FaceSet) -> tuple[FVector, FVector, FVector]:
-    """(total, boundary, interior) face counts of a triangulated ball.
+def split_interior_boundary(F: FaceSet | DownDegrees) -> tuple[FVector, FVector, FVector]:
+    """(total, boundary, interior) face counts of a triangulated ball, listed or counted.
 
     The boundary complex has dimension n-2; the interior pseudo-vector keeps
     full length with empty count 0.
@@ -148,10 +152,11 @@ class FaceReport:
     f, f_boundary and f_interior are the ball, its boundary sphere and its
     interior (split_interior_boundary); h, h_boundary and h_interior their
     h-vectors; g_boundary the boundary g-vector; span the tight-span
-    vectors.  The checks and every report read these fields.
+    vectors.  The checks and every report read these fields; faces, the
+    listing of every face, is built from the subdivision on first read.
     """
 
-    faces: FaceSet
+    subdivision: Subdivision
     f: FVector
     f_boundary: FVector
     f_interior: FVector
@@ -161,16 +166,19 @@ class FaceReport:
     g_boundary: tuple[int, ...]
     span: TightSpanVectors
 
+    @cached_property
+    def faces(self) -> FaceSet:
+        return all_faces(self.subdivision)
+
 
 def face_report(d: Metric, S: Subdivision) -> FaceReport:
-    """The face vectors of d's generic subdivision S, from one face closure."""
+    """The face vectors of d's generic subdivision S, from its down-degree histogram."""
     if not S.generic:
         raise NotGeneric("tight-span vectors are defined for generic metrics")
-    F = all_faces(S)
-    f, f_bd, f_int = split_interior_boundary(F)
+    f, f_bd, f_int = split_interior_boundary(down_degrees(S))
     h_bd = h_from_f(f_bd)
     return FaceReport(
-        F, f, f_bd, f_int, h_from_f(f), h_bd, h_from_f(f_int), g_from_h(h_bd),
+        S, f, f_bd, f_int, h_from_f(f), h_bd, h_from_f(f_int), g_from_h(h_bd),
         tightspan_vectors(d, f_int),
     )
 
@@ -196,7 +204,7 @@ def check_dehn_sommerville(h: Sequence[int]) -> Verdict:
 
 def check_ball_relations(rep: FaceReport) -> Verdict:
     """Ball-boundary identities g_k(bd) = h_k(B) - h_{n-k}(B) and h_{n-k}(B) = h_k(int)."""
-    n = rep.faces.n
+    n = rep.subdivision.n
     hB, h_int, g_bd = rep.h, rep.h_interior, rep.g_boundary
     for k in range(n):
         if g_bd[k] != hB[k] - hB[n - k]:
@@ -232,7 +240,7 @@ def check_asff(rep: FaceReport) -> AsffReport:
     n for odd n; and the boundary determines f (odd n exactly, even n up to
     the single h_(n/2) entry).
     """
-    n = rep.faces.n
+    n = rep.subdivision.n
     floor_dim = (n - 1) // 2
     interior = rep.f_interior.counts
     min_int_dim = next((k for k, c in enumerate(interior) if c), n - 1)

@@ -25,9 +25,11 @@ traversal only its seed: each further cell, heights included, comes from a
 ridge pencil's ratio test.  Neither loop touches Fraction arithmetic;
 Fractions appear only in the certificates returned.
 
-all_faces walks the cells in ascending w.lambda at the seed weight, which
-ties no two adjacent cells, and builds each face exactly once from its
-lowest cell and each interior face exactly once from its highest cell.
+The cells, walked in ascending w.lambda at the seed weight, which ties no
+two adjacent cells, give each face once: from its lowest cell with every
+down edge, and each interior face from its highest cell with every up edge.
+down_degrees counts the faces from the histogram of the cells' down edges;
+all_faces lists them, for the face export and the test oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .common import format_rational, num_pairs, pair_index, pair_table
 from .errors import (
@@ -132,6 +134,40 @@ class FaceSet:
 
     def graphs(self, dim: int) -> tuple[EdgeGraph, ...]:
         return tuple(EdgeGraph(self.n, mask) for mask in self.by_dim[dim])
+
+
+@dataclass(frozen=True)
+class DownDegrees:
+    """Histogram of the cells' down degrees, and the face counts it gives.
+
+    histogram[j] cells have exactly j down edges in the walk of all_faces.
+    From such a cell all_faces builds C(n-j, k+1-j) k-faces (every down edge
+    and k+1-j of the n-j up edges) and C(j, k+1-n+j) interior k-faces (every
+    up edge and k+1-n+j down edges), so these sums are FaceSet's counts with
+    no face listed: the out-degree h-vector of a simple polytope (Kalai 1988;
+    Ziegler, Lectures on Polytopes, 8.3).
+    """
+
+    n: int
+    histogram: tuple[int, ...]
+
+    def face_counts(self) -> tuple[int, ...]:
+        n = self.n
+        return tuple(
+            sum(c * math.comb(n - j, k + 1 - j) for j, c in enumerate(self.histogram[: k + 2]))
+            for k in range(n)
+        )
+
+    def interior_counts(self) -> tuple[int, ...]:
+        n = self.n
+        return tuple(
+            sum(
+                c * math.comb(j, k + 1 - n + j)
+                for j, c in enumerate(self.histogram)
+                if j >= n - 1 - k
+            )
+            for k in range(n)
+        )
 
 
 # -- candidate pool ---------------------------------------------------------------
@@ -573,25 +609,21 @@ def compute_subdivision(d: Metric) -> Subdivision:
 # -- faces -----------------------------------------------------------------------
 
 
-def all_faces(S: Subdivision) -> FaceSet:
-    """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
+def _walk_edges(S: Subdivision) -> Iterator[tuple[list[int], list[int]]]:
+    """(down, up) edge bits of each cell of S, in ascending w.lambda at the seed weight.
 
     Cells are the vertices of the simple polyhedron dual to S, and the seed
     weight w, positive on its recession cone, ties no two adjacent cells in
-    w.lambda.  In ascending w.lambda, an edge e of a cell is down when the
-    ridge cell - e lies in an earlier cell, else up (boundary ridges too).
-    Each face is built exactly once, from its lowest cell with every down
-    edge, and each interior (bounded) face from its highest with every up edge.
+    w.lambda.  An edge e of a cell is down when the ridge cell - e lies in an
+    earlier cell, else up (boundary ridges too).
     """
     if not S.generic:
         raise NotATriangulation("face closure requires a generic subdivision")
-    n = S.n
-    w = [2 * _scaled_entries(S.metric)[1] * wi for wi in _seed_weight(n)]
+    w = [2 * _scaled_entries(S.metric)[1] * wi for wi in _seed_weight(S.n)]
 
     def height(cell: Cell) -> int:  # w.lambda at scale 2D, where heights are integers
         return sum(wi * h.numerator // h.denominator for wi, h in zip(w, cell.heights))
 
-    levels, interior = [[] for _ in range(n)], [[] for _ in range(n)]
     ridges: set[int] = set()
     for cell in sorted(S.maximal_cells, key=height):
         mask = cell.graph.bits
@@ -605,11 +637,32 @@ def all_faces(S: Subdivision) -> FaceSet:
             else:
                 ups.append(low)
                 ridges.add(mask ^ low)
+        yield downs, ups
+
+
+def all_faces(S: Subdivision) -> FaceSet:
+    """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
+
+    In _walk_edges' order, each face is built exactly once, from its lowest
+    cell with every down edge, and each interior (bounded) face from its
+    highest with every up edge.
+    """
+    n = S.n
+    levels, interior = [[] for _ in range(n)], [[] for _ in range(n)]
+    for downs, ups in _walk_edges(S):
         for kept, free, out in ((downs, ups, levels), (ups, downs, interior)):
             base = sum(kept)
             for r in range(0 if kept else 1, len(free) + 1):
                 out[len(kept) + r - 1].extend(map(sum, combinations(free, r), repeat(base)))
     return FaceSet(n, tuple(map(tuple, map(sorted, levels))), tuple(map(frozenset, interior)))
+
+
+def down_degrees(S: Subdivision) -> DownDegrees:
+    """The down-degree histogram of S's cells, by the walk of all_faces without its faces."""
+    histogram = [0] * (S.n + 1)
+    for downs, _ in _walk_edges(S):
+        histogram[len(downs)] += 1
+    return DownDegrees(S.n, tuple(histogram))
 
 
 def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

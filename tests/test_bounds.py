@@ -18,6 +18,7 @@ from tightspan.bounds import (
 )
 from tightspan.errors import BadArity, BoundViolated, OutOfRange
 from tightspan.facevectors import TightSpanVectors, face_report
+from tightspan.metrics import gen_dmax, gen_dmin
 from tightspan.subdivision import compute_subdivision
 
 
@@ -120,6 +121,20 @@ def test_bound_report_dmin():
     assert not rep.all_f_attained
     assert rep.dim == 2 == -(-6 // 3)
     assert rep.top_count == 15 == rep.top_lower_bound
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_extremal_families_attain_the_bounds(n):
+    # counted from the down-degree histogram, at sizes where listing every
+    # face is slow (4.2M faces at n = 13): dmax attains every F_k(n), dmin
+    # has the least dimension ceil(n/3) and the guaranteed count of top faces
+    reports = {}
+    for gen in (gen_dmax, gen_dmin):
+        d = gen(n)
+        reports[gen] = verify_metric_against_bounds(d, face_report(d, compute_subdivision(d)).span)
+    assert reports[gen_dmax].all_f_attained
+    low = reports[gen_dmin]
+    assert low.dim == -(-n // 3) and low.top_count == lower_bound_top(n)
 
 
 def test_bound_violation_raises():

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -23,6 +24,7 @@ from helpers import (
     metric,
 )
 from tightspan.cli import main
+from tightspan.common import parse_rational
 from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
@@ -186,6 +188,18 @@ def test_compute_builds_one_pipeline(name, tmp_path, capsys, monkeypatch):
         "split_interior_boundary": 1,
         "tightspan_vectors": 1,
     }
+
+
+@pytest.mark.parametrize("name", ["4points", "dmax-5"])
+def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
+    # a plain report counts its faces from the down-degree histogram
+    path = tmp_path / f"{name}.json"
+    path.write_text(metric_to_json(metric(name)))
+    calls = _count_calls(monkeypatch, ("subdivision.all_faces", "subdivision.down_degrees"))
+    assert main(["compute", str(path), "--no-timestamp"]) == 0
+    assert calls == {"down_degrees": 1}
+    assert main(["compute", str(path), "--no-timestamp", "--export-faces", str(tmp_path / "f")]) == 0
+    assert calls == {"down_degrees": 2, "all_faces": 1}
 
 
 @pytest.mark.parametrize("kind", ["dmax", "random"])
@@ -359,6 +373,38 @@ def test_compute_parse_error(tmp_path, capsys):
     assert main(["compute", str(zero)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot parse metric: ")
+
+
+def test_compute_bad_entry_error_is_short(tmp_path, capsys):
+    # the error quotes a fixed-length prefix of the entry, not its whole repr
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "upper": [[1] * 20_000, "1", "1"]}))
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) < 300
+    assert err.startswith("error: cannot parse metric: not a rational: [1, 1, 1")
+
+
+def test_compute_exports_cells_of_long_entries(tmp_path, capsys):
+    # 2,500-digit numerators and denominators parse, and the heights, with
+    # more digits than CPython converts by default, export and read back
+    rng = Random(2500)
+    upper = []
+    for base in (2, 3, 2, 2, 3, 2):  # the four-point metric, perturbed
+        den = rng.randrange(10**2499, 10**2500)
+        upper.append(f"{base * den + rng.randrange(den // 10)}/{den}")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 4, "upper": upper}))
+    cells = tmp_path / "cells.json"
+    assert main(["compute", str(path), "--no-timestamp", "--export-cells", str(cells)]) == 0
+    assert "generic: true" in capsys.readouterr().out
+    d = load_metric(str(path))
+    exported = json.loads(cells.read_text())["cells"]
+    assert len(exported) == 4
+    assert max(len(v) for cell in exported for v in cell["lambda"]) > 4300
+    for cell in exported:
+        lam = [parse_rational(v) for v in cell["lambda"]]
+        assert all(lam[i - 1] + lam[j - 1] == d.d(i, j) for i, j in cell["edges"])
 
 
 def test_compute_upper_not_a_list_exits_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from tightspan.common import pivot
+from tightspan.common import format_rational, parse_rational, pivot
 
 
 def _gauss_jordan(M, cols, step):
@@ -78,3 +78,16 @@ def test_pivot_matches_fraction_gauss_jordan(size):
         if rank == rows == cols:  # the solution of A x = b
             x = [Fraction(row[-1], scale) for row in T]
             assert all(sum(a * xi for a, xi in zip(row, x)) == bi for row, bi in zip(A, b))
+
+
+def test_rational_text_round_trip_past_the_digit_limit():
+    # 5,000-digit numerators and denominators, past CPython's default
+    # 4,300-digit limit on int <-> str conversion
+    rng = Random(5000)
+    num = rng.randrange(10**4999, 10**5000)
+    den = rng.randrange(10**4999, 10**5000) | 1
+    for q in (Fraction(num, den), Fraction(-num, 7), Fraction(num, 10**5000 + 1)):
+        assert parse_rational(format_rational(q)) == q
+    # the low half of a split keeps its leading zeros
+    assert format_rational(Fraction(10**5000 + 7)) == "1" + "0" * 4999 + "7"
+    assert parse_rational("-" + "9" * 5000) == 1 - 10**5000

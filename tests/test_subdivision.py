@@ -32,6 +32,7 @@ from tightspan.subdivision import (
     boundary_tags,
     candidate_graphs,
     compute_subdivision,
+    down_degrees,
     enumerate_cells,
     interleaved_cycle_graph,
     lambda_certificate,
@@ -619,6 +620,22 @@ def test_all_faces_equals_naive_closure_traversed(name):
     S = traverse_cells(d, seed_cell(d))
     F = all_faces(S)
     assert (F.by_dim, F.interior_by_dim) == naive_faces(S)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["4points"]
+    + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in range(4, 12)]
+    + ["hires-6.1", "hires-7.1", "hires-8.1", "hires-9.1", "hires-10.1", "hires-11.1"],
+)
+def test_down_degrees_count_the_listed_faces(name):
+    # the binomial sums over the down-degree histogram, which every report
+    # reads, equal the counts of the listing the face export writes
+    S = compute_subdivision(metric(name))
+    D, F = down_degrees(S), all_faces(S)
+    assert sum(D.histogram) == len(S.maximal_cells) and D.histogram[0] == 1
+    assert D.face_counts() == F.face_counts()
+    assert D.interior_counts() == F.interior_counts()
 
 
 def test_faces_closed_under_subgraphs():
