@@ -7,6 +7,9 @@ timestamp line, which --no-timestamp suppresses.
 `compute` takes its cells and verdict from compute_subdivision, the ridge
 traversal from one LP seed at every n, and every vector and check of a
 generic report from one FaceReport; text and JSON render the same ROWS.
+--export-cells writes subdivision_to_json, and --export-faces streams
+faces_to_json one face record at a time; both are template writers in the
+bytes of json.dumps(payload, indent=2) + "\n".
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
 --export-* or -o path, or a stdout closed by its reader), 3 non-generic
 input (with its witness) without --allow-degenerate, 4 failed check (also a
@@ -23,7 +26,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from typing import Iterator
 
 from .bounds import (
     BoundViolated,
@@ -56,6 +59,10 @@ from .metrics import (
 )
 from .primal import crosscheck
 from .subdivision import (
+    FaceSet,
+    _edge_bits,
+    _json_list,
+    _pair_texts,
     boundary_tags,
     compute_subdivision,
     random_generic_metrics,
@@ -175,26 +182,8 @@ def cmd_compute(args) -> int:
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
 
-    if args.export_faces:
-        F = rep.faces
-        faces_payload = {
-            "n": F.n,
-            "faces": {
-                str(k): [
-                    {
-                        "edges": [list(e) for e in graph.edges()],
-                        "interior": graph.bits in F.interior_by_dim[k],
-                        "facets": _facet_tags(F.n, graph.bits, F.interior_by_dim[k]),
-                    }
-                    for graph in F.graphs(k)
-                ]
-                for k in range(len(F.by_dim))
-            },
-        }
-        # streamed: json.dumps would hold the whole text and its pieces at once
-        chunks = chain(json.JSONEncoder(indent=2).iterencode(faces_payload), ["\n"])
-        if not _write(args.export_faces, chunks):
-            return 2
+    if args.export_faces and not _write(args.export_faces, faces_to_json(rep.faces)):
+        return 2
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
     return 0 if all(checks.values()) else 4
@@ -230,11 +219,50 @@ def _checks(d: Metric, rep: FaceReport, oracle: bool):
         yield "oracle", lambda: Verdict(crosscheck(d, rep).ok)
 
 
-def _facet_tags(n: int, mask: int, interior: frozenset) -> dict:
-    if mask in interior:
-        return {}
-    missed, centers = boundary_tags(n, mask)
-    return {"missed_nodes": list(missed), "star_centers": list(centers)}
+_FACE = """      {
+        "edges": [
+%s
+        ],
+        "interior": %s,
+        "facets": %s
+      }"""
+
+_FACETS = """{
+          "missed_nodes": %s,
+          "star_centers": %s
+        }"""
+
+
+def faces_to_json(F: FaceSet) -> Iterator[str]:
+    """The faces of F by dimension, with their tags, as indented JSON text.
+
+    One chunk per face record, so the text is never held whole.  A face
+    lists its edges, whether it is interior, and its facets: {} for an
+    interior face, else boundary_tags' missed nodes and star centers.  A
+    face has at least one edge, and F at least one level.
+    """
+    n = F.n
+    edge = _pair_texts(n, "          ")
+    node = ["            %d" % v for v in range(n + 1)]
+    yield '{\n  "n": %d,\n  "faces": {' % n
+    for k, (level, interior) in enumerate(zip(F.by_dim, F.interior_by_dim)):
+        yield '%s\n    "%d": %s' % ("," if k else "", k, "[" if level else "[]")
+        sep = "\n"
+        for mask in level:
+            edges = ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(mask)])
+            if mask in interior:
+                yield sep + _FACE % (edges, "true", "{}")
+            else:
+                missed, centers = boundary_tags(n, mask)
+                facets = _FACETS % (
+                    _json_list([node[v] for v in missed], "          "),
+                    _json_list([node[v] for v in centers], "          "),
+                )
+                yield sep + _FACE % (edges, "false", facets)
+            sep = ",\n"
+        if level:
+            yield "\n    ]"
+    yield "\n  }\n}\n"
 
 
 def cmd_gen(args) -> int:

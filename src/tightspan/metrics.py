@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .common import format_rational, num_pairs, pair_index, pair_table, parse_rational
+from .common import _int_of, format_rational, num_pairs, pair_index, pair_table, parse_rational
 from .common import Verdict
 from .errors import (
     AsymmetricInput,
@@ -265,7 +265,8 @@ def _reject_float(text: str) -> Fraction:
 
 def metric_from_json(text: str) -> Metric:
     try:
-        payload = json.loads(text, parse_float=_reject_float)
+        # integer literals convert past CPython's 4,300-digit limit, as strings do
+        payload = json.loads(text, parse_float=_reject_float, parse_int=_int_of)
     except RecursionError:
         raise ValueError("metric JSON is nested too deeply") from None
     if not isinstance(payload, dict) or "n" not in payload or "upper" not in payload:

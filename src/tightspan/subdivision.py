@@ -22,28 +22,38 @@ raises PreconditionViolated.  One classifier (_classify_scaled) reads the
 heights against d: the first equality or non-positive height as a pair, and
 whether it drops below d.  The filtration classifies every candidate, the
 traversal only its seed: each further cell, heights included, comes from a
-ridge pencil's ratio test.  Neither loop touches Fraction arithmetic;
-Fractions appear only in the certificates returned.
+ridge pencil's ratio test.  A Cell keeps these integers; Cell.heights builds
+their Fractions only when read (lambda_certificate's callers, the public
+API, the tests), and the degeneracy certificates carry Fractions.
 
-The cells, walked in ascending w.lambda at the seed weight, which ties no
-two adjacent cells, give each face once: from its lowest cell with every
-down edge, and each interior face from its highest cell with every up edge.
-down_degrees counts the faces from the histogram of the cells' down edges;
-all_faces lists them, for the face export and the test oracles.
+Each cell also keeps its down edges: those whose ridge it shares with a
+neighbour lower in w.lambda at the seed weight, which ties no two adjacent
+cells.  The traversal's pivot orients each interior ridge once, when both
+cells' heights are known; the test oracle (enumerate_cells) and
+restrict_to_facet orient theirs independently, by comparing w.lambda over
+a map of ridges to cells.  Each face is then built once: from its lowest
+cell with every down edge, and each interior face from its highest cell
+with every up edge.  down_degrees counts the faces from the histogram of
+the cells' down edges; all_faces lists them, for the face export and the
+test oracles.
+
+subdivision_to_json writes the cell export from %-templates, in the bytes
+of json.dumps(payload, indent=2) + "\n", each height printed as p/q from
+its integer by one gcd; the face export in cli.py shares its helpers.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
-from typing import Iterator, Optional, Sequence
+from operator import mul
+from typing import Optional, Sequence
 
-from .common import format_rational, num_pairs, pair_index, pair_table
+from .common import _str_of, num_pairs, pair_index, pair_table
 from .errors import (
     DegenerateRidge,
     NotATriangulation,
@@ -67,10 +77,23 @@ from .metrics import Metric, submetric
 
 @dataclass(frozen=True)
 class Cell:
-    """Maximal cell: spanning odd-unicyclic graph plus its exact height certificate."""
+    """Maximal cell: spanning odd-unicyclic graph, its heights and its down edges.
+
+    lam holds the heights as integers over scale (twice the common entry
+    denominator); heights gives them as Fractions, built on first read.
+    down holds the bits of the edges whose ridge the cell shares with a
+    neighbour lower in w.lambda at the seed weight; it is None for a cell of
+    lambda_certificate, which knows no neighbour.
+    """
 
     graph: EdgeGraph
-    heights: tuple[Fraction, ...]
+    lam: tuple[int, ...]
+    scale: int
+    down: Optional[int] = None
+
+    @cached_property
+    def heights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.lam)
 
     @cached_property
     def volume(self) -> int:
@@ -140,11 +163,11 @@ class FaceSet:
 class DownDegrees:
     """Histogram of the cells' down degrees, and the face counts it gives.
 
-    histogram[j] cells have exactly j down edges in the walk of all_faces.
-    From such a cell all_faces builds C(n-j, k+1-j) k-faces (every down edge
-    and k+1-j of the n-j up edges) and C(j, k+1-n+j) interior k-faces (every
-    up edge and k+1-n+j down edges), so these sums are FaceSet's counts with
-    no face listed: the out-degree h-vector of a simple polytope (Kalai 1988;
+    histogram[j] cells have exactly j down edges (Cell.down).  From such a
+    cell all_faces builds C(n-j, k+1-j) k-faces (every down edge and k+1-j of
+    the n-j up edges) and C(j, k+1-n+j) interior k-faces (every up edge and
+    k+1-n+j down edges), so these sums are FaceSet's counts with no face
+    listed: the out-degree h-vector of a simple polytope (Kalai 1988;
     Ziegler, Lectures on Polytopes, 8.3).
     """
 
@@ -353,16 +376,43 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
     return kept, witnesses
 
 
-def _subdivision(d: Metric, D: int, kept: list, witnesses: list) -> Subdivision:
-    """Cells sorted by mask, with heights over 2D; the witness of least mask."""
+def _subdivision(d: Metric, D: int, kept: list, down: dict, witnesses: list) -> Subdivision:
+    """Cells sorted by mask, with heights over 2D and down edges; the witness of least mask."""
     n = d.n
     mask, pair = min(witnesses, default=(0, None))
     witness = None if pair is None else (EdgeGraph(n, mask), pair)
     cells = tuple(
-        Cell(EdgeGraph(n, mask), tuple(Fraction(v, 2 * D) for v in lam))
+        Cell(EdgeGraph(n, mask), tuple(lam), 2 * D, down[mask])
         for mask, lam in sorted(kept, key=lambda kv: kv[0])
     )
     return Subdivision(n, d, cells, witness is None, witness)
+
+
+def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
+    """Down edges of each (mask, scaled heights) cell, from a map of ridges to cells.
+
+    Of the two cells of an interior ridge, the one higher in w.lambda at the
+    seed weight gets the ridge's edge as a down edge.  The enumeration and
+    the facet restriction orient their cells this way; the traversal's
+    pivots orient its cells on their own.
+    """
+    w = _seed_weight(n)
+    level = {mask: sum(map(mul, w, lam)) for mask, lam in kept}
+    down = dict.fromkeys(level, 0)
+    ridges: dict[int, int] = {}
+    for mask in level:
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            other = ridges.setdefault(mask ^ low, mask)
+            if other == mask:
+                continue
+            if level[other] < level[mask]:
+                down[mask] |= low
+            else:
+                down[other] |= other ^ mask ^ low
+    return down
 
 
 # -- public certificate API -------------------------------------------------------
@@ -388,12 +438,10 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     _require_candidate(d, G)
     dnum, D = _scaled_entries(d)
     lam, pair, below = _classify_scaled(G.n, G.bits, dnum)
+    if not below and (pair is None or pair[0] == pair[1]):
+        return Cell(G, tuple(lam), 2 * D)
     heights = tuple(Fraction(v, 2 * D) for v in lam)
-    if below:
-        return NotACell(G, pair, heights)
-    if pair is None or pair[0] == pair[1]:
-        return Cell(G, heights)
-    return DegeneracyReport(G, pair, heights)
+    return NotACell(G, pair, heights) if below else DegeneracyReport(G, pair, heights)
 
 
 def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
@@ -424,7 +472,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
                 witnesses.extend(part_wit)
     else:
         kept, witnesses = _classify_chunk(n, dnum, pool)
-    sub = _subdivision(d, D, kept, witnesses)
+    sub = _subdivision(d, D, kept, _ridge_orientation(n, kept), witnesses)
     if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
         raise NotATriangulation(
             f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}"
@@ -531,10 +579,14 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     once, from the first of its two cells to be reached, and the ratio test
     gives the neighbour with its heights; a tie on the far side raises with
     its witness, and the near side needs no test, as the current cell is
-    strict.  Matches enumerate_cells on every generic input; scales to sizes
-    where exhaustive filtration is out of reach.  A cell with a height that
-    is not positive is kept and makes the result non-generic, with the
-    (i, i) witness of its first such node, as in enumerate_cells.
+    strict.  The pivot also orients the ridge, as both cells' heights are
+    then known: the neighbour is lower in w.lambda at the seed weight exactly
+    when w.(nlam - lam) < 0, and the higher cell's edge across the ridge is
+    down.  Boundary ridges are up.  Matches enumerate_cells, down edges
+    included, on every generic input; scales to sizes where exhaustive
+    filtration is out of reach.  A cell with a height that is not positive is
+    kept and makes the result non-generic, with the (i, i) witness of its
+    first such node, as in enumerate_cells.
     """
     n = d.n
     G = seed.graph
@@ -546,7 +598,10 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     if not kept:
         raise SeedInvalid("seed graph carries no strict certificate")
 
+    w = _seed_weight(n)
     components = {G.bits: c}
+    level = {G.bits: sum(map(mul, w, kept[0][1]))}  # w.lambda at scale 2D
+    down = {G.bits: 0}
     pivoted: set[int] = set()
     frontier = deque(kept)
     while frontier:
@@ -561,20 +616,25 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
             pivoted.add(rmask)
             entering, nlam = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, lam)
             nmask = rmask | 1 << entering
-            if nmask in components:
-                continue
-            # only a broken ratio test leaves the candidates
-            c = cell_components(n, nmask)
-            if c is None:
-                raise PreconditionViolated("ridge pivot entered a non-candidate mask")
-            corner = _corner(nlam)
-            if corner is not None:
-                witnesses.append((nmask, corner))
-            kept.append((nmask, nlam))
-            components[nmask] = c
-            frontier.append((nmask, nlam))
+            if nmask not in components:
+                # only a broken ratio test leaves the candidates
+                c = cell_components(n, nmask)
+                if c is None:
+                    raise PreconditionViolated("ridge pivot entered a non-candidate mask")
+                corner = _corner(nlam)
+                if corner is not None:
+                    witnesses.append((nmask, corner))
+                kept.append((nmask, nlam))
+                components[nmask] = c
+                level[nmask] = sum(map(mul, w, nlam))
+                down[nmask] = 0
+                frontier.append((nmask, nlam))
+            if level[nmask] < level[mask]:
+                down[mask] |= low
+            else:
+                down[nmask] |= 1 << entering
 
-    sub = _subdivision(d, D, kept, witnesses)
+    sub = _subdivision(d, D, kept, down, witnesses)
     for cell in sub.maximal_cells:  # the guard's count c fills Cell.volume's cache
         object.__setattr__(cell, "volume", 1 << components[cell.graph.bits] - 1)
     if sub.total_volume != (1 << (n - 1)) - n:
@@ -603,53 +663,52 @@ def compute_subdivision(d: Metric) -> Subdivision:
             graph, pair = exc.witness
     else:
         graph, pair = seed.graph, seed.pair
-    return _subdivision(d, 1, [], [(graph.bits, pair)])
+    return _subdivision(d, 1, [], {}, [(graph.bits, pair)])
 
 
 # -- faces -----------------------------------------------------------------------
 
 
-def _walk_edges(S: Subdivision) -> Iterator[tuple[list[int], list[int]]]:
-    """(down, up) edge bits of each cell of S, in ascending w.lambda at the seed weight.
+def _down_masks(S: Subdivision) -> list[int]:
+    """The down-edge mask of each cell of the generic subdivision S.
 
     Cells are the vertices of the simple polyhedron dual to S, and the seed
     weight w, positive on its recession cone, ties no two adjacent cells in
-    w.lambda.  An edge e of a cell is down when the ridge cell - e lies in an
-    earlier cell, else up (boundary ridges too).
+    w.lambda.  An edge of a cell is down when its ridge lies in a lower cell,
+    else up (boundary ridges too).  A cell of lambda_certificate carries no
+    orientation and is refused.
     """
     if not S.generic:
         raise NotATriangulation("face closure requires a generic subdivision")
-    w = [2 * _scaled_entries(S.metric)[1] * wi for wi in _seed_weight(S.n)]
+    downs = [cell.down for cell in S.maximal_cells]
+    if None in downs:
+        raise PreconditionViolated(
+            "face closure needs the down edges of a subdivision's cells;"
+            " a cell of lambda_certificate has none"
+        )
+    return downs
 
-    def height(cell: Cell) -> int:  # w.lambda at scale 2D, where heights are integers
-        return sum(wi * h.numerator // h.denominator for wi, h in zip(w, cell.heights))
 
-    ridges: set[int] = set()
-    for cell in sorted(S.maximal_cells, key=height):
-        mask = cell.graph.bits
-        downs, ups = [], []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            if mask ^ low in ridges:
-                downs.append(low)
-            else:
-                ups.append(low)
-                ridges.add(mask ^ low)
-        yield downs, ups
+def _edge_bits(mask: int) -> list[int]:
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
 
 
 def all_faces(S: Subdivision) -> FaceSet:
     """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
 
-    In _walk_edges' order, each face is built exactly once, from its lowest
-    cell with every down edge, and each interior (bounded) face from its
-    highest with every up edge.
+    Each face is built exactly once, from its lowest cell in w.lambda with
+    every down edge, and each interior (bounded) face from its highest with
+    every up edge.
     """
     n = S.n
     levels, interior = [[] for _ in range(n)], [[] for _ in range(n)]
-    for downs, ups in _walk_edges(S):
+    for cell, down in zip(S.maximal_cells, _down_masks(S)):
+        downs, ups = _edge_bits(down), _edge_bits(cell.graph.bits ^ down)
         for kept, free, out in ((downs, ups, levels), (ups, downs, interior)):
             base = sum(kept)
             for r in range(0 if kept else 1, len(free) + 1):
@@ -658,10 +717,10 @@ def all_faces(S: Subdivision) -> FaceSet:
 
 
 def down_degrees(S: Subdivision) -> DownDegrees:
-    """The down-degree histogram of S's cells, by the walk of all_faces without its faces."""
+    """The histogram of the number of down edges of S's cells, no face listed."""
     histogram = [0] * (S.n + 1)
-    for downs, _ in _walk_edges(S):
-        histogram[len(downs)] += 1
+    for down in _down_masks(S):
+        histogram[down.bit_count()] += 1
     return DownDegrees(S.n, tuple(histogram))
 
 
@@ -678,7 +737,11 @@ def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def restrict_to_facet(S: Subdivision, i: int) -> Subdivision:
-    """Subdivision induced on the hypersimplex facet x_i = 0, relabeled to 1..n-1."""
+    """Subdivision induced on the hypersimplex facet x_i = 0, relabeled to 1..n-1.
+
+    Its cells are lambda_certificate's for the submetric, oriented by the
+    ridge map of _ridge_orientation.
+    """
     if S.n < 5:
         raise NotSupported("facet restriction needs n >= 5")
     if not S.generic:
@@ -690,7 +753,7 @@ def restrict_to_facet(S: Subdivision, i: int) -> Subdivision:
         return v if v < i else v - 1
 
     seen = set()
-    cells = []
+    kept = []
     for cell in S.maximal_cells:
         deg = cell.graph.degrees()
         if deg[i - 1] != 1:
@@ -705,9 +768,9 @@ def restrict_to_facet(S: Subdivision, i: int) -> Subdivision:
         cert = lambda_certificate(dsub, G)
         if not isinstance(cert, Cell):
             raise NotATriangulation("restricted cell lost its strict certificate")
-        cells.append(cert)
-    cells.sort(key=lambda c: c.graph.bits)
-    sub = Subdivision(n - 1, dsub, tuple(cells), True, None)
+        kept.append((G.bits, cert.lam))
+    _, D = _scaled_entries(dsub)
+    sub = _subdivision(dsub, D, kept, _ridge_orientation(n - 1, kept), [])
     if sub.total_volume != (1 << (n - 2)) - (n - 1):
         raise NotATriangulation("facet restriction does not triangulate the facet")
     return sub
@@ -737,25 +800,73 @@ def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]
 
 
 # -- export ------------------------------------------------------------------------
+#
+# Both exports, the cells here and the faces in cli.py, are written from
+# %-templates in the bytes of json.dumps(payload, indent=2) + "\n": two
+# spaces a level, one item a line, an empty list as [] and an empty object
+# as {}.
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """A JSON list of items already indented one level below pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+def _pair_texts(n: int, pad: str) -> list[str]:
+    """Each pair (i, j) of pair_table as the JSON list [i, j] at indent pad."""
+    return ["%s[\n%s  %d,\n%s  %d\n%s]" % (pad, pad, i, pad, j, pad) for i, j in pair_table(n)]
+
+
+def _height_text(v: int, scale: int) -> str:
+    """v/scale as format_rational prints it, reduced by one gcd."""
+    g = math.gcd(v, scale)
+    if g == scale:
+        return _str_of(v // g)
+    return _str_of(v // g) + "/" + _str_of(scale // g)
+
+
+_CELL = """    {
+      "edges": [
+%s
+      ],
+      "lambda": [
+%s
+      ],
+      "volume": %d
+    }"""
 
 
 def subdivision_to_json(S: Subdivision) -> str:
-    payload = {
-        "n": S.n,
-        "generic": S.generic,
-        "cells": [
-            {
-                "edges": [list(e) for e in cell.graph.edges()],
-                "lambda": [format_rational(v) for v in cell.heights],
-                "volume": cell.volume,
-            }
-            for cell in S.maximal_cells
-        ],
-    }
+    """The cells of S (edges, heights, volume) and its witness, as indented JSON text.
+
+    Each height prints as "p/q" straight from its integer over the cell's
+    scale.  A cell has n edges and n heights, so neither list is empty.  The
+    records are joined once, so the text is held twice at most.
+    """
+    edge = _pair_texts(S.n, "        ")
+    parts = ['{\n  "n": %d,\n  "generic": %s,\n  "cells": ' % (S.n, "true" if S.generic else "false")]
+    sep = "[\n"
+    for cell in S.maximal_cells:
+        parts.append(sep)
+        parts.append(
+            _CELL
+            % (
+                ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(cell.graph.bits)]),
+                ",\n".join(['        "%s"' % _height_text(v, cell.scale) for v in cell.lam]),
+                cell.volume,
+            )
+        )
+        sep = ",\n"
+    parts.append("\n  ]" if S.maximal_cells else "[]")
     if S.degeneracy_witness is not None:
-        graph, pair = S.degeneracy_witness
-        payload["witness"] = {
-            "graph": [list(e) for e in graph.edges()],
-            "pair": list(pair),
-        }
-    return json.dumps(payload, indent=2) + "\n"
+        graph, (i, j) = S.degeneracy_witness
+        edge = _pair_texts(S.n, "      ")
+        edges = [edge[b.bit_length() - 1] for b in _edge_bits(graph.bits)]
+        parts.append(
+            ',\n  "witness": {\n    "graph": %s,\n    "pair": [\n      %d,\n      %d\n    ]\n  }'
+            % (_json_list(edges, "    "), i, j)
+        )
+    parts.append("\n}\n")
+    return "".join(parts)

@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from random import Random
 
 import tightspan.matching as matching
 import tightspan.subdivision as sd
-from tightspan.common import num_pairs, pair_table
+from tightspan.common import format_rational, num_pairs, pair_table, parse_rational
 from tightspan.facevectors import FaceReport, face_report
 from tightspan.graphs import EdgeGraph, LoopyGraph, cell_components
-from tightspan.metrics import Metric, gen_dmax, gen_dmin, gen_random, validate_metric
+from tightspan.metrics import (
+    Metric,
+    gen_dmax,
+    gen_dmin,
+    gen_random,
+    metric_from_upper,
+    validate_metric,
+)
 from tightspan.primal import PrimalVertex, _constraints, _eliminate
 from tightspan.subdivision import (
     DegeneracyReport,
     FaceSet,
     Subdivision,
+    boundary_tags,
     enumerate_cells,
     lambda_certificate,
 )
@@ -27,11 +37,23 @@ FOUR_POINTS = [[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]]
 IDEAL_FOUR = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
 
 
+def long_upper() -> list[str]:
+    """The four-point metric perturbed by 2,500-digit numerators and denominators."""
+    rng = Random(2500)
+    upper = []
+    for base in (2, 3, 2, 2, 3, 2):
+        den = rng.randrange(10**2499, 10**2500)
+        upper.append(f"{base * den + rng.randrange(den // 10)}/{den}")
+    return upper
+
+
 @lru_cache(maxsize=None)
 def metric(name: str) -> Metric:
     kind, _, arg = name.partition("-")
     if kind == "4points":
         return validate_metric(FOUR_POINTS)
+    if kind == "long":
+        return metric_from_upper(4, tuple(map(parse_rational, long_upper())))
     if kind == "ideal":
         return validate_metric(IDEAL_FOUR)
     if kind == "dmax":
@@ -259,3 +281,56 @@ def vertices_by_bases(d: Metric) -> tuple[PrimalVertex, ...]:
         graph = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
         vertices.append(PrimalVertex(coords, graph, len(tight) == n))
     return tuple(vertices)
+
+
+def cells_json(S: Subdivision) -> str:
+    """The cell export as a payload through the json encoder: the writer's oracle.
+
+    Heights come from Cell.heights, the Fractions, not from the integers the
+    writer reads.
+    """
+    payload = {
+        "n": S.n,
+        "generic": S.generic,
+        "cells": [
+            {
+                "edges": [list(e) for e in cell.graph.edges()],
+                "lambda": [format_rational(v) for v in cell.heights],
+                "volume": cell.volume,
+            }
+            for cell in S.maximal_cells
+        ],
+    }
+    if S.degeneracy_witness is not None:
+        graph, pair = S.degeneracy_witness
+        payload["witness"] = {
+            "graph": [list(e) for e in graph.edges()],
+            "pair": list(pair),
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def faces_json(F: FaceSet) -> str:
+    """The face export as a payload through the json encoder: the writer's oracle."""
+
+    def facets(mask: int, interior: frozenset) -> dict:
+        if mask in interior:
+            return {}
+        missed, centers = boundary_tags(F.n, mask)
+        return {"missed_nodes": list(missed), "star_centers": list(centers)}
+
+    payload = {
+        "n": F.n,
+        "faces": {
+            str(k): [
+                {
+                    "edges": [list(e) for e in graph.edges()],
+                    "interior": graph.bits in F.interior_by_dim[k],
+                    "facets": facets(graph.bits, F.interior_by_dim[k]),
+                }
+                for graph in F.graphs(k)
+            ]
+            for k in range(len(F.by_dim))
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -10,7 +10,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from random import Random
 
 import pytest
 
@@ -21,6 +20,8 @@ from helpers import (
     assert_equality_witness,
     break_lp_support,
     break_ridge_pivot,
+    faces_json,
+    long_upper,
     metric,
 )
 from tightspan.cli import main
@@ -36,7 +37,7 @@ from tightspan.metrics import (
     metric_to_json,
     validate_metric,
 )
-from tightspan.subdivision import enumerate_cells
+from tightspan.subdivision import all_faces, compute_subdivision, enumerate_cells
 
 
 @pytest.fixture()
@@ -388,13 +389,8 @@ def test_compute_bad_entry_error_is_short(tmp_path, capsys):
 def test_compute_exports_cells_of_long_entries(tmp_path, capsys):
     # 2,500-digit numerators and denominators parse, and the heights, with
     # more digits than CPython converts by default, export and read back
-    rng = Random(2500)
-    upper = []
-    for base in (2, 3, 2, 2, 3, 2):  # the four-point metric, perturbed
-        den = rng.randrange(10**2499, 10**2500)
-        upper.append(f"{base * den + rng.randrange(den // 10)}/{den}")
     path = tmp_path / "long.json"
-    path.write_text(json.dumps({"n": 4, "upper": upper}))
+    path.write_text(json.dumps({"n": 4, "upper": long_upper()}))
     cells = tmp_path / "cells.json"
     assert main(["compute", str(path), "--no-timestamp", "--export-cells", str(cells)]) == 0
     assert "generic: true" in capsys.readouterr().out
@@ -405,6 +401,20 @@ def test_compute_exports_cells_of_long_entries(tmp_path, capsys):
     for cell in exported:
         lam = [parse_rational(v) for v in cell["lambda"]]
         assert all(lam[i - 1] + lam[j - 1] == d.d(i, j) for i, j in cell["edges"])
+
+
+def test_compute_reads_long_integer_literals(tmp_path, capsys):
+    # a bare integer literal past CPython's 4,300-digit limit reads as the
+    # same number written as a string does
+    path = tmp_path / "long.json"
+    reports = []
+    for entry in ("1" * 5000, '"' + "1" * 5000 + '"'):
+        path.write_text('{"n": 3, "upper": [%s, "1", "1"]}' % entry)
+        code = main(["compute", str(path), "--no-timestamp", "--format", "json"])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+    code, (out, err) = reports[0]
+    assert code != 2 and err == "" and json.loads(out)["n"] == 3
 
 
 def test_compute_upper_not_a_list_exits_2(tmp_path, capsys):
@@ -547,6 +557,14 @@ def test_compute_face_export_is_indented_json(four_points_file, tmp_path, capsys
     assert rc == 0
     text = fcs.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", ["4points"] + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in range(5, 8)]
+)
+def test_face_export_is_the_json_encoders_text(name):
+    F = all_faces(compute_subdivision(metric(name)))
+    assert "".join(cli.faces_to_json(F)) == faces_json(F)
 
 
 def test_verify_identities(capsys):

@@ -18,6 +18,7 @@ from tightspan.primal import (
     enumerate_vertices,
     h_by_outdegree,
 )
+from tightspan.subdivision import compute_subdivision, down_degrees
 
 
 def test_four_points_vertices():
@@ -183,6 +184,23 @@ def test_outdegree_h_partition():
     h = h_by_outdegree(d, poset=poset)
     assert sum(h) == len(poset.vertices)
     assert h[0] == 1  # unique minimal vertex under a positive objective
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["4points"]
+    + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in (4, 5, 6)]
+    + ["rand-5.1", "rand-6.1"],
+)
+def test_outdegree_h_is_the_down_degree_histogram(name):
+    # the primal polyhedron's vertices are the cells and the corner vertices
+    # of the n glued simplices (all n for a generic metric); gluing a simplex
+    # along one facet adds 1 to h_1, so the out-degree h-vector is the
+    # histogram of the cells' down edges plus n at index 1
+    d = metric(name)
+    histogram = list(down_degrees(compute_subdivision(d)).histogram)
+    histogram[1] += d.n
+    assert h_by_outdegree(d) == tuple(histogram)
 
 
 def test_outdegree_refuses_non_simple():

@@ -9,6 +9,7 @@ from helpers import (
     assert_equality_witness,
     break_lp_support,
     break_ridge_pivot,
+    cells_json,
     faces,
     metric,
     naive_faces,
@@ -514,12 +515,12 @@ def test_adjacent_cells_lie_on_one_pencil(name):
 
 def test_traverse_rejects_bad_seed():
     d = gen_dmax(4)
-    bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (Fraction(0),) * 4)
+    bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (0,) * 4, 2)
     with pytest.raises(SeedInvalid):
         traverse_cells(d, bad)
     not_a_cell = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
     with pytest.raises(SeedInvalid):
-        traverse_cells(d, Cell(not_a_cell, (Fraction(0),) * 4))
+        traverse_cells(d, Cell(not_a_cell, (0,) * 4, 2))
 
 
 def test_traverse_detects_ridge_tie_on_flat_metric():
@@ -700,6 +701,27 @@ def test_restriction_matches_submetric_n7():
     assert R.cell_graphs() == enumerate_cells(d_sub).cell_graphs()
 
 
+@pytest.mark.parametrize("name, i", [("dmax-6", 1), ("dmax-6", 3), ("dmax-6", 6), ("dmax-7", 4)])
+def test_restriction_is_oriented_like_its_own_subdivision(name, i):
+    # the restriction's cells come from lambda_certificate and are oriented
+    # by the ridge map; the report must equal the traversal's of the submetric
+    S = compute_subdivision(metric(name))
+    dsub = submetric(S.metric, [v for v in range(1, S.n + 1) if v != i])
+    R = restrict_to_facet(S, i)
+    assert face_report(dsub, R) == face_report(dsub, compute_subdivision(dsub))
+
+
+def test_face_closure_refuses_cells_without_down_edges():
+    # a cell of lambda_certificate knows no neighbour, so its down edges are
+    # unknown: counting it as a cell without down edges would be wrong
+    S = compute_subdivision(metric("4points"))
+    bare = tuple(lambda_certificate(S.metric, cell.graph) for cell in S.maximal_cells)
+    assert bare == tuple(replace(cell, down=None) for cell in S.maximal_cells)
+    for closure in (down_degrees, all_faces):
+        with pytest.raises(PreconditionViolated):
+            closure(replace(S, maximal_cells=bare))
+
+
 def test_restriction_f_vector_uniform():
     from tightspan.facevectors import induced_face_counts
 
@@ -737,6 +759,26 @@ def test_export_json_is_canonical():
     assert len(payload["cells"]) == 4
     assert payload["cells"][1]["lambda"] == ["3/2", "1/2", "3/2", "5/2"]
     assert subdivision_to_json(S) == subdivision_to_json(enumerate_cells(metric("4points")))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["4points", "ideal", "long"]
+    + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in range(4, 10)]
+    + ["hires-9.1"],
+)
+def test_cell_export_is_the_json_encoders_text(name):
+    # ideal has a zero height: its cells and a witness; long has heights of
+    # more digits than CPython converts by default
+    S = compute_subdivision(metric(name))
+    assert subdivision_to_json(S) == cells_json(S)
+
+
+def test_cell_export_of_a_ratio_tie_is_the_json_encoders_text():
+    # random-6.5 at resolution 100 ties in a ratio test: no cells, a witness
+    S = compute_subdivision(gen_random(6, 5, 100))
+    assert S.maximal_cells == () and S.degeneracy_witness is not None
+    assert subdivision_to_json(S) == cells_json(S)
 
 
 def test_candidate_pool_sizes():
