@@ -1,17 +1,14 @@
 """Independent ground truth from the tight-span polyhedron itself.
 
 The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
-x_i >= 0) is attacked head on: vertices by a depth-first walk over all
-bases, in which bases that share a prefix of constraints share its
-elimination (common.pivot) and a linearly dependent prefix is pruned with
-every basis through it.  One integer pass per full-rank leaf decides
-feasibility and yields the tight set as one bitmask over the constraint
-slots: the C(n,2) pairs in EdgeGraph bit order, then x_1 >= 0, ..., x_n >= 0.
-Bounded faces are the intersection closure of those masks, and the
-h-vector counts descending edges under a generic positive objective.
-Deliberately small and slow; it shares no heights, cells or traversal with
-the dual side, only the pivot step.  crosscheck holds it against the dual
-side's FaceReport, the record the CLI report prints.
+x_i >= 0) is attacked head on: its vertices by a walk over its feasible
+bases, one integer elimination (common.pivot) per basis, each tight set one
+bitmask over the constraint slots: the C(n,2) pairs in EdgeGraph bit order,
+then x_1 >= 0, ..., x_n >= 0.  Bounded faces are the intersection closure of
+those masks, and the h-vector counts descending edges under a generic
+positive objective.  It shares no heights, cells or traversal with the dual
+side, only the pivot step.  crosscheck holds it against the dual side's
+FaceReport, the record the CLI report prints.
 """
 
 from __future__ import annotations
@@ -99,75 +96,78 @@ def _constraints(d: Metric) -> tuple[list[tuple[int, ...]], list[Fraction]]:
 
 
 def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
-    """All vertices of the tight-span polyhedron by a depth-first walk over bases.
+    """All vertices of the tight-span polyhedron by a walk over its feasible bases.
 
-    The n-subsets of the constraints are visited in lexicographic order as a
-    tree of prefixes, so a prefix shared by many bases is eliminated once.
-    A node appends one constraint row r to its parent's table T = scale *
-    B^-1 [A | b], reduced first to scale*r - sum r[c_j]*T_j over the parent's
-    pivot columns c_j (det(B) times the Schur complement, so exact without
-    division), and makes one pivot on it.  A row that reduces to zero in the
-    first n columns makes the prefix singular, and its whole subtree is
-    skipped.  At a full-rank leaf one integer pass takes each constraint's
-    slack from the one or two numerators it touches: a negative slack rejects
-    the leaf, and the zero slacks make the vertex's tight set, one bitmask
-    over the constraint slots.  Fractions are built only for the vertices
-    kept.
+    The walk starts at the lexicographic minimum x_k = max(0, max_{j<k}
+    d(j,k) - x_j), feasible for any d.  Its basis takes for each k the row
+    x_k >= 0 where the max is 0, else a pair (j,k) that attains it: lower
+    triangular with a unit diagonal.  Each basis B is eliminated once, from
+    [B | I | b] to scale * [I | B^-1 | x].  Column l of B^-1 is the edge that
+    loosens basic row l and keeps the rest tight; along it a constraint's
+    rate is one or two of its entries, and its slack one or two numerators
+    of x.  Each row that blocks first (least slack / -rate by
+    cross-multiplying, zero steps included) replaces l in a neighbouring
+    feasible basis; an edge that nothing blocks is a ray.  The zero slacks
+    make the tight set, one bitmask over the constraint slots, so a
+    degenerate vertex is kept once.
+
+    Every vertex x* is reached: the rows of a basis of x* sum to an objective
+    that x* alone minimises, and Bland's rule leads the start to a basis of x*
+    without cycling, by min-ratio exchanges, all of which the walk takes
+    (Avis & Fukuda, "A pivoting algorithm for convex hulls and vertex
+    enumeration of arrangements and polyhedra", DCG 8, 1992).
     """
     n = d.n
     if n > 7:
         raise ScaleExceeded("vertex enumeration is capped at n = 7")
     rows, rhs = _constraints(d)
     denom = lcm(*(v.denominator for v in rhs))
-    rhs_int = [int(v * denom) for v in rhs]
-    m = len(rows)
-    # the numerators of constraint q at ends[q]; x_i >= 0 pairs x_i with a zero
-    # numerator kept at index n
+    b = [int(v * denom) for v in rhs]
+    # constraint q sums x at ends[q]; x_i >= 0 adds a zero kept at index n
     ends = [(i - 1, j - 1) for i, j in pair_table(n)] + [(i, n) for i in range(n)]
 
-    found: dict[tuple[Fraction, ...], int] = {}
+    x, start = [0] * n, []
+    for k in range(n):  # the lexicographic minimum and its basis
+        pairs = [(b[q] - x[i], q) for q, (i, j) in enumerate(ends) if j == k]
+        x[k], q = max([(0, num_pairs(n) + k)] + pairs)
+        start.append(q)
 
-    def tight_mask(num: list[int], p: int) -> Optional[int]:
-        mask = 0
-        for q, (i, j) in enumerate(ends):
-            slack = num[i] + num[j] - rhs_int[q] * p
-            if slack < 0:
-                return None
-            if not slack:
-                mask |= 1 << q
-        return mask
+    unit = [[int(k == l) for l in range(n)] for k in range(n)]
+    found: dict[int, tuple[Fraction, ...]] = {}
+    seen = {tuple(sorted(start))}
+    todo = list(seen)
+    while todo:
+        basis = todo.pop()
+        M = [list(rows[q]) + unit[k] + [b[q]] for k, q in enumerate(basis)]
+        p = _eliminate(M, n)[1]
+        if p < 0:
+            M = [[-v for v in row] for row in M]
+            p = -p
+        num = [row[-1] for row in M] + [0]  # x = num / (p * denom)
+        slack = [num[i] + num[j] - b[q] * p for q, (i, j) in enumerate(ends)]
+        mask = sum(1 << q for q, s in enumerate(slack) if not s)
+        if mask not in found:
+            found[mask] = tuple(Fraction(v, p * denom) for v in num[:n])
+        for k, leave in enumerate(basis):
+            u = [row[n + k] for row in M] + [0]
+            least, best, block = 1, 0, []  # least ratio least / best; 1 / 0 at first
+            for q, (i, j) in enumerate(ends):
+                fall = -u[i] - u[j]
+                if fall > 0:
+                    c = slack[q] * best - least * fall
+                    if c < 0:
+                        least, best, block = slack[q], fall, [q]
+                    elif not c:
+                        block.append(q)
+            for q in block:
+                nb = tuple(sorted([r for r in basis if r != leave] + [q]))
+                if nb not in seen:
+                    seen.add(nb)
+                    todo.append(nb)
 
-    def extend(T: list[list[int]], cols: list[int], scale: int, start: int) -> None:
-        k = len(T)
-        for i in range(start, m - n + k + 1):
-            r = [scale * a for a in rows[i]] + [scale * rhs_int[i]]
-            for row, c in zip(T, cols):
-                f = rows[i][c]
-                if f:
-                    r = [a - f * b for a, b in zip(r, row)]
-            c = next((c for c in range(n) if r[c]), None)
-            if c is None:
-                continue  # a dependent prefix: every basis through it is singular
-            child, child_cols = T + [r], cols + [c]
-            p = pivot(child, k, c, scale)
-            if k + 1 < n:
-                extend(child, child_cols, p, i + 1)
-                continue
-            # x = num / (p * denom)
-            num = [0] * (n + 1)
-            for row, col in zip(child, child_cols):
-                num[col] = row[n]
-            if p < 0:
-                num = [-v for v in num]
-                p = -p
-            mask = tight_mask(num, p)
-            if mask is not None:
-                found[tuple(Fraction(v, p * denom) for v in num[:n])] = mask
-
-    extend([], [], 1, 0)
     return tuple(
         PrimalVertex(coords, _loopy(n, mask), mask.bit_count() == n)
-        for coords, mask in sorted(found.items())
+        for mask, coords in sorted(found.items(), key=lambda item: item[1])
     )
 
 

@@ -9,7 +9,13 @@ from helpers import metric, rank_int, report, vertices_by_bases
 from tightspan.errors import NonSimple, ScaleExceeded
 from tightspan.facevectors import face_report
 from tightspan.graphs import EdgeGraph, LoopyGraph
-from tightspan.metrics import gen_dmax, gen_dmin, gen_random
+from tightspan.metrics import (
+    gen_dmax,
+    gen_dmin,
+    gen_random,
+    metric_from_upper,
+    validate_metric,
+)
 from tightspan.primal import (
     BoundedFace,
     OrientationSpec,
@@ -60,22 +66,8 @@ def test_vertices_equal_one_elimination_per_basis(d):
     assert enumerate_vertices(d) == vertices_by_bases(d)
 
 
-@pytest.mark.parametrize(
-    "d, non_simple",
-    [(metric("ideal"), 4), (metric("4points"), 0)]
-    + [(gen_random(6, s, 100), k) for s, k in ((1, 1), (4, 8))],
-    ids=["ideal", "4points", "coarse-6.1", "coarse-6.4"],
-)
-def test_degenerate_vertices_equal_one_elimination_per_basis(d, non_simple):
-    # a non-simple vertex is reached from several bases and kept once
-    vs = enumerate_vertices(d)
-    assert vs == vertices_by_bases(d)
-    assert sum(not v.simple for v in vs) == non_simple
-
-
-def test_walk_pivots_once_per_independent_prefix(monkeypatch):
-    # the n-subsets of the 21 constraints at n = 6 share 63,205 prefixes;
-    # 25,506 of them are dependent and pruned, each of the rest is one pivot
+def walk(monkeypatch, d):
+    """enumerate_vertices(d) and the number of bases it eliminates, n pivots each."""
     calls = []
     step = primal.pivot
 
@@ -84,8 +76,76 @@ def test_walk_pivots_once_per_independent_prefix(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(primal, "pivot", counted)
-    enumerate_vertices(gen_dmax(6))
-    assert len(calls) == 37699
+    vertices = enumerate_vertices(d)
+    monkeypatch.undo()
+    assert len(calls) % d.n == 0
+    return vertices, len(calls) // d.n
+
+
+def equal_metric(n):
+    return validate_metric([[int(i != j) for j in range(n)] for i in range(n)])
+
+
+def upper(n, entries):
+    return metric_from_upper(n, tuple(map(Fraction, entries)))
+
+
+NON_TRIANGLE = upper(5, (1, 5, 1, 2, 1, 3, 7, 1, 2, 1))  # d(1,3) > d(1,2) + d(2,3)
+NEGATIVE = upper(5, (3, -2, 0, 4, 5, 1, 2, 6, 3, 4))  # d(1,3) < 0 = d(1,4)
+RES20 = ((1, 5, 58), (2, 4, 147), (3, 5, 70))  # seed, non-simple vertices, bases
+
+
+@pytest.mark.parametrize(
+    "d, non_simple, bases",
+    [(metric("ideal"), 4, 16), (metric("4points"), 0, 8)]
+    + [(gen_random(6, s, 100), k, b) for s, k, b in ((1, 1, 35), (4, 8, 48))]
+    + [(equal_metric(5), 1, 167), (equal_metric(6), 1, 2536)]
+    + [(gen_random(6, s, 20), k, b) for s, k, b in RES20]
+    + [(NON_TRIANGLE, 2, 20), (NEGATIVE, 3, 25), (upper(6, (0,) * 15), 1, 1)],
+    ids=["ideal", "4points", "coarse-6.1", "coarse-6.4", "equal-5", "equal-6"]
+    + [f"res20-6.{s}" for s in (1, 2, 3)]
+    + ["non-triangle-5", "negative-5", "zero-6"],
+)
+def test_degenerate_vertices_equal_one_elimination_per_basis(
+    monkeypatch, d, non_simple, bases
+):
+    # a non-simple vertex is reached from several bases and kept once; on every
+    # input here but zero-6 the walk reaches each feasible n-subset of the
+    # constraints, as many as the exhaustive reference solves, and a walk
+    # that followed only one of several tied blocking rows would reach fewer.
+    # At zero-6 every edge of the start basis is a ray, and its one vertex is
+    # the start.
+    vs, walked = walk(monkeypatch, d)
+    assert vs == vertices_by_bases(d)
+    assert sum(not v.simple for v in vs) == non_simple
+    assert walked == bases
+
+
+@pytest.mark.parametrize(
+    "d, vertices, bases",
+    [(gen_dmax(6), 32, 32), (gen_dmin(6), 31, 31), (equal_metric(6), 7, 2536)],
+    ids=["dmax-6", "dmin-6", "equal-6"],
+)
+def test_walk_eliminates_one_basis_per_simple_vertex(monkeypatch, d, vertices, bases):
+    # a simple vertex has one basis, so on dmax6 and dmin6 the walk eliminates
+    # as many bases as it finds vertices; the all-equal metric's apex has 15
+    # tight pairs and 2,530 of the bases
+    vs, walked = walk(monkeypatch, d)
+    assert len(vs) == vertices and walked == bases
+
+
+@pytest.mark.parametrize(
+    "d, vertices",
+    [(gen_dmax(7), 64), (gen_dmin(7), 60)]
+    + [(gen_random(7, 1), 63), (gen_random(7, 2), 64)],
+    ids=["dmax-7", "dmin-7", "rand-7.1", "rand-7.2"],
+)
+def test_vertices_are_cells_plus_corners_past_the_crosscheck_cap(d, vertices):
+    # for a generic metric the polyhedron has one vertex per maximal cell and
+    # the n corners of the glued simplices
+    vs = enumerate_vertices(d)
+    assert len(vs) == len(compute_subdivision(d).maximal_cells) + d.n == vertices
+    assert all(v.simple for v in vs)
 
 
 def test_every_vertex_feasible_and_tight():
