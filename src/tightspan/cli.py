@@ -15,8 +15,8 @@ Exit codes: 0 success, 2 parse or argument error (also an unwritable
 input (with its witness) without --allow-degenerate, 4 failed check (also a
 traversal whose ridge pencils or covered volume break an invariant without a
 witness, or any other package error while the subdivision is built).
-`verify` exits 2 on bad arguments, on a package error inside a suite and on
-a closed stdout, with one `error:` line.
+`verify` exits 4 when a row fails, and 2 on bad arguments, on a package
+error inside a suite and on a closed stdout, with one `error:` line.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .bounds import (
     verify_metric_against_bounds,
 )
 from .common import Verdict
-from .errors import DegenerateRidge, TightSpanError
+from .errors import BadArity, DegenerateRidge, TightSpanError
 from .facevectors import (
     FaceReport,
     check_asff,
@@ -114,7 +114,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("paper-examples", "bounds", "identities", "oracle-random"),
         required=True,
     )
-    pv.add_argument("--n-max", type=int, default=12)
+    pv.add_argument("--n-max", type=int, default=12, help="largest n of identities and bounds")
     pv.add_argument("--n", type=int, default=5)
     pv.add_argument("--count", type=int, default=20)
     return top
@@ -328,30 +328,28 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         return lines, ok_all
 
     if suite == "bounds":
-        reports = {}
-        for gen, ns in ((gen_dmax, (4, 5, 6)), (gen_dmin, (5, 6))):
-            for n in ns:
-                d = gen(n)
+        # dmax attains every F_k(n); dmin has dimension ceil(n/3) and
+        # exactly lower_bound_top(n) top faces
+        if args.n_max < 4:
+            raise BadArity("need n_max >= 4")
+        for n in range(4, args.n_max + 1):
+            low = lower_bound_top(n)
+            for gen in (gen_dmax, gen_dmin):
+                name = f"{gen.__name__[4:]}{n}"
+                span = _report(d := gen(n)).span
                 try:
-                    reports[gen, n] = verify_metric_against_bounds(d, _report(d).span)
-                except BoundViolated:
-                    reports[gen, n] = None
-                item(f"{gen.__name__[4:]}{n} within bounds", reports[gen, n] is not None)
-        item(
-            "dmax attains every f-bound (n=4..6)",
-            all(
-                reports[gen_dmax, n] is not None and reports[gen_dmax, n].all_f_attained
-                for n in (4, 5, 6)
-            ),
-        )
-        item(
-            "dmin top count attains the lower bound (n=5,6)",
-            all(
-                reports[gen_dmin, n] is not None
-                and reports[gen_dmin, n].top_count == lower_bound_top(n)
-                for n in (5, 6)
-            ),
-        )
+                    rep = verify_metric_against_bounds(d, span)
+                except BoundViolated as exc:
+                    item(f"{name} violates a bound: {exc}", False)
+                    continue
+                if gen is gen_dmax:
+                    item(f"{name} attains every F_k: fT = {list(span.fT)}", rep.all_f_attained)
+                else:
+                    item(
+                        f"{name} has {span.fT[-1]} top faces at dim {rep.dim},"
+                        f" bound {low} at dim {rep.dim_low}",
+                        rep.top_count == low,
+                    )
         return lines, ok_all
 
     # oracle-random

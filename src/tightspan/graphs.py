@@ -14,12 +14,13 @@ depth-first reference that the tests hold it against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .common import pair_index, pair_table
+from .common import _quote, pair_index, pair_table
 from .errors import NodeOutOfRange, PreconditionViolated
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -357,13 +358,22 @@ def format_edge_list(G: EdgeGraph, loops: frozenset[int] = frozenset()) -> str:
     return " ".join("{%d,%d}" % (i, j) for i, j in sorted(items))
 
 
+_EDGE = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*")
+
+
 def parse_edge_list(n: int, text: str) -> EdgeGraph:
-    """Edge list in CLI form "1-2,3-4" (empty string means no edges)."""
+    """Edge list in CLI form "1-2,3-4" (empty string means no edges).
+
+    Each chunk is two ASCII-digit node numbers joined by "-"; any other
+    chunk raises ValueError, quoting it.
+    """
     text = text.strip()
     if not text:
         return empty_graph(n)
     edges = []
     for chunk in text.split(","):
-        i, j = chunk.strip().split("-")
-        edges.append((int(i), int(j)))
+        match = _EDGE.fullmatch(chunk)
+        if match is None:
+            raise ValueError(f"bad edge {_quote(chunk)}: expected i-j")
+        edges.append((int(match[1]), int(match[2])))
     return EdgeGraph.from_edges(n, edges)

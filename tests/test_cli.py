@@ -96,6 +96,15 @@ def test_gen_dgamma_requires_graph(tmp_path):
     assert d.d(1, 2) == 2 and d.d(4, 5) == 2 and d.d(1, 3) != 2
 
 
+def test_gen_dgamma_bad_graph_names_the_chunk(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    argv = ["gen", "--kind", "dgamma", "--n", "4", "--graph", "1-2,2-3-4", "-o", str(out)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err == "error: bad edge '2-3-4': expected i-j\n"
+
+
 def test_compute_four_points_with_oracle(four_points_file, capsys):
     rc = main(["compute", four_points_file, "--oracle", "--no-timestamp"])
     out = capsys.readouterr().out
@@ -590,11 +599,59 @@ def test_verify_bounds(capsys, monkeypatch):
         return compute(d, *args, **kwargs)
 
     monkeypatch.setattr(cli, "compute_subdivision", counting)
-    rc = main(["verify", "--suite", "bounds"])
+    rc = main(["verify", "--suite", "bounds", "--n-max", "6"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
-    # one subdivision per (family, n): dmax 4, 5, 6 and dmin 5, 6
-    assert built == [4, 5, 6, 5, 6]
+    # one subdivision per family and n: dmax then dmin at n = 4, 5, 6
+    assert built == [4, 4, 5, 5, 6, 6]
+    assert out.splitlines() == [
+        "pass  dmax4 attains every F_k: fT = [8, 8, 1]",
+        "pass  dmin4 has 1 top faces at dim 2, bound 1 at dim 2",
+        "pass  dmax5 attains every F_k: fT = [16, 20, 5]",
+        "pass  dmin5 has 5 top faces at dim 2, bound 5 at dim 2",
+        "pass  dmax6 attains every F_k: fT = [32, 48, 18, 1]",
+        "pass  dmin6 has 15 top faces at dim 2, bound 15 at dim 2",
+        "suite bounds: pass",
+    ]
+
+
+def test_verify_bounds_fails_exactly_the_missed_top_counts(capsys, monkeypatch):
+    low = cli.lower_bound_top
+    monkeypatch.setattr(cli, "lower_bound_top", lambda n: low(n) + 1)
+    assert main(["verify", "--suite", "bounds", "--n-max", "7"]) == 4
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[1] for row in rows if row.startswith("FAIL")] == [
+        f"dmin{n}" for n in range(4, 8)
+    ]
+    assert sum(row.startswith("pass") for row in rows) == 4
+    assert rows[-1] == "suite bounds: FAIL"
+
+
+def test_verify_bounds_violation_is_a_fail_row(capsys, monkeypatch):
+    verify = cli.verify_metric_against_bounds
+
+    def violated_at_dmax5(d, span):
+        if d == gen_dmax(5):  # dmin5 has the same fT
+            raise cli.BoundViolated("f_1 = 20 exceeds bound 19 at n=5")
+        return verify(d, span)
+
+    monkeypatch.setattr(cli, "verify_metric_against_bounds", violated_at_dmax5)
+    assert main(["verify", "--suite", "bounds", "--n-max", "6"]) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [row for row in out.splitlines() if row.startswith("FAIL")]
+    assert fails == ["FAIL  dmax5 violates a bound: f_1 = 20 exceeds bound 19 at n=5"]
+    assert out.splitlines()[-1] == "suite bounds: FAIL"
+
+
+def test_verify_bounds_is_deterministic():
+    argv = [sys.executable, "-m", "tightspan.cli", "verify", "--suite", "bounds", "--n-max", "7"]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, env=_fresh_env(), timeout=120)
+        for _ in range(2)
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout and runs[0].stdout.count("pass") == 9
 
 
 def test_verify_oracle_random_small(capsys):
@@ -609,6 +666,7 @@ def test_verify_oracle_random_small(capsys):
         ["--suite", "oracle-random", "--n", "4", "--count", "401"],  # NotGeneric
         ["--suite", "oracle-random", "--n", "2"],  # BadArity
         ["--suite", "identities", "--n-max", "2"],  # BadArity
+        ["--suite", "bounds", "--n-max", "3"],  # BadArity
         ["--suite", "oracle-random", "--n", "7"],  # above the crosscheck cap
         ["--suite", "oracle-random", "--count", "0"],  # nothing to check
     ],

@@ -239,6 +239,26 @@ def test_format_and_parse_edge_list():
     assert format_edge_list(G, frozenset([2])) == "{1,2} {2,2} {3,4}"
     assert parse_edge_list(4, "1-2,3-4") == G
     assert parse_edge_list(4, "") == empty_graph(4)
+    assert parse_edge_list(4, " 1 - 2 , 3-4 ") == G
+
+
+@pytest.mark.parametrize(
+    "text, chunk",
+    [
+        ("1-2-3", "'1-2-3'"),  # three nodes
+        (",", "''"),  # two empty chunks
+        ("1-2,", "''"),  # a trailing comma
+        ("1-2,3", "'3'"),  # one node
+        ("+1-2", "'+1-2'"),  # a sign
+        ("1_0-2", "'1_0-2'"),  # int() would take the underscore
+        ("\u0661-2", "'\u0661-2'"),  # a non-ASCII digit
+        ("1-2" + "x" * 100, "'1-2" + "x" * 56 + "..."),  # quoted by its first 60 characters
+    ],
+)
+def test_parse_edge_list_quotes_a_malformed_chunk(text, chunk):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(4, text)
+    assert str(err.value) == f"bad edge {chunk}: expected i-j"
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,11 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["scripts/genericity_survey.py", "--n", "5", "--seeds", "5"],
-        ["scripts/bound_attainment.py", "--n-max", "6"],
-    ],
-    ids=["genericity_survey", "bound_attainment"],
+    [["scripts/genericity_survey.py", "--n", "5", "--seeds", "5"]],
+    ids=["genericity_survey"],
 )
 def test_script_runs(argv):
     env = dict(os.environ)
