@@ -73,10 +73,6 @@ class NotGeneric(TightSpanError):
     """The operation is only defined for generic metrics."""
 
 
-class NotSupported(TightSpanError):
-    """The operation has no meaning at this size."""
-
-
 # -- face-vector checks --------------------------------------------------------
 
 class InapplicablePremise(TightSpanError):

@@ -16,8 +16,9 @@ face_report derives all of these once per generic subdivision into a
 FaceReport, counting the faces from the histogram of the cells' down degrees
 (down_degrees) without listing one; the checks, the CLI report, the verify
 suites and the primal crosscheck all read that record.  Its face listing
-(all_faces) is built on first read, for the face export, the primal face
-bijection and the inductive step.
+(all_faces) is built on first read, only for the face export and the
+primal face bijection.  check_inductive_step reads each facet restriction
+from the face_report of the submetric's own subdivision.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .common import Verdict
 from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
-from .graphs import node_edge_masks
-from .metrics import Metric, strict_triangle_nodes
-from .subdivision import DownDegrees, FaceSet, Subdivision, all_faces, down_degrees
+from .metrics import Metric, strict_triangle_nodes, submetric
+from .subdivision import (
+    DownDegrees, FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
+)
 
 
 @dataclass(frozen=True)
@@ -274,67 +276,48 @@ def check_asff(rep: FaceReport) -> AsffReport:
 # -- inductive boundary formulas -----------------------------------------------------
 
 
-def induced_face_counts(F: FaceSet, kept_nodes: Sequence[int]) -> FVector:
-    """Face counts of the subcomplex on faces avoiding every dropped node.
-
-    This is the triangulation induced on the hypersimplex face where the
-    dropped coordinates vanish, a complex of dimension len(kept_nodes) - 1.
-    """
-    n = F.n
-    node_masks = node_edge_masks(n)
-    avoid = 0
-    kept = set(kept_nodes)
-    for v in range(1, n + 1):
-        if v not in kept:
-            avoid |= node_masks[v - 1]
-    q = len(kept)
-    counts = [0] * q
-    for k in range(min(len(F.by_dim), q)):
-        counts[k] = sum(1 for mask in F.by_dim[k] if mask & avoid == 0)
-    return FVector(tuple(counts), 1)
-
-
 def _level_fvector(n: int, q: int, common: dict[int, FVector]) -> FVector:
-    """Common induced f-vector at the q-node level, padded to formal dimension q-1.
+    """Common restriction f-vector at the q-node level, of formal dimension q-1.
 
-    Levels below three nodes are conventional: a two-node level is a single
-    vertex, smaller levels are void (only the empty face survives).
+    From three nodes on it is the ball f-vector shared by the q-node
+    submetrics' subdivisions.  Levels below are conventional: a two-node
+    level is a single vertex, smaller levels are void (only the empty face
+    survives).
     """
-    m = q - 1
     if q >= 3:
-        base = common[q]
-        counts = list(base.counts) + [0] * (m + 1 - len(base.counts))
-        return FVector(tuple(counts), 1)
+        return common[q]
     if q == 2:
         return FVector((1, 0), 1)
-    return FVector((0,) * (m + 1) if m >= 0 else (), 1)
+    return FVector((0,) * q, 1)
 
 
 def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
     """Boundary face counts from the common facet restrictions, all levels.
 
-    Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
-    inclusion-exclusion formula for every lower k, and the boundary g-vector
-    double sum over the level h-vectors.  Raises InapplicablePremise when
-    same-size restrictions disagree.
+    The restriction of d's subdivision to the hypersimplex face where the
+    coordinates off a node set vanish is the subdivision of the submetric on
+    that set (De Loera, Rambau & Santos, Triangulations, 2010), so each
+    restriction's f-vector is read off the submetric's own traversal and
+    report; no face is listed.  Verifies the top formula
+    f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the inclusion-exclusion formula for
+    every lower k, and the boundary g-vector double sum over the level
+    h-vectors.  Raises InapplicablePremise when same-size restrictions
+    disagree.
     """
     if d.n < 5:
         raise PreconditionViolated("inductive formulas need n >= 5")
     n = d.n
     common: dict[int, FVector] = {}
-    nodes = list(range(1, n + 1))
     for q in range(n - 1, 2, -1):
-        seen: Optional[FVector] = None
-        for kept in combinations(nodes, q):
-            fv = induced_face_counts(rep.faces, kept)
-            if seen is None:
-                seen = fv
-            elif fv != seen:
+        for kept in combinations(range(1, n + 1), q):
+            dsub = submetric(d, kept)
+            fv = face_report(dsub, compute_subdivision(dsub)).f
+            seen = common.setdefault(q, fv)
+            if fv != seen:
                 raise InapplicablePremise(
                     f"{q}-node restrictions disagree: {kept} gives {fv.counts},"
                     f" expected {seen.counts}"
                 )
-        common[q] = seen  # type: ignore[assignment]
 
     f_bd = rep.f_boundary
     top_expected = n + n * _level_fvector(n, n - 1, common).at(n - 2)

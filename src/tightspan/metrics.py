@@ -25,6 +25,7 @@ from .errors import (
     BadArity,
     NodeOutOfRange,
     NonzeroDiagonal,
+    PreconditionViolated,
     SubsetTooSmall,
 )
 from .graphs import EdgeGraph
@@ -162,11 +163,14 @@ def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
 
     All entries lie in (1, 1 + 1/n], so any two are within a factor below 2
     and the triangle inequality holds structurally.  Genericity is not
-    guaranteed; test it.  resolution defaults to max(10^4, n^4).
+    guaranteed; test it.  resolution 0 means the default max(10^4, n^4); a
+    negative one raises PreconditionViolated.
     """
     if n < 3:
         raise BadArity(f"need n >= 3, got {n}")
-    if resolution <= 0:
+    if resolution < 0:
+        raise PreconditionViolated(f"resolution must be >= 0, got {resolution}")
+    if resolution == 0:
         resolution = max(10_000, n**4)
     rng = Random(seed)
     top = max(1, resolution // n)
@@ -283,8 +287,3 @@ def metric_from_json(text: str) -> Metric:
 def load_metric(path: str) -> Metric:
     with open(path, "r", encoding="utf-8") as fh:
         return metric_from_json(fh.read())
-
-
-def save_metric(d: Metric, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metric_to_json(d))

@@ -29,13 +29,14 @@ API, the tests), and the degeneracy certificates carry Fractions.
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight, which ties no two adjacent
 cells.  The traversal's pivot orients each interior ridge once, when both
-cells' heights are known; the test oracle (enumerate_cells) and
-restrict_to_facet orient theirs independently, by comparing w.lambda over
-a map of ridges to cells.  Each face is then built once: from its lowest
-cell with every down edge, and each interior face from its highest cell
-with every up edge.  down_degrees counts the faces from the histogram of
-the cells' down edges; all_faces lists them, for the face export and the
-test oracles.
+cells' heights are known; the test oracle (enumerate_cells) orients its
+cells independently, by comparing w.lambda over a map of ridges to cells.
+Each face is then built once: from its lowest cell with every down edge,
+and each interior face from its highest cell with every up edge.
+down_degrees counts the faces from the histogram of the cells' down edges;
+all_faces lists them, only for the face export and the primal face
+bijection.  The subdivision restricted to a hypersimplex face x_I = 0 is
+compute_subdivision of the submetric on the nodes off I.
 
 subdivision_to_json writes the cell export from %-templates, in the bytes
 of json.dumps(payload, indent=2) + "\n", each height printed as p/q from
@@ -58,7 +59,6 @@ from .errors import (
     DegenerateRidge,
     NotATriangulation,
     NotGeneric,
-    NotSupported,
     PreconditionViolated,
     ScaleExceeded,
     SeedInvalid,
@@ -72,7 +72,7 @@ from .graphs import (
     is_interior_mask,
     node_edge_masks,
 )
-from .metrics import Metric, submetric
+from .metrics import Metric
 
 
 @dataclass(frozen=True)
@@ -392,9 +392,9 @@ def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
     """Down edges of each (mask, scaled heights) cell, from a map of ridges to cells.
 
     Of the two cells of an interior ridge, the one higher in w.lambda at the
-    seed weight gets the ridge's edge as a down edge.  The enumeration and
-    the facet restriction orient their cells this way; the traversal's
-    pivots orient its cells on their own.
+    seed weight gets the ridge's edge as a down edge.  Only the enumeration
+    oracle orients its cells this way; the traversal's pivots orient its
+    cells on their own.
     """
     w = _seed_weight(n)
     level = {mask: sum(map(mul, w, lam)) for mask, lam in kept}
@@ -734,46 +734,6 @@ def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     missed = tuple(v + 1 for v in range(n) if mask & node_masks[v] == 0)
     centers = tuple(v + 1 for v in range(n) if mask & ~node_masks[v] == 0)
     return missed, centers
-
-
-def restrict_to_facet(S: Subdivision, i: int) -> Subdivision:
-    """Subdivision induced on the hypersimplex facet x_i = 0, relabeled to 1..n-1.
-
-    Its cells are lambda_certificate's for the submetric, oriented by the
-    ridge map of _ridge_orientation.
-    """
-    if S.n < 5:
-        raise NotSupported("facet restriction needs n >= 5")
-    if not S.generic:
-        raise NotATriangulation("restriction requires a generic subdivision")
-    n = S.n
-    dsub = submetric(S.metric, [v for v in range(1, n + 1) if v != i])
-
-    def relabel(v: int) -> int:
-        return v if v < i else v - 1
-
-    seen = set()
-    kept = []
-    for cell in S.maximal_cells:
-        deg = cell.graph.degrees()
-        if deg[i - 1] != 1:
-            continue
-        edges = [
-            (relabel(a), relabel(b)) for a, b in cell.graph.edges() if i not in (a, b)
-        ]
-        G = EdgeGraph.from_edges(n - 1, edges)
-        if G.bits in seen:
-            continue
-        seen.add(G.bits)
-        cert = lambda_certificate(dsub, G)
-        if not isinstance(cert, Cell):
-            raise NotATriangulation("restricted cell lost its strict certificate")
-        kept.append((G.bits, cert.lam))
-    _, D = _scaled_entries(dsub)
-    sub = _subdivision(dsub, D, kept, _ridge_orientation(n - 1, kept), [])
-    if sub.total_volume != (1 << (n - 2)) - (n - 1):
-        raise NotATriangulation("facet restriction does not triangulate the facet")
-    return sub
 
 
 # -- random generic fixtures --------------------------------------------------------

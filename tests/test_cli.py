@@ -105,6 +105,28 @@ def test_gen_dgamma_bad_graph_names_the_chunk(tmp_path, capsys):
     assert err == "error: bad edge '2-3-4': expected i-j\n"
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_gen_dgamma_long_node_number_is_out_of_range(tmp_path, capsys, digits):
+    # the number is refused by its length, never converted: no 4,300-digit
+    # limit message and no echo of the whole number
+    out = tmp_path / "g.json"
+    argv = ["gen", "--kind", "dgamma", "--n", "4", "--graph", "1-" + "9" * digits, "-o", str(out)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad edge '1-999")
+    assert "1..4" in err and len(err.encode()) < 300
+
+
+def test_gen_random_negative_resolution_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["gen", "--kind", "random", "--n", "5", "--resolution", "-3", "-o", str(out)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_compute_four_points_with_oracle(four_points_file, capsys):
     rc = main(["compute", four_points_file, "--oracle", "--no-timestamp"])
     out = capsys.readouterr().out

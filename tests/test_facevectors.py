@@ -148,6 +148,50 @@ def test_inductive_step_detects_mixed_restrictions():
         check_inductive_step(d, face_report(d, compute_subdivision(d)))
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_inductive_step_catches_a_wrong_boundary_f(k):
+    # one boundary f entry raised: the top formula catches k = n-2, the
+    # inclusion-exclusion formula every k below it
+    rep = report("dmax-6")
+    counts = list(rep.f_boundary.counts)
+    counts[k] += 1
+    bad = replace(rep, f_boundary=replace(rep.f_boundary, counts=tuple(counts)))
+    verdict = check_inductive_step(metric("dmax-6"), bad)
+    assert not verdict
+    if k == 4:
+        assert verdict.witness == ("top", counts[4], counts[4] - 1)
+    else:
+        assert verdict.witness == ("alternating", k, counts[k], counts[k] - 1)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_inductive_step_catches_a_wrong_boundary_g(k):
+    rep = report("dmax-6")
+    g = list(rep.g_boundary)
+    g[k] += 1
+    verdict = check_inductive_step(metric("dmax-6"), replace(rep, g_boundary=tuple(g)))
+    assert not verdict
+    assert verdict.witness == ("g-sum", k, g[k], g[k] - 1)
+
+
+def test_inductive_step_lists_no_face(monkeypatch):
+    # each restriction is read off the submetric's report, not the listing
+    import tightspan.facevectors as fv
+
+    def refuse(S):
+        raise AssertionError("the inductive step listed faces")
+
+    d = metric("dmax-6")
+    rep = face_report(d, compute_subdivision(d))
+    monkeypatch.setattr(fv, "all_faces", refuse)
+    assert check_inductive_step(d, rep)
+
+
+def test_inductive_step_past_the_enumeration_cap():
+    d = metric("dmax-9")
+    assert check_inductive_step(d, face_report(d, compute_subdivision(d)))
+
+
 def test_glued_ball_h_matches_tightspan_h():
     for name in ("4points", "dmax-5", "dmax-6", "dmin-6"):
         tv = tsv(name)

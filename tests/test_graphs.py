@@ -261,6 +261,14 @@ def test_parse_edge_list_quotes_a_malformed_chunk(text, chunk):
     assert str(err.value) == f"bad edge {chunk}: expected i-j"
 
 
+@pytest.mark.parametrize("text", ["1-0", "1-5", "00005-1", "1-" + "9" * 5000])
+def test_parse_edge_list_node_out_of_range(text):
+    with pytest.raises(NodeOutOfRange) as err:
+        parse_edge_list(4, text)
+    assert str(err.value).endswith(": nodes must lie in 1..4")
+    assert len(str(err.value)) < 100
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_degrees_match_edges(n, data):

@@ -12,6 +12,7 @@ from tightspan.errors import (
     BadArity,
     NodeOutOfRange,
     NonzeroDiagonal,
+    PreconditionViolated,
     SubsetTooSmall,
 )
 from tightspan.graphs import EdgeGraph, empty_graph
@@ -129,6 +130,13 @@ def test_dmin_weights():
 def test_random_deterministic():
     assert gen_random(5, 1, 10000) == gen_random(5, 1, 10000)
     assert gen_random(5, 1, 10000) != gen_random(5, 2, 10000)
+
+
+def test_random_refuses_a_negative_resolution():
+    # 0 keeps meaning the default resolution; below 0 is refused
+    assert gen_random(5, 1, 0) == gen_random(5, 1)
+    with pytest.raises(PreconditionViolated):
+        gen_random(5, 1, -3)
 
 
 def test_random_is_metric():

@@ -17,13 +17,12 @@ from helpers import (
 )
 from tightspan.errors import (
     DegenerateRidge,
-    NotSupported,
     PreconditionViolated,
     ScaleExceeded,
     SeedInvalid,
 )
 from tightspan.facevectors import face_report
-from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, star_graph
+from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, node_edge_masks, star_graph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, submetric
 from tightspan.subdivision import (
     Cell,
@@ -37,7 +36,6 @@ from tightspan.subdivision import (
     enumerate_cells,
     interleaved_cycle_graph,
     lambda_certificate,
-    restrict_to_facet,
     seed_cell,
     subdivision_to_json,
     traverse_cells,
@@ -686,29 +684,37 @@ def test_ridge_incidences():
                 assert c == 1
 
 
+def _restricted_graphs(S, i):
+    """S's cells with node i a leaf, i's edge dropped and the rest relabeled 1..n-1."""
+
+    def relabel(v):
+        return v if v < i else v - 1
+
+    graphs = set()
+    for cell in S.maximal_cells:
+        if cell.graph.degrees()[i - 1] == 1:
+            edges = [(relabel(a), relabel(b)) for a, b in cell.graph.edges() if i not in (a, b)]
+            graphs.add(EdgeGraph.from_edges(S.n - 1, edges))
+    return tuple(sorted(graphs))
+
+
+def _assert_restriction_is_submetric(name, i):
+    # a regular subdivision restricted to the facet x_i = 0 is the subdivision
+    # of that facet by the same heights: the submetric's, by either route
+    S = subdivision(name)
+    d_sub = submetric(S.metric, [v for v in range(1, S.n + 1) if v != i])
+    R = _restricted_graphs(S, i)
+    assert R == enumerate_cells(d_sub).cell_graphs()
+    assert R == compute_subdivision(d_sub).cell_graphs()
+
+
 @pytest.mark.parametrize("i", [1, 3, 6])
 def test_restriction_matches_submetric(i):
-    S = subdivision("dmax-6")
-    R = restrict_to_facet(S, i)
-    d_sub = submetric(metric("dmax-6"), [v for v in range(1, 7) if v != i])
-    assert R.cell_graphs() == enumerate_cells(d_sub).cell_graphs()
+    _assert_restriction_is_submetric("dmax-6", i)
 
 
 def test_restriction_matches_submetric_n7():
-    S = subdivision("dmax-7")
-    R = restrict_to_facet(S, 4)
-    d_sub = submetric(metric("dmax-7"), [1, 2, 3, 5, 6, 7])
-    assert R.cell_graphs() == enumerate_cells(d_sub).cell_graphs()
-
-
-@pytest.mark.parametrize("name, i", [("dmax-6", 1), ("dmax-6", 3), ("dmax-6", 6), ("dmax-7", 4)])
-def test_restriction_is_oriented_like_its_own_subdivision(name, i):
-    # the restriction's cells come from lambda_certificate and are oriented
-    # by the ridge map; the report must equal the traversal's of the submetric
-    S = compute_subdivision(metric(name))
-    dsub = submetric(S.metric, [v for v in range(1, S.n + 1) if v != i])
-    R = restrict_to_facet(S, i)
-    assert face_report(dsub, R) == face_report(dsub, compute_subdivision(dsub))
+    _assert_restriction_is_submetric("dmax-7", 4)
 
 
 def test_face_closure_refuses_cells_without_down_edges():
@@ -723,21 +729,21 @@ def test_face_closure_refuses_cells_without_down_edges():
 
 
 def test_restriction_f_vector_uniform():
-    from tightspan.facevectors import induced_face_counts
-
+    # the listing's faces that avoid node i are the faces of the submetric's
+    # own subdivision, counted by its report
     for name in ("dmax-5", "dmax-6", "dmax-7"):
         F = faces(name)
         n = F.n
-        fvs = {
-            induced_face_counts(F, [v for v in range(1, n + 1) if v != i]).counts
-            for i in range(1, n + 1)
-        }
+        fvs = set()
+        for i in range(1, n + 1):
+            d_sub = submetric(metric(name), [v for v in range(1, n + 1) if v != i])
+            fv = face_report(d_sub, compute_subdivision(d_sub)).f.counts
+            avoid = node_edge_masks(n)[i - 1]
+            assert fv == tuple(
+                sum(1 for mask in F.by_dim[k] if mask & avoid == 0) for k in range(n - 1)
+            )
+            fvs.add(fv)
         assert len(fvs) == 1
-
-
-def test_restriction_too_small():
-    with pytest.raises(NotSupported):
-        restrict_to_facet(subdivision("4points"), 1)
 
 
 def test_dimension_window():
