@@ -49,6 +49,7 @@ from .facevectors import (
 from .graphs import parse_edge_list
 from .metrics import (
     Metric,
+    _require_points,
     gen_dgamma,
     gen_dmax,
     gen_dmin,
@@ -275,6 +276,7 @@ def cmd_gen(args) -> int:
             if args.graph is None:
                 print("error: --kind dgamma requires --graph", file=sys.stderr)
                 return 2
+            _require_points(args.n)  # the graph's bitmask grows as n^2
             d = gen_dgamma(args.n, parse_edge_list(args.n, args.graph))
         else:
             d = gen_random(args.n, args.seed, args.resolution)

@@ -17,8 +17,8 @@ FaceReport, counting the faces from the histogram of the cells' down degrees
 (down_degrees) without listing one; the checks, the CLI report, the verify
 suites and the primal crosscheck all read that record.  Its face listing
 (all_faces) is built on first read, only for the face export and the
-primal face bijection.  check_inductive_step reads each facet restriction
-from the face_report of the submetric's own subdivision.
+primal face bijection.  check_inductive_step counts each facet restriction
+from the down-degree histogram of the submetric's own subdivision.
 """
 
 from __future__ import annotations
@@ -297,12 +297,12 @@ def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
     The restriction of d's subdivision to the hypersimplex face where the
     coordinates off a node set vanish is the subdivision of the submetric on
     that set (De Loera, Rambau & Santos, Triangulations, 2010), so each
-    restriction's f-vector is read off the submetric's own traversal and
-    report; no face is listed.  Verifies the top formula
-    f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the inclusion-exclusion formula for
-    every lower k, and the boundary g-vector double sum over the level
-    h-vectors.  Raises InapplicablePremise when same-size restrictions
-    disagree.
+    restriction's f-vector is counted from the down-degree histogram of the
+    submetric's own traversal; no face is listed and no other vector built.
+    Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
+    inclusion-exclusion formula for every lower k, and the boundary g-vector
+    double sum over the level h-vectors.  Raises InapplicablePremise when
+    same-size restrictions disagree.
     """
     if d.n < 5:
         raise PreconditionViolated("inductive formulas need n >= 5")
@@ -311,7 +311,7 @@ def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
     for q in range(n - 1, 2, -1):
         for kept in combinations(range(1, n + 1), q):
             dsub = submetric(d, kept)
-            fv = face_report(dsub, compute_subdivision(dsub)).f
+            fv = split_interior_boundary(down_degrees(compute_subdivision(dsub)))[0]
             seen = common.setdefault(q, fv)
             if fv != seen:
                 raise InapplicablePremise(

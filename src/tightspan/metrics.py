@@ -111,10 +111,20 @@ def metric_from_upper(n: int, upper: Sequence[Fraction]) -> Metric:
     return validate_metric(table)
 
 
-def gen_dmax(n: int) -> Metric:
-    """The perturbed unit metric 1 + 1/(n^2 + i*n + j); attains every upper bound."""
+_MAX_POINTS = 64  # at n = 64 validate_metric's O(n^3) Fraction check takes about 1 s
+
+
+def _require_points(n: int) -> None:
+    """Refuse a generator's n outside 3.._MAX_POINTS before any pair is built."""
     if n < 3:
         raise BadArity(f"need n >= 3, got {n}")
+    if n > _MAX_POINTS:
+        raise BadArity(f"need n <= {_MAX_POINTS}, got {n}")
+
+
+def gen_dmax(n: int) -> Metric:
+    """The perturbed unit metric 1 + 1/(n^2 + i*n + j); attains every upper bound."""
+    _require_points(n)
     upper = tuple(
         Fraction(1) + Fraction(1, n * n + i * n + j) for i, j in pair_table(n)
     )
@@ -123,8 +133,7 @@ def gen_dmax(n: int) -> Metric:
 
 def gen_dgamma(n: int, graph: EdgeGraph) -> Metric:
     """Graph-weighted metric: distance 2 on edges of the graph, dmax values elsewhere."""
-    if n < 3:
-        raise BadArity(f"need n >= 3, got {n}")
+    _require_points(n)
     if graph.n != n:
         raise NodeOutOfRange(f"graph on {graph.n} nodes cannot weight a {n}-point metric")
     upper = tuple(
@@ -140,8 +149,7 @@ def dmin_graph(n: int) -> EdgeGraph:
     Nodes group as {1,2,3},{4,5,6},...; when n = 2 (mod 3) the last node is
     kept isolated even though its group would otherwise pair it with n-1.
     """
-    if n < 3:
-        raise BadArity(f"need n >= 3, got {n}")
+    _require_points(n)
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -166,8 +174,7 @@ def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
     guaranteed; test it.  resolution 0 means the default max(10^4, n^4); a
     negative one raises PreconditionViolated.
     """
-    if n < 3:
-        raise BadArity(f"need n >= 3, got {n}")
+    _require_points(n)
     if resolution < 0:
         raise PreconditionViolated(f"resolution must be >= 0, got {resolution}")
     if resolution == 0:

@@ -27,9 +27,10 @@ their Fractions only when read (lambda_certificate's callers, the public
 API, the tests), and the degeneracy certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
-neighbour lower in w.lambda at the seed weight, which ties no two adjacent
-cells.  The traversal's pivot orients each interior ridge once, when both
-cells' heights are known; the test oracle (enumerate_cells) orients its
+neighbour lower in w.lambda at the seed weight w.  That neighbour is
+lam + t*sigma, t > 0, on the ridge pencil, so it is lower when w.sigma < 0,
+a signed sum of seed weights that is never 0.  The pivot orients each
+interior ridge by that sign; the test oracle (enumerate_cells) orients its
 cells independently, by comparing w.lambda over a map of ridges to cells.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
@@ -68,7 +69,6 @@ from .graphs import (
     _join,
     _split,
     cell_components,
-    cell_volume,
     is_interior_mask,
     node_edge_masks,
 )
@@ -77,27 +77,25 @@ from .metrics import Metric
 
 @dataclass(frozen=True)
 class Cell:
-    """Maximal cell: spanning odd-unicyclic graph, its heights and its down edges.
+    """Maximal cell: spanning odd-unicyclic graph, its heights, volume and down edges.
 
     lam holds the heights as integers over scale (twice the common entry
     denominator); heights gives them as Fractions, built on first read.
-    down holds the bits of the edges whose ridge the cell shares with a
-    neighbour lower in w.lambda at the seed weight; it is None for a cell of
+    volume is 2^(c-1) for c components, counted where the cell is built; down
+    holds the bits of the edges whose ridge the cell shares with a neighbour
+    lower in w.lambda at the seed weight, or None for a cell of
     lambda_certificate, which knows no neighbour.
     """
 
     graph: EdgeGraph
     lam: tuple[int, ...]
     scale: int
+    volume: int
     down: Optional[int] = None
 
     @cached_property
     def heights(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.lam)
-
-    @cached_property
-    def volume(self) -> int:
-        return cell_volume(self.graph)
 
 
 @dataclass(frozen=True)
@@ -163,12 +161,12 @@ class FaceSet:
 class DownDegrees:
     """Histogram of the cells' down degrees, and the face counts it gives.
 
-    histogram[j] cells have exactly j down edges (Cell.down).  From such a
-    cell all_faces builds C(n-j, k+1-j) k-faces (every down edge and k+1-j of
-    the n-j up edges) and C(j, k+1-n+j) interior k-faces (every up edge and
-    k+1-n+j down edges), so these sums are FaceSet's counts with no face
-    listed: the out-degree h-vector of a simple polytope (Kalai 1988;
-    Ziegler, Lectures on Polytopes, 8.3).
+    histogram[j] cells have exactly j down edges (Cell.down), the dual edges w
+    descends from them.  From such a cell all_faces builds C(n-j, k+1-j)
+    k-faces (every down edge and k+1-j of the n-j up edges) and C(j, k+1-n+j)
+    interior k-faces (every up edge and k+1-n+j down edges), so these sums are
+    FaceSet's counts with no face listed: the out-degree h-vector of a simple
+    polytope (Kalai 1988; Ziegler, Lectures on Polytopes, 8.3).
     """
 
     n: int
@@ -376,16 +374,16 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
     return kept, witnesses
 
 
-def _subdivision(d: Metric, D: int, kept: list, down: dict, witnesses: list) -> Subdivision:
-    """Cells sorted by mask, with heights over 2D and down edges; the witness of least mask."""
+def _subdivision(d: Metric, D: int, cells: dict, witnesses: list) -> Subdivision:
+    """Cells by mask from mask -> [lam over 2D, components, down]; the witness of least mask."""
     n = d.n
     mask, pair = min(witnesses, default=(0, None))
     witness = None if pair is None else (EdgeGraph(n, mask), pair)
-    cells = tuple(
-        Cell(EdgeGraph(n, mask), tuple(lam), 2 * D, down[mask])
-        for mask, lam in sorted(kept, key=lambda kv: kv[0])
+    maximal = tuple(
+        Cell(EdgeGraph(n, mask), tuple(lam), 2 * D, 1 << c - 1, down)
+        for mask, (lam, c, down) in sorted(cells.items())
     )
-    return Subdivision(n, d, cells, witness is None, witness)
+    return Subdivision(n, d, maximal, witness is None, witness)
 
 
 def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
@@ -418,16 +416,6 @@ def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
 # -- public certificate API -------------------------------------------------------
 
 
-def _require_candidate(d: Metric, G: EdgeGraph) -> None:
-    if G.n != d.n:
-        raise PreconditionViolated("graph and metric sizes differ")
-    if cell_components(G.n, G.bits) is None:
-        raise PreconditionViolated(
-            "certificates exist only for spanning n-edge graphs"
-            " with odd-unicyclic components"
-        )
-
-
 def lambda_certificate(d: Metric, G: EdgeGraph):
     """Solve the height system of G exactly and compare against d off the graph.
 
@@ -435,11 +423,18 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     DegeneracyReport when some pair is met with equality (and none violated),
     and NotACell when some pair falls below d.
     """
-    _require_candidate(d, G)
+    if G.n != d.n:
+        raise PreconditionViolated("graph and metric sizes differ")
+    c = cell_components(G.n, G.bits)
+    if c is None:
+        raise PreconditionViolated(
+            "certificates exist only for spanning n-edge graphs"
+            " with odd-unicyclic components"
+        )
     dnum, D = _scaled_entries(d)
     lam, pair, below = _classify_scaled(G.n, G.bits, dnum)
     if not below and (pair is None or pair[0] == pair[1]):
-        return Cell(G, tuple(lam), 2 * D)
+        return Cell(G, tuple(lam), 2 * D, 1 << c - 1)
     heights = tuple(Fraction(v, 2 * D) for v in lam)
     return NotACell(G, pair, heights) if below else DegeneracyReport(G, pair, heights)
 
@@ -472,7 +467,9 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
                 witnesses.extend(part_wit)
     else:
         kept, witnesses = _classify_chunk(n, dnum, pool)
-    sub = _subdivision(d, D, kept, _ridge_orientation(n, kept), witnesses)
+    down = _ridge_orientation(n, kept)
+    cells = {mask: [lam, cell_components(n, mask), down[mask]] for mask, lam in kept}
+    sub = _subdivision(d, D, cells, witnesses)
     if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
         raise NotATriangulation(
             f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}"
@@ -524,10 +521,11 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     return lambda_certificate(d, solve_w_matching(d, _seed_weight(d.n)).support)
 
 
-def _seed_weight(n: int) -> list[int]:
-    """w_i = 2^n + 2^(n-i): the seed's LP weight and the cell order of all_faces."""
+@lru_cache(maxsize=None)
+def _seed_weight(n: int) -> tuple[int, ...]:
+    """w_i = 2^n + 2^(n-i), once per n: the seed's LP weight and every ridge's orientation."""
     # falling with i: about 8% fewer Bland pivots than rising powers on random n = 11
-    return [(1 << n) + (1 << (n - 1 - i)) for i in range(n)]
+    return tuple((1 << n) + (1 << (n - 1 - i)) for i in range(n))
 
 
 # -- ridge pivot traversal -----------------------------------------------------------
@@ -535,8 +533,8 @@ def _seed_weight(n: int) -> list[int]:
 
 def _pivot_entering(
     n: int, dnum: Sequence[int], rmask: int, leaving: int, lam: list[int]
-) -> tuple[int, list[int]]:
-    """The neighbour across a ridge: (entering slot, its scaled heights).
+) -> tuple[int, list[int], bool]:
+    """The neighbour across a ridge: (entering slot, its scaled heights, lower).
 
     lam holds the current cell's heights, the point t = 0 of the ridge pencil
     lam + t*sigma, and sigma is signed so that the leaving pair's slack grows
@@ -544,6 +542,7 @@ def _pivot_entering(
     bounds t, from above by slack/-s (ridge edges have s = 0); bounds are
     compared by cross-multiplying integers, and the least one enters.  Every
     other pair stays strictly above d, so the neighbour needs no classifying.
+    lower is w.sigma < 0: the neighbour, at t > 0, is lower in w.lambda.
     """
     _, sigma = _solve_scaled(n, rmask, dnum)
     i, j = _pairs0(n)[leaving]
@@ -569,7 +568,8 @@ def _pivot_entering(
         )
     # exact: both cells' heights are integers at scale 2D
     t = num // den
-    return slots[0], [h + t * v for h, v in zip(lam, sigma)]
+    lower = sum(map(mul, _seed_weight(n), sigma)) < 0
+    return slots[0], [h + t * v for h, v in zip(lam, sigma)], lower
 
 
 def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
@@ -579,14 +579,14 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     once, from the first of its two cells to be reached, and the ratio test
     gives the neighbour with its heights; a tie on the far side raises with
     its witness, and the near side needs no test, as the current cell is
-    strict.  The pivot also orients the ridge, as both cells' heights are
-    then known: the neighbour is lower in w.lambda at the seed weight exactly
-    when w.(nlam - lam) < 0, and the higher cell's edge across the ridge is
-    down.  Boundary ridges are up.  Matches enumerate_cells, down edges
-    included, on every generic input; scales to sizes where exhaustive
-    filtration is out of reach.  A cell with a height that is not positive is
-    kept and makes the result non-generic, with the (i, i) witness of its
-    first such node, as in enumerate_cells.
+    strict.  The pivot also orients the ridge by the sign of w.sigma on its
+    pencil: the higher cell's edge across it is down; boundary ridges are up.
+    One map, mask -> [scaled heights, components, down], holds the cells,
+    counted by the guard that admits them.  Matches enumerate_cells, volumes
+    and down edges included, on every generic input; scales to sizes where
+    exhaustive filtration is out of reach.  A cell with a height that is not
+    positive is kept and makes the result non-generic, with the (i, i)
+    witness of its first such node, as in enumerate_cells.
     """
     n = d.n
     G = seed.graph
@@ -598,25 +598,20 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     if not kept:
         raise SeedInvalid("seed graph carries no strict certificate")
 
-    w = _seed_weight(n)
-    components = {G.bits: c}
-    level = {G.bits: sum(map(mul, w, kept[0][1]))}  # w.lambda at scale 2D
-    down = {G.bits: 0}
+    cells = {G.bits: [kept[0][1], c, 0]}
     pivoted: set[int] = set()
-    frontier = deque(kept)
+    frontier = deque(cells.items())
     while frontier:
-        mask, lam = frontier.popleft()
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
+        mask, cell = frontier.popleft()
+        for low in _edge_bits(mask):
             rmask = mask ^ low
             if rmask in pivoted or not is_interior_mask(n, rmask):
                 continue
             pivoted.add(rmask)
-            entering, nlam = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, lam)
+            entering, nlam, lower = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, cell[0])
             nmask = rmask | 1 << entering
-            if nmask not in components:
+            other = cells.get(nmask)
+            if other is None:
                 # only a broken ratio test leaves the candidates
                 c = cell_components(n, nmask)
                 if c is None:
@@ -624,19 +619,14 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
                 corner = _corner(nlam)
                 if corner is not None:
                     witnesses.append((nmask, corner))
-                kept.append((nmask, nlam))
-                components[nmask] = c
-                level[nmask] = sum(map(mul, w, nlam))
-                down[nmask] = 0
-                frontier.append((nmask, nlam))
-            if level[nmask] < level[mask]:
-                down[mask] |= low
+                other = cells[nmask] = [nlam, c, 0]
+                frontier.append((nmask, other))
+            if lower:
+                cell[2] |= low
             else:
-                down[nmask] |= 1 << entering
+                other[2] |= 1 << entering
 
-    sub = _subdivision(d, D, kept, down, witnesses)
-    for cell in sub.maximal_cells:  # the guard's count c fills Cell.volume's cache
-        object.__setattr__(cell, "volume", 1 << components[cell.graph.bits] - 1)
+    sub = _subdivision(d, D, cells, witnesses)
     if sub.total_volume != (1 << (n - 1)) - n:
         raise DegenerateRidge(
             f"traversal covered volume {sub.total_volume},"
@@ -663,7 +653,7 @@ def compute_subdivision(d: Metric) -> Subdivision:
             graph, pair = exc.witness
     else:
         graph, pair = seed.graph, seed.pair
-    return _subdivision(d, 1, [], {}, [(graph.bits, pair)])
+    return _subdivision(d, 1, {}, [(graph.bits, pair)])
 
 
 # -- faces -----------------------------------------------------------------------

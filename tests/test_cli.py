@@ -127,6 +127,18 @@ def test_gen_random_negative_resolution_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["dmax", "dmin", "dgamma", "random"])
+def test_gen_refuses_n_above_the_bound(tmp_path, capsys, kind):
+    # the first n above the documented bound of 64: unbounded, it builds in
+    # about a second, and n = 10^5 ends in a MemoryError; every kind refuses
+    # n before it builds a pair table
+    out = tmp_path / "m.json"
+    argv = ["gen", "--kind", kind, "--n", "65", "--graph", "1-2", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: need n <= 64, got 65\n")
+    assert not out.exists()
+
+
 def test_compute_four_points_with_oracle(four_points_file, capsys):
     rc = main(["compute", four_points_file, "--oracle", "--no-timestamp"])
     out = capsys.readouterr().out

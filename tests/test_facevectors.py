@@ -187,6 +187,20 @@ def test_inductive_step_lists_no_face(monkeypatch):
     assert check_inductive_step(d, rep)
 
 
+def test_inductive_step_builds_only_the_ball_f(monkeypatch):
+    # a restriction's ball f-vector is all the step reads: no submetric
+    # gets a tight-span vector, or any other vector of a full report
+    import tightspan.facevectors as fv
+
+    def refuse(d, f_interior):
+        raise AssertionError("the inductive step built tight-span vectors")
+
+    d = metric("dmax-7")
+    rep = face_report(d, compute_subdivision(d))
+    monkeypatch.setattr(fv, "tightspan_vectors", refuse)
+    assert check_inductive_step(d, rep)
+
+
 def test_inductive_step_past_the_enumeration_cap():
     d = metric("dmax-9")
     assert check_inductive_step(d, face_report(d, compute_subdivision(d)))

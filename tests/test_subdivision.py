@@ -457,17 +457,20 @@ def test_seed_weight_orders_adjacent_cells(name):
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
 def test_pivot_carries_heights_to_the_neighbour(name):
     # from either cell of an interior ridge, the ratio test returns the other
-    # cell's edge and its heights, scaled by 2D as the traversal keeps them
+    # cell's edge and its heights, scaled by 2D as the traversal keeps them,
+    # and whether that cell is lower in w.lambda at the seed weight
     import tightspan.subdivision as sd
 
     S = subdivision(name)
     n = S.n
     dnum, D = sd._scaled_entries(S.metric)
-    scaled = {}
+    w = sd._seed_weight(n)
+    scaled, level = {}, {}
     for cell in S.maximal_cells:
         lam = [2 * D * h for h in cell.heights]
         assert all(v.denominator == 1 for v in lam)
         scaled[cell.graph.bits] = [int(v) for v in lam]
+        level[cell.graph.bits] = sum(x * h for x, h in zip(w, cell.heights))
     by_ridge: dict[int, list[int]] = {}
     for mask in scaled:
         bits = mask
@@ -482,7 +485,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
             leaving = (here ^ rmask).bit_length() - 1
             entering = (there ^ rmask).bit_length() - 1
             got = sd._pivot_entering(n, dnum, rmask, leaving, scaled[here])
-            assert got == (entering, scaled[there])
+            assert got == (entering, scaled[there], level[there] < level[here])
 
 
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
@@ -513,12 +516,12 @@ def test_adjacent_cells_lie_on_one_pencil(name):
 
 def test_traverse_rejects_bad_seed():
     d = gen_dmax(4)
-    bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (0,) * 4, 2)
+    bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (0,) * 4, 2, 1)
     with pytest.raises(SeedInvalid):
         traverse_cells(d, bad)
     not_a_cell = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
     with pytest.raises(SeedInvalid):
-        traverse_cells(d, Cell(not_a_cell, (0,) * 4, 2))
+        traverse_cells(d, Cell(not_a_cell, (0,) * 4, 2, 1))
 
 
 def test_traverse_detects_ridge_tie_on_flat_metric():
@@ -719,10 +722,13 @@ def test_restriction_matches_submetric_n7():
 
 def test_face_closure_refuses_cells_without_down_edges():
     # a cell of lambda_certificate knows no neighbour, so its down edges are
-    # unknown: counting it as a cell without down edges would be wrong
-    S = compute_subdivision(metric("4points"))
-    bare = tuple(lambda_certificate(S.metric, cell.graph) for cell in S.maximal_cells)
-    assert bare == tuple(replace(cell, down=None) for cell in S.maximal_cells)
+    # unknown: counting it as a cell without down edges would be wrong.  Each
+    # traversed cell is re-certified, heights and volume, past the
+    # enumeration cap too.
+    for name in ("dmax-9", "dmin-9", "hires-9.1", "hires-10.1", "4points"):
+        S = compute_subdivision(metric(name))
+        bare = tuple(lambda_certificate(S.metric, cell.graph) for cell in S.maximal_cells)
+        assert bare == tuple(replace(cell, down=None) for cell in S.maximal_cells)
     for closure in (down_degrees, all_faces):
         with pytest.raises(PreconditionViolated):
             closure(replace(S, maximal_cells=bare))
