@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import NodeOutOfRange
+
 
 def pair_index(n: int, i: int, j: int) -> int:
-    """Slot of the pair {i,j}, 1 <= i < j <= n, in lexicographic order."""
+    """Slot of the pair {i,j} of distinct nodes in 1..n, in lexicographic order."""
+    if not (0 < i <= n and 0 < j <= n) or i == j:
+        raise NodeOutOfRange(f"edge ({i},{j}) not in K_{n}")
     if i > j:
         i, j = j, i
     return (i - 1) * n - i * (i + 1) // 2 + j - 1

@@ -80,7 +80,6 @@ def solve_w_matching(d: Metric, w: Sequence) -> FractionalMatching:
 
     m = num_pairs(n)
     W = lcm(*(x.denominator for x in weights))
-    D = lcm(*(e.denominator for e in d.entries))
     # rows [A | I | W*w]: real columns, then artificials, then the right side
     T = []
     for i in range(n):
@@ -109,7 +108,8 @@ def solve_w_matching(d: Metric, w: Sequence) -> FractionalMatching:
         scale = -scale
 
     # phase 2: maximize <mu, D*d> over real columns only
-    cost = [e.numerator * (D // e.denominator) for e in d.entries] + [0] * (n + 1)
+    dnum, D = d.scaled
+    cost = list(dnum) + [0] * (n + 1)
     T.append([
         sum(cost[b] * row[j] for b, row in zip(basis, T)) - scale * c
         for j, c in enumerate(cost)

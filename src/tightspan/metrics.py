@@ -3,8 +3,9 @@
 All distances are fractions.Fraction values (arbitrary precision, always in
 lowest terms); no floating point enters anywhere.  A Metric stores only the
 upper triangle in lexicographic pair order, so symmetry and the zero diagonal
-are structural.  Validation computes the non-negativity and triangle flags
-and rejects malformed tables instead of repairing them.
+are structural.  Metric.scaled, the entries as integers over one common
+denominator, is the integer form that every exact layer and both metric
+flags read.  Malformed tables are rejected, never repaired.
 
 The canonical file format is JSON: {"n": <int>, "upper": ["p/q", ...]} with
 entries in lexicographic pair order; floating-point literals are rejected.
@@ -15,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -33,12 +36,10 @@ from .graphs import EdgeGraph
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric rational distance function on points 1..n with validation flags."""
+    """Symmetric rational distance function on points 1..n."""
 
     n: int
     entries: tuple[Fraction, ...]  # upper triangle, lexicographic pair order
-    is_nonnegative: bool
-    satisfies_triangle: bool
 
     def d(self, i: int, j: int) -> Fraction:
         """Distance between i and j; d(i,i) = 0 by convention."""
@@ -47,11 +48,36 @@ class Metric:
         return self.entries[pair_index(self.n, i, j)]
 
     def as_table(self) -> list[list[Fraction]]:
-        table = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (i, j), value in zip(pair_table(self.n), self.entries):
-            table[i - 1][j - 1] = value
-            table[j - 1][i - 1] = value
-        return table
+        return _square(self.n, self.entries, Fraction(0))
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, D): the entries as integers over their common denominator D."""
+        D = lcm(*(e.denominator for e in self.entries))
+        return tuple(e.numerator * (D // e.denominator) for e in self.entries), D
+
+    @cached_property
+    def is_nonnegative(self) -> bool:
+        return all(v >= 0 for v in self.scaled[0])
+
+    @cached_property
+    def satisfies_triangle(self) -> bool:
+        """d(i,k) <= d(i,j) + d(j,k) for distinct i, j, k; j = i or k adds 0 and passes."""
+        num = self.scaled[0]
+        rows = _square(self.n, num, 0)
+        return all(
+            v <= a + b
+            for (i, k), v in zip(pair_table(self.n), num)
+            for a, b in zip(rows[i - 1], rows[k - 1])
+        )
+
+
+def _square(n: int, upper: Sequence, zero: object) -> list[list]:
+    """The symmetric n x n table of upper-triangle values, zero on the diagonal."""
+    table = [[zero] * n for _ in range(n)]
+    for (i, j), value in zip(pair_table(n), upper):
+        table[i - 1][j - 1] = table[j - 1][i - 1] = value
+    return table
 
 
 @dataclass(frozen=True)
@@ -63,7 +89,7 @@ class IsolatedDistance:
 
 
 def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
-    """Build a Metric from a square distance table, computing the flags.
+    """Build a Metric from a square distance table.
 
     Rejects non-square or asymmetric tables, nonzero diagonals and n < 3;
     never repairs values.
@@ -83,35 +109,19 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
                 raise AsymmetricInput(
                     f"d({i + 1},{j + 1}) = {rows[i][j]} but d({j + 1},{i + 1}) = {rows[j][i]}"
                 )
-    entries = tuple(rows[i - 1][j - 1] for i, j in pair_table(n))
-    nonneg = all(e >= 0 for e in entries)
-    triangle = True
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if rows[i][k] > rows[i][j] + rows[j][k]:
-                    triangle = False
-    return Metric(n, entries, nonneg, triangle)
+    return Metric(n, tuple(rows[i - 1][j - 1] for i, j in pair_table(n)))
 
 
-def metric_from_upper(n: int, upper: Sequence[Fraction]) -> Metric:
-    """Metric from an upper-triangle entry list (validated via the full table)."""
+def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
+    """Metric from an upper-triangle entry list in lexicographic pair order."""
     if n < 3:
         raise BadArity(f"need at least 3 points, got {n}")
     if len(upper) != num_pairs(n):
         raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in zip(pair_table(n), upper):
-        table[i - 1][j - 1] = value
-        table[j - 1][i - 1] = value
-    return validate_metric(table)
+    return Metric(n, tuple(parse_rational(x) for x in upper))
 
 
-_MAX_POINTS = 64  # at n = 64 validate_metric's O(n^3) Fraction check takes about 1 s
+_MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles per point
 
 
 def _require_points(n: int) -> None:
@@ -246,20 +256,18 @@ def strict_triangle_nodes(d: Metric) -> frozenset[int]:
     These are the nodes whose corner simplex survives in the tight span
     (one extra vertex and edge each).
     """
-    out = []
-    for i in range(1, d.n + 1):
-        strict = True
-        for j in range(1, d.n + 1):
-            if j == i:
-                continue
-            for k in range(j + 1, d.n + 1):
-                if k == i:
-                    continue
-                if d.d(i, j) + d.d(i, k) <= d.d(j, k):
-                    strict = False
-        if strict:
-            out.append(i)
-    return frozenset(out)
+    num = d.scaled[0]
+    rows = _square(d.n, num, 0)
+    pairs = pair_table(d.n)
+    return frozenset(
+        i
+        for i, row in enumerate(rows, 1)
+        if all(
+            row[j - 1] + row[k - 1] > v
+            for (j, k), v in zip(pairs, num)
+            if j != i != k
+        )
+    )
 
 
 # -- canonical JSON file format -------------------------------------------------
@@ -287,8 +295,8 @@ def metric_from_json(text: str) -> Metric:
         raise ValueError("n must be an integer")
     if not isinstance(payload["upper"], list):
         raise ValueError("upper must be a list")
-    upper = [parse_rational(x) for x in payload["upper"]]
-    return metric_from_upper(n, tuple(upper))
+    # every entry is parsed before the arity is checked, so a bad entry is named first
+    return metric_from_upper(n, [parse_rational(x) for x in payload["upper"]])
 
 
 def load_metric(path: str) -> Metric:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .common import num_pairs, pair_table, pivot
@@ -76,23 +75,19 @@ def _eliminate(M: list[list[int]], cols: int) -> tuple[int, int]:
     return rank, scale
 
 
-def _constraints(d: Metric) -> tuple[list[tuple[int, ...]], list[Fraction]]:
-    """Rows and right-hand sides: pair constraints first, then x_i >= 0."""
-    n = d.n
+def _constraints(n: int) -> list[tuple[int, ...]]:
+    """Constraint rows: the pairs x_i + x_j first, then x_i >= 0."""
     rows: list[tuple[int, ...]] = []
-    rhs: list[Fraction] = []
-    for p, (i, j) in enumerate(pair_table(n)):
+    for i, j in pair_table(n):
         row = [0] * n
         row[i - 1] = 1
         row[j - 1] = 1
         rows.append(tuple(row))
-        rhs.append(d.entries[p])
     for i in range(n):
         row = [0] * n
         row[i] = 1
         rows.append(tuple(row))
-        rhs.append(Fraction(0))
-    return rows, rhs
+    return rows
 
 
 def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
@@ -120,9 +115,9 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     n = d.n
     if n > 7:
         raise ScaleExceeded("vertex enumeration is capped at n = 7")
-    rows, rhs = _constraints(d)
-    denom = lcm(*(v.denominator for v in rhs))
-    b = [int(v * denom) for v in rhs]
+    rows = _constraints(n)
+    dnum, denom = d.scaled
+    b = list(dnum) + [0] * n
     # constraint q sums x at ends[q]; x_i >= 0 adds a zero kept at index n
     ends = [(i - 1, j - 1) for i, j in pair_table(n)] + [(i, n) for i in range(n)]
 
@@ -191,7 +186,7 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     """
     n = d.n
     vertices = enumerate_vertices(d)
-    rows, _ = _constraints(d)
+    rows = _constraints(n)
     first_loop = num_pairs(n)
     tights = [
         v.tight.base.bits | sum(1 << (first_loop + i - 1) for i in v.tight.loops)

@@ -247,14 +247,6 @@ def candidate_graphs(n: int) -> tuple[int, ...]:
 # -- scaled certificate arithmetic ---------------------------------------------
 
 
-def _scaled_entries(d: Metric) -> tuple[tuple[int, ...], int]:
-    """Entries as integers over their common denominator D."""
-    D = 1
-    for e in d.entries:
-        D = math.lcm(D, e.denominator)
-    return tuple(e.numerator * (D // e.denominator) for e in d.entries), D
-
-
 def _solve_scaled(n: int, mask: int, dnum: Sequence[int]) -> tuple[list[int], list[int]]:
     """Equality system of a mask, in integers scaled by 2D: (lam, sigma).
 
@@ -431,7 +423,7 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
             "certificates exist only for spanning n-edge graphs"
             " with odd-unicyclic components"
         )
-    dnum, D = _scaled_entries(d)
+    dnum, D = d.scaled
     lam, pair, below = _classify_scaled(G.n, G.bits, dnum)
     if not below and (pair is None or pair[0] == pair[1]):
         return Cell(G, tuple(lam), 2 * D, 1 << c - 1)
@@ -452,7 +444,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     if n > 8:
         raise ScaleExceeded("cell enumeration is capped at n = 8")
     pool = candidate_graphs(n)
-    dnum, D = _scaled_entries(d)
+    dnum, D = d.scaled
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -593,7 +585,7 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     c = cell_components(n, G.bits) if G.n == n else None
     if c is None:
         raise SeedInvalid("seed graph is not a candidate cell")
-    dnum, D = _scaled_entries(d)
+    dnum, D = d.scaled
     kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
     if not kept:
         raise SeedInvalid("seed graph carries no strict certificate")

@@ -247,7 +247,8 @@ def vertices_by_bases(d: Metric) -> tuple[PrimalVertex, ...]:
     slow, exhaustive reference for primal.enumerate_vertices.
     """
     n = d.n
-    rows, rhs = _constraints(d)
+    rows = _constraints(n)
+    rhs = list(d.entries) + [Fraction(0)] * n
     denom = lcm(*(v.denominator for v in rhs))
     rhs_int = [int(v * denom) for v in rhs]
     m = len(rows)

@@ -44,6 +44,22 @@ def test_from_edges_bounds():
         EdgeGraph.from_edges(4, [(2, 2)])
 
 
+def test_from_edges_names_the_bad_edge():
+    for i, j in ((1, 5), (2, 2), (0, 3)):
+        with pytest.raises(NodeOutOfRange) as err:
+            EdgeGraph.from_edges(4, [(i, j)])
+        assert str(err.value) == f"edge ({i},{j}) not in K_4"
+
+
+def test_loop_pairs_are_refused():
+    G = EdgeGraph.from_edges(4, [(1, 4)])
+    with pytest.raises(NodeOutOfRange):
+        G.has_edge(2, 2)
+    with pytest.raises(NodeOutOfRange):
+        G.remove_edge(2, 2)
+    assert G.has_edge(4, 1) and G.remove_edge(4, 1) == empty_graph(4)
+
+
 def test_components_two_triangles():
     G = EdgeGraph.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
     decomp = components(G)

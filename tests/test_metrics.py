@@ -25,6 +25,7 @@ from tightspan.metrics import (
     gen_dmin,
     gen_random,
     metric_from_json,
+    metric_from_upper,
     metric_to_json,
     shift_by_isolated,
     strict_triangle_nodes,
@@ -215,6 +216,25 @@ def test_strict_triangle_nodes():
     assert strict_triangle_nodes(metric("ideal")) == frozenset()
     for n in range(4, 8):
         assert strict_triangle_nodes(gen_dmax(n)) == frozenset(range(1, n + 1))
+
+
+def test_out_of_range_pairs_are_refused():
+    d = gen_dmax(4)
+    for i, j in ((5, 1), (0, 3)):
+        with pytest.raises(NodeOutOfRange) as err:
+            d.d(i, j)
+        assert str(err.value) == f"edge ({i},{j}) not in K_4"
+    assert d.d(2, 2) == 0
+
+
+def test_integer_flags_on_mixed_denominators():
+    # d(1,2) = 1/3, d(1,3) = 1/2, d(2,3) = 1/6: d(1,3) = d(1,2) + d(2,3) exactly
+    d = metric_from_upper(3, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))
+    assert d.scaled == ((2, 3, 1), 6)
+    assert d.is_nonnegative and d.satisfies_triangle
+    assert strict_triangle_nodes(d) == frozenset({1, 3})
+    d = metric_from_upper(3, (Fraction(1, 3), Fraction(1, 2) + Fraction(1, 10**40), Fraction(1, 6)))
+    assert d.is_nonnegative and not d.satisfies_triangle
 
 
 def test_json_roundtrip():

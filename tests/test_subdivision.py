@@ -36,6 +36,7 @@ from tightspan.subdivision import (
     enumerate_cells,
     interleaved_cycle_graph,
     lambda_certificate,
+    random_generic_metrics,
     seed_cell,
     subdivision_to_json,
     traverse_cells,
@@ -118,7 +119,7 @@ def test_solver_ends_on_every_small_mask():
     from tightspan.graphs import cell_components, components
 
     d = gen_dmax(5)
-    dnum, D = sd._scaled_entries(d)
+    dnum, D = d.scaled
     pairs = pair_table(5)
     masks = [sum(1 << p for p in c) for k in (4, 5, 6) for c in combinations(range(10), k)]
     assert len(masks) == 672
@@ -150,7 +151,7 @@ def test_solver_ends_on_every_small_mask():
     # with 4 or more edges on 5 nodes, two trees come only beside another fault
     two_trees = EdgeGraph.from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
     with pytest.raises(PreconditionViolated):
-        sd._solve_scaled(7, two_trees.bits, sd._scaled_entries(gen_dmax(7))[0])
+        sd._solve_scaled(7, two_trees.bits, gen_dmax(7).scaled[0])
 
 
 @pytest.mark.parametrize("d24, pair", [(2, (2, 4)), (1, (1, 1))])
@@ -166,7 +167,7 @@ def test_classifier_reports_an_equality_before_a_zero_height(d24, pair):
         [[0, 1, 1, 1], [1, 0, 2, d24], [1, 2, 0, 1], [1, d24, 1, 0]]
     )
     G = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
-    dnum, D = sd._scaled_entries(d)
+    dnum, D = d.scaled
     lam, got, below = sd._classify_scaled(4, G.bits, dnum)
     assert lam == [0, 2 * D, 2 * D, 2 * D]
     assert (got, below) == (pair, False)
@@ -323,6 +324,13 @@ def test_compute_subdivision_equals_enumeration(name):
     assert compute_subdivision(metric(name)) == subdivision(name)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_compute_subdivision_equals_enumeration_on_random_generic(k):
+    # cells, heights, volumes, down edges, verdict and witness, off the named families
+    seed, d = random_generic_metrics(7, 4)[k]
+    assert compute_subdivision(d) == enumerate_cells(d), seed
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -463,7 +471,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
 
     S = subdivision(name)
     n = S.n
-    dnum, D = sd._scaled_entries(S.metric)
+    dnum, D = S.metric.scaled
     w = sd._seed_weight(n)
     scaled, level = {}, {}
     for cell in S.maximal_cells:
