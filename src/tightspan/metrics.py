@@ -42,8 +42,8 @@ class Metric:
     entries: tuple[Fraction, ...]  # upper triangle, lexicographic pair order
 
     def d(self, i: int, j: int) -> Fraction:
-        """Distance between i and j; d(i,i) = 0 by convention."""
-        if i == j:
+        """Distance between nodes i and j of 1..n; d(i,i) = 0 by convention."""
+        if i == j and 0 < i <= self.n:
             return Fraction(0)
         return self.entries[pair_index(self.n, i, j)]
 

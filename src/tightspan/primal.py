@@ -5,17 +5,18 @@ x_i >= 0) is attacked head on: its vertices by a walk over its feasible
 bases, one integer elimination (common.pivot) per basis, each tight set one
 bitmask over the constraint slots: the C(n,2) pairs in EdgeGraph bit order,
 then x_1 >= 0, ..., x_n >= 0.  Bounded faces are the intersection closure of
-those masks, and the h-vector counts descending edges under a generic
-positive objective.  It shares no heights, cells or traversal with the dual
-side, only the pivot step.  crosscheck holds it against the dual side's
-FaceReport, the record the CLI report prints.
+those masks, their dimensions and covering read off the graded face lattice
+by mask containment, and the h-vector counts descending edges under a
+generic positive objective.  It shares no heights, cells or traversal with
+the dual side, only the pivot step.  crosscheck holds it against the dual
+side's FaceReport, the record the CLI report prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .common import num_pairs, pair_table, pivot
 from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
@@ -45,17 +46,6 @@ class BoundedFacePoset:
     faces: tuple[BoundedFace, ...]
     f_vector: tuple[int, ...]
     covering: tuple[tuple[int, int], ...]  # (face index, covered face index)
-
-
-@dataclass(frozen=True)
-class OrientationSpec:
-    """Strictly positive objective with a fixed lexicographic tie-break."""
-
-    alpha: tuple[Fraction, ...]
-
-    @staticmethod
-    def ones(n: int) -> "OrientationSpec":
-        return OrientationSpec(tuple(Fraction(1) for _ in range(n)))
 
 
 def _eliminate(M: list[list[int]], cols: int) -> tuple[int, int]:
@@ -183,17 +173,21 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     constraints touch every node, that is, when it meets each node's star
     and loop bit: the recession cone of the polyhedron is the non-negative
     orthant, so any node free of tight constraints yields an escape ray.
+    The proper faces of a bounded face are the patterns that strictly
+    contain its mask, so in decreasing bit count each face comes after them.
+    The face lattice is graded (Ziegler, Lectures on Polytopes, Thm. 2.7):
+    a face's dimension is one more than the largest of theirs, 0 for a
+    vertex, and it covers those one dimension down.
     """
     n = d.n
     vertices = enumerate_vertices(d)
-    rows = _constraints(n)
     first_loop = num_pairs(n)
     tights = [
         v.tight.base.bits | sum(1 << (first_loop + i - 1) for i in v.tight.loops)
         for v in vertices
     ]
 
-    patterns = set(tights)
+    patterns = {*tights}
     work = list(patterns)
     while work:
         F = work.pop()
@@ -204,52 +198,49 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
                 work.append(G)
 
     nodes = [star | 1 << (first_loop + i) for i, star in enumerate(node_edge_masks(n))]
-    faces = []
-    for F in patterns:
+    dims: dict[int, int] = {}
+    below: dict[int, list[int]] = {}
+    for F in sorted(patterns, key=int.bit_count, reverse=True):
         if not all(F & node for node in nodes):
             continue  # unbounded: a free node spans an escape ray
-        vertex_ids = tuple(i for i, t in enumerate(tights) if F & t == F)
-        dim = n - _eliminate([list(r) for c, r in enumerate(rows) if F >> c & 1], n)[0]
-        faces.append(BoundedFace(_loopy(n, F), vertex_ids, dim))
-    faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+        proper = [G for G in dims if G & F == F]
+        dims[F] = 1 + max((dims[G] for G in proper), default=-1)
+        below[F] = [G for G in proper if dims[G] == dims[F] - 1]
 
-    max_dim = max((f.dim for f in faces), default=-1)
-    fvec = tuple(
-        sum(1 for f in faces if f.dim == k) for k in range(max_dim + 1)
-    )
-    covering = []
-    for a, fa in enumerate(faces):
-        for b, fb in enumerate(faces):
-            if fb.dim == fa.dim - 1 and set(fb.vertex_ids) <= set(fa.vertex_ids):
-                covering.append((a, b))
-    return BoundedFacePoset(n, tuple(vertices), tuple(faces), fvec, tuple(covering))
+    ids = {F: tuple(i for i, t in enumerate(tights) if F & t == F) for F in dims}
+    order = sorted(dims, key=lambda F: (dims[F], ids[F]))
+    index = {F: k for k, F in enumerate(order)}
+    faces = tuple(BoundedFace(_loopy(n, F), ids[F], dims[F]) for F in order)
+    fvec = tuple(sum(f.dim == k for f in faces) for k in range(faces[-1].dim + 1))
+    covering = tuple(sorted((index[F], index[G]) for F in dims for G in below[F]))
+    return BoundedFacePoset(n, vertices, faces, fvec, covering)
 
 
 def h_by_outdegree(
     d: Metric,
-    spec: Optional[OrientationSpec] = None,
+    alpha: Optional[Sequence[Fraction]] = None,
     poset: Optional[BoundedFacePoset] = None,
 ) -> tuple[int, ...]:
     """Vertex counts by number of descending bounded edges.
 
-    Requires a simple polyhedron.  The objective is any strictly positive
-    vector; ties between vertices break lexicographically on coordinates,
-    and positivity keeps every unbounded edge ascending, so out-degrees only
-    count bounded edges.
+    Requires a simple polyhedron.  The objective alpha is any strictly
+    positive vector of length n, all ones by default; ties between vertices
+    break lexicographically on coordinates, and positivity keeps every
+    unbounded edge ascending, so out-degrees only count bounded edges.
     """
     n = d.n
     if poset is None:
         poset = bounded_faces(d)
     if any(not v.simple for v in poset.vertices):
         raise NonSimple("out-degree counts require a simple polyhedron")
-    if spec is None:
-        spec = OrientationSpec.ones(n)
-    if len(spec.alpha) != n or any(a <= 0 for a in spec.alpha):
+    if alpha is None:
+        alpha = (Fraction(1),) * n
+    if len(alpha) != n or any(a <= 0 for a in alpha):
         raise PreconditionViolated("objective must be strictly positive of length n")
 
     def key(vid: int):
         x = poset.vertices[vid].coords
-        return (sum(a * xi for a, xi in zip(spec.alpha, x)),) + x
+        return (sum(a * xi for a, xi in zip(alpha, x)),) + x
 
     outdeg = [0] * len(poset.vertices)
     for face in poset.faces:

@@ -31,7 +31,7 @@ from tightspan.facevectors import (
 from tightspan.graphs import EdgeGraph, components
 from tightspan.matching import b11_classify, is_cell_lp, is_cell_oddpath
 from tightspan.metrics import gen_dmax, gen_dmin
-from tightspan.primal import OrientationSpec, bounded_faces, crosscheck, h_by_outdegree
+from tightspan.primal import bounded_faces, crosscheck, h_by_outdegree
 from tightspan.subdivision import (
     Cell,
     candidate_graphs,
@@ -167,9 +167,9 @@ def test_criterion_07_oracle_equivalence():
         d = metric("dmax-5")
         poset = bounded_faces(d)
         specs = [
-            OrientationSpec.ones(5),
-            OrientationSpec(tuple(Fraction(k) for k in (2, 3, 5, 7, 11))),
-            OrientationSpec(tuple(Fraction(k, 13) for k in (17, 4, 9, 25, 6))),
+            (Fraction(1),) * 5,
+            tuple(Fraction(k) for k in (2, 3, 5, 7, 11)),
+            tuple(Fraction(k, 13) for k in (17, 4, 9, 25, 6)),
         ]
         assert len({h_by_outdegree(d, s, poset) for s in specs}) == 1
 

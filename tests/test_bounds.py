@@ -144,6 +144,24 @@ def test_bound_violation_raises():
         verify_metric_against_bounds(metric("dmax-4"), fake)
 
 
+@pytest.mark.parametrize(
+    "name, fT, hT, message",
+    [
+        ("dmax-4", (8, 8, 1), (1, 7, 1), "h_1 = 7 exceeds bound 6 at n=4"),
+        ("dmax-4", (8, 8), (1, 6, 1), "dim 1 outside [2, 2] at n=4"),
+        ("dmin-6", (31, 45, 14), (1, 15, 15), "top count 14 below lower bound 15 at n=6"),
+    ],
+    ids=["h-above-bound", "dim-below-range", "top-below-bound"],
+)
+def test_bound_violation_names_the_failed_bound(name, fT, hT, message):
+    # each vector stays within every other bound, so only the named one fails
+    tv = tsv(name)
+    fake = TightSpanVectors(fT, hT, tv.glued, tv.ideal_fT, tv.ideal_hT)
+    with pytest.raises(BoundViolated) as err:
+        verify_metric_against_bounds(metric(name), fake)
+    assert str(err.value) == message
+
+
 def test_bound_table_text():
     text = bound_table(4, 6)
     assert "32 48 18 1" in text

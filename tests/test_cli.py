@@ -25,7 +25,7 @@ from helpers import (
     metric,
 )
 from tightspan.cli import main
-from tightspan.common import parse_rational
+from tightspan.common import Verdict, parse_rational
 from tightspan.errors import DegenerateRidge
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
@@ -257,6 +257,52 @@ def test_compute_three_points(kind, tmp_path, capsys):
     assert main(["compute", str(path), "--no-timestamp", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["fT"] == [4, 3] and payload["checks"]["bounds"] is True
+
+
+def _bound_violated(d, span):
+    raise cli.BoundViolated("f_1 = 8 exceeds bound 7 at n=4")
+
+
+@pytest.mark.parametrize(
+    "attr, broken, check, witness",
+    [
+        (
+            "check_dehn_sommerville",
+            lambda h: Verdict(False, [1, [1, 2]]),
+            "dehn_sommerville_boundary",
+            [1, [1, 2]],
+        ),
+        (
+            "verify_metric_against_bounds",
+            _bound_violated,
+            "bounds",
+            "f_1 = 8 exceeds bound 7 at n=4",
+        ),
+    ],
+    ids=["verdict", "raised"],
+)
+def test_compute_failed_check_exits_4_with_its_witness(
+    attr, broken, check, witness, four_points_file, capsys, monkeypatch
+):
+    # a check that returns a failed Verdict and one that raises a TightSpanError
+    # both fail only their own row, and JSON carries the witness or the message
+    monkeypatch.setattr(cli, attr, broken)
+    argv = ["compute", four_points_file, "--oracle", "--no-timestamp"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line for line in out.splitlines() if line.startswith("check ")]
+    assert rows == [
+        f"check {name}: {'FAIL' if name == check else 'pass'}"
+        for name in ("dehn_sommerville_boundary", "ball_relations", "asff", "bounds", "oracle")
+    ]
+    assert main([*argv, "--format", "json"]) == 4
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == ""
+    assert payload["checks"][check] is False
+    assert [name for name, ok in payload["checks"].items() if not ok] == [check]
+    assert payload["check_witnesses"] == {check: witness}
 
 
 def test_compute_byte_deterministic(four_points_file, capsys):

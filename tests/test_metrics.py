@@ -227,6 +227,15 @@ def test_out_of_range_pairs_are_refused():
     assert d.d(2, 2) == 0
 
 
+def test_out_of_range_diagonal_is_refused():
+    d = gen_dmax(4)
+    for i in (9, 0):
+        with pytest.raises(NodeOutOfRange) as err:
+            d.d(i, i)
+        assert str(err.value) == f"edge ({i},{i}) not in K_4"
+    assert [d.d(i, i) for i in range(1, 5)] == [0] * 4
+
+
 def test_integer_flags_on_mixed_denominators():
     # d(1,2) = 1/3, d(1,3) = 1/2, d(2,3) = 1/6: d(1,3) = d(1,2) + d(2,3) exactly
     d = metric_from_upper(3, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))

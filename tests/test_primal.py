@@ -1,13 +1,14 @@
 """Primal oracle: vertex enumeration, bounded faces, out-degree h-vectors."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import tightspan.primal as primal
 from helpers import metric, rank_int, report, vertices_by_bases
-from tightspan.errors import NonSimple, ScaleExceeded
-from tightspan.facevectors import face_report
+from tightspan.errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
+from tightspan.facevectors import FVector, face_report
 from tightspan.graphs import EdgeGraph, LoopyGraph
 from tightspan.metrics import (
     gen_dmax,
@@ -18,7 +19,6 @@ from tightspan.metrics import (
 )
 from tightspan.primal import (
     BoundedFace,
-    OrientationSpec,
     bounded_faces,
     crosscheck,
     enumerate_vertices,
@@ -204,6 +204,32 @@ def test_bounded_faces_equal_closure_of_reference_tight_sets(d):
     assert poset.f_vector == f_vector
 
 
+@pytest.mark.parametrize(
+    "d, simple",
+    [(gen_dmax(7), True), (gen_dmin(7), True)]
+    + [(gen_random(7, 2, 100), True), (gen_random(7, 1, 30), False)],
+    ids=["dmax-7", "dmin-7", "coarse-7.2", "res30-7.1"],
+)
+def test_bounded_faces_dims_and_covering_by_linear_algebra(d, simple):
+    # each dimension is n minus the rank of the face's tight rows, and a face
+    # covers exactly the faces one dimension down on a subset of its vertices
+    n = d.n
+    poset = bounded_faces(d)
+    assert all(v.simple for v in poset.vertices) == simple
+    for f in poset.faces:
+        pairs = list(f.tight.base.edges()) + [(i, i) for i in f.tight.loops]
+        rows = [[int(k in pair) for k in range(1, n + 1)] for pair in pairs]
+        assert f.dim == n - rank_int(rows)
+    faces = poset.faces
+    covering = tuple(
+        (a, b)
+        for a, fa in enumerate(faces)
+        for b, fb in enumerate(faces)
+        if fb.dim == fa.dim - 1 and set(fb.vertex_ids) <= set(fa.vertex_ids)
+    )
+    assert poset.covering == covering
+
+
 def test_bounded_faces_covering_relations():
     poset = bounded_faces(metric("4points"))
     by_dim = {}
@@ -230,12 +256,18 @@ def test_outdegree_h_objective_independent():
     d = gen_dmax(5)
     poset = bounded_faces(d)
     specs = [
-        OrientationSpec.ones(5),
-        OrientationSpec(tuple(Fraction(k) for k in (1, 2, 3, 4, 5))),
-        OrientationSpec(tuple(Fraction(k, 7) for k in (5, 3, 9, 2, 11))),
+        (Fraction(1),) * 5,
+        tuple(Fraction(k) for k in (1, 2, 3, 4, 5)),
+        tuple(Fraction(k, 7) for k in (5, 3, 9, 2, 11)),
     ]
     values = {h_by_outdegree(d, spec, poset) for spec in specs}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("alpha", [(1, 0, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])
+def test_outdegree_refuses_a_bad_objective(alpha):
+    with pytest.raises(PreconditionViolated):
+        h_by_outdegree(gen_dmax(5), alpha)
 
 
 def test_outdegree_h_partition():
@@ -284,6 +316,42 @@ def test_crosscheck_graph_weighted_family():
         S = compute_subdivision(d)
         assert S.generic
         assert crosscheck(d, face_report(d, S)).ok
+
+
+def _broken(name, part):
+    """The face report of a fixture with one part changed so that it disagrees."""
+    rep = report(name)
+    span = rep.span
+    if part == "fT":
+        return replace(rep, span=replace(span, fT=(span.fT[0] + 1,) + span.fT[1:]))
+    if part == "hT":
+        return replace(rep, span=replace(span, hT=span.hT[:-1] + (span.hT[-1] + 1,)))
+    if part == "f":
+        counts = rep.f.counts
+        return replace(rep, f=FVector(counts[:1] + (counts[1] + 1,) + counts[2:]))
+    faces = rep.faces
+    top = faces.interior_by_dim[-1]
+    broken = replace(rep)
+    vars(broken)["faces"] = replace(  # the cached face listing, one interior face short
+        faces, interior_by_dim=faces.interior_by_dim[:-1] + (top - {min(top)},)
+    )
+    return broken
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("fT", "f-vectors differ"),
+        ("hT", "h-vectors differ"),
+        ("f", "glued-ball h-vector"),
+        ("interior", "face bijection failed"),
+    ],
+)
+def test_crosscheck_catches_each_disagreement(part, message):
+    d = metric("dmax-5")
+    assert crosscheck(d, report("dmax-5")).ok
+    with pytest.raises(Mismatch, match=message):
+        crosscheck(d, _broken("dmax-5", part))
 
 
 def test_crosscheck_caps_scale():
