@@ -13,8 +13,8 @@ bytes of json.dumps(payload, indent=2) + "\n".
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
 --export-* or -o path, or a stdout closed by its reader), 3 non-generic
 input (with its witness) without --allow-degenerate, 4 failed check (also a
-traversal whose ridge pencils or covered volume break an invariant without a
-witness, or any other package error while the subdivision is built).
+traversal whose ridge pencils or covered volume break an invariant, or any
+other package error while the subdivision is built).
 `verify` exits 4 when a row fails, and 2 on bad arguments, on a package
 error inside a suite and on a closed stdout, with one `error:` line.
 """

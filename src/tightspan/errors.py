@@ -50,15 +50,11 @@ class StructureViolation(TightSpanError):
 # -- subdivision pipeline ------------------------------------------------------
 
 class DegenerateRidge(TightSpanError):
-    """A ridge pivot was ambiguous; the input is not generic.
+    """An invariant of the ridge traversal broke; there is no witness.
 
-    On a ratio-test tie, witness is (graph, pair): the heights of the cell
-    graph meet d with equality on the pair off it.  Otherwise it is None.
+    A flat seed or a ratio-test tie is a verdict, not this error: the
+    traversal returns it as a non-generic Subdivision.
     """
-
-    def __init__(self, message: str, witness=None) -> None:
-        super().__init__(message)
-        self.witness = witness
 
 
 class SeedInvalid(TightSpanError):

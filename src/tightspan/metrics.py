@@ -113,9 +113,10 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
 
 
 def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
-    """Metric from an upper-triangle entry list in lexicographic pair order."""
+    """Metric from an upper-triangle entry list in lexicographic pair order, 3 <= n <= 64."""
     if n < 3:
         raise BadArity(f"need at least 3 points, got {n}")
+    _require_points(n)
     if len(upper) != num_pairs(n):
         raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
     return Metric(n, tuple(parse_rational(x) for x in upper))
@@ -125,7 +126,7 @@ _MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles pe
 
 
 def _require_points(n: int) -> None:
-    """Refuse a generator's n outside 3.._MAX_POINTS before any pair is built."""
+    """Refuse an n outside 3.._MAX_POINTS before any pair is built."""
     if n < 3:
         raise BadArity(f"need n >= 3, got {n}")
     if n > _MAX_POINTS:

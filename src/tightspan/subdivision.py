@@ -9,8 +9,9 @@ exactly one odd cycle.
 
 compute_subdivision, the one production route at every n, is a ridge-pivot
 traversal from one seed cell that seed_cell reads off the matching LP at one
-fixed integer weight that lies on no wall; a flat seed or a ratio-test tie
-ends it with a witness.  Exhaustive filtration of all candidates
+fixed integer weight that lies on no wall.  The traversal returns every
+verdict: a flat seed, a ratio-test tie or a zero cell height makes the
+result non-generic with a witness.  Exhaustive filtration of all candidates
 (enumerate_cells, n <= 8) is kept as the test oracle.  Both classify their
 cells with one loop (_classify_chunk) and build the Subdivision with one
 builder, so they give the same verdict.
@@ -47,7 +48,6 @@ its integer by one gcd; the face export in cli.py shares its helpers.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -123,8 +123,11 @@ class Subdivision:
     n: int
     metric: Metric
     maximal_cells: tuple[Cell, ...]
-    generic: bool
     degeneracy_witness: Optional[tuple[EdgeGraph, tuple[int, int]]]
+
+    @property
+    def generic(self) -> bool:
+        return self.degeneracy_witness is None
 
     @property
     def total_volume(self) -> int:
@@ -367,15 +370,15 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
 
 
 def _subdivision(d: Metric, D: int, cells: dict, witnesses: list) -> Subdivision:
-    """Cells by mask from mask -> [lam over 2D, components, down]; the witness of least mask."""
+    """Cells by mask from mask -> [lam over 2D, components, down, ...]; the witness of least mask."""
     n = d.n
     mask, pair = min(witnesses, default=(0, None))
     witness = None if pair is None else (EdgeGraph(n, mask), pair)
     maximal = tuple(
         Cell(EdgeGraph(n, mask), tuple(lam), 2 * D, 1 << c - 1, down)
-        for mask, (lam, c, down) in sorted(cells.items())
+        for mask, (lam, c, down, *_) in sorted(cells.items())
     )
-    return Subdivision(n, d, maximal, witness is None, witness)
+    return Subdivision(n, d, maximal, witness)
 
 
 def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
@@ -525,8 +528,8 @@ def _seed_weight(n: int) -> tuple[int, ...]:
 
 def _pivot_entering(
     n: int, dnum: Sequence[int], rmask: int, leaving: int, lam: list[int]
-) -> tuple[int, list[int], bool]:
-    """The neighbour across a ridge: (entering slot, its scaled heights, lower).
+) -> tuple[list[int], list[int], bool]:
+    """The neighbour across a ridge: (entering slots, its scaled heights, lower).
 
     lam holds the current cell's heights, the point t = 0 of the ridge pencil
     lam + t*sigma, and sigma is signed so that the leaving pair's slack grows
@@ -534,7 +537,9 @@ def _pivot_entering(
     bounds t, from above by slack/-s (ridge edges have s = 0); bounds are
     compared by cross-multiplying integers, and the least one enters.  Every
     other pair stays strictly above d, so the neighbour needs no classifying.
-    lower is w.sigma < 0: the neighbour, at t > 0, is lower in w.lambda.
+    The slots are those of the least bound: one, or more on a ratio-test tie,
+    where the neighbour meets d with equality on the second.  lower is
+    w.sigma < 0: the neighbour, at t > 0, is lower in w.lambda.
     """
     _, sigma = _solve_scaled(n, rmask, dnum)
     i, j = _pairs0(n)[leaving]
@@ -553,32 +558,30 @@ def _pivot_entering(
                 slots.append(p)
     if not slots:
         raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
-    if len(slots) != 1:
-        raise DegenerateRidge(
-            "ratio test tie; metric is not generic",
-            witness=(EdgeGraph(n, rmask | 1 << slots[0]), pair_table(n)[slots[1]]),
-        )
     # exact: both cells' heights are integers at scale 2D
     t = num // den
     lower = sum(map(mul, _seed_weight(n), sigma)) < 0
-    return slots[0], [h + t * v for h, v in zip(lam, sigma)], lower
+    return slots, [h + t * v for h, v in zip(lam, sigma)], lower
 
 
-def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
-    """Breadth-first closure of the subdivision under ridge pivots.
+def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
+    """Breadth-first closure of the subdivision under ridge pivots, with its verdict.
 
-    Only the seed is solved and classified.  Each interior ridge is pivoted
-    once, from the first of its two cells to be reached, and the ratio test
-    gives the neighbour with its heights; a tie on the far side raises with
-    its witness, and the near side needs no test, as the current cell is
-    strict.  The pivot also orients the ridge by the sign of w.sigma on its
-    pencil: the higher cell's edge across it is down; boundary ridges are up.
-    One map, mask -> [scaled heights, components, down], holds the cells,
-    counted by the guard that admits them.  Matches enumerate_cells, volumes
-    and down edges included, on every generic input; scales to sizes where
-    exhaustive filtration is out of reach.  A cell with a height that is not
-    positive is kept and makes the result non-generic, with the (i, i)
-    witness of its first such node, as in enumerate_cells.
+    Only the seed is solved and classified; a seed whose heights meet d with
+    equality off its graph gives a non-generic result without cells, with
+    the seed graph and that pair as the witness.  Each interior ridge is
+    pivoted once, from the first of its two cells to be reached, and the
+    ratio test gives the neighbour with its heights; a tie on the far side
+    ends the traversal the same way, with the neighbour's graph and the tied
+    pair, and the near side needs no test, as the current cell is strict.
+    The pivot also orients the ridge by the sign of w.sigma on its pencil:
+    the higher cell's edge across it is down; boundary ridges are up.  One
+    map, mask -> [scaled heights, components, down, pivoted edges], holds the
+    cells, counted by the guard that admits them.  A cell with a height that
+    is not positive is kept and gives the (i, i) witness of its first such
+    node.  Matches enumerate_cells, volumes and down edges included, on every
+    generic input.  SeedInvalid refuses a seed that is no candidate cell or
+    drops below d.
     """
     n = d.n
     G = seed.graph
@@ -588,20 +591,24 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
     dnum, D = d.scaled
     kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
     if not kept:
-        raise SeedInvalid("seed graph carries no strict certificate")
+        if not witnesses:
+            raise SeedInvalid("seed graph carries no strict certificate")
+        return _subdivision(d, D, {}, witnesses)
 
-    cells = {G.bits: [kept[0][1], c, 0]}
-    pivoted: set[int] = set()
-    frontier = deque(cells.items())
-    while frontier:
-        mask, cell = frontier.popleft()
-        for low in _edge_bits(mask):
+    cells = {G.bits: [kept[0][1], c, 0, 0]}
+    order = [G.bits]
+    for mask in order:  # the list grows while it is read
+        cell = cells[mask]
+        for low in _edge_bits(mask & ~cell[3]):
             rmask = mask ^ low
-            if rmask in pivoted or not is_interior_mask(n, rmask):
+            if not is_interior_mask(n, rmask):
                 continue
-            pivoted.add(rmask)
-            entering, nlam, lower = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, cell[0])
-            nmask = rmask | 1 << entering
+            slots, nlam, lower = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, cell[0])
+            if len(slots) != 1:
+                tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
+                return _subdivision(d, D, {}, [tie])
+            entering = 1 << slots[0]
+            nmask = rmask | entering
             other = cells.get(nmask)
             if other is None:
                 # only a broken ratio test leaves the candidates
@@ -611,12 +618,13 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
                 corner = _corner(nlam)
                 if corner is not None:
                     witnesses.append((nmask, corner))
-                other = cells[nmask] = [nlam, c, 0]
-                frontier.append((nmask, other))
+                other = cells[nmask] = [nlam, c, 0, 0]
+                order.append(nmask)
+            other[3] |= entering
             if lower:
                 cell[2] |= low
             else:
-                other[2] |= 1 << entering
+                other[2] |= entering
 
     sub = _subdivision(d, D, cells, witnesses)
     if sub.total_volume != (1 << (n - 1)) - n:
@@ -628,24 +636,13 @@ def traverse_cells(d: Metric, seed: Cell) -> Subdivision:
 
 
 def compute_subdivision(d: Metric) -> Subdivision:
-    """The subdivision of d by ridge traversal from seed_cell, at every n.
+    """The subdivision of d and its verdict, by ridge traversal from seed_cell, at every n.
 
-    The seed cannot fail: seed_cell's weight lies on no wall.  A flat seed,
-    or a ratio-test tie, gives a subdivision without cells, generic False
-    and the (graph, pair) witness of the equality.  A DegenerateRidge
-    without a witness propagates.
+    The seed cannot fail: seed_cell's weight lies on no wall.  A flat seed or
+    a ratio-test tie gives a non-generic subdivision without cells, with the
+    (graph, pair) witness of the equality; a DegenerateRidge propagates.
     """
-    seed = seed_cell(d)
-    if isinstance(seed, Cell):
-        try:
-            return traverse_cells(d, seed)
-        except DegenerateRidge as exc:
-            if exc.witness is None:
-                raise
-            graph, pair = exc.witness
-    else:
-        graph, pair = seed.graph, seed.pair
-    return _subdivision(d, 1, {}, [(graph.bits, pair)])
+    return traverse_cells(d, seed_cell(d))
 
 
 # -- faces -----------------------------------------------------------------------

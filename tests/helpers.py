@@ -126,7 +126,7 @@ def break_ridge_pivot(monkeypatch) -> None:
     def off_the_candidates(n, dnum, rmask, leaving, lam):
         for p in range(num_pairs(n)):
             if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
-                return p, lam, False
+                return [p], lam, False
         return pivot(n, dnum, rmask, leaving, lam)
 
     monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)

@@ -533,6 +533,17 @@ def test_compute_negative_n_exits_2(tmp_path, capsys):
     assert err == "error: cannot parse metric: need at least 3 points, got -5\n"
 
 
+def test_compute_refuses_n_above_64(tmp_path, capsys):
+    # the matching LP's table at n = 500 would exhaust memory: the reader
+    # refuses any n above gen's cap before anything is built
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"n": 65, "upper": ["1"] * (65 * 64 // 2)}))
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse metric: need n <= 64, got 65\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("flag", ["--export-cells", "--export-faces"])
 def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path, capsys):

@@ -16,7 +16,7 @@ from helpers import (
     subdivision,
 )
 from tightspan.errors import (
-    DegenerateRidge,
+    NotATriangulation,
     PreconditionViolated,
     ScaleExceeded,
     SeedInvalid,
@@ -326,9 +326,11 @@ def test_compute_subdivision_equals_enumeration(name):
 
 @pytest.mark.parametrize("k", range(4))
 def test_compute_subdivision_equals_enumeration_on_random_generic(k):
-    # cells, heights, volumes, down edges, verdict and witness, off the named families
-    seed, d = random_generic_metrics(7, 4)[k]
-    assert compute_subdivision(d) == enumerate_cells(d), seed
+    # cells, heights, volumes, down edges, verdict and witness, off the named
+    # families, at every n where both routes run and enumeration is quick
+    for n in (4, 5, 6, 7):
+        seed, d = random_generic_metrics(n, 4)[k]
+        assert compute_subdivision(d) == enumerate_cells(d), (n, seed)
 
 
 @pytest.mark.parametrize(
@@ -493,7 +495,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
             leaving = (here ^ rmask).bit_length() - 1
             entering = (there ^ rmask).bit_length() - 1
             got = sd._pivot_entering(n, dnum, rmask, leaving, scaled[here])
-            assert got == (entering, scaled[there], level[there] < level[here])
+            assert got == ([entering], scaled[there], level[there] < level[here])
 
 
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
@@ -542,17 +544,19 @@ def test_traverse_detects_ridge_tie_on_flat_metric():
     assert not S.generic and S.maximal_cells
     witness_graph, witness_pair = S.degeneracy_witness
     assert witness_pair == (3, 4)
-    with pytest.raises(DegenerateRidge):
-        traverse_cells(d, S.maximal_cells[0])
+    T = traverse_cells(d, S.maximal_cells[0])
+    assert not T.generic and T.maximal_cells == ()
+    graph, pair = T.degeneracy_witness
+    assert graph.edges() == ((1, 2), (1, 3), (1, 5), (2, 5), (3, 4)) and pair == (2, 4)
 
 
 def test_ridge_tie_witness_rechecks():
     from tightspan.metrics import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
-    with pytest.raises(DegenerateRidge) as tie:
-        traverse_cells(d, enumerate_cells(d).maximal_cells[0])
-    assert_equality_witness(d, tie.value.witness)
+    tie = traverse_cells(d, enumerate_cells(d).maximal_cells[0])
+    assert not tie.generic and tie.maximal_cells == ()
+    assert_equality_witness(d, tie.degeneracy_witness)
     # the seed of random-6.1 (resolution 100) is flat; the traversal of
     # random-6.5 ties.  Either way the verdict has no cells and a witness.
     for seed, flat in ((1, True), (5, False)):
@@ -562,6 +566,30 @@ def test_ridge_tie_witness_rechecks():
         S = compute_subdivision(d)
         assert not S.generic and S.maximal_cells == ()
         assert_equality_witness(d, S.degeneracy_witness)
+
+
+def test_traverse_returns_the_verdict_of_a_flat_seed():
+    # the seed of random-6.1 (resolution 100) meets d with equality off its
+    # graph: the traversal returns the cell-less verdict with the seed's pair
+    d = gen_random(6, 1, 100)
+    seed = seed_cell(d)
+    assert isinstance(seed, DegeneracyReport)
+    T = traverse_cells(d, seed)
+    assert not T.generic and T.maximal_cells == ()
+    assert T.degeneracy_witness == (seed.graph, seed.pair)
+    assert T == compute_subdivision(d)
+
+
+@pytest.mark.parametrize("cells", [True, False], ids=["corner", "tie"])
+def test_face_closure_refuses_a_non_generic_subdivision(cells):
+    # ideal keeps its cells with a zero height; random-6.5 (resolution 100)
+    # ties in a ratio test and has none
+    S = compute_subdivision(metric("ideal") if cells else gen_random(6, 5, 100))
+    assert not S.generic and bool(S.maximal_cells) == cells
+    with pytest.raises(NotATriangulation):
+        all_faces(S)
+    with pytest.raises(NotATriangulation):
+        down_degrees(S)
 
 
 def test_traverse_reports_corner_tangency_like_enumeration():
