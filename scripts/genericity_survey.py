@@ -34,7 +34,7 @@ def main() -> int:
             if not sub.generic:
                 bad.append(seed)
                 continue
-            dims[face_report(d, sub).span.dim] += 1
+            dims[face_report(sub).span.dim] += 1
         rate = (args.seeds - len(bad)) / args.seeds
         print(f"n = {n}: {rate:.0%} generic over {args.seeds} seeds")
         if bad:

@@ -8,8 +8,8 @@ timestamp line, which --no-timestamp suppresses.
 traversal from one LP seed at every n, and every vector and check of a
 generic report from one FaceReport; text and JSON render the same ROWS.
 --export-cells writes subdivision_to_json, and --export-faces streams
-faces_to_json one face record at a time; both are template writers in the
-bytes of json.dumps(payload, indent=2) + "\n".
+faces_to_json one face record at a time; both are template writers in
+subdivision.py, in the bytes of json.dumps(payload, indent=2) + "\n".
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
 --export-* or -o path, or a stdout closed by its reader), 3 non-generic
 input (with its witness) without --allow-degenerate, 4 failed check (also a
@@ -26,7 +26,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Iterator
 
 from .bounds import (
     BoundViolated,
@@ -60,12 +59,8 @@ from .metrics import (
 )
 from .primal import crosscheck
 from .subdivision import (
-    FaceSet,
-    _edge_bits,
-    _json_list,
-    _pair_texts,
-    boundary_tags,
     compute_subdivision,
+    faces_to_json,
     random_generic_metrics,
     subdivision_to_json,
 )
@@ -160,10 +155,10 @@ def cmd_compute(args) -> int:
         print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
         return 0 if args.allow_degenerate else 3
 
-    rep = face_report(d, sub)
+    rep = face_report(sub)
     checks: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
-    for name, check in _checks(d, rep, args.oracle):
+    for name, check in _checks(rep, args.oracle):
         try:
             verdict = check()
         except TightSpanError as exc:  # a documented failure, its message the witness
@@ -201,7 +196,7 @@ def _write(path: str, chunks) -> bool:
     return True
 
 
-def _checks(d: Metric, rep: FaceReport, oracle: bool):
+def _checks(rep: FaceReport, oracle: bool):
     """(name, check) pairs in report order; a check returns the Verdict the report prints."""
 
     def asff() -> Verdict:
@@ -209,7 +204,7 @@ def _checks(d: Metric, rep: FaceReport, oracle: bool):
         return Verdict(a.ok, vars(a))
 
     def bounds() -> Verdict:
-        verify_metric_against_bounds(d, rep.span)  # raises BoundViolated
+        verify_metric_against_bounds(rep.subdivision.metric, rep.span)  # raises BoundViolated
         return Verdict(True)
 
     yield "dehn_sommerville_boundary", lambda: check_dehn_sommerville(rep.h_boundary)
@@ -217,53 +212,7 @@ def _checks(d: Metric, rep: FaceReport, oracle: bool):
     yield "asff", asff
     yield "bounds", bounds
     if oracle:
-        yield "oracle", lambda: Verdict(crosscheck(d, rep).ok)
-
-
-_FACE = """      {
-        "edges": [
-%s
-        ],
-        "interior": %s,
-        "facets": %s
-      }"""
-
-_FACETS = """{
-          "missed_nodes": %s,
-          "star_centers": %s
-        }"""
-
-
-def faces_to_json(F: FaceSet) -> Iterator[str]:
-    """The faces of F by dimension, with their tags, as indented JSON text.
-
-    One chunk per face record, so the text is never held whole.  A face
-    lists its edges, whether it is interior, and its facets: {} for an
-    interior face, else boundary_tags' missed nodes and star centers.  A
-    face has at least one edge, and F at least one level.
-    """
-    n = F.n
-    edge = _pair_texts(n, "          ")
-    node = ["            %d" % v for v in range(n + 1)]
-    yield '{\n  "n": %d,\n  "faces": {' % n
-    for k, (level, interior) in enumerate(zip(F.by_dim, F.interior_by_dim)):
-        yield '%s\n    "%d": %s' % ("," if k else "", k, "[" if level else "[]")
-        sep = "\n"
-        for mask in level:
-            edges = ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(mask)])
-            if mask in interior:
-                yield sep + _FACE % (edges, "true", "{}")
-            else:
-                missed, centers = boundary_tags(n, mask)
-                facets = _FACETS % (
-                    _json_list([node[v] for v in missed], "          "),
-                    _json_list([node[v] for v in centers], "          "),
-                )
-                yield sep + _FACE % (edges, "false", facets)
-            sep = ",\n"
-        if level:
-            yield "\n    ]"
-    yield "\n  }\n}\n"
+        yield "oracle", lambda: Verdict(crosscheck(rep).ok)
 
 
 def cmd_gen(args) -> int:
@@ -313,7 +262,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
     if suite == "paper-examples":
         d4 = validate_metric([[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]])
         sub = compute_subdivision(d4)
-        rep = face_report(d4, sub)
+        rep = face_report(sub)
         item("four-point metric: 4 cells", len(sub.maximal_cells) == 4)
         item("four-point metric: f = (6,13,12,4)", rep.f.counts == (6, 13, 12, 4))
         item(
@@ -358,7 +307,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
     found = random_generic_metrics(args.n, args.count)
     for seed, d in found:
         try:
-            ok = crosscheck(d, _report(d)).ok
+            ok = crosscheck(_report(d)).ok
         except TightSpanError:
             ok = False
         item(f"random n={args.n} seed={seed} primal/dual agree", ok)
@@ -366,7 +315,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
 
 def _report(d: Metric) -> FaceReport:
-    return face_report(d, compute_subdivision(d))
+    return face_report(compute_subdivision(d))
 
 
 def cmd_verify(args) -> int:

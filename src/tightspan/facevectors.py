@@ -13,12 +13,14 @@ The tight-span h-vector comes from the out-degree transform, inverted here
 by binomial inversion.
 
 face_report derives all of these once per generic subdivision into a
-FaceReport, counting the faces from the histogram of the cells' down degrees
-(down_degrees) without listing one; the checks, the CLI report, the verify
-suites and the primal crosscheck all read that record.  Its face listing
-(all_faces) is built on first read, only for the face export and the
-primal face bijection.  check_inductive_step counts each facet restriction
-from the down-degree histogram of the submetric's own subdivision.
+FaceReport.  Every count comes by f_from_h from one histogram, the cells'
+down degrees (down_degrees), read forward for the ball and reversed for its
+interior; no face is listed.  The checks, the CLI report, the verify suites
+and the primal crosscheck all read that record and take the metric from its
+subdivision.  Its face listing (all_faces) is built on first read, only for
+the face export and the primal face bijection.  check_inductive_step counts
+each facet restriction the same way, from the histogram of the submetric's
+own subdivision.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from typing import Sequence
 from .common import Verdict
 from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
 from .metrics import Metric, strict_triangle_nodes, submetric
-from .subdivision import (
-    DownDegrees, FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
-)
+from .subdivision import FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,16 @@ def g_from_h(h: Sequence[int]) -> tuple[int, ...]:
     return (1,) + tuple(h[k] - h[k - 1] for k in range(1, len(h)))
 
 
-def split_interior_boundary(F: FaceSet | DownDegrees) -> tuple[FVector, FVector, FVector]:
-    """(total, boundary, interior) face counts of a triangulated ball, listed or counted.
+def split_interior_boundary(
+    total: Sequence[int], inner: Sequence[int]
+) -> tuple[FVector, FVector, FVector]:
+    """(total, boundary, interior) f-vectors of a triangulated ball from its two count rows.
 
-    The boundary complex has dimension n-2; the interior pseudo-vector keeps
-    full length with empty count 0.
+    total and inner count all faces and the interior faces by dimension,
+    0..n-1.  The boundary complex has dimension n-2; the interior
+    pseudo-vector keeps full length with empty count 0.
     """
-    n = F.n
-    total = list(F.face_counts())
-    inner = list(F.interior_counts())
+    n = len(total)
     boundary = [t - i for t, i in zip(total, inner)]
     if boundary[-1] != 0:
         raise PreconditionViolated("top-dimensional faces cannot lie on the boundary")
@@ -173,15 +174,30 @@ class FaceReport:
         return all_faces(self.subdivision)
 
 
-def face_report(d: Metric, S: Subdivision) -> FaceReport:
-    """The face vectors of d's generic subdivision S, from its down-degree histogram."""
+def face_report(S: Subdivision) -> FaceReport:
+    """The face vectors of the generic subdivision S of S.metric, from its down-degree histogram.
+
+    The cells are the vertices of the simple polyhedron dual to S, and a
+    cell's down edges are its edges that descend in the seed weight, a
+    generic objective.  So histogram[j], the number of cells with j down
+    edges, is the out-degree h-vector of that polyhedron (Kalai 1988;
+    Ziegler, Lectures on Polytopes, 8.3), and f_from_h gives the ball's face
+    counts: a cell with j down edges is the lowest cell of C(n-j, k+1-j)
+    k-faces, all its down edges and k+1-j up edges.  Read in reverse
+    (up edges), the histogram gives the interior counts: the cell is the
+    highest cell of C(j, k+1-n+j) interior k-faces, all its up edges and
+    k+1-n+j down edges.  No face is listed.
+    """
     if not S.generic:
         raise NotGeneric("tight-span vectors are defined for generic metrics")
-    f, f_bd, f_int = split_interior_boundary(down_degrees(S))
+    hist = down_degrees(S)
+    f, f_bd, f_int = split_interior_boundary(
+        f_from_h(hist).counts, f_from_h(hist[::-1]).counts
+    )
     h_bd = h_from_f(f_bd)
     return FaceReport(
         S, f, f_bd, f_int, h_from_f(f), h_bd, h_from_f(f_int), g_from_h(h_bd),
-        tightspan_vectors(d, f_int),
+        tightspan_vectors(S.metric, f_int),
     )
 
 
@@ -291,19 +307,21 @@ def _level_fvector(n: int, q: int, common: dict[int, FVector]) -> FVector:
     return FVector((0,) * q, 1)
 
 
-def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
-    """Boundary face counts from the common facet restrictions, all levels.
+def check_inductive_step(rep: FaceReport) -> Verdict:
+    """Boundary face counts of rep's metric d from the common facet restrictions, all levels.
 
     The restriction of d's subdivision to the hypersimplex face where the
     coordinates off a node set vanish is the subdivision of the submetric on
     that set (De Loera, Rambau & Santos, Triangulations, 2010), so each
-    restriction's f-vector is counted from the down-degree histogram of the
-    submetric's own traversal; no face is listed and no other vector built.
+    restriction's ball f-vector is f_from_h of the down-degree histogram of
+    the submetric's own traversal, with empty count h_0 = 1 (one lowest
+    cell); no face is listed and no other vector built.
     Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
     inclusion-exclusion formula for every lower k, and the boundary g-vector
     double sum over the level h-vectors.  Raises InapplicablePremise when
     same-size restrictions disagree.
     """
+    d = rep.subdivision.metric
     if d.n < 5:
         raise PreconditionViolated("inductive formulas need n >= 5")
     n = d.n
@@ -311,7 +329,7 @@ def check_inductive_step(d: Metric, rep: FaceReport) -> Verdict:
     for q in range(n - 1, 2, -1):
         for kept in combinations(range(1, n + 1), q):
             dsub = submetric(d, kept)
-            fv = split_interior_boundary(down_degrees(compute_subdivision(dsub)))[0]
+            fv = f_from_h(down_degrees(compute_subdivision(dsub)))
             seen = common.setdefault(q, fv)
             if fv != seen:
                 raise InapplicablePremise(

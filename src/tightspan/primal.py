@@ -267,14 +267,15 @@ class CrosscheckReport:
     faces_matched: int
 
 
-def crosscheck(d: Metric, rep: FaceReport) -> CrosscheckReport:
-    """The dual face report of d against the full primal pipeline.
+def crosscheck(rep: FaceReport) -> CrosscheckReport:
+    """The dual face report of a metric d against the full primal pipeline on d.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
     glued-ball transform), and the face-by-face bijection between tight
     patterns and interior dual faces must all agree; the first difference
-    raises Mismatch.
+    raises Mismatch.  d is the metric of rep's subdivision.
     """
+    d = rep.subdivision.metric
     n = d.n
     if n > 6:
         raise ScaleExceeded("crosscheck is capped at n = 6")

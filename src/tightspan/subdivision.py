@@ -12,9 +12,8 @@ traversal from one seed cell that seed_cell reads off the matching LP at one
 fixed integer weight that lies on no wall.  The traversal returns every
 verdict: a flat seed, a ratio-test tie or a zero cell height makes the
 result non-generic with a witness.  Exhaustive filtration of all candidates
-(enumerate_cells, n <= 8) is kept as the test oracle.  Both classify their
-cells with one loop (_classify_chunk) and build the Subdivision with one
-builder, so they give the same verdict.
+(enumerate_cells, n <= 8) is kept as the test oracle.  Both build the
+Subdivision with one builder (_subdivision).
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
 lam + t*sigma of ridges, in integers at scale twice the common entry
@@ -35,14 +34,15 @@ interior ridge by that sign; the test oracle (enumerate_cells) orients its
 cells independently, by comparing w.lambda over a map of ridges to cells.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
-down_degrees counts the faces from the histogram of the cells' down edges;
-all_faces lists them, only for the face export and the primal face
-bijection.  The subdivision restricted to a hypersimplex face x_I = 0 is
-compute_subdivision of the submetric on the nodes off I.
+down_degrees gives the histogram of the cells' down degrees, from which
+facevectors.face_report counts every face; all_faces lists the faces, only
+for the face export and the primal face bijection.  The subdivision
+restricted to a hypersimplex face x_I = 0 is compute_subdivision of the
+submetric on the nodes off I.
 
-subdivision_to_json writes the cell export from %-templates, in the bytes
-of json.dumps(payload, indent=2) + "\n", each height printed as p/q from
-its integer by one gcd; the face export in cli.py shares its helpers.
+subdivision_to_json writes the cell export and faces_to_json the face
+export, both from %-templates in the bytes of json.dumps(payload, indent=2)
++ "\n"; each height prints as p/q from its integer by one gcd.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .common import _str_of, num_pairs, pair_index, pair_table
 from .errors import (
@@ -158,40 +158,6 @@ class FaceSet:
 
     def graphs(self, dim: int) -> tuple[EdgeGraph, ...]:
         return tuple(EdgeGraph(self.n, mask) for mask in self.by_dim[dim])
-
-
-@dataclass(frozen=True)
-class DownDegrees:
-    """Histogram of the cells' down degrees, and the face counts it gives.
-
-    histogram[j] cells have exactly j down edges (Cell.down), the dual edges w
-    descends from them.  From such a cell all_faces builds C(n-j, k+1-j)
-    k-faces (every down edge and k+1-j of the n-j up edges) and C(j, k+1-n+j)
-    interior k-faces (every up edge and k+1-n+j down edges), so these sums are
-    FaceSet's counts with no face listed: the out-degree h-vector of a simple
-    polytope (Kalai 1988; Ziegler, Lectures on Polytopes, 8.3).
-    """
-
-    n: int
-    histogram: tuple[int, ...]
-
-    def face_counts(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(
-            sum(c * math.comb(n - j, k + 1 - j) for j, c in enumerate(self.histogram[: k + 2]))
-            for k in range(n)
-        )
-
-    def interior_counts(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(
-            sum(
-                c * math.comb(j, k + 1 - n + j)
-                for j, c in enumerate(self.histogram)
-                if j >= n - 1 - k
-            )
-            for k in range(n)
-        )
 
 
 # -- candidate pool ---------------------------------------------------------------
@@ -695,12 +661,12 @@ def all_faces(S: Subdivision) -> FaceSet:
     return FaceSet(n, tuple(map(tuple, map(sorted, levels))), tuple(map(frozenset, interior)))
 
 
-def down_degrees(S: Subdivision) -> DownDegrees:
-    """The histogram of the number of down edges of S's cells, no face listed."""
+def down_degrees(S: Subdivision) -> tuple[int, ...]:
+    """Entry j counts the cells of S with exactly j down edges; no face is listed."""
     histogram = [0] * (S.n + 1)
     for down in _down_masks(S):
         histogram[down.bit_count()] += 1
-    return DownDegrees(S.n, tuple(histogram))
+    return tuple(histogram)
 
 
 def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -740,10 +706,9 @@ def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]
 
 # -- export ------------------------------------------------------------------------
 #
-# Both exports, the cells here and the faces in cli.py, are written from
-# %-templates in the bytes of json.dumps(payload, indent=2) + "\n": two
-# spaces a level, one item a line, an empty list as [] and an empty object
-# as {}.
+# Both exports, the cells and the faces, are written from %-templates in the
+# bytes of json.dumps(payload, indent=2) + "\n": two spaces a level, one item
+# a line, an empty list as [] and an empty object as {}.
 
 
 def _json_list(items: Sequence[str], pad: str) -> str:
@@ -809,3 +774,49 @@ def subdivision_to_json(S: Subdivision) -> str:
         )
     parts.append("\n}\n")
     return "".join(parts)
+
+
+_FACE = """      {
+        "edges": [
+%s
+        ],
+        "interior": %s,
+        "facets": %s
+      }"""
+
+_FACETS = """{
+          "missed_nodes": %s,
+          "star_centers": %s
+        }"""
+
+
+def faces_to_json(F: FaceSet) -> Iterator[str]:
+    """The faces of F by dimension, with their tags, as indented JSON text.
+
+    One chunk per face record, so the text is never held whole.  A face
+    lists its edges, whether it is interior, and its facets: {} for an
+    interior face, else boundary_tags' missed nodes and star centers.  A
+    face has at least one edge, and F at least one level.
+    """
+    n = F.n
+    edge = _pair_texts(n, "          ")
+    node = ["            %d" % v for v in range(n + 1)]
+    yield '{\n  "n": %d,\n  "faces": {' % n
+    for k, (level, interior) in enumerate(zip(F.by_dim, F.interior_by_dim)):
+        yield '%s\n    "%d": %s' % ("," if k else "", k, "[" if level else "[]")
+        sep = "\n"
+        for mask in level:
+            edges = ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(mask)])
+            if mask in interior:
+                yield sep + _FACE % (edges, "true", "{}")
+            else:
+                missed, centers = boundary_tags(n, mask)
+                facets = _FACETS % (
+                    _json_list([node[v] for v in missed], "          "),
+                    _json_list([node[v] for v in centers], "          "),
+                )
+                yield sep + _FACE % (edges, "false", facets)
+            sep = ",\n"
+        if level:
+            yield "\n    ]"
+    yield "\n  }\n}\n"

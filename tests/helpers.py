@@ -77,7 +77,7 @@ def subdivision(name: str) -> Subdivision:
 
 @lru_cache(maxsize=None)
 def report(name: str) -> FaceReport:
-    return face_report(metric(name), subdivision(name))
+    return face_report(subdivision(name))
 
 
 def faces(name: str) -> FaceSet:

@@ -67,7 +67,8 @@ def test_criterion_01_four_point_example():
     with _criterion(1, "four-point example reproduction"):
         S = subdivision("4points")
         assert len(S.maximal_cells) == 4
-        f_total, f_bd, f_int = split_interior_boundary(faces("4points"))
+        F = faces("4points")
+        f_total, f_bd, f_int = split_interior_boundary(F.face_counts(), F.interior_counts())
         assert f_total.counts == (6, 13, 12, 4)
         assert f_bd.counts == (6, 12, 8)
         assert f_int.counts == (0, 1, 4, 4)
@@ -75,7 +76,7 @@ def test_criterion_01_four_point_example():
         assert h_from_f(f_bd) == (1, 3, 3, 1)
         assert h_from_f(f_int) == (0, 0, 1, 2, 1)
         assert tsv("4points").fT == (8, 8, 1)
-        cross = crosscheck(metric("4points"), report("4points"))
+        cross = crosscheck(report("4points"))
         assert cross.ok and cross.f_primal == (8, 8, 1)
 
 
@@ -90,7 +91,7 @@ def test_criterion_02_dmax_attainment():
             assert hT == tuple(comb(n, 2 * i) for i in range(n // 2 + 1))
         start = time.monotonic()
         S7 = enumerate_cells(gen_dmax(7))
-        tv7 = face_report(gen_dmax(7), S7).span
+        tv7 = face_report(S7).span
         elapsed = time.monotonic() - start
         assert tv7.fT == (64, 112, 56, 7)
         assert tv7.fT == tuple(F_bound(7, k) for k in range(4))
@@ -139,7 +140,7 @@ def test_criterion_05_theorem_checks():
             rep = check_asff(report(f"dmax-{n}"))
             assert rep.top_interior_count == rep.top_interior_cap  # dmax is tight
         for n in (5, 6, 7):
-            assert check_inductive_step(metric(f"dmax-{n}"), report(f"dmax-{n}"))
+            assert check_inductive_step(report(f"dmax-{n}"))
 
 
 def test_criterion_06_cell_lemmas():
@@ -161,9 +162,9 @@ def test_criterion_06_cell_lemmas():
 def test_criterion_07_oracle_equivalence():
     with _criterion(7, "primal oracle agrees with the dual pipeline"):
         for name in ("4points", "dmax-4", "dmax-5", "dmax-6", "dmin-5", "dmin-6"):
-            assert crosscheck(metric(name), report(name)).ok
+            assert crosscheck(report(name)).ok
         for seed, d in random_generic_metrics(5, 20):
-            assert crosscheck(d, face_report(d, compute_subdivision(d))).ok
+            assert crosscheck(face_report(compute_subdivision(d))).ok
         d = metric("dmax-5")
         poset = bounded_faces(d)
         specs = [
@@ -220,4 +221,4 @@ def test_criterion_10_negative_controls():
         assert not check_dehn_sommerville(h_from_f(FVector((6, 12, 7))))
         assert not check_dehn_sommerville(h_from_f(FVector((6, 13, 8))))
         with pytest.raises(InapplicablePremise):
-            check_inductive_step(metric("rand-7.1"), report("rand-7.1"))
+            check_inductive_step(report("rand-7.1"))

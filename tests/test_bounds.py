@@ -81,7 +81,7 @@ def test_bound_report_three_points():
     from tightspan.metrics import gen_dmax
 
     d = gen_dmax(3)
-    rep = verify_metric_against_bounds(d, face_report(d, compute_subdivision(d)).span)
+    rep = verify_metric_against_bounds(d, face_report(compute_subdivision(d)).span)
     assert rep.dim == rep.dim_low == 1
     assert rep.top_count is None and rep.top_lower_bound is None
     with pytest.raises(BadArity):
@@ -131,7 +131,7 @@ def test_extremal_families_attain_the_bounds(n):
     reports = {}
     for gen in (gen_dmax, gen_dmin):
         d = gen(n)
-        reports[gen] = verify_metric_against_bounds(d, face_report(d, compute_subdivision(d)).span)
+        reports[gen] = verify_metric_against_bounds(d, face_report(compute_subdivision(d)).span)
     assert reports[gen_dmax].all_f_attained
     low = reports[gen_dmin]
     assert low.dim == -(-n // 3) and low.top_count == lower_bound_top(n)

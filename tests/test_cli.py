@@ -37,7 +37,7 @@ from tightspan.metrics import (
     metric_to_json,
     validate_metric,
 )
-from tightspan.subdivision import all_faces, compute_subdivision, enumerate_cells
+from tightspan.subdivision import all_faces, compute_subdivision, enumerate_cells, faces_to_json
 
 
 @pytest.fixture()
@@ -404,6 +404,22 @@ def test_compute_non_generic_exits_3_with_witness(d, tmp_path, capsys):
     assert_equality_witness(d, (EdgeGraph.from_edges(d.n, edges), (i, j)))
 
 
+def test_non_generic_exports_cells_but_no_faces(tmp_path, capsys):
+    # the cell export carries the witness; the face export is not written,
+    # and a file already at its path keeps its content
+    path, cells, fcs = tmp_path / "d.json", tmp_path / "c.json", tmp_path / "f.json"
+    path.write_text(metric_to_json(gen_random(6, 5, 100)))
+    argv = ["compute", str(path), "--no-timestamp", "--export-cells", str(cells)]
+    assert main(argv + ["--export-faces", str(fcs)]) == 3
+    assert not fcs.exists()
+    exported = json.loads(cells.read_text())
+    assert exported["generic"] is False and "witness" in exported
+    fcs.write_text("stale")
+    assert main(argv + ["--export-faces", str(fcs)]) == 3
+    assert fcs.read_text() == "stale"
+    capsys.readouterr()
+
+
 def test_compute_ideal_allow_degenerate(ideal_file):
     assert main(["compute", ideal_file, "--no-timestamp", "--allow-degenerate"]) == 0
 
@@ -664,7 +680,7 @@ def test_compute_face_export_is_indented_json(four_points_file, tmp_path, capsys
 )
 def test_face_export_is_the_json_encoders_text(name):
     F = all_faces(compute_subdivision(metric(name)))
-    assert "".join(cli.faces_to_json(F)) == faces_json(F)
+    assert "".join(faces_to_json(F)) == faces_json(F)
 
 
 def test_verify_identities(capsys):

@@ -43,10 +43,13 @@ def test_g_from_h():
 def test_binomial_inversion_roundtrip(counts, empty):
     f = FVector(tuple(counts), empty)
     assert f_from_h(h_from_f(f)) == f
+    # the drawn list as an h-vector: face_report counts faces by f_from_h
+    assert h_from_f(f_from_h(counts)) == tuple(counts)
 
 
 def test_split_four_points():
-    total, bd, inner = split_interior_boundary(faces("4points"))
+    F = faces("4points")
+    total, bd, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
     assert total.counts == (6, 13, 12, 4)
     assert bd.counts == (6, 12, 8)
     assert inner.counts == (0, 1, 4, 4) and inner.empty == 0
@@ -54,7 +57,8 @@ def test_split_four_points():
 
 def test_split_boundary_below_total():
     for name in ("dmax-5", "dmax-6", "dmin-6"):
-        total, bd, inner = split_interior_boundary(faces(name))
+        F = faces(name)
+        total, bd, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
         assert all(b <= t for b, t in zip(bd.counts, total.counts))
         assert all(t == b + i for t, b, i in zip(total.counts, list(bd.counts) + [0], inner.counts))
 
@@ -94,7 +98,7 @@ def test_tightspan_requires_generic():
     d = metric("ideal")
     S = enumerate_cells(d)
     with pytest.raises(NotGeneric):
-        face_report(d, S)
+        face_report(S)
 
 
 def test_dehn_sommerville():
@@ -134,18 +138,18 @@ def test_asff_even_case_uses_top_h_entry():
 
 def test_inductive_step_dmax():
     for name in ("dmax-5", "dmax-6"):
-        assert check_inductive_step(metric(name), report(name))
+        assert check_inductive_step(report(name))
 
 
 def test_inductive_step_needs_n5():
     with pytest.raises(PreconditionViolated):
-        check_inductive_step(metric("4points"), report("4points"))
+        check_inductive_step(report("4points"))
 
 
 def test_inductive_step_detects_mixed_restrictions():
     d = gen_random(7, 1)
     with pytest.raises(InapplicablePremise):
-        check_inductive_step(d, face_report(d, compute_subdivision(d)))
+        check_inductive_step(face_report(compute_subdivision(d)))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -156,7 +160,7 @@ def test_inductive_step_catches_a_wrong_boundary_f(k):
     counts = list(rep.f_boundary.counts)
     counts[k] += 1
     bad = replace(rep, f_boundary=replace(rep.f_boundary, counts=tuple(counts)))
-    verdict = check_inductive_step(metric("dmax-6"), bad)
+    verdict = check_inductive_step(bad)
     assert not verdict
     if k == 4:
         assert verdict.witness == ("top", counts[4], counts[4] - 1)
@@ -169,7 +173,7 @@ def test_inductive_step_catches_a_wrong_boundary_g(k):
     rep = report("dmax-6")
     g = list(rep.g_boundary)
     g[k] += 1
-    verdict = check_inductive_step(metric("dmax-6"), replace(rep, g_boundary=tuple(g)))
+    verdict = check_inductive_step(replace(rep, g_boundary=tuple(g)))
     assert not verdict
     assert verdict.witness == ("g-sum", k, g[k], g[k] - 1)
 
@@ -182,9 +186,9 @@ def test_inductive_step_lists_no_face(monkeypatch):
         raise AssertionError("the inductive step listed faces")
 
     d = metric("dmax-6")
-    rep = face_report(d, compute_subdivision(d))
+    rep = face_report(compute_subdivision(d))
     monkeypatch.setattr(fv, "all_faces", refuse)
-    assert check_inductive_step(d, rep)
+    assert check_inductive_step(rep)
 
 
 def test_inductive_step_builds_only_the_ball_f(monkeypatch):
@@ -196,14 +200,14 @@ def test_inductive_step_builds_only_the_ball_f(monkeypatch):
         raise AssertionError("the inductive step built tight-span vectors")
 
     d = metric("dmax-7")
-    rep = face_report(d, compute_subdivision(d))
+    rep = face_report(compute_subdivision(d))
     monkeypatch.setattr(fv, "tightspan_vectors", refuse)
-    assert check_inductive_step(d, rep)
+    assert check_inductive_step(rep)
 
 
 def test_inductive_step_past_the_enumeration_cap():
     d = metric("dmax-9")
-    assert check_inductive_step(d, face_report(d, compute_subdivision(d)))
+    assert check_inductive_step(face_report(compute_subdivision(d)))
 
 
 def test_glued_ball_h_matches_tightspan_h():
@@ -216,7 +220,8 @@ def test_glued_ball_h_matches_tightspan_h():
 
 def test_interior_h_reverses_ball_h():
     for name in ("4points", "dmax-6", "dmin-5"):
-        total, _, inner = split_interior_boundary(faces(name))
+        F = faces(name)
+        total, _, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
         hB = h_from_f(total)
         hI = h_from_f(inner)
         assert hI == tuple(reversed(hB))

@@ -290,7 +290,7 @@ def test_outdegree_h_is_the_down_degree_histogram(name):
     # along one facet adds 1 to h_1, so the out-degree h-vector is the
     # histogram of the cells' down edges plus n at index 1
     d = metric(name)
-    histogram = list(down_degrees(compute_subdivision(d)).histogram)
+    histogram = list(down_degrees(compute_subdivision(d)))
     histogram[1] += d.n
     assert h_by_outdegree(d) == tuple(histogram)
 
@@ -302,7 +302,7 @@ def test_outdegree_refuses_non_simple():
 
 def test_crosscheck_small_fixtures():
     for name in ("4points", "dmax-4", "dmax-5", "dmin-5"):
-        assert crosscheck(metric(name), report(name)).ok
+        assert crosscheck(report(name)).ok
 
 
 def test_crosscheck_graph_weighted_family():
@@ -315,7 +315,7 @@ def test_crosscheck_graph_weighted_family():
     for d in (one_edge, one_triangle):
         S = compute_subdivision(d)
         assert S.generic
-        assert crosscheck(d, face_report(d, S)).ok
+        assert crosscheck(face_report(S)).ok
 
 
 def _broken(name, part):
@@ -349,14 +349,14 @@ def _broken(name, part):
 )
 def test_crosscheck_catches_each_disagreement(part, message):
     d = metric("dmax-5")
-    assert crosscheck(d, report("dmax-5")).ok
+    assert crosscheck(report("dmax-5")).ok
     with pytest.raises(Mismatch, match=message):
-        crosscheck(d, _broken("dmax-5", part))
+        crosscheck(_broken("dmax-5", part))
 
 
 def test_crosscheck_caps_scale():
     with pytest.raises(ScaleExceeded):
-        crosscheck(metric("dmax-7"), report("dmax-7"))
+        crosscheck(report("dmax-7"))
 
 
 def test_scale_cap_vertices():
