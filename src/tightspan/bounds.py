@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .common import Verdict
 from .errors import BadArity, BoundViolated, OutOfRange
 from .metrics import Metric
-from .facevectors import TightSpanVectors
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .facevectors import TightSpanVectors
 
 
 def F_bound(n: int, k: int) -> int:

@@ -17,6 +17,11 @@ traversal whose ridge pencils or covered volume break an invariant, or any
 other package error while the subdivision is built).
 `verify` exits 4 when a row fails, and 2 on bad arguments, on a package
 error inside a suite and on a closed stdout, with one `error:` line.
+
+Each command imports the modules it runs at the top of the function that
+runs it, so a process compiles no other: `gen` needs only metrics; the
+report layers load after the genericity verdict, and primal only under
+--oracle and in the oracle-random suite.
 """
 
 from __future__ import annotations
@@ -25,27 +30,10 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from .bounds import (
-    BoundViolated,
-    F_bound,
-    f_bound_or_zero,
-    identity_checks,
-    lower_bound_top,
-    verify_metric_against_bounds,
-)
 from .common import Verdict
-from .errors import BadArity, DegenerateRidge, TightSpanError
-from .facevectors import (
-    FaceReport,
-    check_asff,
-    check_ball_relations,
-    check_dehn_sommerville,
-    face_report,
-    report_json,
-)
-from .graphs import parse_edge_list
+from .errors import BadArity, BoundViolated, DegenerateRidge, TightSpanError
 from .metrics import (
     Metric,
     _require_points,
@@ -57,13 +45,9 @@ from .metrics import (
     metric_to_json,
     validate_metric,
 )
-from .primal import crosscheck
-from .subdivision import (
-    compute_subdivision,
-    faces_to_json,
-    random_generic_metrics,
-    subdivision_to_json,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .facevectors import FaceReport
 
 # (JSON key, text label) of each vector row of a generic report, in report
 # order; the ideal rows are JSON-only
@@ -117,6 +101,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
+    from .subdivision import compute_subdivision, faces_to_json, subdivision_to_json
+
     try:
         d = load_metric(args.file)
     except (OSError, ValueError, TightSpanError) as exc:
@@ -136,6 +122,8 @@ def cmd_compute(args) -> int:
         return 4
     lines = [f"metric: {args.file}", f"n: {d.n}"]
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         lines.append(
             "generated-at: " + datetime.now(timezone.utc).isoformat(timespec="seconds")
         )
@@ -154,6 +142,8 @@ def cmd_compute(args) -> int:
         payload["witness"] = {"graph": str(graph), "pair": list(pair)}
         print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
         return 0 if args.allow_degenerate else 3
+
+    from .facevectors import face_report, report_json
 
     rep = face_report(sub)
     checks: dict[str, bool] = {}
@@ -198,6 +188,8 @@ def _write(path: str, chunks) -> bool:
 
 def _checks(rep: FaceReport, oracle: bool):
     """(name, check) pairs in report order; a check returns the Verdict the report prints."""
+    from .bounds import verify_metric_against_bounds
+    from .facevectors import check_asff, check_ball_relations, check_dehn_sommerville
 
     def asff() -> Verdict:
         a = check_asff(rep)
@@ -212,7 +204,13 @@ def _checks(rep: FaceReport, oracle: bool):
     yield "asff", asff
     yield "bounds", bounds
     if oracle:
-        yield "oracle", lambda: Verdict(crosscheck(rep).ok)
+        from .primal import crosscheck
+
+        def primal() -> Verdict:
+            crosscheck(rep)  # raises Mismatch
+            return Verdict(True)
+
+        yield "oracle", primal
 
 
 def cmd_gen(args) -> int:
@@ -225,6 +223,8 @@ def cmd_gen(args) -> int:
             if args.graph is None:
                 print("error: --kind dgamma requires --graph", file=sys.stderr)
                 return 2
+            from .graphs import parse_edge_list
+
             _require_points(args.n)  # the graph's bitmask grows as n^2
             d = gen_dgamma(args.n, parse_edge_list(args.n, args.graph))
         else:
@@ -245,6 +245,8 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         lines.append(f"{'pass' if ok else 'FAIL'}  {name}")
 
     if suite == "identities":
+        from .bounds import F_bound, f_bound_or_zero, identity_checks
+
         item(f"alternating identities up to n={args.n_max}", bool(identity_checks(args.n_max)))
         rec = all(
             f_bound_or_zero(n, k)
@@ -261,8 +263,8 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
     if suite == "paper-examples":
         d4 = validate_metric([[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]])
-        sub = compute_subdivision(d4)
-        rep = face_report(sub)
+        rep = _report(d4)
+        sub = rep.subdivision
         item("four-point metric: 4 cells", len(sub.maximal_cells) == 4)
         item("four-point metric: f = (6,13,12,4)", rep.f.counts == (6, 13, 12, 4))
         item(
@@ -279,6 +281,8 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         return lines, ok_all
 
     if suite == "bounds":
+        from .bounds import lower_bound_top, verify_metric_against_bounds
+
         # dmax attains every F_k(n); dmin has dimension ceil(n/3) and
         # exactly lower_bound_top(n) top faces
         if args.n_max < 4:
@@ -304,10 +308,13 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         return lines, ok_all
 
     # oracle-random
-    found = random_generic_metrics(args.n, args.count)
-    for seed, d in found:
+    from .primal import crosscheck
+    from .subdivision import random_generic_metrics
+
+    for seed, d in random_generic_metrics(args.n, args.count):
         try:
-            ok = crosscheck(_report(d)).ok
+            crosscheck(_report(d))  # raises Mismatch
+            ok = True
         except TightSpanError:
             ok = False
         item(f"random n={args.n} seed={seed} primal/dual agree", ok)
@@ -315,6 +322,9 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
 
 def _report(d: Metric) -> FaceReport:
+    from .facevectors import face_report
+    from .subdivision import compute_subdivision
+
     return face_report(compute_subdivision(d))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from random import Random
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .common import _int_of, format_rational, num_pairs, pair_index, pair_table, parse_rational
 from .common import Verdict
@@ -31,7 +31,9 @@ from .errors import (
     PreconditionViolated,
     SubsetTooSmall,
 )
-from .graphs import EdgeGraph
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .graphs import EdgeGraph
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,8 @@ def dmin_graph(n: int) -> EdgeGraph:
     Nodes group as {1,2,3},{4,5,6},...; when n = 2 (mod 3) the last node is
     kept isolated even though its group would otherwise pair it with n-1.
     """
+    from .graphs import EdgeGraph
+
     _require_points(n)
     edges = []
     for i in range(1, n + 1):

@@ -259,7 +259,6 @@ def h_by_outdegree(
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    ok: bool
     f_primal: tuple[int, ...]
     f_dual: tuple[int, ...]
     h_primal: tuple[int, ...]
@@ -315,6 +314,4 @@ def crosscheck(rep: FaceReport) -> CrosscheckReport:
         extra = primal_patterns - dual_patterns
         raise Mismatch(f"face bijection failed: missing {missing}, extra {extra}")
 
-    return CrosscheckReport(
-        True, f_primal, tv.fT, h_primal, h_dual, len(poset.faces)
-    )
+    return CrosscheckReport(f_primal, tv.fT, h_primal, h_dual, len(poset.faces))

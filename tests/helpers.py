@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 from random import Random
 
 import tightspan.matching as matching
@@ -45,6 +49,22 @@ def long_upper() -> list[str]:
         den = rng.randrange(10**2499, 10**2500)
         upper.append(f"{base * den + rng.randrange(den // 10)}/{den}")
     return upper
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The tightspan modules that a fresh interpreter has loaded after it runs code."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        code + "\nimport sys\n"
+        "print(*(m for m in sys.modules if m.partition('.')[0] == 'tightspan'), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-import tightspan.cli as cli
+import tightspan.bounds as bounds
+import tightspan.subdivision as subdivision
 from helpers import (
     FOUR_POINTS,
     IDEAL_FOUR,
@@ -21,12 +22,13 @@ from helpers import (
     break_lp_support,
     break_ridge_pivot,
     faces_json,
+    loaded_modules,
     long_upper,
     metric,
 )
 from tightspan.cli import main
 from tightspan.common import Verdict, parse_rational
-from tightspan.errors import DegenerateRidge
+from tightspan.errors import BoundViolated, DegenerateRidge
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
     gen_dmax,
@@ -260,20 +262,20 @@ def test_compute_three_points(kind, tmp_path, capsys):
 
 
 def _bound_violated(d, span):
-    raise cli.BoundViolated("f_1 = 8 exceeds bound 7 at n=4")
+    raise BoundViolated("f_1 = 8 exceeds bound 7 at n=4")
 
 
 @pytest.mark.parametrize(
     "attr, broken, check, witness",
     [
         (
-            "check_dehn_sommerville",
+            "facevectors.check_dehn_sommerville",
             lambda h: Verdict(False, [1, [1, 2]]),
             "dehn_sommerville_boundary",
             [1, [1, 2]],
         ),
         (
-            "verify_metric_against_bounds",
+            "bounds.verify_metric_against_bounds",
             _bound_violated,
             "bounds",
             "f_1 = 8 exceeds bound 7 at n=4",
@@ -286,7 +288,7 @@ def test_compute_failed_check_exits_4_with_its_witness(
 ):
     # a check that returns a failed Verdict and one that raises a TightSpanError
     # both fail only their own row, and JSON carries the witness or the message
-    monkeypatch.setattr(cli, attr, broken)
+    monkeypatch.setattr("tightspan." + attr, broken)
     argv = ["compute", four_points_file, "--oracle", "--no-timestamp"]
     assert main(argv) == 4
     out, err = capsys.readouterr()
@@ -372,7 +374,7 @@ def test_compute_report_equals_enumeration_oracle(name, code, tmp_path, capsys, 
         return out
 
     traversed = reports()
-    monkeypatch.setattr(cli, "compute_subdivision", enumerate_cells)
+    monkeypatch.setattr(subdivision, "compute_subdivision", enumerate_cells)
     assert reports() == traversed
 
 
@@ -430,7 +432,7 @@ def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkey
     def broken(d):
         raise DegenerateRidge("traversal covered volume 3, expected 4")
 
-    monkeypatch.setattr(cli, "compute_subdivision", broken)
+    monkeypatch.setattr(subdivision, "compute_subdivision", broken)
     assert main(["compute", four_points_file, "--format", fmt]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -618,6 +620,44 @@ def test_cli_loads_no_process_pool(tmp_path):
     assert proc.stderr == "[]\n"
 
 
+def _main_loads(argv: list[str], code: int) -> set[str]:
+    """The tightspan modules, short names, that a fresh `main(argv)` loads; it must return code."""
+    loaded = loaded_modules(f"from tightspan.cli import main\nassert main({argv!r}) == {code}")
+    return {m.removeprefix("tightspan.") for m in loaded}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["gen", "--kind", "dmax", "--n", "4", "-o", "{tmp}/d.json"], set()),
+        (["verify", "--suite", "identities", "--n-max", "6"], {"bounds"}),
+    ],
+    ids=["gen-dmax", "identities"],
+)
+def test_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+    # a dmax metric needs no graph code, the bound identities no subdivision
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert _main_loads(argv, 0) == {"tightspan", "cli", "metrics", "common", "errors", *extra}
+
+
+@pytest.mark.parametrize(
+    "d, flags, code, absent",
+    [
+        (gen_random(7, 5, 100), [], 3, {"facevectors", "bounds", "primal"}),
+        (gen_dmax(5), [], 0, {"primal"}),
+        (gen_dmax(5), ["--oracle"], 0, set()),
+    ],
+    ids=["non-generic", "generic", "oracle"],
+)
+def test_compute_loads_only_the_layers_it_runs(d, flags, code, absent, tmp_path):
+    # the report layers load after the genericity verdict, the primal oracle only under --oracle
+    path = tmp_path / "d.json"
+    path.write_text(metric_to_json(d))
+    loaded = _main_loads(["compute", str(path), "--no-timestamp", *flags], code)
+    layers = {"facevectors", "bounds", "primal"}
+    assert "subdivision" in loaded and loaded & layers == layers - absent
+
+
 def test_compute_rejects_route_options(four_points_file):
     for flags in (["--threshold", "3"], ["--jobs", "2"], ["--force-enumerate"]):
         assert main(["compute", four_points_file, *flags]) == 2
@@ -636,7 +676,7 @@ def test_compute_oracle_size_checked_first(tmp_path, capsys, monkeypatch):
     def refuse(d):
         raise AssertionError("subdivision built before the --oracle size check")
 
-    monkeypatch.setattr(cli, "compute_subdivision", refuse)
+    monkeypatch.setattr(subdivision, "compute_subdivision", refuse)
     path.write_text(metric_to_json(gen_dmin(7)))
     assert main(["compute", str(path), "--oracle"]) == 2
     assert "--oracle requires n <= 6" in capsys.readouterr().err
@@ -699,13 +739,13 @@ def test_verify_paper_examples(capsys):
 
 def test_verify_bounds(capsys, monkeypatch):
     built = []
-    compute = cli.compute_subdivision
+    compute = subdivision.compute_subdivision
 
     def counting(d, *args, **kwargs):
         built.append(d.n)
         return compute(d, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "compute_subdivision", counting)
+    monkeypatch.setattr(subdivision, "compute_subdivision", counting)
     rc = main(["verify", "--suite", "bounds", "--n-max", "6"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
@@ -723,8 +763,10 @@ def test_verify_bounds(capsys, monkeypatch):
 
 
 def test_verify_bounds_fails_exactly_the_missed_top_counts(capsys, monkeypatch):
-    low = cli.lower_bound_top
-    monkeypatch.setattr(cli, "lower_bound_top", lambda n: low(n) + 1)
+    # a bound one below the true one: the theorem check still passes, but a
+    # dmin row passes only when its top count attains the bound exactly
+    low = bounds.lower_bound_top
+    monkeypatch.setattr(bounds, "lower_bound_top", lambda n: low(n) - 1)
     assert main(["verify", "--suite", "bounds", "--n-max", "7"]) == 4
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[1] for row in rows if row.startswith("FAIL")] == [
@@ -735,14 +777,14 @@ def test_verify_bounds_fails_exactly_the_missed_top_counts(capsys, monkeypatch):
 
 
 def test_verify_bounds_violation_is_a_fail_row(capsys, monkeypatch):
-    verify = cli.verify_metric_against_bounds
+    verify = bounds.verify_metric_against_bounds
 
     def violated_at_dmax5(d, span):
         if d == gen_dmax(5):  # dmin5 has the same fT
-            raise cli.BoundViolated("f_1 = 20 exceeds bound 19 at n=5")
+            raise BoundViolated("f_1 = 20 exceeds bound 19 at n=5")
         return verify(d, span)
 
-    monkeypatch.setattr(cli, "verify_metric_against_bounds", violated_at_dmax5)
+    monkeypatch.setattr(bounds, "verify_metric_against_bounds", violated_at_dmax5)
     assert main(["verify", "--suite", "bounds", "--n-max", "6"]) == 4
     out, err = capsys.readouterr()
     assert err == ""

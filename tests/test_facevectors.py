@@ -63,6 +63,12 @@ def test_split_boundary_below_total():
         assert all(t == b + i for t, b, i in zip(total.counts, list(bd.counts) + [0], inner.counts))
 
 
+def test_split_refuses_a_top_face_on_the_boundary():
+    # the four-point rows with one top face fewer counted as interior
+    with pytest.raises(PreconditionViolated, match="top-dimensional faces cannot lie on the boundary"):
+        split_interior_boundary((6, 13, 12, 4), (0, 1, 4, 3))
+
+
 def test_tightspan_vectors_examples():
     tv = tsv("4points")
     assert tv.ideal_fT == (4, 4, 1)

@@ -1,8 +1,12 @@
 """The package namespace: what `from tightspan import *` exports."""
 
+import importlib
 import types
 
+import pytest
+
 import tightspan
+from helpers import loaded_modules
 
 
 def test_all_lists_every_public_name_and_no_module():
@@ -15,3 +19,32 @@ def test_all_lists_every_public_name_and_no_module():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert imported == set(tightspan.__all__)
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in tightspan.__all__:
+        value = getattr(tightspan, name)
+        assert value.__module__.startswith("tightspan."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import tightspan") == {"tightspan"}
+
+
+def test_submodules_resolve_on_first_access():
+    # the attribute path the benchmark reads: tightspan.<submodule>.<name>
+    code = (
+        "import tightspan\n"
+        "assert tightspan.errors.TightSpanError and tightspan.graphs.EdgeGraph\n"
+        "assert tightspan.metrics.gen_dmax and tightspan.subdivision.compute_subdivision\n"
+    )
+    loaded = loaded_modules(code)
+    assert {f"tightspan.{m}" for m in ("errors", "graphs", "metrics", "subdivision")} <= loaded
+    assert "tightspan.primal" not in loaded and "tightspan.cli" not in loaded
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tightspan.no_such_name
+    assert set(tightspan.__all__) <= set(dir(tightspan))
