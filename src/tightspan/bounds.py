@@ -168,11 +168,3 @@ def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> BoundReport
             )
     return BoundReport(n, tuple(rows), dim, low, high, top_count, top_lower)
 
-
-def bound_table(n_lo: int, n_hi: int) -> str:
-    """Aligned text table of the f-bounds with the volume row."""
-    lines = ["  n | 2^(n-1) | F_k(n) for k = 0..floor(n/2)"]
-    for n in range(n_lo, n_hi + 1):
-        values = [F_bound(n, k) for k in range(n // 2 + 1)]
-        lines.append(f"{n:3d} | {1 << (n - 1):7d} | " + " ".join(map(str, values)))
-    return "\n".join(lines)

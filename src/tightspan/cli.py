@@ -5,8 +5,9 @@ are canonical: identical inputs give byte-identical output apart from the
 timestamp line, which --no-timestamp suppresses.
 
 `compute` takes its cells and verdict from compute_subdivision, the ridge
-traversal from one LP seed at every n, and every vector and check of a
-generic report from one FaceReport; text and JSON render the same ROWS.
+traversal from node 1's star-plus-pair cell at every n, and every vector and
+check of a generic report from one FaceReport; text and JSON render the
+same ROWS.
 --export-cells writes subdivision_to_json, and --export-faces streams
 faces_to_json one face record at a time; both are template writers in
 subdivision.py, in the bytes of json.dumps(payload, indent=2) + "\n".

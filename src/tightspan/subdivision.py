@@ -8,12 +8,15 @@ cells are the spanning n-edge subgraphs whose components each contain
 exactly one odd cycle.
 
 compute_subdivision, the one production route at every n, is a ridge-pivot
-traversal from one seed cell that seed_cell reads off the matching LP at one
-fixed integer weight that lies on no wall.  The traversal returns every
-verdict: a flat seed, a ratio-test tie or a zero cell height makes the
-result non-generic with a witness.  Exhaustive filtration of all candidates
-(enumerate_cells, n <= 8) is kept as the test oracle.  Both build the
-Subdivision with one builder (_subdivision).
+traversal from node 1's star plus the pair of least Gromov product at node 1
+(_first_cell), a candidate cell of every input; the breadth-first closure
+reaches every cell from any one.  The traversal returns every verdict: a
+flat first cell, a ratio-test tie or a zero cell height makes the result
+non-generic with a witness.  Exhaustive filtration of all candidates
+(enumerate_cells, n <= 8) is kept as the test oracle of the cells, and
+seed_cell, the matching LP's cell at the seed weight, as that of the
+orientation.  Both routes build the Subdivision with one builder
+(_subdivision).
 
 One solver (_solve_scaled) gives the heights of cells and the height pencil
 lam + t*sigma of ridges, in integers at scale twice the common entry
@@ -27,11 +30,13 @@ their Fractions only when read (lambda_certificate's callers, the public
 API, the tests), and the degeneracy certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
-neighbour lower in w.lambda at the seed weight w.  That neighbour is
-lam + t*sigma, t > 0, on the ridge pencil, so it is lower when w.sigma < 0,
-a signed sum of seed weights that is never 0.  The pivot orients each
-interior ridge by that sign; the test oracle (enumerate_cells) orients its
-cells independently, by comparing w.lambda over a map of ridges to cells.
+neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
+neighbour is lam + t*sigma, t > 0, on the ridge pencil, so it is lower when
+w.sigma < 0, a signed sum of seed weights that is never 0.  The pivot
+orients each interior ridge by that sign, wherever the walk began; the test
+oracle (enumerate_cells) orients its cells independently, by comparing
+w.lambda over a map of ridges to cells, and the one cell without a down
+edge is seed_cell's.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
 down_degrees gives the histogram of the cells' down degrees, from which
@@ -469,13 +474,15 @@ def interleaved_cycle_graph(n: int) -> EdgeGraph:
 
 
 def seed_cell(d: Metric) -> Cell | DegeneracyReport:
-    """A starting cell for the traversal, read off the matching LP.
+    """The cell of least w.lambda at the seed weight, read off the matching LP: a test oracle.
 
     The LP is solved once, at w_i = 2^n + 2^(n-i), for every metric.  A wall
     is sum_A w = sum_B w on the two sides of a tree, and no signed sum of
     these w_i vanishes (the 2^(n-i) parts differ and stay below 2^n), so the
     basis is nondegenerate: its support is the cell that contains w, and its
     lambda_certificate is a Cell, or a DegeneracyReport when d is not generic.
+    On a generic d it is the one cell of compute_subdivision without a down
+    edge; the traversal does not start from it.
     """
     from .matching import solve_w_matching
 
@@ -484,7 +491,7 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
 
 @lru_cache(maxsize=None)
 def _seed_weight(n: int) -> tuple[int, ...]:
-    """w_i = 2^n + 2^(n-i), once per n: the seed's LP weight and every ridge's orientation."""
+    """w_i = 2^n + 2^(n-i), once per n: every ridge's orientation and seed_cell's LP weight."""
     # falling with i: about 8% fewer Bland pivots than rising powers on random n = 11
     return tuple((1 << n) + (1 << (n - 1 - i)) for i in range(n))
 
@@ -601,14 +608,37 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
     return sub
 
 
-def compute_subdivision(d: Metric) -> Subdivision:
-    """The subdivision of d and its verdict, by ridge traversal from seed_cell, at every n.
+def _first_cell(d: Metric) -> EdgeGraph:
+    """Node 1's star plus the pair {i, j} of least Gromov product (i|j)_1, the first in slot order.
 
-    The seed cannot fail: seed_cell's weight lies on no wall.  A flat seed or
-    a ratio-test tie gives a non-generic subdivision without cells, with the
-    (graph, pair) witness of the equality; a DegenerateRidge propagates.
+    (i|j)_1 = (d(1,i) + d(1,j) - d(i,j)) / 2 over the pairs off node 1.  The
+    heights lam_1 = (i|j)_1 and lam_v = d(1,v) - lam_1 put every pair {u, v}
+    off the star at d(u,v) + 2((u|v)_1 - lam_1), never below d, so the graph
+    is a candidate cell of every input: strict when the least product is
+    unique, flat (a DegeneracyReport) on a tie, and a corner cell when
+    lam_1 <= 0.
     """
-    return traverse_cells(d, seed_cell(d))
+    n = d.n
+    dnum, _ = d.scaled
+    star = (1 << n - 1) - 1  # slot v - 2 holds {1, v}
+    pairs = pair_table(n)
+    slot = min(
+        range(n - 1, num_pairs(n)),
+        key=lambda p: dnum[pairs[p][0] - 2] + dnum[pairs[p][1] - 2] - dnum[p],
+    )
+    return EdgeGraph(n, star | 1 << slot)
+
+
+def compute_subdivision(d: Metric) -> Subdivision:
+    """The subdivision of d and its verdict, by ridge traversal from _first_cell, at every n.
+
+    The traversal reaches every cell from any one, and each down edge comes
+    from its own ridge's pencil, so no seed search is needed.  A flat first
+    cell or a ratio-test tie gives a non-generic subdivision without cells,
+    with the (graph, pair) witness of the equality; a DegenerateRidge
+    propagates.
+    """
+    return traverse_cells(d, lambda_certificate(d, _first_cell(d)))
 
 
 # -- faces -----------------------------------------------------------------------

@@ -135,6 +135,21 @@ def break_lp_support(monkeypatch) -> None:
     monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
 
 
+def break_first_cell(monkeypatch) -> None:
+    """Make compute_subdivision start from its first cell one edge short.
+
+    Such a graph is never a candidate cell; only a broken first-cell rule
+    could return it, and the certificate's candidate guard must refuse it.
+    """
+    first = sd._first_cell
+
+    def one_edge_short(d):
+        G = first(d)
+        return EdgeGraph(d.n, G.bits ^ G.bits & -G.bits)
+
+    monkeypatch.setattr(sd, "_first_cell", one_edge_short)
+
+
 def break_ridge_pivot(monkeypatch) -> None:
     """Make the ridge pivot complete a ridge by an edge that gives no candidate.
 

@@ -8,7 +8,6 @@ from helpers import metric, tsv
 from tightspan.bounds import (
     F_bound,
     H_bound,
-    bound_table,
     f_bound_or_zero,
     identity_checks,
     identity_sum_a,
@@ -161,7 +160,3 @@ def test_bound_violation_names_the_failed_bound(name, fT, hT, message):
         verify_metric_against_bounds(metric(name), fake)
     assert str(err.value) == message
 
-
-def test_bound_table_text():
-    text = bound_table(4, 6)
-    assert "32 48 18 1" in text

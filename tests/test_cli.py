@@ -19,7 +19,7 @@ from helpers import (
     FOUR_POINTS,
     IDEAL_FOUR,
     assert_equality_witness,
-    break_lp_support,
+    break_first_cell,
     break_ridge_pivot,
     faces_json,
     loaded_modules,
@@ -443,9 +443,9 @@ def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkey
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
-    # an LP support one edge short fails the candidate guard: a package
+    # a first cell one edge short fails the candidate guard: a package
     # error with its own exit code, not a traceback
-    break_lp_support(monkeypatch)
+    break_first_cell(monkeypatch)
     path = tmp_path / "hires-7.1.json"
     path.write_text(metric_to_json(metric("hires-7.1")))
     assert main(["compute", str(path), "--format", fmt]) == 4
@@ -552,8 +552,8 @@ def test_compute_negative_n_exits_2(tmp_path, capsys):
 
 
 def test_compute_refuses_n_above_64(tmp_path, capsys):
-    # the matching LP's table at n = 500 would exhaust memory: the reader
-    # refuses any n above gen's cap before anything is built
+    # the cells of a subdivision about double per point: the reader refuses
+    # any n above gen's cap before anything is built
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps({"n": 65, "upper": ["1"] * (65 * 64 // 2)}))
     assert main(["compute", str(bad), "--no-timestamp"]) == 2
@@ -650,12 +650,14 @@ def test_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
     ids=["non-generic", "generic", "oracle"],
 )
 def test_compute_loads_only_the_layers_it_runs(d, flags, code, absent, tmp_path):
-    # the report layers load after the genericity verdict, the primal oracle only under --oracle
+    # the report layers load after the genericity verdict, the primal oracle
+    # only under --oracle, and the matching LP, a test oracle, never
     path = tmp_path / "d.json"
     path.write_text(metric_to_json(d))
     loaded = _main_loads(["compute", str(path), "--no-timestamp", *flags], code)
     layers = {"facevectors", "bounds", "primal"}
     assert "subdivision" in loaded and loaded & layers == layers - absent
+    assert "matching" not in loaded
 
 
 def test_compute_rejects_route_options(four_points_file):

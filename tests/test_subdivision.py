@@ -23,7 +23,7 @@ from tightspan.errors import (
 )
 from tightspan.facevectors import f_from_h, face_report
 from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, node_edge_masks, star_graph
-from tightspan.metrics import gen_dmax, gen_dmin, gen_random, submetric
+from tightspan.metrics import gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric
 from tightspan.subdivision import (
     Cell,
     DegeneracyReport,
@@ -303,6 +303,44 @@ def test_seed_weights_off_every_wall(monkeypatch):
         assert max(w) < sum(w) - max(w)  # w is a degree vector of K_n
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["4points"]
+    + [f"{kind}-{n}" for kind in ("dmax", "dmin") for n in range(4, 13)]
+    + [f"hires-{n}.1" for n in range(6, 12)],
+)
+def test_lp_seed_is_the_one_cell_without_a_down_edge(name):
+    # the traversal starts at node 1's star-plus-pair cell and orients each
+    # ridge by its own pencil; the matching LP, solved at the same weight,
+    # must land on the minimum of w.lambda, the one cell with no down edge
+    d = metric(name)
+    S = compute_subdivision(d)
+    [bottom] = [c for c in S.maximal_cells if c.down == 0]
+    assert S.generic and seed_cell(d).graph == bottom.graph
+
+
+def test_first_cell_is_a_star_plus_the_pair_of_least_gromov_product():
+    import tightspan.subdivision as sd
+
+    # 4points: (2|4)_1 = (2 + 2 - 3)/2 = 1/2 is the least product at node 1
+    d = metric("4points")
+    first = lambda_certificate(d, sd._first_cell(d))
+    assert first.graph.edges() == ((1, 2), (1, 3), (1, 4), (2, 4))
+    assert first.heights == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(3, 2))
+    # a tie of products, first in slot order, gives a flat first cell
+    flat = metric_from_upper(9, (Fraction(2),) * 36)
+    first = lambda_certificate(flat, sd._first_cell(flat))
+    assert isinstance(first, DegeneracyReport)
+    assert first.graph.edges()[-1] == (2, 3)
+    # a least product of 0 gives a corner cell: lam_1 = 0, kept by the traversal
+    ideal = metric("ideal")
+    corner = lambda_certificate(ideal, sd._first_cell(ideal))
+    assert isinstance(corner, Cell) and corner.heights[0] == 0
+    S = compute_subdivision(ideal)
+    assert S.degeneracy_witness[1] == (1, 1)
+    assert S.maximal_cells == subdivision("ideal").maximal_cells
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_seed_cell_and_verdict_on_coarse_random_metrics(n):
     # resolution 100 makes most of these metrics non-generic
@@ -399,10 +437,10 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
 def test_traversal_counts_components_once_per_cell(name, monkeypatch):
-    # the seed's components are counted twice (by lambda_certificate in
-    # seed_cell and by the traversal's guard), every other cell's once, by
-    # the guard; that count is the cell's volume, so neither the covered-volume
-    # check nor the export counts again
+    # the first cell's components are counted twice (by lambda_certificate
+    # in compute_subdivision and by the traversal's guard), every other
+    # cell's once, by the guard; that count is the cell's volume, so neither
+    # the covered-volume check nor the export counts again
     import tightspan.graphs as graphs
     import tightspan.subdivision as sd
 
@@ -577,7 +615,9 @@ def test_traverse_returns_the_verdict_of_a_flat_seed():
     T = traverse_cells(d, seed)
     assert not T.generic and T.maximal_cells == ()
     assert T.degeneracy_witness == (seed.graph, seed.pair)
-    assert T == compute_subdivision(d)
+    S = compute_subdivision(d)
+    assert not S.generic and S.maximal_cells == ()
+    assert_equality_witness(d, S.degeneracy_witness)
 
 
 @pytest.mark.parametrize("cells", [True, False], ids=["corner", "tie"])
@@ -612,8 +652,6 @@ def test_seed_support_off_the_candidates_raises(monkeypatch):
     assert subdivision("hires-7.1").generic
     with pytest.raises(PreconditionViolated):
         seed_cell(metric("hires-7.1"))
-    with pytest.raises(PreconditionViolated):
-        compute_subdivision(metric("hires-7.1"))
 
 
 def test_pivot_off_the_candidates_raises(monkeypatch):
