@@ -10,10 +10,9 @@ second); unit tests pin the nonzero values at those excluded points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .common import Verdict
 from .errors import BadArity, BoundViolated, OutOfRange
@@ -103,46 +102,15 @@ def identity_checks(n_max: int) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    k: int
-    f_value: int
-    f_bound: int
-    f_attained: bool
-    h_value: int
-    h_bound: int
-    h_attained: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    rows: tuple[BoundRow, ...]
-    dim: int
-    dim_low: int
-    dim_high: int
-    top_count: Optional[int]  # top faces when dim hits the lower limit
-    top_lower_bound: Optional[int]
-
-    @property
-    def all_f_attained(self) -> bool:
-        return all(r.f_attained for r in self.rows)
-
-    @property
-    def all_h_attained(self) -> bool:
-        return all(r.h_attained for r in self.rows)
-
-
-def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> BoundReport:
-    """Assert every face and h count against its proven bound; mark attained rows.
+def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> Verdict:
+    """Assert every face and h count against its proven bound.
 
     The top-face lower bound applies only when the tight span has the least
     possible dimension ceil(n/3), and only for n >= 4, where it is stated.
     Any violation raises BoundViolated: the bounds are theorems, so a
-    violation is an implementation bug.
+    violation is an implementation bug.  Otherwise the verdict passes.
     """
     n = d.n
-    rows = []
     for k in range(0, n // 2 + 1):
         fv = tv.fT[k] if k < len(tv.fT) else 0
         hv = tv.hT[k] if k < len(tv.hT) else 0
@@ -152,19 +120,15 @@ def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> BoundReport
             raise BoundViolated(f"f_{k} = {fv} exceeds bound {fb} at n={n}")
         if hv > hb:
             raise BoundViolated(f"h_{k} = {hv} exceeds bound {hb} at n={n}")
-        rows.append(BoundRow(k, fv, fb, fv == fb, hv, hb, hv == hb))
 
     dim = tv.dim
     low, high = -(-n // 3), n // 2
     if not low <= dim <= high:
         raise BoundViolated(f"dim {dim} outside [{low}, {high}] at n={n}")
-    top_count = top_lower = None
     if dim == low and n >= 4:
-        top_count = tv.fT[dim]
-        top_lower = lower_bound_top(n)
+        top_count, top_lower = tv.fT[dim], lower_bound_top(n)
         if top_count < top_lower:
             raise BoundViolated(
                 f"top count {top_count} below lower bound {top_lower} at n={n}"
             )
-    return BoundReport(n, tuple(rows), dim, low, high, top_count, top_lower)
-
+    return Verdict(True)

@@ -233,22 +233,7 @@ def check_ball_relations(rep: FaceReport) -> Verdict:
     return Verdict(True, (hB, h_int, g_bd))
 
 
-@dataclass(frozen=True)
-class AsffReport:
-    """Almost-small-face-free structure of a triangulated ball."""
-
-    ok: bool
-    min_interior_dim: int
-    very_small_bound: int  # interior faces must have dim >= this
-    h_vanishing_ok: bool
-    h_boundary_match_ok: bool
-    top_interior_count: int
-    top_interior_cap: int
-    top_count_ok: bool
-    boundary_determines_f_ok: bool
-
-
-def check_asff(rep: FaceReport) -> AsffReport:
+def check_asff(rep: FaceReport) -> Verdict:
     """Interior-dimension floor, h-vanishing, and the top interior-face cap.
 
     For an n-point triangulation: no interior face has dimension below
@@ -256,7 +241,8 @@ def check_asff(rep: FaceReport) -> AsffReport:
     from n-e-1 on and matches the boundary g-vector up to e+1; interior
     faces of the minimal dimension number at most 1 for even n and at most
     n for odd n; and the boundary determines f (odd n exactly, even n up to
-    the single h_(n/2) entry).
+    the single h_(n/2) entry).  The witness, pass or fail, is a dict of the
+    overall ok, each part's verdict and the values they compare.
     """
     n = rep.subdivision.n
     floor_dim = (n - 1) // 2
@@ -284,9 +270,17 @@ def check_asff(rep: FaceReport) -> AsffReport:
     )
 
     ok = sff_ok and vanish_ok and match_ok and top_ok and recon
-    return AsffReport(
-        ok, min_int_dim, floor_dim, vanish_ok, match_ok, top_count, top_cap, top_ok, recon
-    )
+    return Verdict(ok, {
+        "ok": ok,
+        "min_interior_dim": min_int_dim,
+        "very_small_bound": floor_dim,  # interior faces must have dim >= this
+        "h_vanishing_ok": vanish_ok,
+        "h_boundary_match_ok": match_ok,
+        "top_interior_count": top_count,
+        "top_interior_cap": top_cap,
+        "top_count_ok": top_ok,
+        "boundary_determines_f_ok": recon,
+    })
 
 
 # -- inductive boundary formulas -----------------------------------------------------

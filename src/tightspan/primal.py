@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .common import num_pairs, pair_table, pivot
-from .errors import Mismatch, NonSimple, PreconditionViolated, ScaleExceeded
+from .common import Verdict, num_pairs, pair_table, pivot
+from .errors import Mismatch, NonSimple, ScaleExceeded
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
 from .metrics import Metric
@@ -216,31 +216,23 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     return BoundedFacePoset(n, vertices, faces, fvec, covering)
 
 
-def h_by_outdegree(
-    d: Metric,
-    alpha: Optional[Sequence[Fraction]] = None,
-    poset: Optional[BoundedFacePoset] = None,
-) -> tuple[int, ...]:
+def h_by_outdegree(d: Metric, poset: Optional[BoundedFacePoset] = None) -> tuple[int, ...]:
     """Vertex counts by number of descending bounded edges.
 
-    Requires a simple polyhedron.  The objective alpha is any strictly
-    positive vector of length n, all ones by default; ties between vertices
-    break lexicographically on coordinates, and positivity keeps every
-    unbounded edge ascending, so out-degrees only count bounded edges.
+    Requires a simple polyhedron.  The objective is the all-ones vector;
+    ties between vertices break lexicographically on coordinates, and its
+    positivity keeps every unbounded edge ascending, so out-degrees only
+    count bounded edges.
     """
     n = d.n
     if poset is None:
         poset = bounded_faces(d)
     if any(not v.simple for v in poset.vertices):
         raise NonSimple("out-degree counts require a simple polyhedron")
-    if alpha is None:
-        alpha = (Fraction(1),) * n
-    if len(alpha) != n or any(a <= 0 for a in alpha):
-        raise PreconditionViolated("objective must be strictly positive of length n")
 
     def key(vid: int):
         x = poset.vertices[vid].coords
-        return (sum(a * xi for a, xi in zip(alpha, x)),) + x
+        return (sum(x),) + x
 
     outdeg = [0] * len(poset.vertices)
     for face in poset.faces:
@@ -257,22 +249,14 @@ def h_by_outdegree(
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    f_primal: tuple[int, ...]
-    f_dual: tuple[int, ...]
-    h_primal: tuple[int, ...]
-    h_dual: tuple[int, ...]
-    faces_matched: int
-
-
-def crosscheck(rep: FaceReport) -> CrosscheckReport:
+def crosscheck(rep: FaceReport) -> Verdict:
     """The dual face report of a metric d against the full primal pipeline on d.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
     glued-ball transform), and the face-by-face bijection between tight
     patterns and interior dual faces must all agree; the first difference
-    raises Mismatch.  d is the metric of rep's subdivision.
+    raises Mismatch, else the verdict passes.  d is the metric of rep's
+    subdivision.
     """
     d = rep.subdivision.metric
     n = d.n
@@ -314,4 +298,4 @@ def crosscheck(rep: FaceReport) -> CrosscheckReport:
         extra = primal_patterns - dual_patterns
         raise Mismatch(f"face bijection failed: missing {missing}, extra {extra}")
 
-    return CrosscheckReport(f_primal, tv.fT, h_primal, h_dual, len(poset.faces))
+    return Verdict(True)

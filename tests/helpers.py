@@ -27,7 +27,7 @@ from tightspan.metrics import (
     metric_from_upper,
     validate_metric,
 )
-from tightspan.primal import PrimalVertex, _constraints, _eliminate
+from tightspan.primal import BoundedFacePoset, PrimalVertex, _constraints, _eliminate
 from tightspan.subdivision import (
     DegeneracyReport,
     FaceSet,
@@ -317,6 +317,23 @@ def vertices_by_bases(d: Metric) -> tuple[PrimalVertex, ...]:
         graph = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
         vertices.append(PrimalVertex(coords, graph, len(tight) == n))
     return tuple(vertices)
+
+
+def outdegree_h(poset: BoundedFacePoset, alpha) -> tuple[int, ...]:
+    """Vertex counts of a simple poset by descending bounded edges under objective alpha.
+
+    primal.h_by_outdegree fixes the all-ones objective; ties break on
+    coordinates alike.
+    """
+    def key(vid):
+        x = poset.vertices[vid].coords
+        return (sum(a * xi for a, xi in zip(alpha, x)),) + x
+
+    outdeg = [0] * len(poset.vertices)
+    for face in poset.faces:
+        if face.dim == 1:
+            outdeg[max(face.vertex_ids, key=key)] += 1
+    return tuple(outdeg.count(j) for j in range(poset.n + 1))
 
 
 def cells_json(S: Subdivision) -> str:

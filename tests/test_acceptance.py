@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import faces, metric, report, subdivision, tsv
+from helpers import faces, metric, outdegree_h, report, subdivision, tsv
 from tightspan.bounds import (
     F_bound,
     f_bound_or_zero,
@@ -76,8 +76,8 @@ def test_criterion_01_four_point_example():
         assert h_from_f(f_bd) == (1, 3, 3, 1)
         assert h_from_f(f_int) == (0, 0, 1, 2, 1)
         assert tsv("4points").fT == (8, 8, 1)
-        cross = crosscheck(report("4points"))
-        assert cross.f_primal == (8, 8, 1)
+        assert crosscheck(report("4points"))  # raises Mismatch
+        assert bounded_faces(metric("4points")).f_vector == (8, 8, 1)
 
 
 def test_criterion_02_dmax_attainment():
@@ -134,11 +134,12 @@ def test_criterion_05_theorem_checks():
         for name in NAMED_FIXTURES + random_names:
             assert check_dehn_sommerville(report(name).h_boundary)
             assert check_ball_relations(report(name))
-            rep = check_asff(report(name))
-            assert rep.ok
+            assert check_asff(report(name))
         for n in (4, 5, 6, 7):
-            rep = check_asff(report(f"dmax-{n}"))
-            assert rep.top_interior_count == rep.top_interior_cap  # dmax is tight
+            verdict = check_asff(report(f"dmax-{n}"))
+            assert verdict.ok
+            asff = verdict.witness
+            assert asff["top_interior_count"] == asff["top_interior_cap"]  # dmax is tight
         for n in (5, 6, 7):
             assert check_inductive_step(report(f"dmax-{n}"))
 
@@ -172,7 +173,7 @@ def test_criterion_07_oracle_equivalence():
             tuple(Fraction(k) for k in (2, 3, 5, 7, 11)),
             tuple(Fraction(k, 13) for k in (17, 4, 9, 25, 6)),
         ]
-        assert len({h_by_outdegree(d, s, poset) for s in specs}) == 1
+        assert {outdegree_h(poset, s) for s in specs} == {h_by_outdegree(d, poset)}
 
 
 def test_criterion_08_identities_and_recursions():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import tightspan.bounds as bounds
 from helpers import metric, tsv
 from tightspan.bounds import (
     F_bound,
@@ -15,6 +16,7 @@ from tightspan.bounds import (
     lower_bound_top,
     verify_metric_against_bounds,
 )
+from tightspan.common import Verdict
 from tightspan.errors import BadArity, BoundViolated, OutOfRange
 from tightspan.facevectors import TightSpanVectors, face_report
 from tightspan.metrics import gen_dmax, gen_dmin
@@ -74,15 +76,18 @@ def test_lower_bound_top_values():
         lower_bound_top(3)
 
 
-def test_bound_report_three_points():
+def test_bound_report_three_points(monkeypatch):
     # the n = 3 tripod has dimension 1 = ceil(3/3), but the top-face bound is
-    # stated for n >= 4 only
-    from tightspan.metrics import gen_dmax
-
+    # stated for n >= 4 only, so the check never asks for it
     d = gen_dmax(3)
-    rep = verify_metric_against_bounds(d, face_report(compute_subdivision(d)).span)
-    assert rep.dim == rep.dim_low == 1
-    assert rep.top_count is None and rep.top_lower_bound is None
+    tv = face_report(compute_subdivision(d)).span
+    assert tv.dim == -(-3 // 3) == 1
+
+    def unstated(n):
+        raise AssertionError(f"top-face bound asked for at n={n}")
+
+    monkeypatch.setattr(bounds, "lower_bound_top", unstated)
+    assert verify_metric_against_bounds(d, tv) == Verdict(True)
     with pytest.raises(BadArity):
         lower_bound_top(3)
 
@@ -109,17 +114,20 @@ def test_identity_values():
 
 def test_bound_report_dmax():
     for name in ("dmax-4", "dmax-5", "dmax-6"):
-        d = metric(name)
-        rep = verify_metric_against_bounds(d, tsv(name))
-        assert rep.all_f_attained and rep.all_h_attained
-        assert rep.dim == d.n // 2
+        d, tv = metric(name), tsv(name)
+        n = d.n
+        assert verify_metric_against_bounds(d, tv)
+        assert tv.fT == tuple(F_bound(n, k) for k in range(n // 2 + 1))
+        assert tv.hT == tuple(H_bound(n, k, ideal=False) for k in range(n // 2 + 1))
+        assert tv.dim == n // 2
 
 
 def test_bound_report_dmin():
-    rep = verify_metric_against_bounds(metric("dmin-6"), tsv("dmin-6"))
-    assert not rep.all_f_attained
-    assert rep.dim == 2 == -(-6 // 3)
-    assert rep.top_count == 15 == rep.top_lower_bound
+    tv = tsv("dmin-6")
+    assert verify_metric_against_bounds(metric("dmin-6"), tv)
+    assert tv.fT != tuple(F_bound(6, k) for k in range(6 // 2 + 1))
+    assert tv.dim == 2 == -(-6 // 3)
+    assert tv.fT[tv.dim] == 15 == lower_bound_top(6)
 
 
 @pytest.mark.parametrize("n", [12, 13])
@@ -127,13 +135,14 @@ def test_extremal_families_attain_the_bounds(n):
     # counted from the down-degree histogram, at sizes where listing every
     # face is slow (4.2M faces at n = 13): dmax attains every F_k(n), dmin
     # has the least dimension ceil(n/3) and the guaranteed count of top faces
-    reports = {}
+    spans = {}
     for gen in (gen_dmax, gen_dmin):
         d = gen(n)
-        reports[gen] = verify_metric_against_bounds(d, face_report(compute_subdivision(d)).span)
-    assert reports[gen_dmax].all_f_attained
-    low = reports[gen_dmin]
-    assert low.dim == -(-n // 3) and low.top_count == lower_bound_top(n)
+        spans[gen] = face_report(compute_subdivision(d)).span
+        assert verify_metric_against_bounds(d, spans[gen])
+    assert spans[gen_dmax].fT == tuple(F_bound(n, k) for k in range(n // 2 + 1))
+    low = spans[gen_dmin]
+    assert low.dim == -(-n // 3) and low.fT[low.dim] == lower_bound_top(n)
 
 
 def test_bound_violation_raises():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,6 +308,71 @@ def test_compute_failed_check_exits_4_with_its_witness(
     assert payload["check_witnesses"] == {check: witness}
 
 
+@pytest.mark.parametrize("name", ["4points", "dmax-5"])
+def test_every_report_check_returns_a_verdict(name, monkeypatch):
+    # each check hands the report the Verdict its library function returned,
+    # with no adapter between them
+    import tightspan.facevectors as facevectors
+    import tightspan.primal as primal
+    from tightspan.cli import _checks
+
+    returned = {}
+    for module, attr in (
+        (facevectors, "check_dehn_sommerville"),
+        (facevectors, "check_ball_relations"),
+        (facevectors, "check_asff"),
+        (bounds, "verify_metric_against_bounds"),
+        (primal, "crosscheck"),
+    ):
+        def recorded(*args, _attr=attr, _original=getattr(module, attr)):
+            returned[_attr] = _original(*args)
+            return returned[_attr]
+
+        monkeypatch.setattr(module, attr, recorded)
+    rep = facevectors.face_report(compute_subdivision(metric(name)))
+    verdicts = {check_name: check() for check_name, check in _checks(rep, True)}
+    assert list(verdicts) == ["dehn_sommerville_boundary", "ball_relations", "asff", "bounds", "oracle"]
+    assert all(isinstance(v, Verdict) and v.ok for v in verdicts.values())
+    assert len(returned) == 5
+    assert all(v is r for v, r in zip(verdicts.values(), returned.values()))
+
+
+def test_compute_asff_failure_carries_its_witness(capsys, monkeypatch, tmp_path):
+    # an interior vertex is below the interior-dimension floor, and the
+    # boundary no longer determines the interior counts: only asff fails, and
+    # its witness names each part in a fixed order
+    import tightspan.facevectors as facevectors
+
+    real = facevectors.face_report
+
+    def doctored(S):
+        rep = real(S)
+        counts = (rep.f_interior.counts[0] + 1,) + rep.f_interior.counts[1:]
+        return replace(rep, f_interior=facevectors.FVector(counts, 0))
+
+    monkeypatch.setattr(facevectors, "face_report", doctored)
+    path = tmp_path / "dmax5.json"
+    path.write_text(metric_to_json(gen_dmax(5)))
+    assert main(["compute", str(path), "--no-timestamp"]) == 4
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+    assert [row for row in rows if not row.endswith(": pass")] == ["check asff: FAIL"]
+    assert main(["compute", str(path), "--no-timestamp", "--format", "json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert [name for name, ok in payload["checks"].items() if not ok] == ["asff"]
+    assert list(payload["check_witnesses"]) == ["asff"]
+    assert list(payload["check_witnesses"]["asff"].items()) == [
+        ("ok", False),
+        ("min_interior_dim", 0),
+        ("very_small_bound", 2),
+        ("h_vanishing_ok", True),
+        ("h_boundary_match_ok", True),
+        ("top_interior_count", 5),
+        ("top_interior_cap", 5),
+        ("top_count_ok", True),
+        ("boundary_determines_f_ok", False),
+    ]
+
+
 def test_compute_byte_deterministic(four_points_file, capsys):
     main(["compute", four_points_file, "--no-timestamp"])
     first = capsys.readouterr().out
@@ -437,7 +503,7 @@ def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkey
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "error: ridge traversal failed: traversal covered volume 3, expected 4"
+        "error: DegenerateRidge: traversal covered volume 3, expected 4"
     ]
 
 

@@ -127,19 +127,22 @@ def test_ball_relations_negative_control():
 
 
 def test_asff_reports():
-    rep = check_asff(report("dmax-6"))
-    assert rep.ok and rep.top_interior_count == 1 and rep.top_interior_cap == 1
-    rep5 = check_asff(report("dmax-5"))
-    assert rep5.ok and rep5.top_interior_count == 5 and rep5.top_interior_cap == 5
-    repm = check_asff(report("dmin-6"))
-    assert repm.ok
-    assert repm.min_interior_dim == 3 and repm.very_small_bound == 2
-    assert repm.top_interior_count == 0  # no interior squares: the span is 2-dimensional
+    verdict = check_asff(report("dmax-6"))
+    rep = verdict.witness
+    assert verdict.ok and rep["top_interior_count"] == 1 and rep["top_interior_cap"] == 1
+    verdict5 = check_asff(report("dmax-5"))
+    rep5 = verdict5.witness
+    assert verdict5.ok and rep5["top_interior_count"] == 5 and rep5["top_interior_cap"] == 5
+    verdictm = check_asff(report("dmin-6"))
+    repm = verdictm.witness
+    assert verdictm.ok
+    assert repm["min_interior_dim"] == 3 and repm["very_small_bound"] == 2
+    assert repm["top_interior_count"] == 0  # no interior squares: the span is 2-dimensional
 
 
 def test_asff_even_case_uses_top_h_entry():
-    rep = check_asff(report("4points"))
-    assert rep.ok and rep.boundary_determines_f_ok
+    verdict = check_asff(report("4points"))
+    assert verdict.ok and verdict.witness["boundary_determines_f_ok"]
 
 
 def test_inductive_step_dmax():
