@@ -17,7 +17,7 @@ _HOME = {
             "shift_by_isolated", "strict_triangle_nodes", "submetric", "validate_metric",
         ),
         "graphs": (
-            "EdgeGraph", "LoopyGraph", "cell_volume", "components", "has_even_tour",
+            "EdgeGraph", "cell_volume", "components", "has_even_tour",
             "is_interior_graph", "odd_path_sum",
         ),
         "subdivision": (

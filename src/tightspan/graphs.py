@@ -90,17 +90,6 @@ class EdgeGraph:
 
 
 @dataclass(frozen=True)
-class LoopyGraph:
-    """EdgeGraph plus a set of loops; a loop at i records the tight constraint x_i = 0."""
-
-    base: EdgeGraph
-    loops: frozenset[int]
-
-    def __str__(self) -> str:
-        return format_edge_list(self.base, self.loops)
-
-
-@dataclass(frozen=True)
 class ComponentProfile:
     """Per-component statistics: nodes, edge count, cycle space dim, cycle parity."""
 
@@ -350,10 +339,9 @@ def cell_volume(G: EdgeGraph) -> int:
     return 1 << (c - 1)
 
 
-def format_edge_list(G: EdgeGraph, loops: frozenset[int] = frozenset()) -> str:
-    """Text form "{i,j}" pairs sorted lexicographically; loops printed as "{i,i}"."""
-    items = sorted(G.edges()) + sorted((i, i) for i in loops)
-    return " ".join("{%d,%d}" % (i, j) for i, j in sorted(items))
+def format_edge_list(G: EdgeGraph) -> str:
+    """Text form "{i,j}" pairs sorted lexicographically."""
+    return " ".join("{%d,%d}" % (i, j) for i, j in sorted(G.edges()))
 
 
 _EDGE = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*")

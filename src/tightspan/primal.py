@@ -4,37 +4,38 @@ The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
 x_i >= 0) is attacked head on: its vertices by a walk over its feasible
 bases, one integer elimination (common.pivot) per basis, each tight set one
 bitmask over the constraint slots: the C(n,2) pairs in EdgeGraph bit order,
-then x_1 >= 0, ..., x_n >= 0.  Bounded faces are the intersection closure of
-those masks, their dimensions and covering read off the graded face lattice
-by mask containment, and the h-vector counts descending edges under a
-generic positive objective.  It shares no heights, cells or traversal with
-the dual side, only the pivot step.  crosscheck holds it against the dual
-side's FaceReport, the record the CLI report prints.
+then x_1 >= 0, ..., x_n >= 0.  Vertices and faces keep their tight sets as
+these masks.  Bounded faces are the intersection closure of the vertex
+masks, their dimensions and covering read off the graded face lattice by
+mask containment, and the h-vector counts descending edges under a generic
+positive objective.  It shares no heights, cells or traversal with the dual
+side, only the pivot step.  crosscheck holds it against the dual side's
+FaceReport, the record the CLI report prints: faces by mask, cells by
+heights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .common import Verdict, num_pairs, pair_table, pivot
 from .errors import Mismatch, NonSimple, ScaleExceeded
 from .facevectors import FaceReport, glued_ball_f, h_from_f
-from .graphs import EdgeGraph, LoopyGraph, node_edge_masks
+from .graphs import node_edge_masks
 from .metrics import Metric
 
 
 @dataclass(frozen=True)
 class PrimalVertex:
     coords: tuple[Fraction, ...]
-    tight: LoopyGraph
+    tight: int  # constraint bitmask: C(n,2) pair slots, then x_1 >= 0, ..., x_n >= 0
     simple: bool  # exactly n tight constraints
 
 
 @dataclass(frozen=True)
 class BoundedFace:
-    tight: LoopyGraph
+    tight: int  # constraint bitmask, as PrimalVertex.tight
     vertex_ids: tuple[int, ...]
     dim: int
 
@@ -151,17 +152,8 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
                     todo.append(nb)
 
     return tuple(
-        PrimalVertex(coords, _loopy(n, mask), mask.bit_count() == n)
+        PrimalVertex(coords, mask, mask.bit_count() == n)
         for mask, coords in sorted(found.items(), key=lambda item: item[1])
-    )
-
-
-def _loopy(n: int, mask: int) -> LoopyGraph:
-    """A constraint mask as a graph: pair slots as edges, x_i >= 0 slots as loops."""
-    first_loop = num_pairs(n)
-    return LoopyGraph(
-        EdgeGraph(n, mask & ((1 << first_loop) - 1)),
-        frozenset(i + 1 for i in range(n) if mask >> (first_loop + i) & 1),
     )
 
 
@@ -181,11 +173,7 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     """
     n = d.n
     vertices = enumerate_vertices(d)
-    first_loop = num_pairs(n)
-    tights = [
-        v.tight.base.bits | sum(1 << (first_loop + i - 1) for i in v.tight.loops)
-        for v in vertices
-    ]
+    tights = [v.tight for v in vertices]
 
     patterns = {*tights}
     work = list(patterns)
@@ -197,7 +185,7 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
                 patterns.add(G)
                 work.append(G)
 
-    nodes = [star | 1 << (first_loop + i) for i, star in enumerate(node_edge_masks(n))]
+    nodes = [star | 1 << (num_pairs(n) + i) for i, star in enumerate(node_edge_masks(n))]
     dims: dict[int, int] = {}
     below: dict[int, list[int]] = {}
     for F in sorted(patterns, key=int.bit_count, reverse=True):
@@ -210,13 +198,13 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     ids = {F: tuple(i for i, t in enumerate(tights) if F & t == F) for F in dims}
     order = sorted(dims, key=lambda F: (dims[F], ids[F]))
     index = {F: k for k, F in enumerate(order)}
-    faces = tuple(BoundedFace(_loopy(n, F), ids[F], dims[F]) for F in order)
+    faces = tuple(BoundedFace(F, ids[F], dims[F]) for F in order)
     fvec = tuple(sum(f.dim == k for f in faces) for k in range(faces[-1].dim + 1))
     covering = tuple(sorted((index[F], index[G]) for F in dims for G in below[F]))
     return BoundedFacePoset(n, vertices, faces, fvec, covering)
 
 
-def h_by_outdegree(d: Metric, poset: Optional[BoundedFacePoset] = None) -> tuple[int, ...]:
+def h_by_outdegree(poset: BoundedFacePoset) -> tuple[int, ...]:
     """Vertex counts by number of descending bounded edges.
 
     Requires a simple polyhedron.  The objective is the all-ones vector;
@@ -224,9 +212,6 @@ def h_by_outdegree(d: Metric, poset: Optional[BoundedFacePoset] = None) -> tuple
     positivity keeps every unbounded edge ascending, so out-degrees only
     count bounded edges.
     """
-    n = d.n
-    if poset is None:
-        poset = bounded_faces(d)
     if any(not v.simple for v in poset.vertices):
         raise NonSimple("out-degree counts require a simple polyhedron")
 
@@ -243,7 +228,7 @@ def h_by_outdegree(d: Metric, poset: Optional[BoundedFacePoset] = None) -> tuple
             outdeg[a] += 1
         else:
             outdeg[b] += 1
-    h = [0] * (n + 1)
+    h = [0] * (poset.n + 1)
     for v in outdeg:
         h[v] += 1
     return tuple(h)
@@ -253,8 +238,9 @@ def crosscheck(rep: FaceReport) -> Verdict:
     """The dual face report of a metric d against the full primal pipeline on d.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
-    glued-ball transform), and the face-by-face bijection between tight
-    patterns and interior dual faces must all agree; the first difference
+    glued-ball transform), the face-by-face bijection between tight masks
+    and interior dual faces, and each cell's heights against the vertex whose
+    tight mask is the cell's graph must all agree; the first difference
     raises Mismatch, else the verdict passes.  d is the metric of rep's
     subdivision.
     """
@@ -269,7 +255,7 @@ def crosscheck(rep: FaceReport) -> Verdict:
     if f_primal != tv.fT:
         raise Mismatch(f"f-vectors differ: primal {f_primal}, dual {tv.fT}")
 
-    h_primal = h_by_outdegree(d, poset=poset)
+    h_primal = h_by_outdegree(poset)
     h_dual = tv.hT + (0,) * (n + 1 - len(tv.hT))
     if h_primal != h_dual:
         raise Mismatch(f"h-vectors differ: primal {h_primal}, dual {h_dual}")
@@ -280,22 +266,22 @@ def crosscheck(rep: FaceReport) -> Verdict:
             f"glued-ball h-vector {hB} differs from out-degree h {h_dual}"
         )
 
-    # bijection between primal tight patterns and interior faces of the glued ball
-    primal_patterns = {
-        (f.tight.base.bits, f.tight.loops) for f in poset.faces
-    }
+    # bijection between primal tight masks and interior faces of the glued ball
+    primal_patterns = {f.tight for f in poset.faces}
     node_masks = node_edge_masks(n)
-    dual_patterns: set[tuple[int, frozenset[int]]] = set()
-    for level in F.interior_by_dim:
-        for mask in level:
-            dual_patterns.add((mask, frozenset()))
-    for i in sorted(tv.glued):
-        star = node_masks[i - 1]
-        dual_patterns.add((star, frozenset()))
-        dual_patterns.add((star, frozenset([i])))
+    dual_patterns = set().union(*F.interior_by_dim)
+    for i in tv.glued:
+        dual_patterns |= {node_masks[i - 1], node_masks[i - 1] | 1 << (num_pairs(n) + i - 1)}
     if primal_patterns != dual_patterns:
-        missing = dual_patterns - primal_patterns
-        extra = primal_patterns - dual_patterns
+        missing = sorted(dual_patterns - primal_patterns)
+        extra = sorted(primal_patterns - dual_patterns)
         raise Mismatch(f"face bijection failed: missing {missing}, extra {extra}")
+
+    # each cell is the vertex whose tight set is its graph, at its heights
+    coords = {v.tight: v.coords for v in poset.vertices}
+    for cell in rep.subdivision.maximal_cells:
+        x = coords.get(cell.graph.bits)
+        if x != cell.heights:
+            raise Mismatch(f"heights differ at cell {cell.graph}: primal {x}, dual {cell.heights}")
 
     return Verdict(True)

@@ -18,7 +18,7 @@ import tightspan.matching as matching
 import tightspan.subdivision as sd
 from tightspan.common import format_rational, num_pairs, pair_table, parse_rational
 from tightspan.facevectors import FaceReport, face_report
-from tightspan.graphs import EdgeGraph, LoopyGraph, cell_components
+from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
 from tightspan.metrics import (
     Metric,
     gen_dmax,
@@ -27,7 +27,13 @@ from tightspan.metrics import (
     metric_from_upper,
     validate_metric,
 )
-from tightspan.primal import BoundedFacePoset, PrimalVertex, _constraints, _eliminate
+from tightspan.primal import (
+    BoundedFacePoset,
+    PrimalVertex,
+    _constraints,
+    _eliminate,
+    enumerate_vertices,
+)
 from tightspan.subdivision import (
     DegeneracyReport,
     FaceSet,
@@ -312,11 +318,24 @@ def vertices_by_bases(d: Metric) -> tuple[PrimalVertex, ...]:
             c for c in range(m)
             if sum(r * xi for r, xi in zip(rows[c], coords)) == rhs[c]
         ]
-        edges = [pair_table(n)[c] for c in tight if c < num_pairs(n)]
-        loops = frozenset(c - num_pairs(n) + 1 for c in tight if c >= num_pairs(n))
-        graph = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
-        vertices.append(PrimalVertex(coords, graph, len(tight) == n))
+        vertices.append(PrimalVertex(coords, sum(1 << c for c in tight), len(tight) == n))
     return tuple(vertices)
+
+
+def vertices_against_cells(S: Subdivision) -> tuple[dict, dict]:
+    """The primal vertices of S.metric, and what they must be for generic S.
+
+    Both sides map a tight mask to a point.  The primal side holds every
+    vertex of enumerate_vertices.  The expected side holds each cell of S at
+    its heights, and for each node i the corner x = d(i, .), tight on the
+    star of i and on x_i >= 0.
+    """
+    d, n = S.metric, S.n
+    expected = {c.graph.bits: c.heights for c in S.maximal_cells}
+    for i, star in enumerate(node_edge_masks(n), 1):
+        corner = tuple(d.d(i, j) for j in range(1, n + 1))
+        expected[star | 1 << (num_pairs(n) + i - 1)] = corner
+    return {v.tight: v.coords for v in enumerate_vertices(d)}, expected
 
 
 def outdegree_h(poset: BoundedFacePoset, alpha) -> tuple[int, ...]:

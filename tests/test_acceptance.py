@@ -173,7 +173,7 @@ def test_criterion_07_oracle_equivalence():
             tuple(Fraction(k) for k in (2, 3, 5, 7, 11)),
             tuple(Fraction(k, 13) for k in (17, 4, 9, 25, 6)),
         ]
-        assert {outdegree_h(poset, s) for s in specs} == {h_by_outdegree(d, poset)}
+        assert {outdegree_h(poset, s) for s in specs} == {h_by_outdegree(poset)}
 
 
 def test_criterion_08_identities_and_recursions():

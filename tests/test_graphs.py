@@ -252,7 +252,6 @@ def test_canonical_order_total():
 def test_format_and_parse_edge_list():
     G = EdgeGraph.from_edges(4, [(3, 4), (1, 2)])
     assert format_edge_list(G) == "{1,2} {3,4}"
-    assert format_edge_list(G, frozenset([2])) == "{1,2} {2,2} {3,4}"
     assert parse_edge_list(4, "1-2,3-4") == G
     assert parse_edge_list(4, "") == empty_graph(4)
     assert parse_edge_list(4, " 1 - 2 , 3-4 ") == G

@@ -6,10 +6,17 @@ from fractions import Fraction
 import pytest
 
 import tightspan.primal as primal
-from helpers import metric, outdegree_h, rank_int, report, vertices_by_bases
+from helpers import (
+    metric,
+    outdegree_h,
+    rank_int,
+    report,
+    vertices_against_cells,
+    vertices_by_bases,
+)
+from tightspan.common import pair_table
 from tightspan.errors import Mismatch, NonSimple, ScaleExceeded
 from tightspan.facevectors import FVector, face_report
-from tightspan.graphs import EdgeGraph, LoopyGraph
 from tightspan.metrics import (
     gen_dmax,
     gen_dmin,
@@ -24,7 +31,13 @@ from tightspan.primal import (
     enumerate_vertices,
     h_by_outdegree,
 )
-from tightspan.subdivision import compute_subdivision, down_degrees
+from tightspan.subdivision import compute_subdivision, down_degrees, random_generic_metrics
+
+
+def tight_pairs(n, mask):
+    """The constraints of a tight mask as pairs (i, j), each loop x_i >= 0 as (i, i)."""
+    slots = pair_table(n) + tuple((i, i) for i in range(1, n + 1))
+    return [p for q, p in enumerate(slots) if mask >> q & 1]
 
 
 def test_four_points_vertices():
@@ -34,8 +47,7 @@ def test_four_points_vertices():
     coords = {v.coords for v in vs}
     assert (Fraction(0), Fraction(2), Fraction(3), Fraction(2)) in coords  # corner at node 1
     corner = next(v for v in vs if v.coords[0] == 0)
-    assert corner.tight.loops == frozenset({1})
-    assert corner.tight.base.edges() == ((1, 2), (1, 3), (1, 4))
+    assert tight_pairs(4, corner.tight) == [(1, 2), (1, 3), (1, 4), (1, 1)]
 
 
 def test_ideal_metric_vertices_non_simple():
@@ -43,9 +55,7 @@ def test_ideal_metric_vertices_non_simple():
     assert len(vs) == 4
     assert all(not v.simple for v in vs)
     bad = next(v for v in vs if v.coords == (0, 1, 2, 1))
-    assert bad.tight.loops == frozenset({1})
-    assert set(bad.tight.base.edges()) == {(1, 2), (1, 3), (1, 4), (2, 4)}
-    assert len(bad.tight.base.edges()) + len(bad.tight.loops) == 5
+    assert tight_pairs(4, bad.tight) == [(1, 2), (1, 3), (1, 4), (2, 4), (1, 1)]
 
 
 def test_dmax4_has_eight_simple_vertices():
@@ -134,18 +144,25 @@ def test_walk_eliminates_one_basis_per_simple_vertex(monkeypatch, d, vertices, b
     assert len(vs) == vertices and walked == bases
 
 
+COARSE7 = [s for s in range(1, 201) if compute_subdivision(gen_random(7, s, 100)).generic]
+
+
 @pytest.mark.parametrize(
-    "d, vertices",
-    [(gen_dmax(7), 64), (gen_dmin(7), 60)]
-    + [(gen_random(7, 1), 63), (gen_random(7, 2), 64)],
-    ids=["dmax-7", "dmin-7", "rand-7.1", "rand-7.2"],
+    "d",
+    [gen_dmax(7), gen_dmin(7), gen_random(7, 1), gen_random(7, 2)]
+    + [d for _, d in random_generic_metrics(7, 20)]
+    + [gen_random(7, s, 100) for s in COARSE7],
+    ids=["dmax-7", "dmin-7", "rand-7.1", "rand-7.2"]
+    + [f"generic-7.{s}" for s, _ in random_generic_metrics(7, 20)]
+    + [f"coarse-7.{s}" for s in COARSE7],
 )
-def test_vertices_are_cells_plus_corners_past_the_crosscheck_cap(d, vertices):
-    # for a generic metric the polyhedron has one vertex per maximal cell and
-    # the n corners of the glued simplices
-    vs = enumerate_vertices(d)
-    assert len(vs) == len(compute_subdivision(d).maximal_cells) + d.n == vertices
-    assert all(v.simple for v in vs)
+def test_vertices_are_cells_plus_corners_past_the_crosscheck_cap(d):
+    # for a generic metric the polyhedron's vertices are the maximal cells at
+    # their heights and the n corners of the glued simplices, each simple
+    S = compute_subdivision(d)
+    assert S.generic
+    primal_side, expected = vertices_against_cells(S)
+    assert primal_side == expected
 
 
 def test_every_vertex_feasible_and_tight():
@@ -156,7 +173,7 @@ def test_every_vertex_feasible_and_tight():
             for j in range(i + 1, 6):
                 s = v.coords[i - 1] + v.coords[j - 1]
                 assert s >= d.d(i, j)
-                assert (s == d.d(i, j)) == v.tight.base.has_edge(i, j)
+                assert (s == d.d(i, j)) == ((i, j) in tight_pairs(5, v.tight))
 
 
 def test_bounded_faces_vectors():
@@ -172,13 +189,11 @@ def test_bounded_faces_vectors():
 )
 def test_bounded_faces_equal_closure_of_reference_tight_sets(d):
     # tight sets as frozensets of pairs (i, j) and loops (i, i), closed under
-    # intersection; non-simple vertices included
+    # intersection; non-simple vertices included; the poset's masks are read
+    # as such sets
     n = d.n
     vertices = vertices_by_bases(d)
-    tights = [
-        frozenset(v.tight.base.edges()) | {(i, i) for i in v.tight.loops}
-        for v in vertices
-    ]
+    tights = [frozenset(tight_pairs(n, v.tight)) for v in vertices]
     patterns = set(tights)
     while True:
         new = {F & t for F in patterns for t in tights} - patterns - {frozenset()}
@@ -189,18 +204,15 @@ def test_bounded_faces_equal_closure_of_reference_tight_sets(d):
     for F in patterns:
         if {i for pair in F for i in pair} != set(range(1, n + 1)):
             continue  # a node without a tight constraint: unbounded
-        edges = [(i, j) for i, j in F if i != j]
-        loops = frozenset(i for i, j in F if i == j)
-        tight = LoopyGraph(EdgeGraph.from_edges(n, edges), loops)
         ids = tuple(k for k, t in enumerate(tights) if F <= t)
         rows = [[int(k in pair) for k in range(1, n + 1)] for pair in F]
-        faces.append(BoundedFace(tight, ids, n - rank_int(rows)))
+        faces.append(BoundedFace(F, ids, n - rank_int(rows)))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     f_vector = tuple(sum(f.dim == k for f in faces) for k in range(faces[-1].dim + 1))
 
     poset = bounded_faces(d)
     assert poset.vertices == vertices
-    assert poset.faces == tuple(faces)
+    assert [replace(f, tight=frozenset(tight_pairs(n, f.tight))) for f in poset.faces] == faces
     assert poset.f_vector == f_vector
 
 
@@ -217,8 +229,7 @@ def test_bounded_faces_dims_and_covering_by_linear_algebra(d, simple):
     poset = bounded_faces(d)
     assert all(v.simple for v in poset.vertices) == simple
     for f in poset.faces:
-        pairs = list(f.tight.base.edges()) + [(i, i) for i in f.tight.loops]
-        rows = [[int(k in pair) for k in range(1, n + 1)] for pair in pairs]
+        rows = [[int(k in pair) for k in range(1, n + 1)] for pair in tight_pairs(n, f.tight)]
         assert f.dim == n - rank_int(rows)
     faces = poset.faces
     covering = tuple(
@@ -243,13 +254,11 @@ def test_bounded_faces_covering_relations():
 
 
 def test_outdegree_h_four_points():
-    d = metric("4points")
-    assert h_by_outdegree(d) == (1, 6, 1, 0, 0)
+    assert h_by_outdegree(bounded_faces(metric("4points"))) == (1, 6, 1, 0, 0)
 
 
 def test_outdegree_h_dmax6_is_binomial_row():
-    d = gen_dmax(6)
-    assert h_by_outdegree(d) == (1, 15, 15, 1, 0, 0, 0)
+    assert h_by_outdegree(bounded_faces(gen_dmax(6))) == (1, 15, 15, 1, 0, 0, 0)
 
 
 def test_outdegree_h_objective_independent():
@@ -262,13 +271,13 @@ def test_outdegree_h_objective_independent():
         tuple(Fraction(k) for k in (1, 2, 3, 4, 5)),
         tuple(Fraction(k, 7) for k in (5, 3, 9, 2, 11)),
     ]
-    assert {outdegree_h(poset, spec) for spec in specs} == {h_by_outdegree(d, poset)}
+    assert {outdegree_h(poset, spec) for spec in specs} == {h_by_outdegree(poset)}
 
 
 def test_outdegree_h_partition():
     d = gen_random(5, 9)
     poset = bounded_faces(d)
-    h = h_by_outdegree(d, poset=poset)
+    h = h_by_outdegree(poset)
     assert sum(h) == len(poset.vertices)
     assert h[0] == 1  # unique minimal vertex under a positive objective
 
@@ -287,12 +296,12 @@ def test_outdegree_h_is_the_down_degree_histogram(name):
     d = metric(name)
     histogram = list(down_degrees(compute_subdivision(d)))
     histogram[1] += d.n
-    assert h_by_outdegree(d) == tuple(histogram)
+    assert h_by_outdegree(bounded_faces(d)) == tuple(histogram)
 
 
 def test_outdegree_refuses_non_simple():
     with pytest.raises(NonSimple):
-        h_by_outdegree(metric("ideal"))
+        h_by_outdegree(bounded_faces(metric("ideal")))
 
 
 def test_crosscheck_small_fixtures():
@@ -324,6 +333,11 @@ def _broken(name, part):
     if part == "f":
         counts = rep.f.counts
         return replace(rep, f=FVector(counts[:1] + (counts[1] + 1,) + counts[2:]))
+    if part == "heights":  # one cell's heights shifted, its graph and faces kept
+        S = rep.subdivision
+        cell = S.maximal_cells[0]
+        moved = replace(cell, lam=(cell.lam[0] + 1,) + cell.lam[1:])
+        return replace(rep, subdivision=replace(S, maximal_cells=(moved,) + S.maximal_cells[1:]))
     faces = rep.faces
     top = faces.interior_by_dim[-1]
     broken = replace(rep)
@@ -340,6 +354,7 @@ def _broken(name, part):
         ("hT", "h-vectors differ"),
         ("f", "glued-ball h-vector"),
         ("interior", "face bijection failed"),
+        ("heights", "heights differ"),
     ],
 )
 def test_crosscheck_catches_each_disagreement(part, message):
