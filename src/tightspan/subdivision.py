@@ -18,16 +18,20 @@ seed_cell, the matching LP's cell at the seed weight, as that of the
 orientation.  Both routes build the Subdivision with one builder
 (_subdivision).
 
-One solver (_solve_scaled) gives the heights of cells and the height pencil
-lam + t*sigma of ridges, in integers at scale twice the common entry
-denominator, by one propagation per component; a mask outside its domain
-raises PreconditionViolated.  One classifier (_classify_scaled) reads the
-heights against d: the first equality or non-positive height as a pair, and
-whether it drops below d.  The filtration classifies every candidate, the
-traversal only its seed: each further cell, heights included, comes from a
-ridge pencil's ratio test.  A Cell keeps these integers; Cell.heights builds
-their Fractions only when read (lambda_certificate's callers, the public
-API, the tests), and the degeneracy certificates carry Fractions.
+One solver (_solve_scaled) gives the heights of a cell in integers at scale
+twice the common entry denominator, by one propagation per component; a mask
+outside its domain raises PreconditionViolated.  One classifier
+(_classify_scaled) reads the heights against d: the first equality or
+non-positive height as a pair, and whether it drops below d.  The filtration
+classifies every candidate, the traversal only its seed, with one solve:
+each further cell, heights and component count included, comes from a ridge
+pencil lam + t*sigma and its ratio test.  sigma is +-1 on the bipartition of
+the ridge's one tree component and 0 elsewhere, so a cell's adjacency, built
+and stripped of its leaves once (_ridge_pencils), gives each of its interior
+ridges' sigma by a walk of that tree alone.  A Cell keeps these integers;
+Cell.heights builds their Fractions only when read (lambda_certificate's
+callers, the public API, the tests), and the degeneracy certificates carry
+Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
@@ -74,7 +78,6 @@ from .graphs import (
     _join,
     _split,
     cell_components,
-    is_interior_mask,
     node_edge_masks,
 )
 from .metrics import Metric
@@ -499,42 +502,116 @@ def _seed_weight(n: int) -> tuple[int, ...]:
 # -- ridge pivot traversal -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _slot_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i, entry j: the slot of the pair of 0-based nodes i != j."""
+    return tuple(
+        tuple(pair_index(n, i, j) if i != j else -1 for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+
+
+def _ridge_pencils(
+    n: int, mask: int, edges: int
+) -> Iterator[tuple[int, list[int], list[int], bool]]:
+    """The pencil of each interior ridge mask - e, e in edges, from one adjacency of the cell.
+
+    mask is a candidate cell.  Its adjacency is built once, and leaves are
+    stripped once, which leaves the cycle nodes and gives every other node
+    its edge toward its component's cycle.  Without e the ridge has one tree
+    component: e's whole component when e lies on the odd cycle, else the
+    subtree on the far side of e from the cycle.  Its 2-colouring, from one
+    walk of that tree that never crosses e, is sigma of the pencil lam +
+    t*sigma (0 off the tree), +1 at e's ends in the tree, so e's slack grows
+    with t.  Yields (slot of e, sigma, tree nodes, e off the cycle) per
+    interior ridge.
+    """
+    if not edges:
+        return
+    pairs = _pairs0(n)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for low in _edge_bits(mask):
+        p = low.bit_length() - 1
+        i, j = pairs[p]
+        adj[i].append((j, p))
+        adj[j].append((i, p))
+    degree = [len(a) for a in adj]
+    # is_interior_mask from the degrees: both ends of e keep an edge, and the
+    # ridge is no full star
+    stars = node_edge_masks(n)
+    ridges = []
+    for low in _edge_bits(edges):
+        e = low.bit_length() - 1
+        a, b = pairs[e]
+        if degree[a] > 1 and degree[b] > 1 and mask ^ low not in stars:
+            ridges.append(e)
+    up = [-1] * n  # slot of each node's edge toward its cycle; -1 on the cycle
+    leaves = [v for v in range(n) if degree[v] == 1]
+    for v in leaves:  # the list grows while it is read
+        degree[v] = 0
+        for u, p in adj[v]:
+            if degree[u]:
+                up[v] = p
+                degree[u] -= 1
+                if degree[u] == 1:
+                    leaves.append(u)
+    for e in ridges:
+        a, b = pairs[e]
+        root = b if up[b] == e else a
+        sigma = [0] * n
+        sigma[root] = 1
+        tree = [root]
+        for v in tree:  # the list grows while it is read
+            flip = -sigma[v]
+            for u, p in adj[v]:
+                if not sigma[u] and p != e:
+                    sigma[u] = flip
+                    tree.append(u)
+        yield e, sigma, tree, up[a] == e or up[b] == e
+
+
 def _pivot_entering(
-    n: int, dnum: Sequence[int], rmask: int, leaving: int, lam: list[int]
-) -> tuple[list[int], list[int], bool]:
-    """The neighbour across a ridge: (entering slots, its scaled heights, lower).
+    n: int, dnum: Sequence[int], lam: list[int], sigma: list[int], tree: list[int]
+) -> tuple[list[int], int, bool]:
+    """The neighbour across a ridge: (entering slots, t, lower).
 
     lam holds the current cell's heights, the point t = 0 of the ridge pencil
-    lam + t*sigma, and sigma is signed so that the leaving pair's slack grows
-    with t.  The cell is strict, so only a pair with s = sigma_i + sigma_j < 0
-    bounds t, from above by slack/-s (ridge edges have s = 0); bounds are
-    compared by cross-multiplying integers, and the least one enters.  Every
-    other pair stays strictly above d, so the neighbour needs no classifying.
-    The slots are those of the least bound: one, or more on a ratio-test tie,
-    where the neighbour meets d with equality on the second.  lower is
-    w.sigma < 0: the neighbour, at t > 0, is lower in w.lambda.
+    lam + t*sigma, and sigma (nonzero on the tree nodes) is signed so that
+    the leaving pair's slack grows with t.  The cell is strict, so only a
+    pair with s = sigma_i + sigma_j < 0 bounds t, from above by slack/-s:
+    minus-minus pairs (s = -2) and minus-zero pairs (s = -1), none of them a
+    ridge edge.  The bounds are compared at their common denominator 2, and
+    the least one enters; the neighbour's heights are lam + t*sigma.  Every
+    other pair stays strictly above d, so the neighbour needs no
+    classifying.  The slots are those of the least bound in slot order: one,
+    or more on a ratio-test tie, where the neighbour meets d with equality
+    on the second.  lower is w.sigma < 0: the neighbour, at t > 0, is lower
+    in w.lambda.
     """
-    _, sigma = _solve_scaled(n, rmask, dnum)
-    i, j = _pairs0(n)[leaving]
-    if sigma[i] + sigma[j] < 0:
-        sigma = [-v for v in sigma]
-    num = den = 0
-    slots: list[int] = []
-    for p, (i, j) in enumerate(_pairs0(n)):
-        s = sigma[i] + sigma[j]
-        if s < 0:
-            slack = lam[i] + lam[j] - 2 * dnum[p]
-            order = slack * den + num * s
-            if not slots or order < 0:
-                num, den, slots = slack, -s, [p]
-            elif order == 0:
-                slots.append(p)
-    if not slots:
+    rows = _slot_rows(n)
+    minus = [v for v in tree if sigma[v] < 0]
+    zero = [v for v in range(n) if not sigma[v]]
+    # (2 * bound, slot): the slack at s = -2, twice the slack at s = -1
+    bounds = [
+        (lam[i] + lam[j] - 2 * dnum[p], p)
+        for i in minus
+        for j in minus
+        if i < j
+        for p in (rows[i][j],)
+    ]
+    bounds += [
+        (2 * (lam[i] + lam[j] - 2 * dnum[p]), p)
+        for i in minus
+        for j in zero
+        for p in (rows[i][j],)
+    ]
+    if not bounds:
         raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
+    least = min(bounds)[0]
+    slots = sorted([p for bound, p in bounds if bound == least])
+    w = _seed_weight(n)
     # exact: both cells' heights are integers at scale 2D
-    t = num // den
-    lower = sum(map(mul, _seed_weight(n), sigma)) < 0
-    return slots, [h + t * v for h, v in zip(lam, sigma)], lower
+    return slots, least // 2, sum([w[v] * sigma[v] for v in tree]) < 0
 
 
 def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
@@ -543,16 +620,20 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
     Only the seed is solved and classified; a seed whose heights meet d with
     equality off its graph gives a non-generic result without cells, with
     the seed graph and that pair as the witness.  Each interior ridge is
-    pivoted once, from the first of its two cells to be reached, and the
-    ratio test gives the neighbour with its heights; a tie on the far side
-    ends the traversal the same way, with the neighbour's graph and the tied
-    pair, and the near side needs no test, as the current cell is strict.
-    The pivot also orients the ridge by the sign of w.sigma on its pencil:
-    the higher cell's edge across it is down; boundary ridges are up.  One
-    map, mask -> [scaled heights, components, down, pivoted edges], holds the
-    cells, counted by the guard that admits them.  A cell with a height that
-    is not positive is kept and gives the (i, i) witness of its first such
-    node.  Matches enumerate_cells, volumes and down edges included, on every
+    pivoted once, from the first of its two cells to be reached: a walk of
+    that cell gives the ridge's pencil lam + t*sigma, and the ratio test
+    gives the entering pair and t, so the neighbour's heights are lam +
+    t*sigma.  A tie on the far side ends the traversal the same way, with
+    the neighbour's graph and the tied pair, and the near side needs no
+    test, as the current cell is strict.  The entering pair's s = sigma_i +
+    sigma_j must not be 0, else PreconditionViolated: only s != 0 gives a
+    candidate, with c + [leaving edge off the cycle] - [|s| = 1] components
+    for a cell of c.  The pivot also orients the ridge by the sign of
+    w.sigma on its pencil: the higher cell's edge across it is down;
+    boundary ridges are up.  One map, mask -> [scaled heights, components,
+    down, pivoted edges], holds the cells.  A cell with a height that is not
+    positive is kept and gives the (i, i) witness of its first such node.
+    Matches enumerate_cells, volumes and down edges included, on every
     generic input.  SeedInvalid refuses a seed that is no candidate cell or
     drops below d.
     """
@@ -568,15 +649,14 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
             raise SeedInvalid("seed graph carries no strict certificate")
         return _subdivision(d, D, {}, witnesses)
 
+    pairs = _pairs0(n)
     cells = {G.bits: [kept[0][1], c, 0, 0]}
     order = [G.bits]
     for mask in order:  # the list grows while it is read
         cell = cells[mask]
-        for low in _edge_bits(mask & ~cell[3]):
-            rmask = mask ^ low
-            if not is_interior_mask(n, rmask):
-                continue
-            slots, nlam, lower = _pivot_entering(n, dnum, rmask, low.bit_length() - 1, cell[0])
+        for leaving, sigma, tree, off_cycle in _ridge_pencils(n, mask, mask & ~cell[3]):
+            slots, t, lower = _pivot_entering(n, dnum, cell[0], sigma, tree)
+            rmask = mask ^ 1 << leaving
             if len(slots) != 1:
                 tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
                 return _subdivision(d, D, {}, [tie])
@@ -584,18 +664,22 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
             nmask = rmask | entering
             other = cells.get(nmask)
             if other is None:
-                # only a broken ratio test leaves the candidates
-                c = cell_components(n, nmask)
-                if c is None:
+                # s = +-2 closes an odd cycle in the tree, +-1 joins it to a
+                # cyclic component, 0 closes an even or a second cycle: only
+                # a broken ratio test leaves the candidates
+                i, j = pairs[slots[0]]
+                s = sigma[i] + sigma[j]
+                if not s:
                     raise PreconditionViolated("ridge pivot entered a non-candidate mask")
+                nlam = [h + t * v for h, v in zip(cell[0], sigma)]
                 corner = _corner(nlam)
                 if corner is not None:
                     witnesses.append((nmask, corner))
-                other = cells[nmask] = [nlam, c, 0, 0]
+                other = cells[nmask] = [nlam, cell[1] + off_cycle - (abs(s) == 1), 0, 0]
                 order.append(nmask)
             other[3] |= entering
             if lower:
-                cell[2] |= low
+                cell[2] |= 1 << leaving
             else:
                 other[2] |= entering
 

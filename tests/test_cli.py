@@ -524,7 +524,7 @@ def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_compute_pivot_off_the_candidates_exits_4(fmt, capsys, monkeypatch, tmp_path):
     # a ridge completed to a mask that is no candidate is refused by the
-    # height solver: a package error with its own exit code
+    # traversal's guard: a package error with its own exit code
     break_ridge_pivot(monkeypatch)
     path = tmp_path / "hires-7.1.json"
     path.write_text(metric_to_json(metric("hires-7.1")))
