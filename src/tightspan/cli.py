@@ -49,6 +49,7 @@ from .metrics import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .facevectors import FaceReport
+    from .subdivision import FaceSet
 
 # (JSON key, text label) of each vector row of a generic report, in report
 # order; the ideal rows are JSON-only
@@ -144,9 +145,10 @@ def cmd_compute(args) -> int:
     from .facevectors import face_report, report_json
 
     rep = face_report(sub)
+    faces = rep.faces if args.export_faces else None  # listed once, for the export and the oracle
     checks: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
-    for name, check in _checks(rep, args.oracle):
+    for name, check in _checks(rep, args.oracle, faces):
         try:
             verdict = check()
         except TightSpanError as exc:  # a documented failure, its message the witness
@@ -166,7 +168,7 @@ def cmd_compute(args) -> int:
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
 
-    if args.export_faces and not _write(args.export_faces, faces_to_json(rep.faces)):
+    if args.export_faces and not _write(args.export_faces, faces_to_json(faces)):
         return 2
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
@@ -184,11 +186,12 @@ def _write(path: str, chunks) -> bool:
     return True
 
 
-def _checks(rep: FaceReport, oracle: bool):
+def _checks(rep: FaceReport, oracle: bool, faces: FaceSet | None = None):
     """(name, check) pairs in report order.
 
     Each check returns the Verdict the report prints, or raises a
-    TightSpanError whose message is the failure's witness.
+    TightSpanError whose message is the failure's witness.  The oracle reads
+    faces, the face listing of rep, when the caller has listed it.
     """
     from .bounds import verify_metric_against_bounds
     from .facevectors import check_asff, check_ball_relations, check_dehn_sommerville
@@ -200,7 +203,7 @@ def _checks(rep: FaceReport, oracle: bool):
     if oracle:
         from .primal import crosscheck
 
-        yield "oracle", lambda: crosscheck(rep)
+        yield "oracle", lambda: crosscheck(rep, faces)
 
 
 def cmd_gen(args) -> int:

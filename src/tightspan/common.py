@@ -11,9 +11,9 @@ primal oracle solve all their linear systems with it, in integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NodeOutOfRange
 
@@ -135,8 +135,7 @@ def format_rational(q: Fraction) -> str:
     return f"{_str_of(q.numerator)}/{_str_of(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Boolean check outcome with an optional witness for failures."""
 
     ok: bool

@@ -17,19 +17,17 @@ FaceReport.  Every count comes by f_from_h from one histogram, the cells'
 down degrees (down_degrees), read forward for the ball and reversed for its
 interior; no face is listed.  The checks, the CLI report, the verify suites
 and the primal crosscheck all read that record and take the metric from its
-subdivision.  Its face listing (all_faces) is built on first read, only for
-the face export and the primal face bijection.  check_inductive_step counts
-each facet restriction the same way, from the histogram of the submetric's
-own subdivision.
+subdivision.  Its face listing (all_faces) is built on each read, only for
+the face export and the primal face bijection, which share one listing when
+a report runs both.  check_inductive_step counts each facet restriction the
+same way, from the histogram of the submetric's own subdivision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .common import Verdict
 from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
@@ -37,8 +35,7 @@ from .metrics import Metric, strict_triangle_nodes, submetric
 from .subdivision import FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts (f_0, ..., f_dim) with an explicit empty-face count."""
 
     counts: tuple[int, ...]
@@ -103,8 +100,7 @@ def split_interior_boundary(
     )
 
 
-@dataclass(frozen=True)
-class TightSpanVectors:
+class TightSpanVectors(NamedTuple):
     """Face and h-vectors of the tight span, with and without corner gluing."""
 
     fT: tuple[int, ...]
@@ -148,15 +144,14 @@ def tightspan_vectors(d: Metric, f_interior: FVector) -> TightSpanVectors:
     )
 
 
-@dataclass(frozen=True)
-class FaceReport:
+class FaceReport(NamedTuple):
     """Every face vector of one generic subdivision, derived once.
 
     f, f_boundary and f_interior are the ball, its boundary sphere and its
     interior (split_interior_boundary); h, h_boundary and h_interior their
     h-vectors; g_boundary the boundary g-vector; span the tight-span
     vectors.  The checks and every report read these fields; faces, the
-    listing of every face, is built from the subdivision on first read.
+    listing of every face, is built from the subdivision on each read.
     """
 
     subdivision: Subdivision
@@ -169,7 +164,7 @@ class FaceReport:
     g_boundary: tuple[int, ...]
     span: TightSpanVectors
 
-    @cached_property
+    @property
     def faces(self) -> FaceSet:
         return all_faces(self.subdivision)
 

@@ -15,10 +15,9 @@ depth-first reference that the tests hold it against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .common import _quote, pair_index, pair_table
 from .errors import NodeOutOfRange, PreconditionViolated
@@ -27,8 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .metrics import Metric
 
 
-@dataclass(frozen=True, order=True)
-class EdgeGraph:
+class EdgeGraph(NamedTuple):
     """Subgraph of K_n as a bitset over edge slots; immutable and totally ordered."""
 
     n: int
@@ -89,8 +87,7 @@ class EdgeGraph:
         return format_edge_list(self)
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(NamedTuple):
     """Per-component statistics: nodes, edge count, cycle space dim, cycle parity."""
 
     nodes: tuple[int, ...]
@@ -99,8 +96,7 @@ class ComponentProfile:
     cycle_parity: Optional[str]  # "odd" / "even" when unicyclic, else None
 
 
-@dataclass(frozen=True)
-class GraphComponents:
+class GraphComponents(NamedTuple):
     components: tuple[ComponentProfile, ...]
     isolated: tuple[int, ...]
 

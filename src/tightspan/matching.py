@@ -12,10 +12,9 @@ equality) before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .common import num_pairs, pair_table, pivot
 from .errors import Infeasible, NonUniqueOptimum, PreconditionViolated, StructureViolation
@@ -23,8 +22,7 @@ from .graphs import EdgeGraph, _cycle_nodes, cell_components, components, odd_pa
 from .metrics import Metric
 
 
-@dataclass(frozen=True)
-class FractionalMatching:
+class FractionalMatching(NamedTuple):
     """Basic optimal solution of the degree-constrained matching LP."""
 
     n: int
@@ -212,8 +210,7 @@ def alternating_cycle_vector(
     return out
 
 
-@dataclass(frozen=True)
-class B11Report:
+class B11Report(NamedTuple):
     """Shape of an optimal (b,1,...,1)-matching support around node 1."""
 
     support: EdgeGraph

@@ -5,7 +5,9 @@ lowest terms); no floating point enters anywhere.  A Metric stores only the
 upper triangle in lexicographic pair order, so symmetry and the zero diagonal
 are structural.  Metric.scaled, the entries as integers over one common
 denominator, is the integer form that every exact layer and both metric
-flags read.  Malformed tables are rejected, never repaired.
+flags read; validate_metric and metric_from_upper, the only builders of a
+Metric, compute it once, with the metric.  Malformed tables are rejected,
+never repaired.
 
 The canonical file format is JSON: {"n": <int>, "upper": ["p/q", ...]} with
 entries in lexicographic pair order; floating-point literals are rejected.
@@ -14,12 +16,10 @@ entries in lexicographic pair order; floating-point literals are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .common import _int_of, format_rational, num_pairs, pair_index, pair_table, parse_rational
 from .common import Verdict
@@ -36,12 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .graphs import EdgeGraph
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Symmetric rational distance function on points 1..n."""
+class Metric(NamedTuple):
+    """Symmetric rational distance function on points 1..n.
+
+    scaled is (numerators, D): the entries as integers over their common
+    denominator D.
+    """
 
     n: int
     entries: tuple[Fraction, ...]  # upper triangle, lexicographic pair order
+    scaled: tuple[tuple[int, ...], int]
 
     def d(self, i: int, j: int) -> Fraction:
         """Distance between nodes i and j of 1..n; d(i,i) = 0 by convention."""
@@ -52,17 +56,11 @@ class Metric:
     def as_table(self) -> list[list[Fraction]]:
         return _square(self.n, self.entries, Fraction(0))
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, D): the entries as integers over their common denominator D."""
-        D = lcm(*(e.denominator for e in self.entries))
-        return tuple(e.numerator * (D // e.denominator) for e in self.entries), D
-
-    @cached_property
+    @property
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.scaled[0])
 
-    @cached_property
+    @property
     def satisfies_triangle(self) -> bool:
         """d(i,k) <= d(i,j) + d(j,k) for distinct i, j, k; j = i or k adds 0 and passes."""
         num = self.scaled[0]
@@ -82,8 +80,7 @@ def _square(n: int, upper: Sequence, zero: object) -> list[list]:
     return table
 
 
-@dataclass(frozen=True)
-class IsolatedDistance:
+class IsolatedDistance(NamedTuple):
     """Distance function equal to a constant on the star of one node, zero elsewhere."""
 
     node: int
@@ -111,7 +108,7 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
                 raise AsymmetricInput(
                     f"d({i + 1},{j + 1}) = {rows[i][j]} but d({j + 1},{i + 1}) = {rows[j][i]}"
                 )
-    return Metric(n, tuple(rows[i - 1][j - 1] for i, j in pair_table(n)))
+    return _metric(n, tuple(rows[i - 1][j - 1] for i, j in pair_table(n)))
 
 
 def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
@@ -121,7 +118,13 @@ def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
     _require_points(n)
     if len(upper) != num_pairs(n):
         raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
-    return Metric(n, tuple(parse_rational(x) for x in upper))
+    return _metric(n, tuple(parse_rational(x) for x in upper))
+
+
+def _metric(n: int, entries: tuple[Fraction, ...]) -> Metric:
+    """The Metric of the entries, with their integer form over the common denominator."""
+    D = lcm(*(e.denominator for e in entries))
+    return Metric(n, entries, (tuple(e.numerator * (D // e.denominator) for e in entries), D))
 
 
 _MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles per point

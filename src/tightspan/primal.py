@@ -16,32 +16,30 @@ heights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .common import Verdict, num_pairs, pair_table, pivot
 from .errors import Mismatch, NonSimple, ScaleExceeded
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import node_edge_masks
 from .metrics import Metric
+from .subdivision import FaceSet
 
 
-@dataclass(frozen=True)
-class PrimalVertex:
+class PrimalVertex(NamedTuple):
     coords: tuple[Fraction, ...]
     tight: int  # constraint bitmask: C(n,2) pair slots, then x_1 >= 0, ..., x_n >= 0
     simple: bool  # exactly n tight constraints
 
 
-@dataclass(frozen=True)
-class BoundedFace:
+class BoundedFace(NamedTuple):
     tight: int  # constraint bitmask, as PrimalVertex.tight
     vertex_ids: tuple[int, ...]
     dim: int
 
 
-@dataclass(frozen=True)
-class BoundedFacePoset:
+class BoundedFacePoset(NamedTuple):
     n: int
     vertices: tuple[PrimalVertex, ...]
     faces: tuple[BoundedFace, ...]
@@ -234,7 +232,7 @@ def h_by_outdegree(poset: BoundedFacePoset) -> tuple[int, ...]:
     return tuple(h)
 
 
-def crosscheck(rep: FaceReport) -> Verdict:
+def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     """The dual face report of a metric d against the full primal pipeline on d.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
@@ -242,13 +240,13 @@ def crosscheck(rep: FaceReport) -> Verdict:
     and interior dual faces, and each cell's heights against the vertex whose
     tight mask is the cell's graph must all agree; the first difference
     raises Mismatch, else the verdict passes.  d is the metric of rep's
-    subdivision.
+    subdivision, and faces rep.faces, listed here unless the caller has it.
     """
     d = rep.subdivision.metric
     n = d.n
     if n > 6:
         raise ScaleExceeded("crosscheck is capped at n = 6")
-    F, tv = rep.faces, rep.span
+    F, tv = rep.faces if faces is None else faces, rep.span
 
     poset = bounded_faces(d)
     f_primal = poset.f_vector

@@ -29,9 +29,8 @@ pencil lam + t*sigma and its ratio test.  sigma is +-1 on the bipartition of
 the ridge's one tree component and 0 elsewhere, so a cell's adjacency, built
 and stripped of its leaves once (_ridge_pencils), gives each of its interior
 ridges' sigma by a walk of that tree alone.  A Cell keeps these integers;
-Cell.heights builds their Fractions only when read (lambda_certificate's
-callers, the public API, the tests), and the degeneracy certificates carry
-Fractions.
+Cell.heights builds their Fractions on each read, and only certificate
+callers and the tests read it; the degeneracy certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
@@ -57,12 +56,11 @@ export, both from %-templates in the bytes of json.dumps(payload, indent=2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, repeat
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import _str_of, num_pairs, pair_index, pair_table
 from .errors import (
@@ -83,12 +81,11 @@ from .graphs import (
 from .metrics import Metric
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """Maximal cell: spanning odd-unicyclic graph, its heights, volume and down edges.
 
     lam holds the heights as integers over scale (twice the common entry
-    denominator); heights gives them as Fractions, built on first read.
+    denominator); heights gives them as Fractions, built on each read.
     volume is 2^(c-1) for c components, counted where the cell is built; down
     holds the bits of the edges whose ridge the cell shares with a neighbour
     lower in w.lambda at the seed weight, or None for a cell of
@@ -101,13 +98,12 @@ class Cell:
     volume: int
     down: Optional[int] = None
 
-    @cached_property
+    @property
     def heights(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.lam)
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """The height solution meets d with equality on a pair off the graph."""
 
     graph: EdgeGraph
@@ -115,8 +111,7 @@ class DegeneracyReport:
     heights: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class NotACell:
+class NotACell(NamedTuple):
     """The height solution drops below d on a pair off the graph."""
 
     graph: EdgeGraph
@@ -124,8 +119,7 @@ class NotACell:
     heights: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """Maximal cells of the subdivision, canonically sorted by graph bitset."""
 
     n: int
@@ -145,8 +139,7 @@ class Subdivision:
         return tuple(c.graph for c in self.maximal_cells)
 
 
-@dataclass(frozen=True)
-class FaceSet:
+class FaceSet(NamedTuple):
     """All faces of a triangulation grouped by dimension, with interior tags.
 
     A k-dimensional face is a graph with k+1 edges, stored as its bitmask.
@@ -614,7 +607,7 @@ def _pivot_entering(
     return slots, least // 2, sum([w[v] * sigma[v] for v in tree]) < 0
 
 
-def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
+def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subdivision:
     """Breadth-first closure of the subdivision under ridge pivots, with its verdict.
 
     Only the seed is solved and classified; a seed whose heights meet d with
@@ -634,11 +627,12 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport) -> Subdivision:
     down, pivoted edges], holds the cells.  A cell with a height that is not
     positive is kept and gives the (i, i) witness of its first such node.
     Matches enumerate_cells, volumes and down edges included, on every
-    generic input.  SeedInvalid refuses a seed that is no candidate cell or
-    drops below d.
+    generic input.  The seed is a certificate of lambda_certificate or a
+    bare graph, and only its graph is read; SeedInvalid refuses one that is
+    no candidate cell or drops below d.
     """
     n = d.n
-    G = seed.graph
+    G = seed if isinstance(seed, EdgeGraph) else seed.graph
     c = cell_components(n, G.bits) if G.n == n else None
     if c is None:
         raise SeedInvalid("seed graph is not a candidate cell")
@@ -717,12 +711,17 @@ def compute_subdivision(d: Metric) -> Subdivision:
     """The subdivision of d and its verdict, by ridge traversal from _first_cell, at every n.
 
     The traversal reaches every cell from any one, and each down edge comes
-    from its own ridge's pencil, so no seed search is needed.  A flat first
-    cell or a ratio-test tie gives a non-generic subdivision without cells,
-    with the (graph, pair) witness of the equality; a DegenerateRidge
-    propagates.
+    from its own ridge's pencil, so no seed search is needed.  The first
+    cell goes to the traversal as a bare graph, so only the traversal counts
+    its components and classifies it.  A flat first cell or a ratio-test tie
+    gives a non-generic subdivision without cells, with the (graph, pair)
+    witness of the equality; a DegenerateRidge propagates.
     """
-    return traverse_cells(d, lambda_certificate(d, _first_cell(d)))
+    G = _first_cell(d)
+    try:
+        return traverse_cells(d, G)
+    except SeedInvalid as exc:  # a candidate cell of every input: only a broken rule gets here
+        raise PreconditionViolated(f"first cell {G}: {exc}") from None
 
 
 # -- faces -----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -58,12 +57,13 @@ def long_upper() -> list[str]:
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The tightspan modules that a fresh interpreter has loaded after it runs code."""
+    """The tightspan modules, dataclasses and inspect that a fresh interpreter loads to run code."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = (
         code + "\nimport sys\n"
-        "print(*(m for m in sys.modules if m.partition('.')[0] == 'tightspan'), file=sys.stderr)\n"
+        "print(*(m for m in sys.modules if m.partition('.')[0] == 'tightspan'"
+        " or m in ('dataclasses', 'inspect')), file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -136,7 +136,7 @@ def break_lp_support(monkeypatch) -> None:
     def on_a_wall(d, w):
         fm = solve(d, w)
         low = fm.support.bits & -fm.support.bits
-        return replace(fm, support=EdgeGraph(d.n, fm.support.bits ^ low))
+        return fm._replace(support=EdgeGraph(d.n, fm.support.bits ^ low))
 
     monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
 

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,7 +238,8 @@ def test_compute_builds_one_pipeline(name, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", ["4points", "dmax-5"])
 def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
-    # a plain report counts its faces from the down-degree histogram
+    # a plain report counts its faces from the down-degree histogram; the
+    # export and the --oracle face bijection share one listing
     path = tmp_path / f"{name}.json"
     path.write_text(metric_to_json(metric(name)))
     calls = _count_calls(monkeypatch, ("subdivision.all_faces", "subdivision.down_degrees"))
@@ -247,6 +247,9 @@ def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
     assert calls == {"down_degrees": 1}
     assert main(["compute", str(path), "--no-timestamp", "--export-faces", str(tmp_path / "f")]) == 0
     assert calls == {"down_degrees": 2, "all_faces": 1}
+    argv = ["compute", str(path), "--no-timestamp", "--oracle", "--export-faces", str(tmp_path / "g")]
+    assert main(argv) == 0
+    assert calls == {"down_degrees": 3, "all_faces": 2}
 
 
 @pytest.mark.parametrize("kind", ["dmax", "random"])
@@ -348,7 +351,7 @@ def test_compute_asff_failure_carries_its_witness(capsys, monkeypatch, tmp_path)
     def doctored(S):
         rep = real(S)
         counts = (rep.f_interior.counts[0] + 1,) + rep.f_interior.counts[1:]
-        return replace(rep, f_interior=facevectors.FVector(counts, 0))
+        return rep._replace(f_interior=facevectors.FVector(counts, 0))
 
     monkeypatch.setattr(facevectors, "face_report", doctored)
     path = tmp_path / "dmax5.json"
@@ -701,7 +704,8 @@ def _main_loads(argv: list[str], code: int) -> set[str]:
     ids=["gen-dmax", "identities"],
 )
 def test_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
-    # a dmax metric needs no graph code, the bound identities no subdivision
+    # a dmax metric needs no graph code, the bound identities no subdivision,
+    # and no command the dataclass machinery (dataclasses, inspect)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert _main_loads(argv, 0) == {"tightspan", "cli", "metrics", "common", "errors", *extra}
 
@@ -723,7 +727,7 @@ def test_compute_loads_only_the_layers_it_runs(d, flags, code, absent, tmp_path)
     loaded = _main_loads(["compute", str(path), "--no-timestamp", *flags], code)
     layers = {"facevectors", "bounds", "primal"}
     assert "subdivision" in loaded and loaded & layers == layers - absent
-    assert "matching" not in loaded
+    assert not loaded & {"matching", "dataclasses", "inspect"}
 
 
 def test_compute_rejects_route_options(four_points_file):

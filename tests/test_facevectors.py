@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
 from helpers import faces, metric, report, tsv
 from tightspan.errors import InapplicablePremise, NotGeneric, PreconditionViolated
 from tightspan.facevectors import (
@@ -122,7 +120,7 @@ def test_ball_relations():
 def test_ball_relations_negative_control():
     broken = FVector((0, 1, 3, 4), empty=0)  # one interior face removed
     broken_total = FVector((6, 13, 11, 4))
-    rep = replace(report("4points"), h=h_from_f(broken_total), h_interior=h_from_f(broken))
+    rep = report("4points")._replace(h=h_from_f(broken_total), h_interior=h_from_f(broken))
     assert not check_ball_relations(rep)
 
 
@@ -168,7 +166,7 @@ def test_inductive_step_catches_a_wrong_boundary_f(k):
     rep = report("dmax-6")
     counts = list(rep.f_boundary.counts)
     counts[k] += 1
-    bad = replace(rep, f_boundary=replace(rep.f_boundary, counts=tuple(counts)))
+    bad = rep._replace(f_boundary=rep.f_boundary._replace(counts=tuple(counts)))
     verdict = check_inductive_step(bad)
     assert not verdict
     if k == 4:
@@ -182,7 +180,7 @@ def test_inductive_step_catches_a_wrong_boundary_g(k):
     rep = report("dmax-6")
     g = list(rep.g_boundary)
     g[k] += 1
-    verdict = check_inductive_step(replace(rep, g_boundary=tuple(g)))
+    verdict = check_inductive_step(rep._replace(g_boundary=tuple(g)))
     assert not verdict
     assert verdict.witness == ("g-sum", k, g[k], g[k] - 1)
 

@@ -1,7 +1,9 @@
 """The package namespace: what `from tightspan import *` exports."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,20 @@ def test_every_public_name_is_its_defining_modules_object():
 
 def test_import_loads_no_submodule():
     assert loaded_modules("import tightspan") == {"tightspan"}
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses would pull inspect, ast and dis
+    # into every process
+    for path in sorted(Path(tightspan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
 
 
 def test_submodules_resolve_on_first_access():

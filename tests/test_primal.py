@@ -1,10 +1,10 @@
 """Primal oracle: vertex enumeration, bounded faces, out-degree h-vectors."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import tightspan.facevectors as facevectors
 import tightspan.primal as primal
 from helpers import (
     metric,
@@ -212,7 +212,7 @@ def test_bounded_faces_equal_closure_of_reference_tight_sets(d):
 
     poset = bounded_faces(d)
     assert poset.vertices == vertices
-    assert [replace(f, tight=frozenset(tight_pairs(n, f.tight))) for f in poset.faces] == faces
+    assert [f._replace(tight=frozenset(tight_pairs(n, f.tight))) for f in poset.faces] == faces
     assert poset.f_vector == f_vector
 
 
@@ -322,29 +322,28 @@ def test_crosscheck_graph_weighted_family():
         crosscheck(face_report(S))  # raises Mismatch
 
 
-def _broken(name, part):
+def _broken(name, part, monkeypatch):
     """The face report of a fixture with one part changed so that it disagrees."""
     rep = report(name)
     span = rep.span
     if part == "fT":
-        return replace(rep, span=replace(span, fT=(span.fT[0] + 1,) + span.fT[1:]))
+        return rep._replace(span=span._replace(fT=(span.fT[0] + 1,) + span.fT[1:]))
     if part == "hT":
-        return replace(rep, span=replace(span, hT=span.hT[:-1] + (span.hT[-1] + 1,)))
+        return rep._replace(span=span._replace(hT=span.hT[:-1] + (span.hT[-1] + 1,)))
     if part == "f":
         counts = rep.f.counts
-        return replace(rep, f=FVector(counts[:1] + (counts[1] + 1,) + counts[2:]))
+        return rep._replace(f=FVector(counts[:1] + (counts[1] + 1,) + counts[2:]))
     if part == "heights":  # one cell's heights shifted, its graph and faces kept
         S = rep.subdivision
         cell = S.maximal_cells[0]
-        moved = replace(cell, lam=(cell.lam[0] + 1,) + cell.lam[1:])
-        return replace(rep, subdivision=replace(S, maximal_cells=(moved,) + S.maximal_cells[1:]))
+        moved = cell._replace(lam=(cell.lam[0] + 1,) + cell.lam[1:])
+        return rep._replace(subdivision=S._replace(maximal_cells=(moved,) + S.maximal_cells[1:]))
     faces = rep.faces
     top = faces.interior_by_dim[-1]
-    broken = replace(rep)
-    vars(broken)["faces"] = replace(  # the cached face listing, one interior face short
-        faces, interior_by_dim=faces.interior_by_dim[:-1] + (top - {min(top)},)
-    )
-    return broken
+    short = faces._replace(interior_by_dim=faces.interior_by_dim[:-1] + (top - {min(top)},))
+    # the report's face listing comes one interior face short
+    monkeypatch.setattr(facevectors, "all_faces", lambda S: short)
+    return rep
 
 
 @pytest.mark.parametrize(
@@ -357,11 +356,11 @@ def _broken(name, part):
         ("heights", "heights differ"),
     ],
 )
-def test_crosscheck_catches_each_disagreement(part, message):
+def test_crosscheck_catches_each_disagreement(part, message, monkeypatch):
     d = metric("dmax-5")
     crosscheck(report("dmax-5"))  # raises Mismatch
     with pytest.raises(Mismatch, match=message):
-        crosscheck(_broken("dmax-5", part))
+        crosscheck(_broken("dmax-5", part, monkeypatch))
 
 
 def test_crosscheck_caps_scale():

@@ -1,6 +1,5 @@
 """Certificates, cell enumeration, traversal, faces, and genericity verdicts."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -448,28 +447,34 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
 def test_traversal_counts_components_once_per_cell(name, monkeypatch):
-    # only the first cell's components are counted, twice (by
-    # lambda_certificate in compute_subdivision and by the traversal's
-    # guard); every other cell's count comes from the ridge pencil it is
-    # entered by, and is the cell's volume, so neither the covered-volume
-    # check nor the export counts again
+    # only the first cell's components are counted, once, by the
+    # traversal's guard, and only it is solved; every other cell's count
+    # comes from the ridge pencil it is entered by, and is the cell's
+    # volume, so neither the covered-volume check nor the export counts again
     import tightspan.graphs as graphs
     import tightspan.subdivision as sd
 
     calls = []
+    solves = []
     count = graphs.cell_components
+    solve = sd._solve_scaled
 
     def counting(n, mask):
         calls.append(mask)
         return count(n, mask)
 
+    def counting_solve(n, mask, dnum):
+        solves.append(mask)
+        return solve(n, mask, dnum)
+
     d = metric(name)
     monkeypatch.setattr(sd, "cell_components", counting)
     monkeypatch.setattr(graphs, "cell_components", counting)
+    monkeypatch.setattr(sd, "_solve_scaled", counting_solve)
     S = compute_subdivision(d)
     assert S.total_volume == (1 << (S.n - 1)) - S.n
     subdivision_to_json(S)
-    assert calls == [sd._first_cell(d).bits] * 2
+    assert calls == solves == [sd._first_cell(d).bits]
     monkeypatch.undo()
     assert [c.volume for c in S.maximal_cells] == [
         cell_volume(c.graph) for c in S.maximal_cells
@@ -730,7 +735,7 @@ def test_all_faces_equals_naive_closure(name):
     F = all_faces(S)
     assert (F.by_dim, F.interior_by_dim) == naive_faces(S)
     # which edges a cell finds forced depends on the cell order; the closure must not
-    assert all_faces(replace(S, maximal_cells=S.maximal_cells[::-1])) == F
+    assert all_faces(S._replace(maximal_cells=S.maximal_cells[::-1])) == F
 
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-9", "hires-9.1"])
@@ -845,10 +850,10 @@ def test_face_closure_refuses_cells_without_down_edges():
     for name in ("dmax-9", "dmin-9", "hires-9.1", "hires-10.1", "4points"):
         S = compute_subdivision(metric(name))
         bare = tuple(lambda_certificate(S.metric, cell.graph) for cell in S.maximal_cells)
-        assert bare == tuple(replace(cell, down=None) for cell in S.maximal_cells)
+        assert bare == tuple(cell._replace(down=None) for cell in S.maximal_cells)
     for closure in (down_degrees, all_faces):
         with pytest.raises(PreconditionViolated):
-            closure(replace(S, maximal_cells=bare))
+            closure(S._replace(maximal_cells=bare))
 
 
 def test_restriction_f_vector_uniform():
