@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .common import Verdict
-from .errors import BadArity, BoundViolated, OutOfRange
+from .errors import BadArity, OutOfRange
 from .metrics import Metric
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,12 +103,12 @@ def identity_checks(n_max: int) -> Verdict:
 
 
 def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> Verdict:
-    """Assert every face and h count against its proven bound.
+    """Every face and h count against its proven bound.
 
     The top-face lower bound applies only when the tight span has the least
     possible dimension ceil(n/3), and only for n >= 4, where it is stated.
-    Any violation raises BoundViolated: the bounds are theorems, so a
-    violation is an implementation bug.  Otherwise the verdict passes.
+    The bounds are theorems, so a failed verdict, its witness the message
+    naming the first broken bound, is an implementation bug.
     """
     n = d.n
     for k in range(0, n // 2 + 1):
@@ -117,18 +117,16 @@ def verify_metric_against_bounds(d: Metric, tv: TightSpanVectors) -> Verdict:
         fb = F_bound(n, k)
         hb = H_bound(n, k, ideal=False)
         if fv > fb:
-            raise BoundViolated(f"f_{k} = {fv} exceeds bound {fb} at n={n}")
+            return Verdict(False, f"f_{k} = {fv} exceeds bound {fb} at n={n}")
         if hv > hb:
-            raise BoundViolated(f"h_{k} = {hv} exceeds bound {hb} at n={n}")
+            return Verdict(False, f"h_{k} = {hv} exceeds bound {hb} at n={n}")
 
     dim = tv.dim
     low, high = -(-n // 3), n // 2
     if not low <= dim <= high:
-        raise BoundViolated(f"dim {dim} outside [{low}, {high}] at n={n}")
+        return Verdict(False, f"dim {dim} outside [{low}, {high}] at n={n}")
     if dim == low and n >= 4:
         top_count, top_lower = tv.fT[dim], lower_bound_top(n)
         if top_count < top_lower:
-            raise BoundViolated(
-                f"top count {top_count} below lower bound {top_lower} at n={n}"
-            )
+            return Verdict(False, f"top count {top_count} below lower bound {top_lower} at n={n}")
     return Verdict(True)

@@ -14,8 +14,10 @@ subdivision.py, in the bytes of json.dumps(payload, indent=2) + "\n".
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
 --export-* or -o path, or a stdout closed by its reader), 3 non-generic
 input (with its witness) without --allow-degenerate, 4 failed check (also a
-traversal whose ridge pencils or covered volume break an invariant, or any
-other package error while the subdivision is built).
+subdivision that breaks an invariant, DegenerateRidge, or any other package
+error while it is built, with one `error:` line).  Every check answers with
+a Verdict; one that cannot run raises, and its row fails with the message
+as witness.
 `verify` exits 4 when a row fails, and 2 on bad arguments, on a package
 error inside a suite and on a closed stdout, with one `error:` line.
 
@@ -34,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .common import Verdict
-from .errors import BadArity, BoundViolated, TightSpanError
+from .errors import BadArity, TightSpanError
 from .metrics import (
     Metric,
     _require_points,
@@ -151,7 +153,7 @@ def cmd_compute(args) -> int:
     for name, check in _checks(rep, args.oracle, faces):
         try:
             verdict = check()
-        except TightSpanError as exc:  # a documented failure, its message the witness
+        except TightSpanError as exc:  # the check cannot run: its message is the witness
             verdict = Verdict(False, str(exc))
         checks[name] = verdict.ok
         if not verdict.ok:
@@ -189,9 +191,10 @@ def _write(path: str, chunks) -> bool:
 def _checks(rep: FaceReport, oracle: bool, faces: FaceSet | None = None):
     """(name, check) pairs in report order.
 
-    Each check returns the Verdict the report prints, or raises a
-    TightSpanError whose message is the failure's witness.  The oracle reads
-    faces, the face listing of rep, when the caller has listed it.
+    Each check returns the Verdict the report prints, a failure included; it
+    raises a TightSpanError only when it cannot run, and cmd_compute fails
+    its row with the message as witness.  The oracle reads faces, the face
+    listing of rep, when the caller has listed it.
     """
     from .bounds import verify_metric_against_bounds
     from .facevectors import check_asff, check_ball_relations, check_dehn_sommerville
@@ -285,10 +288,9 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
             for gen in (gen_dmax, gen_dmin):
                 name = f"{gen.__name__[4:]}{n}"
                 span = _report(d := gen(n)).span
-                try:
-                    verify_metric_against_bounds(d, span)
-                except BoundViolated as exc:
-                    item(f"{name} violates a bound: {exc}", False)
+                verdict = verify_metric_against_bounds(d, span)
+                if not verdict:
+                    item(f"{name} violates a bound: {verdict.witness}", False)
                     continue
                 if gen is gen_dmax:
                     item(
@@ -308,12 +310,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
     from .subdivision import random_generic_metrics
 
     for seed, d in random_generic_metrics(args.n, args.count):
-        try:
-            crosscheck(_report(d))  # raises Mismatch
-            ok = True
-        except TightSpanError:
-            ok = False
-        item(f"random n={args.n} seed={seed} primal/dual agree", ok)
+        item(f"random n={args.n} seed={seed} primal/dual agree", crosscheck(_report(d)).ok)
     return lines, ok_all
 
 

@@ -30,7 +30,7 @@ class SubsetTooSmall(TightSpanError):
 # -- graph and certificate machinery -----------------------------------------
 
 class PreconditionViolated(TightSpanError):
-    """An operation was called outside its stated domain."""
+    """An operation was called outside its stated domain, such as a seed that is no cell."""
 
 
 # -- linear programming -------------------------------------------------------
@@ -50,32 +50,27 @@ class StructureViolation(TightSpanError):
 # -- subdivision pipeline ------------------------------------------------------
 
 class DegenerateRidge(TightSpanError):
-    """An invariant of the ridge traversal broke; there is no witness.
+    """An invariant of a built subdivision broke; there is no witness.
 
-    A flat seed or a ratio-test tie is a verdict, not this error: the
-    traversal returns it as a non-generic Subdivision.
+    An unbounded ridge pencil, a pivot off the candidate cells or a covered
+    volume other than 2^(n-1) - n, on either route.  A flat seed or a
+    ratio-test tie is a verdict, not this error: the traversal returns it
+    as a non-generic Subdivision.
     """
-
-
-class SeedInvalid(TightSpanError):
-    """The supplied traversal seed is not a valid cell."""
-
-
-class NotATriangulation(TightSpanError):
-    """Face machinery requires a generic (triangulated) subdivision."""
 
 
 class NotGeneric(TightSpanError):
     """The operation is only defined for generic metrics."""
 
 
-# -- face-vector checks --------------------------------------------------------
+# -- checks ----------------------------------------------------------------------
+#
+# A check answers with a common.Verdict, a failure included; it raises only
+# when it cannot run.
 
 class InapplicablePremise(TightSpanError):
     """Facet restrictions disagree, so the inductive formulas do not apply."""
 
-
-# -- primal oracle ---------------------------------------------------------------
 
 class ScaleExceeded(TightSpanError):
     """An exhaustive oracle (vertex or cell enumeration) refused above its size cap."""
@@ -85,15 +80,7 @@ class NonSimple(TightSpanError):
     """The polyhedron has a vertex on more than n facets."""
 
 
-class Mismatch(TightSpanError):
-    """Primal and dual pipelines disagree; carries the first differing entry."""
-
-
 # -- bounds ----------------------------------------------------------------------
 
 class OutOfRange(TightSpanError):
     """Bound requested outside the region where faces exist."""
-
-
-class BoundViolated(TightSpanError):
-    """A computed face count exceeds a proven bound (implementation bug)."""

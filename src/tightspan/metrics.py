@@ -90,12 +90,11 @@ class IsolatedDistance(NamedTuple):
 def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
     """Build a Metric from a square distance table.
 
-    Rejects non-square or asymmetric tables, nonzero diagonals and n < 3;
-    never repairs values.
+    Rejects non-square or asymmetric tables, nonzero diagonals and n
+    outside 3..64; never repairs values.
     """
     n = len(table)
-    if n < 3:
-        raise BadArity(f"need at least 3 points, got {n}")
+    _require_points(n)
     rows = [[parse_rational(x) for x in row] for row in table]
     for row in rows:
         if len(row) != n:
@@ -113,8 +112,6 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
 
 def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
     """Metric from an upper-triangle entry list in lexicographic pair order, 3 <= n <= 64."""
-    if n < 3:
-        raise BadArity(f"need at least 3 points, got {n}")
     _require_points(n)
     if len(upper) != num_pairs(n):
         raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
@@ -133,7 +130,7 @@ _MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles pe
 def _require_points(n: int) -> None:
     """Refuse an n outside 3.._MAX_POINTS before any pair is built."""
     if n < 3:
-        raise BadArity(f"need n >= 3, got {n}")
+        raise BadArity(f"need at least 3 points, got {n}")
     if n > _MAX_POINTS:
         raise BadArity(f"need n <= {_MAX_POINTS}, got {n}")
 

@@ -11,7 +11,8 @@ mask containment, and the h-vector counts descending edges under a generic
 positive objective.  It shares no heights, cells or traversal with the dual
 side, only the pivot step.  crosscheck holds it against the dual side's
 FaceReport, the record the CLI report prints: faces by mask, cells by
-heights.
+heights.  Like every report check, it answers with a Verdict, and a failed
+one names the first difference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .common import Verdict, num_pairs, pair_table, pivot
-from .errors import Mismatch, NonSimple, ScaleExceeded
+from .errors import NonSimple, ScaleExceeded
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import node_edge_masks
 from .metrics import Metric
@@ -239,8 +240,10 @@ def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     glued-ball transform), the face-by-face bijection between tight masks
     and interior dual faces, and each cell's heights against the vertex whose
     tight mask is the cell's graph must all agree; the first difference
-    raises Mismatch, else the verdict passes.  d is the metric of rep's
-    subdivision, and faces rep.faces, listed here unless the caller has it.
+    fails the verdict, its witness a message naming it.  d is the metric of
+    rep's subdivision, and faces rep.faces, listed here unless the caller
+    has it.  Above n = 6 it cannot run and raises ScaleExceeded; a non-simple
+    polyhedron raises NonSimple.
     """
     d = rep.subdivision.metric
     n = d.n
@@ -251,18 +254,16 @@ def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     poset = bounded_faces(d)
     f_primal = poset.f_vector
     if f_primal != tv.fT:
-        raise Mismatch(f"f-vectors differ: primal {f_primal}, dual {tv.fT}")
+        return Verdict(False, f"f-vectors differ: primal {f_primal}, dual {tv.fT}")
 
     h_primal = h_by_outdegree(poset)
     h_dual = tv.hT + (0,) * (n + 1 - len(tv.hT))
     if h_primal != h_dual:
-        raise Mismatch(f"h-vectors differ: primal {h_primal}, dual {h_dual}")
+        return Verdict(False, f"h-vectors differ: primal {h_primal}, dual {h_dual}")
 
     hB = h_from_f(glued_ball_f(rep.f, len(tv.glued)))
     if tuple(hB) != h_dual:
-        raise Mismatch(
-            f"glued-ball h-vector {hB} differs from out-degree h {h_dual}"
-        )
+        return Verdict(False, f"glued-ball h-vector {hB} differs from out-degree h {h_dual}")
 
     # bijection between primal tight masks and interior faces of the glued ball
     primal_patterns = {f.tight for f in poset.faces}
@@ -273,13 +274,14 @@ def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     if primal_patterns != dual_patterns:
         missing = sorted(dual_patterns - primal_patterns)
         extra = sorted(primal_patterns - dual_patterns)
-        raise Mismatch(f"face bijection failed: missing {missing}, extra {extra}")
+        return Verdict(False, f"face bijection failed: missing {missing}, extra {extra}")
 
     # each cell is the vertex whose tight set is its graph, at its heights
     coords = {v.tight: v.coords for v in poset.vertices}
     for cell in rep.subdivision.maximal_cells:
         x = coords.get(cell.graph.bits)
         if x != cell.heights:
-            raise Mismatch(f"heights differ at cell {cell.graph}: primal {x}, dual {cell.heights}")
+            witness = f"heights differ at cell {cell.graph}: primal {x}, dual {cell.heights}"
+            return Verdict(False, witness)
 
     return Verdict(True)

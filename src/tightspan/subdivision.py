@@ -12,7 +12,8 @@ traversal from node 1's star plus the pair of least Gromov product at node 1
 (_first_cell), a candidate cell of every input; the breadth-first closure
 reaches every cell from any one.  The traversal returns every verdict: a
 flat first cell, a ratio-test tie or a zero cell height makes the result
-non-generic with a witness.  Exhaustive filtration of all candidates
+non-generic with a witness, and a broken invariant, on either route, raises
+DegenerateRidge.  Exhaustive filtration of all candidates
 (enumerate_cells, n <= 8) is kept as the test oracle of the cells, and
 seed_cell, the matching LP's cell at the seed weight, as that of the
 orientation.  Both routes build the Subdivision with one builder
@@ -63,14 +64,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import _str_of, num_pairs, pair_index, pair_table
-from .errors import (
-    DegenerateRidge,
-    NotATriangulation,
-    NotGeneric,
-    PreconditionViolated,
-    ScaleExceeded,
-    SeedInvalid,
-)
+from .errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
 from .graphs import (
     EdgeGraph,
     _join,
@@ -408,7 +402,8 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     certificate.  The result is non-generic when some candidate yields an
     off-graph equality, or when a strict certificate touches a corner of the
     positive orthant (a zero height, reported with the diagonal pair (i,i)).
-    The pool has 937,440 candidates at n = 8; above that ScaleExceeded.
+    The pool has 937,440 candidates at n = 8; above that ScaleExceeded.  A
+    generic result whose volumes miss 2^(n-1) - n raises DegenerateRidge.
     """
     n = d.n
     if n > 8:
@@ -433,9 +428,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     cells = {mask: [lam, cell_components(n, mask), down[mask]] for mask, lam in kept}
     sub = _subdivision(d, D, cells, witnesses)
     if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
-        raise NotATriangulation(
-            f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}"
-        )
+        raise DegenerateRidge(f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}")
     return sub
 
 
@@ -619,7 +612,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     t*sigma.  A tie on the far side ends the traversal the same way, with
     the neighbour's graph and the tied pair, and the near side needs no
     test, as the current cell is strict.  The entering pair's s = sigma_i +
-    sigma_j must not be 0, else PreconditionViolated: only s != 0 gives a
+    sigma_j must not be 0, else DegenerateRidge: only s != 0 gives a
     candidate, with c + [leaving edge off the cycle] - [|s| = 1] components
     for a cell of c.  The pivot also orients the ridge by the sign of
     w.sigma on its pencil: the higher cell's edge across it is down;
@@ -628,19 +621,21 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     positive is kept and gives the (i, i) witness of its first such node.
     Matches enumerate_cells, volumes and down edges included, on every
     generic input.  The seed is a certificate of lambda_certificate or a
-    bare graph, and only its graph is read; SeedInvalid refuses one that is
-    no candidate cell or drops below d.
+    bare graph, and only its graph is read; PreconditionViolated refuses one
+    that is no candidate cell or drops below d.  Every broken invariant, an
+    unbounded pencil, a pivot off the candidates or a covered volume other
+    than 2^(n-1) - n, raises DegenerateRidge.
     """
     n = d.n
     G = seed if isinstance(seed, EdgeGraph) else seed.graph
     c = cell_components(n, G.bits) if G.n == n else None
     if c is None:
-        raise SeedInvalid("seed graph is not a candidate cell")
+        raise PreconditionViolated("seed graph is not a candidate cell")
     dnum, D = d.scaled
     kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
     if not kept:
         if not witnesses:
-            raise SeedInvalid("seed graph carries no strict certificate")
+            raise PreconditionViolated("seed graph carries no strict certificate")
         return _subdivision(d, D, {}, witnesses)
 
     pairs = _pairs0(n)
@@ -664,7 +659,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
                 i, j = pairs[slots[0]]
                 s = sigma[i] + sigma[j]
                 if not s:
-                    raise PreconditionViolated("ridge pivot entered a non-candidate mask")
+                    raise DegenerateRidge("ridge pivot entered a non-candidate mask")
                 nlam = [h + t * v for h, v in zip(cell[0], sigma)]
                 corner = _corner(nlam)
                 if corner is not None:
@@ -715,13 +710,11 @@ def compute_subdivision(d: Metric) -> Subdivision:
     cell goes to the traversal as a bare graph, so only the traversal counts
     its components and classifies it.  A flat first cell or a ratio-test tie
     gives a non-generic subdivision without cells, with the (graph, pair)
-    witness of the equality; a DegenerateRidge propagates.
+    witness of the equality.  The traversal's errors propagate: a broken
+    invariant is DegenerateRidge, and a first cell that is no candidate, which
+    only a broken first-cell rule could give, PreconditionViolated.
     """
-    G = _first_cell(d)
-    try:
-        return traverse_cells(d, G)
-    except SeedInvalid as exc:  # a candidate cell of every input: only a broken rule gets here
-        raise PreconditionViolated(f"first cell {G}: {exc}") from None
+    return traverse_cells(d, _first_cell(d))
 
 
 # -- faces -----------------------------------------------------------------------
@@ -733,11 +726,12 @@ def _down_masks(S: Subdivision) -> list[int]:
     Cells are the vertices of the simple polyhedron dual to S, and the seed
     weight w, positive on its recession cone, ties no two adjacent cells in
     w.lambda.  An edge of a cell is down when its ridge lies in a lower cell,
-    else up (boundary ridges too).  A cell of lambda_certificate carries no
-    orientation and is refused.
+    else up (boundary ridges too).  A non-generic S raises NotGeneric, as
+    face_report does, and a cell of lambda_certificate, which carries no
+    orientation, PreconditionViolated.
     """
     if not S.generic:
-        raise NotATriangulation("face closure requires a generic subdivision")
+        raise NotGeneric("face closure requires a generic subdivision")
     downs = [cell.down for cell in S.maximal_cells]
     if None in downs:
         raise PreconditionViolated(

@@ -28,7 +28,7 @@ from helpers import (
 )
 from tightspan.cli import main
 from tightspan.common import Verdict, parse_rational
-from tightspan.errors import BoundViolated, DegenerateRidge
+from tightspan.errors import DegenerateRidge, NonSimple
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
     gen_dmax,
@@ -265,8 +265,8 @@ def test_compute_three_points(kind, tmp_path, capsys):
     assert payload["fT"] == [4, 3] and payload["checks"]["bounds"] is True
 
 
-def _bound_violated(d, span):
-    raise BoundViolated("f_1 = 8 exceeds bound 7 at n=4")
+def _non_simple(poset):
+    raise NonSimple("out-degree counts require a simple polyhedron")
 
 
 @pytest.mark.parametrize(
@@ -279,10 +279,10 @@ def _bound_violated(d, span):
             [1, [1, 2]],
         ),
         (
-            "bounds.verify_metric_against_bounds",
-            _bound_violated,
-            "bounds",
-            "f_1 = 8 exceeds bound 7 at n=4",
+            "primal.h_by_outdegree",
+            _non_simple,
+            "oracle",
+            "out-degree counts require a simple polyhedron",
         ),
     ],
     ids=["verdict", "raised"],
@@ -290,8 +290,9 @@ def _bound_violated(d, span):
 def test_compute_failed_check_exits_4_with_its_witness(
     attr, broken, check, witness, four_points_file, capsys, monkeypatch
 ):
-    # a check that returns a failed Verdict and one that raises a TightSpanError
-    # both fail only their own row, and JSON carries the witness or the message
+    # a check that returns a failed Verdict and one that cannot run (the real
+    # crosscheck, raising NonSimple) both fail only their own row, and JSON
+    # carries the witness or the message
     monkeypatch.setattr("tightspan." + attr, broken)
     argv = ["compute", four_points_file, "--oracle", "--no-timestamp"]
     assert main(argv) == 4
@@ -455,6 +456,21 @@ def test_compute_ideal_exits_3(ideal_file, capsys):
     assert "witness-pair: {1,1}" in out
 
 
+def test_compute_readme_non_metric_example(tmp_path, capsys):
+    # README's table that is no metric, d(1,4) = 10 > d(1,2) + d(2,4), and the
+    # exit and witness it promises, read from README itself
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    pattern = r'`(\{"n": 4, [^`]*\})`,\s.*?exits (\d) with `witness-pair: ([^`]*)`'
+    table, code, pair = re.search(pattern, readme, re.S).groups()
+    assert json.loads(table) == {"n": 4, "upper": [1, 1, 10, 1, 1, 1]}
+    assert (code, pair) == ("3", "{2,2}")
+    path = tmp_path / "not-a-metric.json"
+    path.write_text(table)
+    assert main(["compute", str(path), "--no-timestamp"]) == int(code)
+    out = capsys.readouterr().out.splitlines()
+    assert "generic: false" in out and f"witness-pair: {pair}" in out
+
+
 @pytest.mark.parametrize(
     "d",
     [metric_from_upper(9, (Fraction(2),) * 36), gen_random(6, 1, 100)],
@@ -527,15 +543,16 @@ def test_compute_package_error_exits_4(fmt, capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_compute_pivot_off_the_candidates_exits_4(fmt, capsys, monkeypatch, tmp_path):
     # a ridge completed to a mask that is no candidate is refused by the
-    # traversal's guard: a package error with its own exit code
+    # traversal's guard: a broken invariant with its own exit code
     break_ridge_pivot(monkeypatch)
     path = tmp_path / "hires-7.1.json"
     path.write_text(metric_to_json(metric("hires-7.1")))
     assert main(["compute", str(path), "--format", fmt]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: PreconditionViolated: ")
+    assert err.splitlines() == [
+        "error: DegenerateRidge: ridge pivot entered a non-candidate mask"
+    ]
 
 
 def test_compute_parse_error(tmp_path, capsys):
@@ -853,7 +870,7 @@ def test_verify_bounds_violation_is_a_fail_row(capsys, monkeypatch):
 
     def violated_at_dmax5(d, span):
         if d == gen_dmax(5):  # dmin5 has the same fT
-            raise BoundViolated("f_1 = 20 exceeds bound 19 at n=5")
+            return Verdict(False, "f_1 = 20 exceeds bound 19 at n=5")
         return verify(d, span)
 
     monkeypatch.setattr(bounds, "verify_metric_against_bounds", violated_at_dmax5)
@@ -879,6 +896,26 @@ def test_verify_oracle_random_small(capsys):
     rc = main(["verify", "--suite", "oracle-random", "--n", "4", "--count", "3"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
+
+
+def test_verify_oracle_random_disagreement_is_a_fail_row(capsys, monkeypatch):
+    # an out-degree count one off makes the real crosscheck's verdict fail:
+    # every row fails, with no error line
+    import tightspan.primal as primal
+
+    count = primal.h_by_outdegree
+
+    def one_off(poset):
+        h = count(poset)
+        return (h[0] + 1,) + h[1:]
+
+    monkeypatch.setattr(primal, "h_by_outdegree", one_off)
+    assert main(["verify", "--suite", "oracle-random", "--n", "4", "--count", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = out.splitlines()
+    assert len(rows) == 4 and all(row.startswith("FAIL  random n=4 seed=") for row in rows[:3])
+    assert rows[-1] == "suite oracle-random: FAIL"
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,13 @@ def test_validate_rejections():
         validate_metric([[0, 1, 2], [1, 0], [2, 3, 0]])
 
 
+def test_validate_refuses_65_points():
+    # as metric_from_upper does, an n above 64 is refused before any entry is read
+    table = [[0 if i == j else 1 for j in range(65)] for i in range(65)]
+    with pytest.raises(BadArity, match="need n <= 64, got 65$"):
+        validate_metric(table)
+
+
 def test_dmax_values():
     d = gen_dmax(4)
     assert d.d(1, 2) == Fraction(23, 22)

@@ -48,6 +48,34 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
 
 
+def test_every_exception_class_is_raised_and_defined_in_errors():
+    # one class per failure: each class of errors.py but the base is raised
+    # somewhere in the package, so a class whose last raise goes is deleted
+    # with it; and no other module defines an exception class
+    package = Path(tightspan.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    defined = {
+        node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)
+    }
+    exceptional = {"Exception", "BaseException", *defined}
+    raised = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+            if isinstance(node, ast.ClassDef) and name != "errors.py":
+                bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+                assert not bases & exceptional, f"{name}: exception class {node.name}"
+                assert not any(base.endswith("Error") for base in bases), f"{name}: {node.name}"
+    assert "TightSpanError" in defined
+    assert sorted(defined - {"TightSpanError"} - raised) == []
+
+
 def test_submodules_resolve_on_first_access():
     # the attribute path the benchmark reads: tightspan.<submodule>.<name>
     code = (

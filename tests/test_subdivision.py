@@ -15,12 +15,7 @@ from helpers import (
     pencils_against_solver,
     subdivision,
 )
-from tightspan.errors import (
-    NotATriangulation,
-    PreconditionViolated,
-    ScaleExceeded,
-    SeedInvalid,
-)
+from tightspan.errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
 from tightspan.facevectors import f_from_h, face_report
 from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, node_edge_masks, star_graph
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric
@@ -213,6 +208,20 @@ def test_enumerate_parallel_matches_serial():
 def test_enumerate_parallel_matches_serial_degenerate():
     d = metric("ideal")
     assert enumerate_cells(d, jobs=2) == enumerate_cells(d)
+
+
+def test_enumeration_refuses_a_short_covering(monkeypatch):
+    # negative control of the covering identity: a pool one cell short still
+    # gives a generic result, but its volumes miss 2^(n-1) - n = 11
+    import tightspan.subdivision as sd
+
+    d = metric("dmax-5")
+    cell = enumerate_cells(d).maximal_cells[0]
+    pool = tuple(mask for mask in candidate_graphs(5) if mask != cell.graph.bits)
+    monkeypatch.setattr(sd, "candidate_graphs", lambda n: pool)
+    short = f"covering identity failed: {11 - cell.volume} != 2\\^4-5$"
+    with pytest.raises(DegenerateRidge, match=short):
+        enumerate_cells(d)
 
 
 def test_volume_identity_small():
@@ -597,10 +606,10 @@ def test_adjacent_cells_lie_on_one_pencil(name):
 def test_traverse_rejects_bad_seed():
     d = gen_dmax(4)
     bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (0,) * 4, 2, 1)
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(PreconditionViolated, match="seed graph is not a candidate cell"):
         traverse_cells(d, bad)
     not_a_cell = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(PreconditionViolated, match="seed graph carries no strict certificate"):
         traverse_cells(d, Cell(not_a_cell, (0,) * 4, 2, 1))
 
 
@@ -674,9 +683,9 @@ def test_face_closure_refuses_a_non_generic_subdivision(cells):
     # ties in a ratio test and has none
     S = compute_subdivision(metric("ideal") if cells else gen_random(6, 5, 100))
     assert not S.generic and bool(S.maximal_cells) == cells
-    with pytest.raises(NotATriangulation):
+    with pytest.raises(NotGeneric):
         all_faces(S)
-    with pytest.raises(NotATriangulation):
+    with pytest.raises(NotGeneric):
         down_degrees(S)
 
 
@@ -708,9 +717,9 @@ def test_pivot_off_the_candidates_raises(monkeypatch):
     d = metric("hires-7.1")
     seed = seed_cell(d)
     break_ridge_pivot(monkeypatch)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
         traverse_cells(d, seed)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
         compute_subdivision(d)
 
 
