@@ -12,22 +12,17 @@ _HOME = {
     name: module
     for module, names in {
         "metrics": (
-            "IsolatedDistance", "Metric", "check_dmax_property", "gen_dgamma", "gen_dmax",
-            "gen_dmin", "gen_random", "load_metric", "metric_from_json", "metric_to_json",
-            "shift_by_isolated", "strict_triangle_nodes", "submetric", "validate_metric",
+            "Metric", "gen_dgamma", "gen_dmax", "gen_dmin", "gen_random", "load_metric",
+            "metric_from_json", "metric_to_json", "strict_triangle_nodes", "submetric",
+            "validate_metric",
         ),
-        "graphs": (
-            "EdgeGraph", "cell_volume", "components", "has_even_tour",
-            "is_interior_graph", "odd_path_sum",
-        ),
+        "graphs": ("EdgeGraph",),
         "subdivision": (
             "Cell", "DegeneracyReport", "FaceSet", "NotACell", "Subdivision", "all_faces",
             "compute_subdivision", "down_degrees", "enumerate_cells", "lambda_certificate",
             "seed_cell", "traverse_cells",
         ),
-        "matching": (
-            "FractionalMatching", "b11_classify", "is_cell_lp", "is_cell_oddpath", "solve_w_matching",
-        ),
+        "matching": ("FractionalMatching", "solve_w_matching"),
         "facevectors": (
             "FaceReport", "FVector", "TightSpanVectors", "check_asff", "check_ball_relations",
             "check_dehn_sommerville", "check_inductive_step", "face_report", "g_from_h",

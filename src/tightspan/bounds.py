@@ -23,7 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def F_bound(n: int, k: int) -> int:
-    """Largest possible number of k-faces of a tight span on n points."""
+    """Largest possible number of k-faces of a tight span on n points, n >= 1."""
+    if n < 1:
+        raise BadArity("face bound stated for n >= 1")
     if not 0 <= k <= n // 2:
         raise OutOfRange(f"k must lie in 0..{n // 2} for n={n}")
     value = Fraction(2) ** (n - 2 * k - 1) * Fraction(n, n - k) * comb(n - k, k)

@@ -97,8 +97,8 @@ _QUOTED = 60
 
 
 def _quote(value: object) -> str:
-    """repr(value) for an error message, cut to a fixed-length prefix."""
-    text = repr(value)
+    """repr(value) for an error message, cut to a fixed-length prefix, for ints of any size."""
+    text = _str_of(value) if isinstance(value, int) else repr(value)
     return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
 
 

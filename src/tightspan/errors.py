@@ -39,14 +39,6 @@ class Infeasible(TightSpanError):
     """The degree equations admit no non-negative solution."""
 
 
-class NonUniqueOptimum(TightSpanError):
-    """Two distinct optimal matchings found where a unique one was required."""
-
-
-class StructureViolation(TightSpanError):
-    """An optimal matching support matches none of the admissible shapes."""
-
-
 # -- subdivision pipeline ------------------------------------------------------
 
 class DegenerateRidge(TightSpanError):

@@ -1,4 +1,4 @@
-"""Exact fractional matching LP and the cell tests built on it.
+"""Exact fractional matching LP, solved for subdivision.seed_cell.
 
 For a weight vector w the LP maximizes <mu, d> over non-negative edge
 vectors mu with degree sums sum_i mu(i,j) = w_j.  The solver is a dense
@@ -8,17 +8,20 @@ fraction-free: integers over one scale, updated by common.pivot, with the
 reduced costs as the last row.  Every solve is certified in Fractions
 against its own dual vector (complementary slackness and objective
 equality) before it is returned.
+
+The paper's LP and alternating-path cell criteria and its (b,1,...,1)
+support lemma, built on this solver, are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .common import num_pairs, pair_table, pivot
-from .errors import Infeasible, NonUniqueOptimum, PreconditionViolated, StructureViolation
-from .graphs import EdgeGraph, _cycle_nodes, cell_components, components, odd_path_sum
+from .errors import Infeasible, PreconditionViolated
+from .graphs import EdgeGraph
 from .metrics import Metric
 
 
@@ -149,138 +152,3 @@ def _certify(d, w, mu, value, dual) -> None:
         raise AssertionError("degree equations violated")
     if sum(wi * yi for wi, yi in zip(w, dual)) != value:
         raise AssertionError("strong duality gap")
-
-
-def is_cell_lp(d: Metric, G: EdgeGraph) -> bool:
-    """Whether G supports the optimal matching for its own degree vector.
-
-    Assumes d generic (the caller checks).  When the indicator of G ties the
-    optimum without being it, the optimum is not unique and the call raises.
-    """
-    if G.n != d.n or G.edge_count == 0:
-        raise PreconditionViolated("need a nonempty graph on the metric's nodes")
-    fm = solve_w_matching(d, G.degrees())
-    chi = tuple(
-        Fraction(1) if G.bits >> p & 1 else Fraction(0) for p in range(num_pairs(d.n))
-    )
-    if fm.mu == chi:
-        return True
-    g_value = sum(d.entries[p] for p in range(num_pairs(d.n)) if G.bits >> p & 1)
-    if g_value == fm.value:
-        raise NonUniqueOptimum(
-            f"indicator of {G} ties the LP optimum; d is likely not generic"
-        )
-    return False
-
-
-def is_cell_oddpath(d: Metric, G: EdgeGraph) -> bool:
-    """Connected-cell criterion through alternating path sums.
-
-    G must be connected and spanning with n edges and no even tour.  G is a
-    cell exactly when no off-graph pair beats its alternating bound.
-    """
-    if G.n != d.n or cell_components(G.n, G.bits) != 1:
-        raise PreconditionViolated(
-            "criterion needs a connected spanning n-edge graph without even tours"
-        )
-    for i in range(1, d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            if G.has_edge(i, j):
-                continue
-            if d.d(i, j) > odd_path_sum(d, G, i, j):
-                return False
-    return True
-
-
-def alternating_cycle_vector(
-    n: int, cycle: Sequence[int]
-) -> dict[tuple[int, int], int]:
-    """Alternating +-1 pattern on the edges of an even closed cycle.
-
-    Adding any multiple of the pattern to a matching preserves all degree
-    sums, since each node meets one +1 and one -1 edge.
-    """
-    if len(cycle) % 2 != 0:
-        raise PreconditionViolated("alternating vectors need an even cycle")
-    out: dict[tuple[int, int], int] = {}
-    for k in range(len(cycle)):
-        a, b = cycle[k], cycle[(k + 1) % len(cycle)]
-        key = (min(a, b), max(a, b))
-        out[key] = 1 if k % 2 == 0 else -1
-    return out
-
-
-class B11Report(NamedTuple):
-    """Shape of an optimal (b,1,...,1)-matching support around node 1."""
-
-    support: EdgeGraph
-    node_one_kind: str  # "star" or "cycle_plus_pendants"
-    node_one_extra_edges: int  # b for the star, b-1 pendants otherwise
-    node_one_cycle: Optional[tuple[int, ...]]
-    other_components: tuple[tuple[str, tuple[int, ...]], ...]  # ("edge"|"odd_cycle", nodes)
-
-
-def b11_classify(d: Metric, b: int) -> B11Report:
-    """Solve for w = (b,1,...,1) and classify every support component.
-
-    The component of node 1 must be a star of b edges at node 1, or one odd
-    cycle through node 1 with b-1 pendant edges at node 1; every other
-    component must be an isolated edge or an odd cycle.  Anything else
-    raises StructureViolation.
-    """
-    if not isinstance(b, int) or b < 1:
-        raise PreconditionViolated("b must be a positive integer")
-    n = d.n
-    w = [Fraction(b)] + [Fraction(1)] * (n - 1)
-    fm = solve_w_matching(d, w)
-    S = fm.support
-    decomp = components(S)
-
-    comp1 = next((c for c in decomp.components if 1 in c.nodes), None)
-    if comp1 is None:
-        raise StructureViolation("node 1 has positive weight but empty support star")
-    deg = S.degrees()
-    others: list[tuple[str, tuple[int, ...]]] = []
-    for comp in decomp.components:
-        if comp is comp1:
-            continue
-        if comp.edge_count == 1 and len(comp.nodes) == 2:
-            others.append(("edge", comp.nodes))
-        elif (
-            comp.cycle_dim == 1
-            and comp.cycle_parity == "odd"
-            and comp.edge_count == len(comp.nodes)
-        ):
-            others.append(("odd_cycle", comp.nodes))
-        else:
-            raise StructureViolation(f"stray component {comp.nodes} in support {S}")
-
-    comp1_edges = [(i, j) for i, j in S.edges() if i in comp1.nodes]
-    if comp1.cycle_dim == 0:
-        if not all(1 in e for e in comp1_edges) or comp1.edge_count != b:
-            raise StructureViolation(
-                f"acyclic component of node 1 is not a star of {b} edges: {comp1_edges}"
-            )
-        if any(deg[v - 1] != 1 for v in comp1.nodes if v != 1):
-            raise StructureViolation("star neighbor of node 1 has extra edges")
-        return B11Report(S, "star", b, None, tuple(others))
-    if comp1.cycle_dim == 1 and comp1.cycle_parity == "odd":
-        cycle_nodes = _cycle_nodes(S) & set(comp1.nodes)
-        if 1 not in cycle_nodes:
-            raise StructureViolation("cycle of node 1's component avoids node 1")
-        pendants = [e for e in comp1_edges if not (set(e) <= cycle_nodes)]
-        if len(pendants) != b - 1 or not all(1 in e for e in pendants):
-            raise StructureViolation(
-                f"expected {b - 1} pendant edges at node 1, found {pendants}"
-            )
-        if any(
-            deg[v - 1] != 1
-            for e in pendants
-            for v in e
-            if v != 1
-        ):
-            raise StructureViolation("pendant neighbor of node 1 has extra edges")
-        return B11Report(
-            S, "cycle_plus_pendants", b - 1, tuple(sorted(cycle_nodes)), tuple(others)
-        )
-    raise StructureViolation(f"component of node 1 has an even tour: {comp1}")

@@ -9,6 +9,9 @@ flags read; validate_metric and metric_from_upper, the only builders of a
 Metric, compute it once, with the metric.  Malformed tables are rejected,
 never repaired.
 
+The isolated-distance shifts and the monotone difference (dmax) property
+that the paper's proofs use are test oracles (tests/oracles.py).
+
 The canonical file format is JSON: {"n": <int>, "upper": ["p/q", ...]} with
 entries in lexicographic pair order; floating-point literals are rejected.
 """
@@ -21,8 +24,8 @@ from math import lcm
 from random import Random
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .common import _int_of, format_rational, num_pairs, pair_index, pair_table, parse_rational
-from .common import Verdict
+from .common import _int_of, _quote, format_rational, num_pairs, pair_index, pair_table
+from .common import parse_rational
 from .errors import (
     AsymmetricInput,
     BadArity,
@@ -53,9 +56,6 @@ class Metric(NamedTuple):
             return Fraction(0)
         return self.entries[pair_index(self.n, i, j)]
 
-    def as_table(self) -> list[list[Fraction]]:
-        return _square(self.n, self.entries, Fraction(0))
-
     @property
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.scaled[0])
@@ -78,13 +78,6 @@ def _square(n: int, upper: Sequence, zero: object) -> list[list]:
     for (i, j), value in zip(pair_table(n), upper):
         table[i - 1][j - 1] = table[j - 1][i - 1] = value
     return table
-
-
-class IsolatedDistance(NamedTuple):
-    """Distance function equal to a constant on the star of one node, zero elsewhere."""
-
-    node: int
-    value: Fraction
 
 
 def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
@@ -130,9 +123,9 @@ _MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles pe
 def _require_points(n: int) -> None:
     """Refuse an n outside 3.._MAX_POINTS before any pair is built."""
     if n < 3:
-        raise BadArity(f"need at least 3 points, got {n}")
+        raise BadArity(f"need at least 3 points, got {_quote(n)}")
     if n > _MAX_POINTS:
-        raise BadArity(f"need n <= {_MAX_POINTS}, got {n}")
+        raise BadArity(f"need n <= {_MAX_POINTS}, got {_quote(n)}")
 
 
 def gen_dmax(n: int) -> Metric:
@@ -202,25 +195,6 @@ def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
     return metric_from_upper(n, upper)
 
 
-def shift_by_isolated(
-    d: Metric, shifts: Iterable[IsolatedDistance]
-) -> list[list[Fraction]]:
-    """Pointwise sum of d with isolated distance functions, as a raw table.
-
-    The result may violate the metric axioms; callers re-validate.
-    """
-    table = d.as_table()
-    for shift in shifts:
-        i = shift.node - 1
-        if not (0 <= i < d.n):
-            raise NodeOutOfRange(f"node {shift.node} not in 1..{d.n}")
-        for j in range(d.n):
-            if j != i:
-                table[i][j] += shift.value
-                table[j][i] += shift.value
-    return table
-
-
 def submetric(d: Metric, nodes: Iterable[int]) -> Metric:
     """Metric induced on a node subset, relabeled 1..|S| preserving order."""
     subset = sorted(set(nodes))
@@ -234,25 +208,6 @@ def submetric(d: Metric, nodes: Iterable[int]) -> Metric:
         d.d(subset[i - 1], subset[j - 1]) for i, j in pair_table(m)
     )
     return metric_from_upper(m, upper)
-
-
-def check_dmax_property(d: Metric) -> Verdict:
-    """Monotone difference test over all quadruples i <= j <= k <= l.
-
-    Checks d(i,j)-d(i,k) <= d(j,l)-d(k,l) and d(i,l)-d(i,k) <= d(j,l)-d(j,k),
-    with coinciding indices allowed (d(x,x) = 0).  Returns the first failing
-    quadruple as witness.
-    """
-    n = d.n
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                for l in range(k, n + 1):
-                    if d.d(i, j) - d.d(i, k) > d.d(j, l) - d.d(k, l):
-                        return Verdict(False, (i, j, k, l))
-                    if d.d(i, l) - d.d(i, k) > d.d(j, l) - d.d(j, k):
-                        return Verdict(False, (i, j, k, l))
-    return Verdict(True)
 
 
 def strict_triangle_nodes(d: Metric) -> frozenset[int]:

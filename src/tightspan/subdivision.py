@@ -435,33 +435,6 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
 # -- seed cells ----------------------------------------------------------------
 
 
-def interleaved_cycle_graph(n: int) -> EdgeGraph:
-    """Standard full-dimensional cell for metrics with the monotone difference property.
-
-    For odd n this is the cycle alternating the low and high halves of 1..n;
-    for even n the high-low cycle misses node n/2+1, which attaches to node 1
-    by an extra edge.
-    """
-    if n < 4:
-        raise PreconditionViolated("seed graph defined for n >= 4")
-    if n % 2 == 1:
-        half = (n + 1) // 2
-        seq = []
-        for k in range(1, half):
-            seq.extend([k, half + k])
-        seq.append(half)
-        edges = [(seq[t], seq[(t + 1) % n]) for t in range(n)]
-        return EdgeGraph.from_edges(n, edges)
-    half = n // 2
-    seq = []
-    for k in range(1, half):
-        seq.extend([k, half + 1 + k])
-    seq.append(half)
-    edges = [(seq[t], seq[(t + 1) % (n - 1)]) for t in range(n - 1)]
-    edges.append((1, half + 1))
-    return EdgeGraph.from_edges(n, edges)
-
-
 def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     """The cell of least w.lambda at the seed weight, read off the matching LP: a test oracle.
 
@@ -522,8 +495,8 @@ def _ridge_pencils(
         adj[i].append((j, p))
         adj[j].append((i, p))
     degree = [len(a) for a in adj]
-    # is_interior_mask from the degrees: both ends of e keep an edge, and the
-    # ridge is no full star
+    # the ridge is interior (spanning, no full star) when both ends of e keep
+    # an edge and it is no full star
     stars = node_edge_masks(n)
     ridges = []
     for low in _edge_bits(edges):

@@ -15,6 +15,7 @@ from random import Random
 
 import tightspan.matching as matching
 import tightspan.subdivision as sd
+from oracles import is_interior_mask
 from tightspan.common import format_rational, num_pairs, pair_table, parse_rational
 from tightspan.facevectors import FaceReport, face_report
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
@@ -246,16 +247,10 @@ def naive_faces(S: Subdivision) -> tuple[tuple, tuple]:
             for combo in combinations(edges, r):
                 levels[r - 1].add(sum(combo))
     by_dim = tuple(tuple(sorted(level)) for level in levels)
-    interior = []
-    for level in by_dim:
-        tagged = set()
-        for mask in level:
-            G = EdgeGraph(n, mask)
-            star = G.edge_count == n - 1 and n - 1 in G.degrees()
-            if G.is_spanning() and not star:
-                tagged.add(mask)
-        interior.append(frozenset(tagged))
-    return by_dim, tuple(interior)
+    interior = tuple(
+        frozenset(mask for mask in level if is_interior_mask(n, mask)) for level in by_dim
+    )
+    return by_dim, interior
 
 
 def spanning_subgraph_masks(n: int, m_edges: int):

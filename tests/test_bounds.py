@@ -36,6 +36,14 @@ def test_f_bound_out_of_range():
         F_bound(6, -1)
 
 
+def test_f_bound_refuses_an_empty_point_set():
+    # n = 0 would divide by n - k = 0; the small n that the recursion reads keep their values
+    for bound, n in ((F_bound, 0), (F_bound, -1), (f_bound_or_zero, 0)):
+        with pytest.raises(BadArity, match="n >= 1"):
+            bound(n, 0)
+    assert (F_bound(1, 0), F_bound(2, 0), F_bound(2, 1)) == (1, 2, 1)
+
+
 def test_f_bound_recursion():
     for n in range(4, 17):
         for k in range(1, n // 2 + 1):

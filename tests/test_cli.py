@@ -648,6 +648,18 @@ def test_compute_refuses_n_above_64(tmp_path, capsys):
     assert err == "error: cannot parse metric: need n <= 64, got 65\n"
 
 
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_compute_names_a_5000_digit_n_by_its_first_60_characters(tmp_path, capsys, sign):
+    # an n past CPython's 4,300-digit int <-> str limit is named as a bad
+    # entry is, not by the interpreter's message about its setting
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n": %s%s, "upper": []}' % (sign, "9" * 5000))
+    assert main(["compute", str(bad), "--no-timestamp"]) == 2
+    refusal = "need at least 3 points, got " if sign else "need n <= 64, got "
+    quoted = (sign + "9" * 5000)[:60] + "..."
+    assert capsys.readouterr() == ("", f"error: cannot parse metric: {refusal}{quoted}\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("flag", ["--export-cells", "--export-faces"])
 def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path, capsys):

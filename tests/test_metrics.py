@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import metric
+from oracles import IsolatedDistance, check_dmax_property, covered_nodes, shift_by_isolated
 from tightspan.errors import (
     AsymmetricInput,
     BadArity,
@@ -17,8 +18,6 @@ from tightspan.errors import (
 )
 from tightspan.graphs import EdgeGraph, empty_graph
 from tightspan.metrics import (
-    IsolatedDistance,
-    check_dmax_property,
     dmin_graph,
     gen_dgamma,
     gen_dmax,
@@ -27,7 +26,6 @@ from tightspan.metrics import (
     metric_from_json,
     metric_from_upper,
     metric_to_json,
-    shift_by_isolated,
     strict_triangle_nodes,
     submetric,
     validate_metric,
@@ -126,7 +124,7 @@ def test_dmin_graph_shape(n, groups, isolated):
     for g in groups:
         expect.update({(g[0], g[1]), (g[0], g[2]), (g[1], g[2])})
     assert set(G.edges()) == expect
-    assert set(range(1, n + 1)) - G.covered_nodes() == set(isolated)
+    assert set(range(1, n + 1)) - covered_nodes(G) == set(isolated)
 
 
 def test_dmin_weights():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -34,18 +35,32 @@ def test_import_loads_no_submodule():
     assert loaded_modules("import tightspan") == {"tightspan"}
 
 
-def test_no_module_imports_dataclasses():
-    # records are NamedTuples: dataclasses would pull inspect, ast and dis
-    # into every process
+def _absolute_imports():
+    """(file name, top-level module) of each absolute import in the package's source."""
     for path in sorted(Path(tightspan.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
             else:
                 continue
-            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
+            for name in names:
+                yield path.name, name.partition(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses would pull inspect, ast and dis
+    # into every process
+    for file_name, module in _absolute_imports():
+        assert module != "dataclasses", file_name
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # the tests put tests/ on sys.path, so a package import of a test module
+    # such as oracles would pass them and break the installed package
+    for file_name, module in _absolute_imports():
+        assert module in sys.stdlib_module_names, (file_name, module)
 
 
 def test_every_exception_class_is_raised_and_defined_in_errors():

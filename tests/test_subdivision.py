@@ -15,9 +15,10 @@ from helpers import (
     pencils_against_solver,
     subdivision,
 )
+from oracles import cycle_graph, degrees, edge_count, interleaved_cycle_graph, star_graph
 from tightspan.errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
 from tightspan.facevectors import f_from_h, face_report
-from tightspan.graphs import EdgeGraph, cell_volume, cycle_graph, node_edge_masks, star_graph
+from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric
 from tightspan.subdivision import (
     Cell,
@@ -29,7 +30,6 @@ from tightspan.subdivision import (
     compute_subdivision,
     down_degrees,
     enumerate_cells,
-    interleaved_cycle_graph,
     lambda_certificate,
     random_generic_metrics,
     seed_cell,
@@ -99,8 +99,7 @@ def test_candidate_checks_reject(n, edges):
     G = EdgeGraph.from_edges(n, edges)
     with pytest.raises(PreconditionViolated):
         lambda_certificate(gen_dmax(n), G)
-    with pytest.raises(PreconditionViolated):
-        cell_volume(G)
+    assert cell_components(n, G.bits) is None
 
 
 def test_solver_ends_on_every_small_mask():
@@ -110,8 +109,8 @@ def test_solver_ends_on_every_small_mask():
     from itertools import combinations
 
     import tightspan.subdivision as sd
+    from oracles import components
     from tightspan.common import pair_table
-    from tightspan.graphs import cell_components, components
 
     d = gen_dmax(5)
     dnum, D = d.scaled
@@ -299,7 +298,7 @@ def test_seed_weights_off_every_wall(monkeypatch):
             seen.clear()
             assert len(w) == n
             # a nondegenerate basis: all n basic variables are positive
-            assert fm.support.edge_count == n
+            assert edge_count(fm.support) == n
         # number of s in {-1,0,1}^n with each signed sum, one weight at a time
         ways = {0: 1}
         for x in w:
@@ -486,7 +485,7 @@ def test_traversal_counts_components_once_per_cell(name, monkeypatch):
     assert calls == solves == [sd._first_cell(d).bits]
     monkeypatch.undo()
     assert [c.volume for c in S.maximal_cells] == [
-        cell_volume(c.graph) for c in S.maximal_cells
+        1 << cell_components(S.n, c.graph.bits) - 1 for c in S.maximal_cells
     ]
 
 
@@ -581,14 +580,15 @@ def test_pivot_carries_heights_to_the_neighbour(name):
 def test_adjacent_cells_lie_on_one_pencil(name):
     # two cells sharing a ridge differ by t*sigma along the ridge pencil:
     # sigma alternates across the ridge edges and moves one of its components
-    from tightspan.graphs import components
+    from oracles import components
+    from tightspan.common import pair_index
 
     S = compute_subdivision(metric(name))
     n = S.n
     by_ridge: dict[int, list[Cell]] = {}
     for cell in S.maximal_cells:
         for i, j in cell.graph.edges():
-            by_ridge.setdefault(cell.graph.remove_edge(i, j).bits, []).append(cell)
+            by_ridge.setdefault(cell.graph.bits & ~(1 << pair_index(n, i, j)), []).append(cell)
     shared = [(r, cells) for r, cells in by_ridge.items() if len(cells) == 2]
     assert shared
     for rmask, (a, b) in shared:
@@ -801,7 +801,7 @@ def test_ridge_incidences():
         S = subdivision(name)
         F = faces(name)
         n = S.n
-        from tightspan.graphs import is_interior_mask
+        from oracles import is_interior_mask
 
         counts = {}
         for cell in S.maximal_cells:
@@ -826,7 +826,7 @@ def _restricted_graphs(S, i):
 
     graphs = set()
     for cell in S.maximal_cells:
-        if cell.graph.degrees()[i - 1] == 1:
+        if degrees(cell.graph)[i - 1] == 1:
             edges = [(relabel(a), relabel(b)) for a, b in cell.graph.edges() if i not in (a, b)]
             graphs.add(EdgeGraph.from_edges(S.n - 1, edges))
     return tuple(sorted(graphs))
@@ -931,19 +931,20 @@ def test_candidate_pool_sizes():
 
 
 def test_interior_tags_match_predicate():
-    from tightspan.graphs import is_interior_graph
+    from oracles import is_interior_mask
 
     F = faces("dmax-5")
     for k, level in enumerate(F.by_dim):
         for mask in level:
             G = EdgeGraph(F.n, mask)
-            assert is_interior_graph(G) == (mask in F.interior_by_dim[k])
+            assert is_interior_mask(G.n, G.bits) == (mask in F.interior_by_dim[k])
 
 
 def test_is_generic_traversal_detects_corner_tangency():
     # shifting one node until its tightest triangle closes keeps the subdivision
     # but degenerates the corner simplex; the traversal route must notice
-    from tightspan.metrics import IsolatedDistance, shift_by_isolated, validate_metric
+    from oracles import IsolatedDistance, shift_by_isolated
+    from tightspan.metrics import validate_metric
 
     d = gen_dmax(9)
     v = min(
@@ -961,7 +962,7 @@ def test_is_generic_traversal_detects_corner_tangency():
 def test_certificate_agrees_with_lp_sampled_n7():
     import random as _random
 
-    from tightspan.matching import is_cell_lp
+    from oracles import is_cell_lp
 
     d = gen_dmax(7)
     cells = {c.graph.bits for c in subdivision("dmax-7").maximal_cells}
