@@ -22,7 +22,6 @@ _HOME = {
             "compute_subdivision", "down_degrees", "enumerate_cells", "lambda_certificate",
             "seed_cell", "traverse_cells",
         ),
-        "matching": ("FractionalMatching", "solve_w_matching"),
         "facevectors": (
             "FaceReport", "FVector", "TightSpanVectors", "check_asff", "check_ball_relations",
             "check_dehn_sommerville", "check_inductive_step", "face_report", "g_from_h",

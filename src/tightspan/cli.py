@@ -35,7 +35,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .common import Verdict
+from .common import Verdict, _quote
 from .errors import BadArity, TightSpanError
 from .metrics import (
     Metric,
@@ -71,6 +71,14 @@ ROWS = (
 )
 
 
+def _int(text: str) -> int:
+    """int(text) for an int option; a refused value, 5,000 digits say, is named by its prefix."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tspan")
     sub = top.add_subparsers(dest="command", required=True)
@@ -86,10 +94,10 @@ def _parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="write a metric file")
     pg.add_argument("--kind", choices=("dmax", "dmin", "dgamma", "random"), required=True)
-    pg.add_argument("--n", type=int, required=True)
+    pg.add_argument("--n", type=_int, required=True)
     pg.add_argument("--graph", default=None, help='edge list "1-2,3-4" for dgamma')
-    pg.add_argument("--seed", type=int, default=1)
-    pg.add_argument("--resolution", type=int, default=0)
+    pg.add_argument("--seed", type=_int, default=1)
+    pg.add_argument("--resolution", type=_int, default=0)
     pg.add_argument("-o", "--output", required=True)
 
     pv = sub.add_parser("verify", help="run a named acceptance suite")
@@ -98,9 +106,9 @@ def _parser() -> argparse.ArgumentParser:
         choices=("paper-examples", "bounds", "identities", "oracle-random"),
         required=True,
     )
-    pv.add_argument("--n-max", type=int, default=12, help="largest n of identities and bounds")
-    pv.add_argument("--n", type=int, default=5)
-    pv.add_argument("--count", type=int, default=20)
+    pv.add_argument("--n-max", type=_int, default=12, help="largest n of identities and bounds")
+    pv.add_argument("--n", type=_int, default=5)
+    pv.add_argument("--count", type=_int, default=20)
     return top
 
 

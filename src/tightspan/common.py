@@ -4,8 +4,9 @@ Nodes are numbered 1..n throughout.  The C(n,2) unordered pairs {i,j}, i<j,
 are laid out in lexicographic order (1,2),(1,3),...,(1,n),(2,3),...,(n-1,n);
 pair_index gives the 0-based slot of a pair in that order.
 
-pivot is the one elimination step of the package: the matching LP and the
-primal oracle solve all their linear systems with it, in integers.
+pivot is the one elimination step of the package: the primal oracle solves
+all its linear systems with it, in integers, and so does the matching LP of
+the tests.
 """
 
 from __future__ import annotations

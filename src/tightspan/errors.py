@@ -33,12 +33,6 @@ class PreconditionViolated(TightSpanError):
     """An operation was called outside its stated domain, such as a seed that is no cell."""
 
 
-# -- linear programming -------------------------------------------------------
-
-class Infeasible(TightSpanError):
-    """The degree equations admit no non-negative solution."""
-
-
 # -- subdivision pipeline ------------------------------------------------------
 
 class DegenerateRidge(TightSpanError):

@@ -14,10 +14,10 @@ reaches every cell from any one.  The traversal returns every verdict: a
 flat first cell, a ratio-test tie or a zero cell height makes the result
 non-generic with a witness, and a broken invariant, on either route, raises
 DegenerateRidge.  Exhaustive filtration of all candidates
-(enumerate_cells, n <= 8) is kept as the test oracle of the cells, and
-seed_cell, the matching LP's cell at the seed weight, as that of the
-orientation.  Both routes build the Subdivision with one builder
-(_subdivision).
+(enumerate_cells, n <= 8) is kept as the test oracle of the cells.  Both
+routes build the Subdivision with one builder (_subdivision).  seed_cell
+descends from the first cell to the cell of least w.lambda by the same
+ridge pivot, the simplex method on the polyhedron dual to the subdivision.
 
 One solver (_solve_scaled) gives the heights of a cell in integers at scale
 twice the common entry denominator, by one propagation per component; a mask
@@ -40,7 +40,7 @@ w.sigma < 0, a signed sum of seed weights that is never 0.  The pivot
 orients each interior ridge by that sign, wherever the walk began; the test
 oracle (enumerate_cells) orients its cells independently, by comparing
 w.lambda over a map of ridges to cells, and the one cell without a down
-edge is seed_cell's.
+edge is seed_cell's, the end of the descent.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
 down_degrees gives the histogram of the cells' down degrees, from which
@@ -436,25 +436,51 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
 
 
 def seed_cell(d: Metric) -> Cell | DegeneracyReport:
-    """The cell of least w.lambda at the seed weight, read off the matching LP: a test oracle.
+    """The cell of least w.lambda at the seed weight, by descent from _first_cell.
 
-    The LP is solved once, at w_i = 2^n + 2^(n-i), for every metric.  A wall
-    is sum_A w = sum_B w on the two sides of a tree, and no signed sum of
-    these w_i vanishes (the 2^(n-i) parts differ and stay below 2^n), so the
-    basis is nondegenerate: its support is the cell that contains w, and its
-    lambda_certificate is a Cell, or a DegeneracyReport when d is not generic.
-    On a generic d it is the one cell of compute_subdivision without a down
-    edge; the traversal does not start from it.
+    The cells are the vertices of the polyhedron dual to the subdivision,
+    and w is positive on its recession cone, so the simplex method ends on
+    the vertex of least w.lambda.  Its pivot is the traversal's own: while
+    the cell has an interior ridge whose pencil goes down (w.sigma < 0),
+    cross the one of least slot.  On a generic d the end is the one cell of
+    compute_subdivision without a down edge.  Returns its
+    lambda_certificate; on a non-generic d that of the flat first cell, or
+    of the cell entered at the first ratio-test tie, a DegeneracyReport.  An
+    entering pair with sigma_i + sigma_j = 0 raises DegenerateRidge, as in
+    the traversal.
     """
-    from .matching import solve_w_matching
-
-    return lambda_certificate(d, solve_w_matching(d, _seed_weight(d.n)).support)
+    n = d.n
+    cert = lambda_certificate(d, _first_cell(d))
+    if not isinstance(cert, Cell):
+        return cert
+    dnum, _ = d.scaled
+    w = _seed_weight(n)
+    mask, lam = cert.graph.bits, list(cert.lam)
+    while True:
+        for leaving, sigma, tree, _ in _ridge_pencils(n, mask, mask):
+            if sum([w[v] * sigma[v] for v in tree]) < 0:
+                break
+        else:  # no ridge goes down
+            break
+        slots, t, _ = _pivot_entering(n, dnum, lam, sigma, tree)
+        mask ^= 1 << leaving | 1 << slots[0]
+        if len(slots) != 1:  # a tie: the entered cell meets d on slots[1]
+            break
+        i, j = _pairs0(n)[slots[0]]
+        if not sigma[i] + sigma[j]:
+            raise DegenerateRidge("ridge pivot entered a non-candidate mask")
+        lam = [h + t * v for h, v in zip(lam, sigma)]
+    return lambda_certificate(d, EdgeGraph(n, mask))
 
 
 @lru_cache(maxsize=None)
 def _seed_weight(n: int) -> tuple[int, ...]:
-    """w_i = 2^n + 2^(n-i), once per n: every ridge's orientation and seed_cell's LP weight."""
-    # falling with i: about 8% fewer Bland pivots than rising powers on random n = 11
+    """w_i = 2^n + 2^(n-i), once per n: every ridge's orientation and seed_cell's objective.
+
+    A wall is sum_A w = sum_B w on the two sides of a tree, and no signed
+    sum of these w_i vanishes (the 2^(n-i) parts differ and stay below 2^n),
+    so w ties no two adjacent cells.
+    """
     return tuple((1 << n) + (1 << (n - 1 - i)) for i in range(n))
 
 

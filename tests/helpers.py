@@ -13,7 +13,7 @@ from math import lcm
 from pathlib import Path
 from random import Random
 
-import tightspan.matching as matching
+import oracles
 import tightspan.subdivision as sd
 from oracles import is_interior_mask
 from tightspan.common import format_rational, num_pairs, pair_table, parse_rational
@@ -127,19 +127,19 @@ def assert_equality_witness(d: Metric, witness) -> None:
 
 
 def break_lp_support(monkeypatch) -> None:
-    """Make the matching LP return its support one edge short.
+    """Make the matching LP of oracles.lp_seed_cell return its support one edge short.
 
     Such a support is never a candidate cell; only a broken solver could
     return it, and the candidate guard must refuse it.
     """
-    solve = matching.solve_w_matching
+    solve = oracles.solve_w_matching
 
     def on_a_wall(d, w):
         fm = solve(d, w)
         low = fm.support.bits & -fm.support.bits
         return fm._replace(support=EdgeGraph(d.n, fm.support.bits ^ low))
 
-    monkeypatch.setattr(matching, "solve_w_matching", on_a_wall)
+    monkeypatch.setattr(oracles, "solve_w_matching", on_a_wall)
 
 
 def break_first_cell(monkeypatch) -> None:

@@ -129,6 +129,32 @@ def test_gen_random_negative_resolution_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+INT_OPTIONS = [
+    ["gen", "--kind", "random", "-o", "unused.json", "--n"],
+    ["gen", "--kind", "random", "-o", "unused.json", "--n", "5", "--seed"],
+    ["gen", "--kind", "random", "-o", "unused.json", "--n", "5", "--resolution"],
+    ["verify", "--suite", "bounds", "--n-max"],
+    ["verify", "--suite", "oracle-random", "--n"],
+    ["verify", "--suite", "oracle-random", "--count"],
+]
+
+
+@pytest.mark.parametrize(
+    "value, quoted",
+    [("9" * 5000, ("'" + "9" * 5000)[:60] + "..."), ("x12", "'x12'")],
+    ids=["5000-digits", "not-a-number"],
+)
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_int_option_refusal_names_the_value_by_its_first_characters(argv, value, quoted, capsys):
+    # int refuses 5,000 digits; the refusal names the value by its quoted
+    # prefix, as a metric file's n is named, and never converts it; a short
+    # value keeps argparse's own wording
+    assert main(argv + [value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) < 400
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {quoted}\n")
+
+
 @pytest.mark.parametrize("kind", ["dmax", "dmin", "dgamma", "random"])
 def test_gen_refuses_n_above_the_bound(tmp_path, capsys, kind):
     # the first n above the documented bound of 64: unbounded, it builds in

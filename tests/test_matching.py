@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from helpers import best_perfect_matching, metric
 from oracles import (
     alternating_cycle_vector, b11_classify, components, cycle_graph, degrees,
-    interleaved_cycle_graph, is_cell_lp, is_cell_oddpath,
+    interleaved_cycle_graph, is_cell_lp, is_cell_oddpath, solve_w_matching,
 )
 from tightspan.common import num_pairs, pair_table
-from tightspan.errors import Infeasible, PreconditionViolated
+from tightspan.errors import PreconditionViolated
 from tightspan.graphs import EdgeGraph
-from tightspan.matching import solve_w_matching
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random
 from tightspan.subdivision import candidate_graphs
 
@@ -63,7 +62,9 @@ def test_weight_vector_validation():
 
 
 def test_infeasible_weights():
-    with pytest.raises(Infeasible):
+    # weight on node 1 alone: no edge can carry it
+    message = "degree equations admit no non-negative solution"
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
         solve_w_matching(gen_dmax(4), [1, 0, 0, 0])
 
 

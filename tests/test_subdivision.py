@@ -15,7 +15,16 @@ from helpers import (
     pencils_against_solver,
     subdivision,
 )
-from oracles import cycle_graph, degrees, edge_count, interleaved_cycle_graph, star_graph
+import oracles
+from oracles import (
+    cycle_graph,
+    degrees,
+    edge_count,
+    interleaved_cycle_graph,
+    lp_seed_cell,
+    star_graph,
+)
+from tightspan.common import pair_table
 from tightspan.errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
 from tightspan.facevectors import f_from_h, face_report
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
@@ -253,7 +262,7 @@ def test_random_genericity_rate():
 
 
 def test_seed_cell_interleaved():
-    # seed_cell's one LP solve lands on the interleaved cycle for dmax 5, 8, 9
+    # seed_cell's descent ends on the interleaved cycle for dmax 5, 8, 9
     assert seed_cell(gen_dmax(9)).graph == interleaved_cycle_graph(9)
     assert seed_cell(gen_dmax(8)).graph == interleaved_cycle_graph(8)
     assert seed_cell(gen_dmax(5)).graph == interleaved_cycle_graph(5)
@@ -280,21 +289,19 @@ def test_seed_cell_on_generic_random_metrics(n, seed):
 def test_seed_weights_off_every_wall(monkeypatch):
     # a wall of the matching LP is sum_A w = sum_B w on the two sides of a
     # tree (w_v = 0 for a single node), so no nonzero signed sum may vanish
-    import tightspan.matching as matching
-
     seen = []
-    solve = matching.solve_w_matching
+    solve = oracles.solve_w_matching
 
     def recording(d, w):
         fm = solve(d, w)
         seen.append((list(w), fm))
         return fm
 
-    monkeypatch.setattr(matching, "solve_w_matching", recording)
+    monkeypatch.setattr(oracles, "solve_w_matching", recording)
     for n in range(3, 11):
         for d in (gen_dmin(n), gen_dmax(n)):
-            seed_cell(d)
-            [(w, fm)] = seen  # exactly one LP solve per seed_cell call
+            lp_seed_cell(d)
+            [(w, fm)] = seen  # exactly one LP solve per lp_seed_cell call
             seen.clear()
             assert len(w) == n
             # a nondegenerate basis: all n basic variables are positive
@@ -319,12 +326,14 @@ def test_seed_weights_off_every_wall(monkeypatch):
 )
 def test_lp_seed_is_the_one_cell_without_a_down_edge(name):
     # the traversal starts at node 1's star-plus-pair cell and orients each
-    # ridge by its own pencil; the matching LP, solved at the same weight,
-    # must land on the minimum of w.lambda, the one cell with no down edge
+    # ridge by its own pencil; the descent, on the same pivot, and the
+    # matching LP, which shares no code with it, solved at the same weight,
+    # must both land on the minimum of w.lambda, the one cell with no down edge
     d = metric(name)
     S = compute_subdivision(d)
     [bottom] = [c for c in S.maximal_cells if c.down == 0]
-    assert S.generic and seed_cell(d).graph == bottom.graph
+    assert S.generic
+    assert seed_cell(d) == lp_seed_cell(d) == bottom._replace(down=None)
 
 
 def test_first_cell_is_a_star_plus_the_pair_of_least_gromov_product():
@@ -708,7 +717,41 @@ def test_seed_support_off_the_candidates_raises(monkeypatch):
     break_lp_support(monkeypatch)
     assert subdivision("hires-7.1").generic
     with pytest.raises(PreconditionViolated):
-        seed_cell(metric("hires-7.1"))
+        lp_seed_cell(metric("hires-7.1"))
+
+
+def test_descent_pivot_off_the_candidates_raises(monkeypatch):
+    # a down ridge completed by a pair with sigma_i + sigma_j = 0 (two tree
+    # nodes of opposite colour: an even cycle, or a ridge edge again) is no
+    # candidate; only a broken ratio test could pick it, and the descent's
+    # guard must refuse it as the traversal's does
+    import tightspan.subdivision as sd
+
+    pivot = sd._pivot_entering
+
+    def off_the_candidates(n, dnum, lam, sigma, tree):
+        for p, (i, j) in enumerate(pair_table(n)):
+            if sigma[i - 1] and sigma[i - 1] + sigma[j - 1] == 0:
+                return [p], 0, True
+        return pivot(n, dnum, lam, sigma, tree)
+
+    d = metric("hires-7.1")
+    assert seed_cell(d).graph != sd._first_cell(d)  # the descent takes a step
+    monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)
+    with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
+        seed_cell(d)
+
+
+def test_descent_returns_the_cell_of_a_ratio_test_tie():
+    # gen_random(5, 2, 100) has a strict first cell, but a step of its
+    # descent ties: the entered cell meets d with equality off its graph
+    import tightspan.subdivision as sd
+
+    d = gen_random(5, 2, 100)
+    assert isinstance(lambda_certificate(d, sd._first_cell(d)), Cell)
+    cert = seed_cell(d)
+    assert isinstance(cert, DegeneracyReport)
+    assert_equality_witness(d, (cert.graph, cert.pair))
 
 
 def test_pivot_off_the_candidates_raises(monkeypatch):
