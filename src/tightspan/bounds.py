@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .common import Verdict
-from .errors import BadArity, OutOfRange
+from .errors import PreconditionViolated
 from .metrics import Metric
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,9 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
 def F_bound(n: int, k: int) -> int:
     """Largest possible number of k-faces of a tight span on n points, n >= 1."""
     if n < 1:
-        raise BadArity("face bound stated for n >= 1")
+        raise PreconditionViolated("face bound stated for n >= 1")
     if not 0 <= k <= n // 2:
-        raise OutOfRange(f"k must lie in 0..{n // 2} for n={n}")
+        raise PreconditionViolated(f"k must lie in 0..{n // 2} for n={n}")
     value = Fraction(2) ** (n - 2 * k - 1) * Fraction(n, n - k) * comb(n - k, k)
     if value.denominator != 1:
         raise AssertionError(f"bound formula not integral at ({n},{k}): {value}")
@@ -44,7 +44,7 @@ def f_bound_or_zero(n: int, k: int) -> int:
 def H_bound(n: int, k: int, ideal: bool) -> int:
     """Largest h-vector entry: C(n,2k), minus n at k = 1 for ideal metrics."""
     if not 0 <= k <= n // 2:
-        raise OutOfRange(f"k must lie in 0..{n // 2} for n={n}")
+        raise PreconditionViolated(f"k must lie in 0..{n // 2} for n={n}")
     value = comb(n, 2 * k)
     if ideal and k == 1:
         value -= n
@@ -54,7 +54,7 @@ def H_bound(n: int, k: int, ideal: bool) -> int:
 def lower_bound_top(n: int) -> int:
     """Guaranteed number of top faces when the tight span has dimension ceil(n/3)."""
     if n < 4:
-        raise BadArity("lower bound stated for n >= 4")
+        raise PreconditionViolated("lower bound stated for n >= 4")
     k, r = divmod(n, 3)
     if r == 0:
         return n * 3 ** (k - 2) + 3**k
@@ -87,7 +87,7 @@ def identity_sum_b(n: int, k: int, j: int) -> int:
 def identity_checks(n_max: int) -> Verdict:
     """Both alternating identities over their full valid domain up to n_max."""
     if n_max < 4:
-        raise BadArity("need n_max >= 4")
+        raise PreconditionViolated("need n_max >= 4")
     for n in range(1, n_max + 1):
         for k in range(0, n):  # the collapse needs n - k >= 1
             expected = n if k == 1 else 0

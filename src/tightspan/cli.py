@@ -36,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .common import Verdict, _quote
-from .errors import BadArity, TightSpanError
+from .errors import PreconditionViolated, TightSpanError
 from .metrics import (
     Metric,
     _require_points,
@@ -290,7 +290,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         # dmax attains every F_k(n); dmin has dimension ceil(n/3) and
         # exactly lower_bound_top(n) top faces
         if args.n_max < 4:
-            raise BadArity("need n_max >= 4")
+            raise PreconditionViolated("need n_max >= 4")
         for n in range(4, args.n_max + 1):
             low, dim_low = lower_bound_top(n), -(-n // 3)
             for gen in (gen_dmax, gen_dmin):

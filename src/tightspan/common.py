@@ -16,13 +16,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import NodeOutOfRange
+from .errors import PreconditionViolated
 
 
 def pair_index(n: int, i: int, j: int) -> int:
     """Slot of the pair {i,j} of distinct nodes in 1..n, in lexicographic order."""
     if not (0 < i <= n and 0 < j <= n) or i == j:
-        raise NodeOutOfRange(f"edge ({i},{j}) not in K_{n}")
+        raise PreconditionViolated(f"edge ({i},{j}) not in K_{n}")
     if i > j:
         i, j = j, i
     return (i - 1) * n - i * (i + 1) // 2 + j - 1

@@ -30,7 +30,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .common import Verdict
-from .errors import InapplicablePremise, NotGeneric, PreconditionViolated
+from .errors import PreconditionViolated
 from .metrics import Metric, strict_triangle_nodes, submetric
 from .subdivision import FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
 
@@ -184,7 +184,7 @@ def face_report(S: Subdivision) -> FaceReport:
     k+1-n+j down edges.  No face is listed.
     """
     if not S.generic:
-        raise NotGeneric("tight-span vectors are defined for generic metrics")
+        raise PreconditionViolated("tight-span vectors are defined for generic metrics")
     hist = down_degrees(S)
     f, f_bd, f_int = split_interior_boundary(
         f_from_h(hist).counts, f_from_h(hist[::-1]).counts
@@ -307,7 +307,7 @@ def check_inductive_step(rep: FaceReport) -> Verdict:
     cell); no face is listed and no other vector built.
     Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
     inclusion-exclusion formula for every lower k, and the boundary g-vector
-    double sum over the level h-vectors.  Raises InapplicablePremise when
+    double sum over the level h-vectors.  Raises PreconditionViolated when
     same-size restrictions disagree.
     """
     d = rep.subdivision.metric
@@ -321,7 +321,7 @@ def check_inductive_step(rep: FaceReport) -> Verdict:
             fv = f_from_h(down_degrees(compute_subdivision(dsub)))
             seen = common.setdefault(q, fv)
             if fv != seen:
-                raise InapplicablePremise(
+                raise PreconditionViolated(
                     f"{q}-node restrictions disagree: {kept} gives {fv.counts},"
                     f" expected {seen.counts}"
                 )

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .common import _quote, pair_index, pair_table
-from .errors import NodeOutOfRange
+from .errors import PreconditionViolated
 
 
 class EdgeGraph(NamedTuple):
@@ -151,8 +151,8 @@ def parse_edge_list(n: int, text: str) -> EdgeGraph:
     """Edge list in CLI form "1-2,3-4" (empty string means no edges).
 
     Each chunk is two ASCII-digit node numbers joined by "-"; any other
-    chunk raises ValueError, and a node outside 1..n NodeOutOfRange, both
-    quoting it.  A number with more digits than n is out of range unread.
+    chunk raises ValueError, and a node outside 1..n PreconditionViolated,
+    both quoting it.  A number with more digits than n is out of range unread.
     """
     text = text.strip()
     if not text:
@@ -164,6 +164,6 @@ def parse_edge_list(n: int, text: str) -> EdgeGraph:
             raise ValueError(f"bad edge {_quote(chunk)}: expected i-j")
         ends = [v.lstrip("0") for v in match.groups()]
         if any(len(v) > len(str(n)) or not 1 <= int(v or 0) <= n for v in ends):
-            raise NodeOutOfRange(f"bad edge {_quote(chunk)}: nodes must lie in 1..{n}")
+            raise PreconditionViolated(f"bad edge {_quote(chunk)}: nodes must lie in 1..{n}")
         edges.append((int(ends[0]), int(ends[1])))
     return EdgeGraph.from_edges(n, edges)

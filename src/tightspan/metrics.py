@@ -26,14 +26,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .common import _int_of, _quote, format_rational, num_pairs, pair_index, pair_table
 from .common import parse_rational
-from .errors import (
-    AsymmetricInput,
-    BadArity,
-    NodeOutOfRange,
-    NonzeroDiagonal,
-    PreconditionViolated,
-    SubsetTooSmall,
-)
+from .errors import PreconditionViolated
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import EdgeGraph
@@ -91,13 +84,13 @@ def validate_metric(table: Sequence[Sequence[object]]) -> Metric:
     rows = [[parse_rational(x) for x in row] for row in table]
     for row in rows:
         if len(row) != n:
-            raise AsymmetricInput("table is not square")
+            raise PreconditionViolated("table is not square")
     for i in range(n):
         if rows[i][i] != 0:
-            raise NonzeroDiagonal(f"d({i + 1},{i + 1}) = {rows[i][i]} != 0")
+            raise PreconditionViolated(f"d({i + 1},{i + 1}) = {rows[i][i]} != 0")
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                raise AsymmetricInput(
+                raise PreconditionViolated(
                     f"d({i + 1},{j + 1}) = {rows[i][j]} but d({j + 1},{i + 1}) = {rows[j][i]}"
                 )
     return _metric(n, tuple(rows[i - 1][j - 1] for i, j in pair_table(n)))
@@ -107,7 +100,7 @@ def metric_from_upper(n: int, upper: Sequence[object]) -> Metric:
     """Metric from an upper-triangle entry list in lexicographic pair order, 3 <= n <= 64."""
     _require_points(n)
     if len(upper) != num_pairs(n):
-        raise BadArity(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
+        raise PreconditionViolated(f"expected {num_pairs(n)} entries for n={n}, got {len(upper)}")
     return _metric(n, tuple(parse_rational(x) for x in upper))
 
 
@@ -123,9 +116,9 @@ _MAX_POINTS = 64  # far past any subdivision in reach: traversal time doubles pe
 def _require_points(n: int) -> None:
     """Refuse an n outside 3.._MAX_POINTS before any pair is built."""
     if n < 3:
-        raise BadArity(f"need at least 3 points, got {_quote(n)}")
+        raise PreconditionViolated(f"need at least 3 points, got {_quote(n)}")
     if n > _MAX_POINTS:
-        raise BadArity(f"need n <= {_MAX_POINTS}, got {_quote(n)}")
+        raise PreconditionViolated(f"need n <= {_MAX_POINTS}, got {_quote(n)}")
 
 
 def gen_dmax(n: int) -> Metric:
@@ -141,7 +134,7 @@ def gen_dgamma(n: int, graph: EdgeGraph) -> Metric:
     """Graph-weighted metric: distance 2 on edges of the graph, dmax values elsewhere."""
     _require_points(n)
     if graph.n != n:
-        raise NodeOutOfRange(f"graph on {graph.n} nodes cannot weight a {n}-point metric")
+        raise PreconditionViolated(f"graph on {graph.n} nodes cannot weight a {n}-point metric")
     upper = tuple(
         Fraction(2) if graph.has_edge(i, j) else Fraction(1) + Fraction(1, n * n + i * n + j)
         for i, j in pair_table(n)
@@ -175,12 +168,14 @@ def gen_dmin(n: int) -> Metric:
 
 
 def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
-    """Deterministic random metric with entries 1 + k/resolution, k in [1, resolution/n].
+    """Deterministic random metric with entries 1 + k/resolution.
 
-    All entries lie in (1, 1 + 1/n], so any two are within a factor below 2
-    and the triangle inequality holds structurally.  Genericity is not
-    guaranteed; test it.  resolution 0 means the default max(10^4, n^4); a
-    negative one raises PreconditionViolated.
+    k lies in [1, max(1, resolution // n)], so below resolution n every entry
+    is 1 + 1/resolution.  All entries lie in (1, 1 + max(1/n, 1/resolution)],
+    inside (1, 2], so any two sum to more than 2, which no third exceeds:
+    the triangle inequality holds structurally.  Genericity is not guaranteed; test it.
+    resolution 0 means the default max(10^4, n^4); a negative one raises
+    PreconditionViolated.
     """
     _require_points(n)
     if resolution < 0:
@@ -199,10 +194,10 @@ def submetric(d: Metric, nodes: Iterable[int]) -> Metric:
     """Metric induced on a node subset, relabeled 1..|S| preserving order."""
     subset = sorted(set(nodes))
     if len(subset) < 3:
-        raise SubsetTooSmall(f"need at least 3 nodes, got {len(subset)}")
+        raise PreconditionViolated(f"need at least 3 nodes, got {len(subset)}")
     for v in subset:
         if not (1 <= v <= d.n):
-            raise NodeOutOfRange(f"node {v} not in 1..{d.n}")
+            raise PreconditionViolated(f"node {v} not in 1..{d.n}")
     m = len(subset)
     upper = tuple(
         d.d(subset[i - 1], subset[j - 1]) for i, j in pair_table(m)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .common import Verdict, num_pairs, pair_table, pivot
-from .errors import NonSimple, ScaleExceeded
+from .errors import PreconditionViolated
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import node_edge_masks
 from .metrics import Metric
@@ -104,7 +104,7 @@ def enumerate_vertices(d: Metric) -> tuple[PrimalVertex, ...]:
     """
     n = d.n
     if n > 7:
-        raise ScaleExceeded("vertex enumeration is capped at n = 7")
+        raise PreconditionViolated("vertex enumeration is capped at n = 7")
     rows = _constraints(n)
     dnum, denom = d.scaled
     b = list(dnum) + [0] * n
@@ -212,7 +212,7 @@ def h_by_outdegree(poset: BoundedFacePoset) -> tuple[int, ...]:
     count bounded edges.
     """
     if any(not v.simple for v in poset.vertices):
-        raise NonSimple("out-degree counts require a simple polyhedron")
+        raise PreconditionViolated("out-degree counts require a simple polyhedron")
 
     def key(vid: int):
         x = poset.vertices[vid].coords
@@ -242,13 +242,13 @@ def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     tight mask is the cell's graph must all agree; the first difference
     fails the verdict, its witness a message naming it.  d is the metric of
     rep's subdivision, and faces rep.faces, listed here unless the caller
-    has it.  Above n = 6 it cannot run and raises ScaleExceeded; a non-simple
-    polyhedron raises NonSimple.
+    has it.  Above n = 6, or on a non-simple polyhedron, it cannot run and
+    raises PreconditionViolated.
     """
     d = rep.subdivision.metric
     n = d.n
     if n > 6:
-        raise ScaleExceeded("crosscheck is capped at n = 6")
+        raise PreconditionViolated("crosscheck is capped at n = 6")
     F, tv = rep.faces if faces is None else faces, rep.span
 
     poset = bounded_faces(d)

@@ -64,7 +64,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import _str_of, num_pairs, pair_index, pair_table
-from .errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
+from .errors import DegenerateRidge, PreconditionViolated
 from .graphs import (
     EdgeGraph,
     _join,
@@ -402,12 +402,13 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     certificate.  The result is non-generic when some candidate yields an
     off-graph equality, or when a strict certificate touches a corner of the
     positive orthant (a zero height, reported with the diagonal pair (i,i)).
-    The pool has 937,440 candidates at n = 8; above that ScaleExceeded.  A
-    generic result whose volumes miss 2^(n-1) - n raises DegenerateRidge.
+    The pool has 937,440 candidates at n = 8; above that it raises
+    PreconditionViolated.  A generic result whose volumes miss 2^(n-1) - n
+    raises DegenerateRidge.
     """
     n = d.n
     if n > 8:
-        raise ScaleExceeded("cell enumeration is capped at n = 8")
+        raise PreconditionViolated("cell enumeration is capped at n = 8")
     pool = candidate_graphs(n)
     dnum, D = d.scaled
     if jobs > 1:
@@ -725,12 +726,12 @@ def _down_masks(S: Subdivision) -> list[int]:
     Cells are the vertices of the simple polyhedron dual to S, and the seed
     weight w, positive on its recession cone, ties no two adjacent cells in
     w.lambda.  An edge of a cell is down when its ridge lies in a lower cell,
-    else up (boundary ridges too).  A non-generic S raises NotGeneric, as
-    face_report does, and a cell of lambda_certificate, which carries no
-    orientation, PreconditionViolated.
+    else up (boundary ridges too).  A non-generic S, as in face_report, and a
+    cell of lambda_certificate, which carries no orientation, raise
+    PreconditionViolated.
     """
     if not S.generic:
-        raise NotGeneric("face closure requires a generic subdivision")
+        raise PreconditionViolated("face closure requires a generic subdivision")
     downs = [cell.down for cell in S.maximal_cells]
     if None in downs:
         raise PreconditionViolated(
@@ -806,7 +807,7 @@ def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]
         if compute_subdivision(d).generic:
             out.append((seed, d))
     if len(out) < count:
-        raise NotGeneric(f"only {len(out)} generic metrics found in {_MAX_TRIES} seeds")
+        raise PreconditionViolated(f"only {len(out)} generic metrics found in {_MAX_TRIES} seeds")
     return tuple(out)
 
 

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tightspan.common import Verdict, num_pairs, pair_table, pivot
-from tightspan.errors import NodeOutOfRange, PreconditionViolated
+from tightspan.errors import PreconditionViolated
 from tightspan.graphs import EdgeGraph, _join, cell_components, node_edge_masks
 from tightspan.metrics import Metric, _square
 from tightspan.subdivision import Cell, DegeneracyReport, _seed_weight, lambda_certificate
@@ -519,7 +519,7 @@ def shift_by_isolated(d: Metric, shifts: Iterable[IsolatedDistance]) -> list[lis
     for shift in shifts:
         i = shift.node - 1
         if not (0 <= i < d.n):
-            raise NodeOutOfRange(f"node {shift.node} not in 1..{d.n}")
+            raise PreconditionViolated(f"node {shift.node} not in 1..{d.n}")
         for j in range(d.n):
             if j != i:
                 table[i][j] += shift.value

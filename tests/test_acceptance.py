@@ -20,7 +20,7 @@ from tightspan.bounds import (
     identity_checks,
     lower_bound_top,
 )
-from tightspan.errors import InapplicablePremise
+from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import (
     FVector,
     check_asff,
@@ -222,5 +222,5 @@ def test_criterion_10_negative_controls():
         assert pair == (1, 1) and edge_count(graph) == 4
         assert not check_dehn_sommerville(h_from_f(FVector((6, 12, 7))))
         assert not check_dehn_sommerville(h_from_f(FVector((6, 13, 8))))
-        with pytest.raises(InapplicablePremise):
+        with pytest.raises(PreconditionViolated, match="-node restrictions disagree: "):
             check_inductive_step(report("rand-7.1"))

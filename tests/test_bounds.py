@@ -17,7 +17,7 @@ from tightspan.bounds import (
     verify_metric_against_bounds,
 )
 from tightspan.common import Verdict
-from tightspan.errors import BadArity, OutOfRange
+from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import TightSpanVectors, face_report
 from tightspan.metrics import gen_dmax, gen_dmin
 from tightspan.subdivision import compute_subdivision
@@ -30,16 +30,16 @@ def test_f_bound_values():
 
 
 def test_f_bound_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionViolated, match=r"^k must lie in 0\.\.3 for n=6$"):
         F_bound(6, 4)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionViolated, match=r"^k must lie in 0\.\.3 for n=6$"):
         F_bound(6, -1)
 
 
 def test_f_bound_refuses_an_empty_point_set():
     # n = 0 would divide by n - k = 0; the small n that the recursion reads keep their values
     for bound, n in ((F_bound, 0), (F_bound, -1), (f_bound_or_zero, 0)):
-        with pytest.raises(BadArity, match="n >= 1"):
+        with pytest.raises(PreconditionViolated, match="^face bound stated for n >= 1$"):
             bound(n, 0)
     assert (F_bound(1, 0), F_bound(2, 0), F_bound(2, 1)) == (1, 2, 1)
 
@@ -80,7 +80,7 @@ def test_lower_bound_top_values():
     assert lower_bound_top(7) == 3
     assert lower_bound_top(4) == 1
     assert lower_bound_top(9) == 9 * 3 + 27
-    with pytest.raises(BadArity):
+    with pytest.raises(PreconditionViolated, match="^lower bound stated for n >= 4$"):
         lower_bound_top(3)
 
 
@@ -96,7 +96,7 @@ def test_bound_report_three_points(monkeypatch):
 
     monkeypatch.setattr(bounds, "lower_bound_top", unstated)
     assert verify_metric_against_bounds(d, tv) == Verdict(True)
-    with pytest.raises(BadArity):
+    with pytest.raises(PreconditionViolated, match="^lower bound stated for n >= 4$"):
         lower_bound_top(3)
 
 

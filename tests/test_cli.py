@@ -28,7 +28,7 @@ from helpers import (
 )
 from tightspan.cli import main
 from tightspan.common import Verdict, parse_rational
-from tightspan.errors import DegenerateRidge, NonSimple
+from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
     gen_dmax,
@@ -292,7 +292,7 @@ def test_compute_three_points(kind, tmp_path, capsys):
 
 
 def _non_simple(poset):
-    raise NonSimple("out-degree counts require a simple polyhedron")
+    raise PreconditionViolated("out-degree counts require a simple polyhedron")
 
 
 @pytest.mark.parametrize(
@@ -317,8 +317,8 @@ def test_compute_failed_check_exits_4_with_its_witness(
     attr, broken, check, witness, four_points_file, capsys, monkeypatch
 ):
     # a check that returns a failed Verdict and one that cannot run (the real
-    # crosscheck, raising NonSimple) both fail only their own row, and JSON
-    # carries the witness or the message
+    # crosscheck, refusing a non-simple polyhedron) both fail only their own
+    # row, and JSON carries the witness or the message
     monkeypatch.setattr("tightspan." + attr, broken)
     argv = ["compute", four_points_file, "--oracle", "--no-timestamp"]
     assert main(argv) == 4
@@ -956,19 +956,24 @@ def test_verify_oracle_random_disagreement_is_a_fail_row(capsys, monkeypatch):
     assert rows[-1] == "suite oracle-random: FAIL"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--suite", "oracle-random", "--n", "4", "--count", "401"],  # NotGeneric
-        ["--suite", "oracle-random", "--n", "2"],  # BadArity
-        ["--suite", "identities", "--n-max", "2"],  # BadArity
-        ["--suite", "bounds", "--n-max", "3"],  # BadArity
-        ["--suite", "oracle-random", "--n", "7"],  # above the crosscheck cap
-        ["--suite", "oracle-random", "--count", "0"],  # nothing to check
-    ],
-)
+_ORACLE_RANGE = "error: oracle-random requires 3 <= --n <= 6 and --count >= 1\n"
+_N_MAX = "error: PreconditionViolated: need n_max >= 4\n"
+# verify's arguments -> its whole stderr
+_REFUSED = {
+    ("--suite", "oracle-random", "--n", "4", "--count", "401"): (
+        "error: PreconditionViolated: only 399 generic metrics found in 400 seeds\n"
+    ),
+    ("--suite", "oracle-random", "--n", "2"): _ORACLE_RANGE,  # the CLI's own pre-check
+    ("--suite", "identities", "--n-max", "2"): _N_MAX,
+    ("--suite", "bounds", "--n-max", "3"): _N_MAX,
+    ("--suite", "oracle-random", "--n", "7"): _ORACLE_RANGE,  # above the crosscheck cap
+    ("--suite", "oracle-random", "--count", "0"): _ORACLE_RANGE,  # nothing to check
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED))
 def test_verify_bad_arguments_exit_2(argv, capsys):
     assert main(["verify", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err == _REFUSED[argv]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import faces, metric, report, tsv
-from tightspan.errors import InapplicablePremise, NotGeneric, PreconditionViolated
+from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import (
     FVector,
     check_asff,
@@ -101,7 +101,9 @@ def test_tightspan_requires_generic():
 
     d = metric("ideal")
     S = enumerate_cells(d)
-    with pytest.raises(NotGeneric):
+    with pytest.raises(
+        PreconditionViolated, match="^tight-span vectors are defined for generic metrics$"
+    ):
         face_report(S)
 
 
@@ -149,13 +151,13 @@ def test_inductive_step_dmax():
 
 
 def test_inductive_step_needs_n5():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^inductive formulas need n >= 5$"):
         check_inductive_step(report("4points"))
 
 
 def test_inductive_step_detects_mixed_restrictions():
     d = gen_random(7, 1)
-    with pytest.raises(InapplicablePremise):
+    with pytest.raises(PreconditionViolated, match="-node restrictions disagree: "):
         check_inductive_step(face_report(compute_subdivision(d)))
 
 

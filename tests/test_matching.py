@@ -55,9 +55,9 @@ def test_fractional_weights():
 
 
 def test_weight_vector_validation():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^weight vector must have length 4$"):
         solve_w_matching(gen_dmax(4), [1, 1, 1])
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^weights must be non-negative$"):
         solve_w_matching(gen_dmax(4), [1, -1, 1, 1])
 
 
@@ -120,9 +120,10 @@ def test_oddpath_counterexample():
 
 def test_oddpath_preconditions():
     d = gen_dmax(4)
-    with pytest.raises(PreconditionViolated):
+    refusal = "^criterion needs a connected spanning n-edge graph without even tours$"
+    with pytest.raises(PreconditionViolated, match=refusal):
         is_cell_oddpath(d, cycle_graph(4, [1, 2, 3, 4]))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=refusal):
         is_cell_oddpath(d, EdgeGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
 
 
@@ -147,7 +148,7 @@ def test_alternating_cycle_vector_balances_degrees():
 
 
 def test_alternating_cycle_vector_rejects_odd():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^alternating vectors need an even cycle$"):
         alternating_cycle_vector(5, [1, 2, 3])
 
 
@@ -204,7 +205,7 @@ def test_b11_structures_hold(gen, n, b):
 
 
 def test_b11_rejects_bad_b():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^b must be a positive integer$"):
         b11_classify(gen_dmax(4), 0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^b must be a positive integer$"):
         b11_classify(gen_dmax(4), Fraction(3, 2))

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import metric
 from oracles import IsolatedDistance, check_dmax_property, covered_nodes, shift_by_isolated
-from tightspan.errors import (
-    AsymmetricInput,
-    BadArity,
-    NodeOutOfRange,
-    NonzeroDiagonal,
-    PreconditionViolated,
-    SubsetTooSmall,
-)
+from tightspan.errors import PreconditionViolated
 from tightspan.graphs import EdgeGraph, empty_graph
 from tightspan.metrics import (
     dmin_graph,
@@ -51,20 +44,20 @@ def test_validate_triangle_violation_flag():
 
 
 def test_validate_rejections():
-    with pytest.raises(BadArity):
+    with pytest.raises(PreconditionViolated, match="^need at least 3 points, got 2$"):
         validate_metric([[0, 1], [1, 0]])
-    with pytest.raises(AsymmetricInput):
+    with pytest.raises(PreconditionViolated, match=r"^d\(1,3\) = 2 but d\(3,1\) = 99$"):
         validate_metric([[0, 1, 2], [1, 0, 3], [99, 3, 0]])
-    with pytest.raises(NonzeroDiagonal):
+    with pytest.raises(PreconditionViolated, match=r"^d\(2,2\) = 7 != 0$"):
         validate_metric([[0, 1, 2], [1, 7, 3], [2, 3, 0]])
-    with pytest.raises(AsymmetricInput):
+    with pytest.raises(PreconditionViolated, match="^table is not square$"):
         validate_metric([[0, 1, 2], [1, 0], [2, 3, 0]])
 
 
 def test_validate_refuses_65_points():
     # as metric_from_upper does, an n above 64 is refused before any entry is read
     table = [[0 if i == j else 1 for j in range(65)] for i in range(65)]
-    with pytest.raises(BadArity, match="need n <= 64, got 65$"):
+    with pytest.raises(PreconditionViolated, match="^need n <= 64, got 65$"):
         validate_metric(table)
 
 
@@ -104,7 +97,9 @@ def test_dgamma_all_edges_n3():
 
 
 def test_dgamma_wrong_size():
-    with pytest.raises(NodeOutOfRange):
+    with pytest.raises(
+        PreconditionViolated, match="^graph on 5 nodes cannot weight a 6-point metric$"
+    ):
         gen_dgamma(6, empty_graph(5))
 
 
@@ -141,7 +136,7 @@ def test_random_deterministic():
 def test_random_refuses_a_negative_resolution():
     # 0 keeps meaning the default resolution; below 0 is refused
     assert gen_random(5, 1, 0) == gen_random(5, 1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^resolution must be >= 0, got -3$"):
         gen_random(5, 1, -3)
 
 
@@ -185,7 +180,7 @@ def test_submetric_inherits_dmax_property():
 
 
 def test_submetric_too_small():
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(PreconditionViolated, match="^need at least 3 nodes, got 2$"):
         submetric(metric("4points"), [1, 2])
 
 
@@ -226,7 +221,7 @@ def test_strict_triangle_nodes():
 def test_out_of_range_pairs_are_refused():
     d = gen_dmax(4)
     for i, j in ((5, 1), (0, 3)):
-        with pytest.raises(NodeOutOfRange) as err:
+        with pytest.raises(PreconditionViolated, match="not in K_4$") as err:
             d.d(i, j)
         assert str(err.value) == f"edge ({i},{j}) not in K_4"
     assert d.d(2, 2) == 0
@@ -235,7 +230,7 @@ def test_out_of_range_pairs_are_refused():
 def test_out_of_range_diagonal_is_refused():
     d = gen_dmax(4)
     for i in (9, 0):
-        with pytest.raises(NodeOutOfRange) as err:
+        with pytest.raises(PreconditionViolated, match="not in K_4$") as err:
             d.d(i, i)
         assert str(err.value) == f"edge ({i},{i}) not in K_4"
     assert [d.d(i, i) for i in range(1, 5)] == [0] * 4
@@ -279,7 +274,7 @@ def test_json_rejects_a_non_integer_n(n):
 
 def test_json_rejects_a_negative_n():
     # n = -5 asks for (-5)(-6)/2 = 15 entries, as n = 6 does: the error names n
-    with pytest.raises(BadArity, match="need at least 3 points, got -5$"):
+    with pytest.raises(PreconditionViolated, match="^need at least 3 points, got -5$"):
         metric_from_json('{"n": -5, "upper": [%s]}' % ", ".join(['"1"'] * 15))
 
 
@@ -319,9 +314,14 @@ def test_json_canonical_pair_order():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 50), st.integers(3, 7))
-def test_random_triangle_structural(seed, n):
-    assert gen_random(n, seed).satisfies_triangle
+@given(st.integers(1, 50), st.integers(3, 7), st.data())
+def test_random_triangle_structural(seed, n, data):
+    # every entry is at most 1 + 1/n, or 1 + 1/resolution below resolution n
+    resolution = data.draw(st.integers(0, n**4), label="resolution")
+    d = gen_random(n, seed, resolution)
+    r = resolution or max(10_000, n**4)
+    assert all(1 < e <= 1 + max(Fraction(1, n), Fraction(1, r)) <= 2 for e in d.entries)
+    assert d.satisfies_triangle
 
 
 @settings(max_examples=20, deadline=None)

@@ -91,6 +91,15 @@ def test_every_exception_class_is_raised_and_defined_in_errors():
     assert sorted(defined - {"TightSpanError"} - raised) == []
 
 
+def test_errors_defines_one_class_per_meaning_a_caller_acts_on():
+    # a refused input and a broken invariant: no caller tells two refusals
+    # apart, so their messages name the reason, not their classes
+    path = Path(tightspan.__file__).parent / "errors.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert defined == ["TightSpanError", "PreconditionViolated", "DegenerateRidge"]
+
+
 def test_submodules_resolve_on_first_access():
     # the attribute path the benchmark reads: tightspan.<submodule>.<name>
     code = (

@@ -15,7 +15,7 @@ from helpers import (
     vertices_by_bases,
 )
 from tightspan.common import pair_table
-from tightspan.errors import NonSimple, ScaleExceeded
+from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import FVector, face_report
 from tightspan.metrics import (
     gen_dmax,
@@ -300,7 +300,9 @@ def test_outdegree_h_is_the_down_degree_histogram(name):
 
 
 def test_outdegree_refuses_non_simple():
-    with pytest.raises(NonSimple):
+    with pytest.raises(
+        PreconditionViolated, match="^out-degree counts require a simple polyhedron$"
+    ):
         h_by_outdegree(bounded_faces(metric("ideal")))
 
 
@@ -364,10 +366,10 @@ def test_crosscheck_catches_each_disagreement(part, message, monkeypatch):
 
 
 def test_crosscheck_caps_scale():
-    with pytest.raises(ScaleExceeded):
+    with pytest.raises(PreconditionViolated, match="^crosscheck is capped at n = 6$"):
         crosscheck(report("dmax-7"))
 
 
 def test_scale_cap_vertices():
-    with pytest.raises(ScaleExceeded):
+    with pytest.raises(PreconditionViolated, match="^vertex enumeration is capped at n = 7$"):
         enumerate_vertices(gen_dmax(8))

@@ -25,7 +25,7 @@ from oracles import (
     star_graph,
 )
 from tightspan.common import pair_table
-from tightspan.errors import DegenerateRidge, NotGeneric, PreconditionViolated, ScaleExceeded
+from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.facevectors import f_from_h, face_report
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
 from tightspan.metrics import gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric
@@ -89,9 +89,9 @@ def test_certificate_degeneracy_needs_no_violation():
 
 def test_certificate_preconditions():
     d = metric("4points")
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^certificates exist only for spanning n-edge graphs"):
         lambda_certificate(d, cycle_graph(4, [1, 2, 3, 4]))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^certificates exist only for spanning n-edge graphs"):
         lambda_certificate(d, star_graph(4, 1))
 
 
@@ -106,7 +106,7 @@ def test_certificate_preconditions():
 )
 def test_candidate_checks_reject(n, edges):
     G = EdgeGraph.from_edges(n, edges)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^certificates exist only for spanning n-edge graphs"):
         lambda_certificate(gen_dmax(n), G)
     assert cell_components(n, G.bits) is None
 
@@ -153,7 +153,7 @@ def test_solver_ends_on_every_small_mask():
     assert solved > 0
     # with 4 or more edges on 5 nodes, two trees come only beside another fault
     two_trees = EdgeGraph.from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^mask has more than one tree component$"):
         sd._solve_scaled(7, two_trees.bits, gen_dmax(7).scaled[0])
 
 
@@ -204,7 +204,7 @@ def test_enumerate_dmin6():
 
 
 def test_enumerate_threshold():
-    with pytest.raises(ScaleExceeded):
+    with pytest.raises(PreconditionViolated, match="^cell enumeration is capped at n = 8$"):
         enumerate_cells(gen_dmax(9))
 
 
@@ -692,9 +692,10 @@ def test_face_closure_refuses_a_non_generic_subdivision(cells):
     # ties in a ratio test and has none
     S = compute_subdivision(metric("ideal") if cells else gen_random(6, 5, 100))
     assert not S.generic and bool(S.maximal_cells) == cells
-    with pytest.raises(NotGeneric):
+    refusal = "^face closure requires a generic subdivision$"
+    with pytest.raises(PreconditionViolated, match=refusal):
         all_faces(S)
-    with pytest.raises(NotGeneric):
+    with pytest.raises(PreconditionViolated, match=refusal):
         down_degrees(S)
 
 
@@ -716,7 +717,9 @@ def test_seed_support_off_the_candidates_raises(monkeypatch):
     # verdict
     break_lp_support(monkeypatch)
     assert subdivision("hires-7.1").generic
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(
+        PreconditionViolated, match="^certificates exist only for spanning n-edge graphs"
+    ):
         lp_seed_cell(metric("hires-7.1"))
 
 
@@ -904,7 +907,7 @@ def test_face_closure_refuses_cells_without_down_edges():
         bare = tuple(lambda_certificate(S.metric, cell.graph) for cell in S.maximal_cells)
         assert bare == tuple(cell._replace(down=None) for cell in S.maximal_cells)
     for closure in (down_degrees, all_faces):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^face closure needs the down edges"):
             closure(S._replace(maximal_cells=bare))
 
 
