@@ -13,6 +13,7 @@ import argparse
 import sys
 from collections import Counter
 
+from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import face_report
 from tightspan.metrics import gen_random
 from tightspan.subdivision import compute_subdivision
@@ -24,6 +25,15 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--resolution", type=int, default=0)
     args = ap.parse_args()
+    if args.seeds < 1:
+        print("error: --seeds must be >= 1", file=sys.stderr)
+        return 2
+    try:  # the generator's own checks of n and the resolution, before any output
+        for n in args.n:
+            gen_random(n, 1, args.resolution)
+    except PreconditionViolated as exc:
+        print(f"error: PreconditionViolated: {exc}", file=sys.stderr)
+        return 2
 
     for n in args.n:
         bad = []

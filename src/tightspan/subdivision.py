@@ -27,9 +27,13 @@ non-positive height as a pair, and whether it drops below d.  The filtration
 classifies every candidate, the traversal only its seed, with one solve:
 each further cell, heights and component count included, comes from a ridge
 pencil lam + t*sigma and its ratio test.  sigma is +-1 on the bipartition of
-the ridge's one tree component and 0 elsewhere, so a cell's adjacency, built
-and stripped of its leaves once (_ridge_pencils), gives each of its interior
-ridges' sigma by a walk of that tree alone.  A Cell keeps these integers;
+the ridge's one tree component and 0 elsewhere.  One ridge step per cell
+(_ridge_steps) builds the cell's adjacency and strips its leaves once; per
+interior ridge it makes one walk of that tree alone, which gives sigma, the
+minus nodes and w.sigma, and one ratio test, a running least bound with a
+tie flag.  The traversal and seed_cell's descent both pivot by it.  The
+tables it reads (_Tables) are looked up once per traversal.  A Cell keeps
+these integers;
 Cell.heights builds their Fractions on each read, and only certificate
 callers and the tests read it; the degeneracy certificates carry Fractions.
 
@@ -51,7 +55,8 @@ submetric on the nodes off I.
 
 subdivision_to_json writes the cell export and faces_to_json the face
 export, both from %-templates in the bytes of json.dumps(payload, indent=2)
-+ "\n"; each height prints as p/q from its integer by one gcd.
++ "\n"; each height prints as p/q from its integer by one gcd, and the text
+"/q" is built once per distinct gcd.
 """
 
 from __future__ import annotations
@@ -454,23 +459,22 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     cert = lambda_certificate(d, _first_cell(d))
     if not isinstance(cert, Cell):
         return cert
-    dnum, _ = d.scaled
-    w = _seed_weight(n)
+    tab = _tables(n, d.scaled[0])
     mask, lam = cert.graph.bits, list(cert.lam)
     while True:
-        for leaving, sigma, tree, _ in _ridge_pencils(n, mask, mask):
-            if sum([w[v] * sigma[v] for v in tree]) < 0:
+        for leaving, slots, t, lower, sigma, tree, _ in _ridge_steps(tab, mask, mask, lam):
+            if lower:
                 break
         else:  # no ridge goes down
             break
-        slots, t, _ = _pivot_entering(n, dnum, lam, sigma, tree)
         mask ^= 1 << leaving | 1 << slots[0]
         if len(slots) != 1:  # a tie: the entered cell meets d on slots[1]
             break
-        i, j = _pairs0(n)[slots[0]]
+        i, j = tab.pairs[slots[0]]
         if not sigma[i] + sigma[j]:
             raise DegenerateRidge("ridge pivot entered a non-candidate mask")
-        lam = [h + t * v for h, v in zip(lam, sigma)]
+        for v in tree:
+            lam[v] += t * sigma[v]
     return lambda_certificate(d, EdgeGraph(n, mask))
 
 
@@ -497,107 +501,156 @@ def _slot_rows(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _ridge_pencils(
-    n: int, mask: int, edges: int
-) -> Iterator[tuple[int, list[int], list[int], bool]]:
-    """The pencil of each interior ridge mask - e, e in edges, from one adjacency of the cell.
+class _Tables(NamedTuple):
+    """What every ridge step of one traversal reads, looked up once per traversal."""
 
-    mask is a candidate cell.  Its adjacency is built once, and leaves are
-    stripped once, which leaves the cycle nodes and gives every other node
-    its edge toward its component's cycle.  Without e the ridge has one tree
-    component: e's whole component when e lies on the odd cycle, else the
-    subtree on the far side of e from the cycle.  Its 2-colouring, from one
-    walk of that tree that never crosses e, is sigma of the pencil lam +
-    t*sigma (0 off the tree), +1 at e's ends in the tree, so e's slack grows
-    with t.  Yields (slot of e, sigma, tree nodes, e off the cycle) per
-    interior ridge.
+    n: int
+    pairs: tuple[tuple[int, int], ...]  # _pairs0(n)
+    rows: tuple[tuple[int, ...], ...]  # _slot_rows(n)
+    w: tuple[int, ...]  # _seed_weight(n)
+    stars: tuple[int, ...]  # node_edge_masks(n)
+    dnum2: list[int]  # 2 * dnum: d at scale 2D, as the heights
+
+
+def _tables(n: int, dnum: Sequence[int]) -> _Tables:
+    """The tables of the ridge steps on a metric whose scaled entries are dnum."""
+    return _Tables(
+        n, _pairs0(n), _slot_rows(n), _seed_weight(n), node_edge_masks(n), [2 * v for v in dnum]
+    )
+
+
+def _ridge_steps(
+    tab: _Tables, mask: int, edges: int, lam: Sequence[int]
+) -> Iterator[tuple[int, list[int], int, bool, list[int], list[int], bool]]:
+    """The ridge pivot across each interior ridge mask - e, e in edges, of one cell.
+
+    mask is a candidate cell and lam its heights at scale 2D, strict off the
+    graph.  Its adjacency is built once, and leaves are stripped once, which
+    leaves the cycle nodes and gives every other node its neighbour toward
+    its component's cycle.  Without e the ridge has one tree component: e's
+    whole component when e lies on the odd cycle, else the subtree on the
+    far side of e from the cycle.  One walk of that tree, from e's ends in
+    it and never back across e, 2-colours it: sigma of the pencil lam +
+    t*sigma, +1 at those ends, so e's slack grows with t, and 0 off the
+    tree.  The walk also lists the minus nodes.
+
+    The cell is strict, so only a pair with s = sigma_i + sigma_j < 0 bounds
+    t, from above by slack/-s: minus-minus pairs (s = -2) and minus-zero
+    pairs (s = -1), none of them a ridge edge.  The ratio test keeps the
+    least bound, at the common denominator 2, and a tie flag; only on a tie
+    does it list every slot of the least bound.  The neighbour's heights
+    are lam + t*sigma, and every other pair stays strictly above d, so the
+    neighbour needs no classifying.  lower is w.sigma < 0: the neighbour,
+    at t > 0, is lower in w.lambda.  An unbounded pencil raises
+    DegenerateRidge.
+
+    Yields (slot of e, entering slots, t, lower, sigma, tree nodes, e off
+    the cycle) per interior ridge.  The entering slots are those of the
+    least bound in slot order: one, or more on a ratio-test tie, where the
+    neighbour meets d with equality on the second.
     """
     if not edges:
         return
-    pairs = _pairs0(n)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for low in _edge_bits(mask):
-        p = low.bit_length() - 1
-        i, j = pairs[p]
-        adj[i].append((j, p))
-        adj[j].append((i, p))
+    n, pairs, rows, w, stars, dnum2 = tab
+    adj: list[list[int]] = [[] for _ in range(n)]
+    bits = mask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i, j = pairs[low.bit_length() - 1]
+        adj[i].append(j)
+        adj[j].append(i)
     degree = [len(a) for a in adj]
-    # the ridge is interior (spanning, no full star) when both ends of e keep
-    # an edge and it is no full star
-    stars = node_edge_masks(n)
-    ridges = []
-    for low in _edge_bits(edges):
-        e = low.bit_length() - 1
-        a, b = pairs[e]
-        if degree[a] > 1 and degree[b] > 1 and mask ^ low not in stars:
-            ridges.append(e)
-    up = [-1] * n  # slot of each node's edge toward its cycle; -1 on the cycle
-    leaves = [v for v in range(n) if degree[v] == 1]
+    # the ridge is interior (spanning, no full star) unless e is a leaf's
+    # edge or the one edge off a node's full star
+    leaves = []
+    boundary = 0
+    for v, k in enumerate(degree):
+        if k == 1:
+            leaves.append(v)
+            boundary |= 1 << rows[v][adj[v][0]]
+        elif k == n - 1:
+            boundary |= mask & ~stars[v]
+    ridges = edges & ~boundary
+    if not ridges:
+        return
+    up = [-1] * n  # each node's neighbour toward its cycle; -1 on the cycle
     for v in leaves:  # the list grows while it is read
         degree[v] = 0
-        for u, p in adj[v]:
+        for u in adj[v]:
             if degree[u]:
-                up[v] = p
+                up[v] = u
                 degree[u] -= 1
                 if degree[u] == 1:
                     leaves.append(u)
-    for e in ridges:
+    weight = w.__getitem__
+    while ridges:
+        low = ridges & -ridges
+        ridges ^= low
+        e = low.bit_length() - 1
         a, b = pairs[e]
-        root = b if up[b] == e else a
         sigma = [0] * n
-        sigma[root] = 1
-        tree = [root]
+        # e's ends in the tree start at +1; e's end off it is marked as
+        # reached, so the walk never crosses e, and cleared after
+        if up[b] == a:
+            tree, far = [b], a
+        elif up[a] == b:
+            tree, far = [a], b
+        else:
+            tree, far = [a, b], -1
+        for v in tree:
+            sigma[v] = 1
+        if far >= 0:
+            sigma[far] = 2
+        minus = []
         for v in tree:  # the list grows while it is read
-            flip = -sigma[v]
-            for u, p in adj[v]:
-                if not sigma[u] and p != e:
-                    sigma[u] = flip
-                    tree.append(u)
-        yield e, sigma, tree, up[a] == e or up[b] == e
-
-
-def _pivot_entering(
-    n: int, dnum: Sequence[int], lam: list[int], sigma: list[int], tree: list[int]
-) -> tuple[list[int], int, bool]:
-    """The neighbour across a ridge: (entering slots, t, lower).
-
-    lam holds the current cell's heights, the point t = 0 of the ridge pencil
-    lam + t*sigma, and sigma (nonzero on the tree nodes) is signed so that
-    the leaving pair's slack grows with t.  The cell is strict, so only a
-    pair with s = sigma_i + sigma_j < 0 bounds t, from above by slack/-s:
-    minus-minus pairs (s = -2) and minus-zero pairs (s = -1), none of them a
-    ridge edge.  The bounds are compared at their common denominator 2, and
-    the least one enters; the neighbour's heights are lam + t*sigma.  Every
-    other pair stays strictly above d, so the neighbour needs no
-    classifying.  The slots are those of the least bound in slot order: one,
-    or more on a ratio-test tie, where the neighbour meets d with equality
-    on the second.  lower is w.sigma < 0: the neighbour, at t > 0, is lower
-    in w.lambda.
-    """
-    rows = _slot_rows(n)
-    minus = [v for v in tree if sigma[v] < 0]
-    zero = [v for v in range(n) if not sigma[v]]
-    # (2 * bound, slot): the slack at s = -2, twice the slack at s = -1
-    bounds = [
-        (lam[i] + lam[j] - 2 * dnum[p], p)
-        for i in minus
-        for j in minus
-        if i < j
-        for p in (rows[i][j],)
-    ]
-    bounds += [
-        (2 * (lam[i] + lam[j] - 2 * dnum[p]), p)
-        for i in minus
-        for j in zero
-        for p in (rows[i][j],)
-    ]
-    if not bounds:
-        raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
-    least = min(bounds)[0]
-    slots = sorted([p for bound, p in bounds if bound == least])
-    w = _seed_weight(n)
-    # exact: both cells' heights are integers at scale 2D
-    return slots, least // 2, sum([w[v] * sigma[v] for v in tree]) < 0
+            if sigma[v] > 0:
+                for u in adj[v]:
+                    if not sigma[u]:
+                        sigma[u] = -1
+                        tree.append(u)
+                        minus.append(u)
+            else:
+                for u in adj[v]:
+                    if not sigma[u]:
+                        sigma[u] = 1
+                        tree.append(u)
+        if far >= 0:
+            sigma[far] = 0
+        zero = [v for v in range(n) if not sigma[v]] if len(tree) < n else ()
+        # 2 * bound: the slack at s = -2, twice the slack at s = -1
+        least = slot = None
+        tie = False
+        for k, i in enumerate(minus):
+            row = rows[i]
+            h = lam[i]
+            for j in minus[k + 1 :]:
+                p = row[j]
+                g = h + lam[j] - dnum2[p]
+                if least is None or g < least:
+                    least, slot, tie = g, p, False
+                elif g == least:
+                    tie = True
+            for j in zero:
+                p = row[j]
+                g = 2 * (h + lam[j] - dnum2[p])
+                if least is None or g < least:
+                    least, slot, tie = g, p, False
+                elif g == least:
+                    tie = True
+        if least is None:
+            raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
+        slots = [slot]
+        if tie:
+            slots = sorted(
+                [p for i in minus for j in minus if i < j for p in (rows[i][j],)
+                 if lam[i] + lam[j] - dnum2[p] == least]
+                + [p for i in minus for j in zero for p in (rows[i][j],)
+                   if 2 * (lam[i] + lam[j] - dnum2[p]) == least]
+            )
+        lower = sum(map(weight, tree)) < 2 * sum(map(weight, minus))
+        # exact: both cells' heights are integers at scale 2D
+        yield e, slots, least // 2, lower, sigma, tree, far >= 0
 
 
 def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subdivision:
@@ -606,10 +659,11 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     Only the seed is solved and classified; a seed whose heights meet d with
     equality off its graph gives a non-generic result without cells, with
     the seed graph and that pair as the witness.  Each interior ridge is
-    pivoted once, from the first of its two cells to be reached: a walk of
-    that cell gives the ridge's pencil lam + t*sigma, and the ratio test
-    gives the entering pair and t, so the neighbour's heights are lam +
-    t*sigma.  A tie on the far side ends the traversal the same way, with
+    pivoted once, from the first of its two cells to be reached, by that
+    cell's one ridge step (_ridge_steps): a walk of the ridge's tree gives
+    its pencil lam + t*sigma, and the ratio test gives the entering pair and
+    t, so the neighbour's heights are lam + t*sigma, a copy of lam changed
+    on the tree nodes only.  A tie on the far side ends the traversal the same way, with
     the neighbour's graph and the tied pair, and the near side needs no
     test, as the current cell is strict.  The entering pair's s = sigma_i +
     sigma_j must not be 0, else DegenerateRidge: only s != 0 gives a
@@ -638,13 +692,16 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
             raise PreconditionViolated("seed graph carries no strict certificate")
         return _subdivision(d, D, {}, witnesses)
 
-    pairs = _pairs0(n)
+    tab = _tables(n, dnum)
+    pairs = tab.pairs
     cells = {G.bits: [kept[0][1], c, 0, 0]}
     order = [G.bits]
     for mask in order:  # the list grows while it is read
         cell = cells[mask]
-        for leaving, sigma, tree, off_cycle in _ridge_pencils(n, mask, mask & ~cell[3]):
-            slots, t, lower = _pivot_entering(n, dnum, cell[0], sigma, tree)
+        lam = cell[0]
+        for leaving, slots, t, lower, sigma, tree, off_cycle in _ridge_steps(
+            tab, mask, mask & ~cell[3], lam
+        ):
             rmask = mask ^ 1 << leaving
             if len(slots) != 1:
                 tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
@@ -660,10 +717,11 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
                 s = sigma[i] + sigma[j]
                 if not s:
                     raise DegenerateRidge("ridge pivot entered a non-candidate mask")
-                nlam = [h + t * v for h, v in zip(cell[0], sigma)]
-                corner = _corner(nlam)
-                if corner is not None:
-                    witnesses.append((nmask, corner))
+                nlam = lam[:]
+                for v in tree:
+                    nlam[v] += t * sigma[v]
+                if min(nlam) <= 0:
+                    witnesses.append((nmask, _corner(nlam)))
                 other = cells[nmask] = [nlam, cell[1] + off_cycle - (abs(s) == 1), 0, 0]
                 order.append(nmask)
             other[3] |= entering
@@ -830,14 +888,6 @@ def _pair_texts(n: int, pad: str) -> list[str]:
     return ["%s[\n%s  %d,\n%s  %d\n%s]" % (pad, pad, i, pad, j, pad) for i, j in pair_table(n)]
 
 
-def _height_text(v: int, scale: int) -> str:
-    """v/scale as format_rational prints it, reduced by one gcd."""
-    g = math.gcd(v, scale)
-    if g == scale:
-        return _str_of(v // g)
-    return _str_of(v // g) + "/" + _str_of(scale // g)
-
-
 _CELL = """    {
       "edges": [
 %s
@@ -852,20 +902,33 @@ _CELL = """    {
 def subdivision_to_json(S: Subdivision) -> str:
     """The cells of S (edges, heights, volume) and its witness, as indented JSON text.
 
-    Each height prints as "p/q" straight from its integer over the cell's
-    scale.  A cell has n edges and n heights, so neither list is empty.  The
-    records are joined once, so the text is held twice at most.
+    Each height prints as "p/q", as format_rational prints it, straight from
+    its integer v over the cell's scale by one gcd g: p = v/g, and the text
+    "/q" of q = scale/g, empty for q = 1, is built once per distinct g.  A
+    cell has n edges and n heights, so neither list is empty.  The records
+    are joined once, so the text is held twice at most.
     """
     edge = _pair_texts(S.n, "        ")
     parts = ['{\n  "n": %d,\n  "generic": %s,\n  "cells": ' % (S.n, "true" if S.generic else "false")]
     sep = "[\n"
+    scale = None
     for cell in S.maximal_cells:
+        if cell.scale != scale:
+            scale = cell.scale
+            dens = {scale: '"'}  # g -> the height's text after p
+        heights = []
+        for v in cell.lam:
+            g = math.gcd(v, scale)
+            den = dens.get(g)
+            if den is None:
+                den = dens[g] = "/" + _str_of(scale // g) + '"'
+            heights.append(_str_of(v // g) + den)
         parts.append(sep)
         parts.append(
             _CELL
             % (
                 ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(cell.graph.bits)]),
-                ",\n".join(['        "%s"' % _height_text(v, cell.scale) for v in cell.lam]),
+                '        "' + ',\n        "'.join(heights),
                 cell.volume,
             )
         )

@@ -158,27 +158,25 @@ def break_first_cell(monkeypatch) -> None:
 
 
 def break_ridge_pivot(monkeypatch) -> None:
-    """Make the ridge pivot complete a ridge by an edge that gives no candidate.
+    """Make the ridge step complete a ridge by an edge that gives no candidate.
 
-    The ridge is read off the pencil: the pairs tight at the cell's heights
-    are its edges, and of those the pencil keeps tight (s = 0) all but the
-    leaving one.  The first edge that gives no candidate is returned when
-    the ridge has one; only a broken ratio test could pick it, and the
-    traversal's guard must refuse the mask.
+    Each step's ridge is its cell's mask less the leaving edge.  The first
+    edge that gives no candidate with it is entered when the ridge has
+    one; only a broken ratio test could pick it, and the traversal's guard
+    must refuse the mask.
     """
-    pivot = sd._pivot_entering
+    steps = sd._ridge_steps
 
-    def off_the_candidates(n, dnum, lam, sigma, tree):
-        rmask = 0
-        for p, (i, j) in enumerate(pair_table(n)):
-            if lam[i - 1] + lam[j - 1] == 2 * dnum[p] and sigma[i - 1] + sigma[j - 1] == 0:
-                rmask |= 1 << p
-        for p in range(num_pairs(n)):
-            if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
-                return [p], 0, False
-        return pivot(n, dnum, lam, sigma, tree)
+    def off_the_candidates(tab, mask, edges, lam):
+        for step in steps(tab, mask, edges, lam):
+            rmask = mask ^ 1 << step[0]
+            for p in range(num_pairs(tab.n)):
+                if not rmask >> p & 1 and cell_components(tab.n, rmask | 1 << p) is None:
+                    step = (step[0], [p], 0, False, *step[4:])
+                    break
+            yield step
 
-    monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)
+    monkeypatch.setattr(sd, "_ridge_steps", off_the_candidates)
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -343,18 +341,21 @@ def vertices_against_cells(S: Subdivision) -> tuple[dict, dict]:
 def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     """(interior ridges walked, those that differ) over every cell of generic S.
 
-    Each cell's pencils come from subdivision._ridge_pencils.  On each one,
-    sigma must be the ridge's _solve_scaled sigma up to sign, the sign that
-    makes the leaving pair's slack grow, and the tree its support; the
-    neighbour across the ridge must have the cell's cell_components count,
-    plus 1 when the leaving edge is off the cycle, minus 1 when the entering
+    Each cell's ridge steps come from subdivision._ridge_steps.  On each
+    one, sigma must be the ridge's _solve_scaled sigma up to sign, the sign
+    that makes the leaving pair's slack grow, and the tree its support; the
+    step must enter the other cell of the ridge, at its heights lam +
+    t*sigma, and that cell must have the cell's cell_components count, plus
+    1 when the leaving edge is off the cycle, minus 1 when the entering
     pair's sigma sum s has |s| = 1.  Every ridge shared by two cells must be
     walked from both and no other ridge at all; each miss counts as one.
     """
     n = S.n
     dnum, _ = S.metric.scaled
+    tab = sd._tables(n, dnum)
     pairs0 = [(i - 1, j - 1) for i, j in pair_table(n)]
     count = {c.graph.bits: cell_components(n, c.graph.bits) for c in S.maximal_cells}
+    lams = {c.graph.bits: list(c.lam) for c in S.maximal_cells}
     cells_of: dict[int, list[int]] = {}
     for mask in count:
         for p in range(num_pairs(n)):
@@ -362,8 +363,8 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
                 cells_of.setdefault(mask ^ 1 << p, []).append(mask)
     walked: dict[int, int] = {}
     bad = 0
-    for mask in count:
-        for leaving, sigma, tree, off_cycle in sd._ridge_pencils(n, mask, mask):
+    for mask, lam in lams.items():
+        for leaving, slots, t, _, sigma, tree, off_cycle in sd._ridge_steps(tab, mask, mask, lam):
             rmask = mask ^ 1 << leaving
             walked[rmask] = walked.get(rmask, 0) + 1
             _, ref = sd._solve_scaled(n, rmask, dnum)
@@ -372,9 +373,12 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
             same = same and sorted(tree) == [v for v in range(n) if sigma[v]]
             other = [m for m in cells_of[rmask] if m != mask]
             if same and len(other) == 1:
-                i, j = pairs0[(other[0] ^ rmask).bit_length() - 1]
+                entering = (other[0] ^ rmask).bit_length() - 1
+                i, j = pairs0[entering]
                 s = sigma[i] + sigma[j]
-                same = count[other[0]] == count[mask] + off_cycle - (abs(s) == 1)
+                same = slots == [entering]
+                same = same and [h + t * v for h, v in zip(lam, sigma)] == lams[other[0]]
+                same = same and count[other[0]] == count[mask] + off_cycle - (abs(s) == 1)
             bad += not same
     shared = {r for r, masks in cells_of.items() if len(masks) == 2}
     bad += sum(walked.get(r) != 2 for r in shared) + len(walked.keys() - shared)

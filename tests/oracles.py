@@ -16,6 +16,11 @@ Every solve is certified in Fractions against its own dual vector
 Solved at the seed weight (lp_seed_cell), it is the oracle of the
 orientation: it shares no code with the ridge traversal, whose descent
 (subdivision.seed_cell) must end on the same cell.
+
+pivot_entering is the list-based ratio test that the traversal ran before
+its ridge step kept a running least bound: the reference that every
+entering slot, t and orientation of subdivision._ridge_steps is compared
+with, on the pencil of the height solver's own sigma.
 """
 
 from __future__ import annotations
@@ -25,10 +30,16 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from tightspan.common import Verdict, num_pairs, pair_table, pivot
-from tightspan.errors import PreconditionViolated
+from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.graphs import EdgeGraph, _join, cell_components, node_edge_masks
 from tightspan.metrics import Metric, _square
-from tightspan.subdivision import Cell, DegeneracyReport, _seed_weight, lambda_certificate
+from tightspan.subdivision import (
+    Cell,
+    DegeneracyReport,
+    _seed_weight,
+    _slot_rows,
+    lambda_certificate,
+)
 
 
 def edge_count(G: EdgeGraph) -> int:
@@ -373,6 +384,45 @@ def lp_seed_cell(d: Metric) -> Cell | DegeneracyReport:
     generic.
     """
     return lambda_certificate(d, solve_w_matching(d, _seed_weight(d.n)).support)
+
+
+def pivot_entering(
+    n: int, dnum: Sequence[int], lam: list[int], sigma: list[int], tree: list[int]
+) -> tuple[list[int], int, bool]:
+    """The neighbour across a ridge by a list of every bound: (entering slots, t, lower).
+
+    lam holds the current cell's heights, the point t = 0 of the ridge pencil
+    lam + t*sigma, and sigma (nonzero on the tree nodes) is signed so that
+    the leaving pair's slack grows with t.  The cell is strict, so only a
+    pair with s = sigma_i + sigma_j < 0 bounds t, from above by slack/-s:
+    minus-minus pairs (s = -2) and minus-zero pairs (s = -1).  Every bound
+    is listed, at the common denominator 2, and the least one enters; the
+    slots are those of the least bound in slot order: one, or more on a
+    ratio-test tie.  lower is w.sigma < 0 at the seed weight.
+    """
+    rows = _slot_rows(n)
+    minus = [v for v in tree if sigma[v] < 0]
+    zero = [v for v in range(n) if not sigma[v]]
+    # (2 * bound, slot): the slack at s = -2, twice the slack at s = -1
+    bounds = [
+        (lam[i] + lam[j] - 2 * dnum[p], p)
+        for i in minus
+        for j in minus
+        if i < j
+        for p in (rows[i][j],)
+    ]
+    bounds += [
+        (2 * (lam[i] + lam[j] - 2 * dnum[p]), p)
+        for i in minus
+        for j in zero
+        for p in (rows[i][j],)
+    ]
+    if not bounds:
+        raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
+    least = min(bounds)[0]
+    slots = sorted([p for bound, p in bounds if bound == least])
+    w = _seed_weight(n)
+    return slots, least // 2, sum([w[v] * sigma[v] for v in tree]) < 0
 
 
 def is_cell_lp(d: Metric, G: EdgeGraph) -> bool:

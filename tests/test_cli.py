@@ -429,6 +429,16 @@ PINNED = [
     ("hires-10.3", gen_random(10, 3, 10**12), 0,
      "fff3c874f6d41f3b0378a4a136932b70fd508d638ad345c57a6d0f77ee054b4d",
      "ccea1186918b2333c2c1babd1005fa584d55c41a51261855810e9af6d5ef9660"),
+    # the families of the benchmark's compute-traverse workload
+    ("dmax-11", gen_dmax(11), 0,
+     "b5024e3ff7d082c69eaf9d01870720bd20dc0c95c3b694ff2647048cf950092d",
+     "41e5ec826b79f89ed6554f91a0b5c6dcde9354c9876283997968d9d9d68f6e29"),
+    ("dmin-11", gen_dmin(11), 0,
+     "ec8c5ba18347c6cc05fd490490def30cba01c4b42cea48a3bb06040240a8de7b",
+     "1d4870e58acc9bc34829fa17885eed8d81e8512ec49b039a478f66ac31961ffe"),
+    ("hires-11.1", gen_random(11, 1, 10**12), 0,
+     "eab5b0e23e2e048e56e5c30ab9dd36259c9dfd7db36d5cdfc1b719e0ad6b39c1",
+     "8f5af41f0f9e852c8a049f12bc0dc71f4ee70f8a34f8f865c8d49c0e524d8ae7"),
     # a ratio-test tie
     ("random-6.5-res100", gen_random(6, 5, 100), 3,
      "833ec54f62d0447793f1d2c442dca5a4a948fcac42cca81edd5f88fbd30d8236",

@@ -22,6 +22,7 @@ from oracles import (
     edge_count,
     interleaved_cycle_graph,
     lp_seed_cell,
+    pivot_entering,
     star_graph,
 )
 from tightspan.common import pair_table
@@ -416,28 +417,24 @@ def test_traverse_equals_enumerate(name):
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8"])
 def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
-    # one pencil walk and one ratio test per interior ridge, and one solve,
-    # of the seed, which alone is classified: the pivot hands every other
-    # cell over with its heights
+    # one ridge step per cell, and in it one pencil walk and one ratio test
+    # per interior ridge; and one solve, of the seed, which alone is
+    # classified: the pivot hands every other cell over with its heights
     import tightspan.subdivision as sd
 
+    cells = []
     calls = []
-    pivots = []
     solves = []
     classified = []
-    pencils = sd._ridge_pencils
-    pivot = sd._pivot_entering
+    steps = sd._ridge_steps
     solve = sd._solve_scaled
     classify = sd._classify_chunk
 
-    def counting_pencils(n, mask, edges):
-        for pencil in pencils(n, mask, edges):
-            calls.append(mask ^ 1 << pencil[0])
-            yield pencil
-
-    def counting(*args):
-        pivots.append(args)
-        return pivot(*args)
+    def counting_steps(tab, mask, edges, lam):
+        cells.append(mask)
+        for step in steps(tab, mask, edges, lam):
+            calls.append(mask ^ 1 << step[0])
+            yield step
 
     def counting_solve(*args):
         solves.append(args[1])
@@ -449,15 +446,14 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
 
     d = metric(name)
     seed = seed_cell(d)
-    monkeypatch.setattr(sd, "_ridge_pencils", counting_pencils)
-    monkeypatch.setattr(sd, "_pivot_entering", counting)
+    monkeypatch.setattr(sd, "_ridge_steps", counting_steps)
     monkeypatch.setattr(sd, "_solve_scaled", counting_solve)
     monkeypatch.setattr(sd, "_classify_chunk", counting_classify)
     T = traverse_cells(d, seed)
     F = all_faces(T)
+    assert sorted(cells) == [c.graph.bits for c in T.maximal_cells]
     assert len(calls) == len(set(calls)) == F.interior_counts()[d.n - 2]
     assert set(calls) == F.interior_by_dim[d.n - 2]
-    assert len(pivots) == len(calls)
     assert solves == [seed.graph.bits]
     assert classified == [(seed.graph.bits,)]
 
@@ -558,6 +554,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
     S = subdivision(name)
     n = S.n
     dnum, D = S.metric.scaled
+    tab = sd._tables(n, dnum)
     w = sd._seed_weight(n)
     scaled, level = {}, {}
     for cell in S.maximal_cells:
@@ -578,11 +575,63 @@ def test_pivot_carries_heights_to_the_neighbour(name):
         for here, there in ((a, b), (b, a)):
             leaving = (here ^ rmask).bit_length() - 1
             entering = (there ^ rmask).bit_length() - 1
-            ((e, sigma, tree, _),) = sd._ridge_pencils(n, here, 1 << leaving)
+            ((e, slots, t, lower, sigma, _, _),) = sd._ridge_steps(
+                tab, here, 1 << leaving, scaled[here]
+            )
             assert e == leaving
-            slots, t, lower = sd._pivot_entering(n, dnum, scaled[here], sigma, tree)
             assert slots == [entering] and lower == (level[there] < level[here])
             assert [h + t * v for h, v in zip(scaled[here], sigma)] == scaled[there]
+
+
+RATIO_TEST_GROUPS = {
+    "dmax-dmin": [gen(n) for gen in (gen_dmax, gen_dmin) for n in range(5, 10)],
+    **{
+        f"random-{n}": [gen_random(n, s, r) for r in (100, 10**12) for s in range(1, 31)]
+        for n in range(5, 9)
+    },
+}
+
+
+@pytest.mark.parametrize("group", list(RATIO_TEST_GROUPS))
+def test_ridge_steps_match_the_list_based_ratio_test(group):
+    # on every interior ridge of every strict cell reached from the first
+    # cell across untied ridges, the ridge step's sigma and tree are the
+    # height solver's, signed so that the leaving pair's slack grows, and
+    # its entering slots (every tied one on a tie), t and orientation are
+    # those of the list-based ratio test (oracles.pivot_entering) on that
+    # pencil; the resolution-100 metrics tie
+    import tightspan.subdivision as sd
+
+    ridges = ties = 0
+    for d in RATIO_TEST_GROUPS[group]:
+        n = d.n
+        dnum, _ = d.scaled
+        tab = sd._tables(n, dnum)
+        first = lambda_certificate(d, sd._first_cell(d))
+        if not isinstance(first, Cell):
+            continue
+        heights = {first.graph.bits: list(first.lam)}
+        order = [first.graph.bits]
+        for mask in order:  # the list grows while it is read
+            lam = heights[mask]
+            for e, slots, t, lower, sigma, tree, _ in sd._ridge_steps(tab, mask, mask, lam):
+                _, ref = sd._solve_scaled(n, mask ^ 1 << e, dnum)
+                i, j = tab.pairs[e]
+                if ref[i] + ref[j] < 0:
+                    ref = [-v for v in ref]
+                support = [v for v in range(n) if ref[v]]
+                assert sigma == ref and sorted(tree) == support
+                assert (slots, t, lower) == pivot_entering(n, dnum, lam, ref, support)
+                ridges += 1
+                if len(slots) > 1:
+                    ties += 1
+                    continue
+                nmask = mask ^ 1 << e | 1 << slots[0]
+                if nmask not in heights:
+                    heights[nmask] = [h + t * v for h, v in zip(lam, sigma)]
+                    order.append(nmask)
+    assert ridges
+    assert ties or group == "dmax-dmin"
 
 
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
@@ -730,17 +779,20 @@ def test_descent_pivot_off_the_candidates_raises(monkeypatch):
     # guard must refuse it as the traversal's does
     import tightspan.subdivision as sd
 
-    pivot = sd._pivot_entering
+    steps = sd._ridge_steps
 
-    def off_the_candidates(n, dnum, lam, sigma, tree):
-        for p, (i, j) in enumerate(pair_table(n)):
-            if sigma[i - 1] and sigma[i - 1] + sigma[j - 1] == 0:
-                return [p], 0, True
-        return pivot(n, dnum, lam, sigma, tree)
+    def off_the_candidates(tab, mask, edges, lam):
+        for step in steps(tab, mask, edges, lam):
+            sigma = step[4]
+            for p, (i, j) in enumerate(tab.pairs):
+                if sigma[i] and sigma[i] + sigma[j] == 0:
+                    step = (step[0], [p], 0, True, *step[4:])
+                    break
+            yield step
 
     d = metric("hires-7.1")
     assert seed_cell(d).graph != sd._first_cell(d)  # the descent takes a step
-    monkeypatch.setattr(sd, "_pivot_entering", off_the_candidates)
+    monkeypatch.setattr(sd, "_ridge_steps", off_the_candidates)
     with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
         seed_cell(d)
 
