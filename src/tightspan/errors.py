@@ -16,8 +16,7 @@ class PreconditionViolated(TightSpanError):
 
     A malformed table, a node or k out of range, a point count or size past
     its cap, a non-generic metric where faces are asked for, a non-simple
-    polyhedron or facet restrictions that disagree, and a seed that is no
-    cell.
+    polyhedron and a seed that is no cell.
     """
 
 

@@ -20,7 +20,9 @@ and the primal crosscheck all read that record and take the metric from its
 subdivision.  Its face listing (all_faces) is built on each read, only for
 the face export and the primal face bijection, which share one listing when
 a report runs both.  check_inductive_step counts each facet restriction the
-same way, from the histogram of the submetric's own subdivision.
+same way, from the histogram of the submetric's own subdivision, and sums
+the restrictions by inclusion-exclusion into the boundary's f- and g-vectors
+on every generic metric from n = 3.
 """
 
 from __future__ import annotations
@@ -281,74 +283,56 @@ def check_asff(rep: FaceReport) -> Verdict:
 # -- inductive boundary formulas -----------------------------------------------------
 
 
-def _level_fvector(n: int, q: int, common: dict[int, FVector]) -> FVector:
-    """Common restriction f-vector at the q-node level, of formal dimension q-1.
-
-    From three nodes on it is the ball f-vector shared by the q-node
-    submetrics' subdivisions.  Levels below are conventional: a two-node
-    level is a single vertex, smaller levels are void (only the empty face
-    survives).
-    """
-    if q >= 3:
-        return common[q]
-    if q == 2:
-        return FVector((1, 0), 1)
-    return FVector((0,) * q, 1)
-
-
 def check_inductive_step(rep: FaceReport) -> Verdict:
-    """Boundary face counts of rep's metric d from the common facet restrictions, all levels.
+    """Boundary face counts of rep's metric d from its facet restrictions, by inclusion-exclusion.
 
-    The restriction of d's subdivision to the hypersimplex face where the
-    coordinates off a node set vanish is the subdivision of the submetric on
-    that set (De Loera, Rambau & Santos, Triangulations, 2010), so each
-    restriction's ball f-vector is f_from_h of the down-degree histogram of
-    the submetric's own traversal, with empty count h_0 = 1 (one lowest
-    cell); no face is listed and no other vector built.
-    Verifies the top formula f_{n-2}(bd) = n + n f^(n-2)_{n-2}, the
-    inclusion-exclusion formula for every lower k, and the boundary g-vector
-    double sum over the level h-vectors.  Raises PreconditionViolated when
-    same-size restrictions disagree.
+    The boundary of the second hypersimplex is the union of its facets
+    x_i = 0 and x_i = 1.  A facet x_i = 1 is a simplex that no subdivision
+    cuts, and its proper faces lie in facets x_j = 0.  The restriction of
+    d's subdivision to the face x_I = 0 is the subdivision of the submetric
+    on the nodes off I (De Loera, Rambau & Santos, Triangulations, 2010), a
+    ball whose f-vector is f_from_h of the down-degree histogram of the
+    submetric's own traversal; two kept nodes leave one vertex, fewer the
+    void complex.  So, over the nonempty node sets I,
+
+        f_k(bd) = sum_I (-1)^(|I|-1) f_k(ball off I), plus n at k = n-2,
+        g_k(bd) = sum_I sum_j (-1)^(|I|+j-1) C(|I|, j) h_(k-j)(ball off I).
+
+    The sums accumulate as the restrictions stream by; no face is listed
+    and no other vector built.  A failure's witness is ("top", got,
+    expected) at k = n-2, ("alternating", k, got, expected) below it, or
+    ("g-sum", k, got, expected).
     """
     d = rep.subdivision.metric
-    if d.n < 5:
-        raise PreconditionViolated("inductive formulas need n >= 5")
     n = d.n
-    common: dict[int, FVector] = {}
-    for q in range(n - 1, 2, -1):
+    f_sum = [0] * (n - 2) + [n]
+    g_sum = [0] * (n // 2 + 1)
+    for q in range(n):
+        i = n - q
         for kept in combinations(range(1, n + 1), q):
-            dsub = submetric(d, kept)
-            fv = f_from_h(down_degrees(compute_subdivision(dsub)))
-            seen = common.setdefault(q, fv)
-            if fv != seen:
-                raise PreconditionViolated(
-                    f"{q}-node restrictions disagree: {kept} gives {fv.counts},"
-                    f" expected {seen.counts}"
+            if q >= 3:
+                ball = f_from_h(down_degrees(compute_subdivision(submetric(d, kept))))
+            else:
+                ball = FVector((1, 0) if q == 2 else (0,) * q)
+            for k in range(n - 1):
+                f_sum[k] += (-1) ** (i - 1) * ball.at(k)
+            h = h_from_f(ball)
+            for k in range(n // 2 + 1):
+                g_sum[k] += sum(
+                    (-1) ** (i + j - 1) * comb(i, j) * h[k - j]
+                    for j in range(min(i, k) + 1)
+                    if k - j < len(h)
                 )
 
     f_bd = rep.f_boundary
-    top_expected = n + n * _level_fvector(n, n - 1, common).at(n - 2)
-    if f_bd.at(n - 2) != top_expected:
-        return Verdict(False, ("top", f_bd.at(n - 2), top_expected))
-
-    for k in range(0, n - 2):
-        total = 0
-        for i in range(1, n - k):
-            total += (-1) ** (i - 1) * comb(n, i) * _level_fvector(n, n - i, common).at(k)
-        if f_bd.at(k) != total:
-            return Verdict(False, ("alternating", k, f_bd.at(k), total))
-
-    g_bd = rep.g_boundary
-    level_h = {i: h_from_f(_level_fvector(n, n - i, common)) for i in range(1, n + 1)}
-    for k in range(0, n // 2 + 1):
-        total = sum(
-            (-1) ** (i + j - 1) * comb(n, i) * comb(i, j) * level_h[i][k - j]
-            for i in range(1, n + 1)
-            for j in range(0, min(i, k) + 1)
-            if k - j < len(level_h[i])
-        )
-        if g_bd[k] != total:
-            return Verdict(False, ("g-sum", k, g_bd[k], total))
+    if f_bd.at(n - 2) != f_sum[n - 2]:
+        return Verdict(False, ("top", f_bd.at(n - 2), f_sum[n - 2]))
+    for k in range(n - 2):
+        if f_bd.at(k) != f_sum[k]:
+            return Verdict(False, ("alternating", k, f_bd.at(k), f_sum[k]))
+    for k, expected in enumerate(g_sum):
+        if rep.g_boundary[k] != expected:
+            return Verdict(False, ("g-sum", k, rep.g_boundary[k], expected))
     return Verdict(True)
 
 

@@ -53,10 +53,6 @@ class EdgeGraph(NamedTuple):
         return format_edge_list(self)
 
 
-def empty_graph(n: int) -> EdgeGraph:
-    return EdgeGraph(n, 0)
-
-
 # -- the odd-cycle rule: one parity union-find ----------------------------------
 
 
@@ -156,7 +152,7 @@ def parse_edge_list(n: int, text: str) -> EdgeGraph:
     """
     text = text.strip()
     if not text:
-        return empty_graph(n)
+        return EdgeGraph(n, 0)
     edges = []
     for chunk in text.split(","):
         match = _EDGE.fullmatch(chunk)

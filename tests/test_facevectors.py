@@ -1,5 +1,7 @@
 """f/h/g calculus, sphere and ball identities, tight-span vectors, gluing."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from tightspan.facevectors import (
     h_from_f,
     split_interior_boundary,
 )
-from tightspan.metrics import gen_random
+from tightspan.metrics import gen_dmax, gen_dmin, gen_random
 from tightspan.subdivision import compute_subdivision
 
 
@@ -150,15 +152,35 @@ def test_inductive_step_dmax():
         assert check_inductive_step(report(name))
 
 
-def test_inductive_step_needs_n5():
-    with pytest.raises(PreconditionViolated, match="^inductive formulas need n >= 5$"):
-        check_inductive_step(report("4points"))
+def test_inductive_step_holds_below_n5():
+    # at three points every restriction is one vertex or the void complex;
+    # at four the facets x_i = 0 are the three-point submetrics' triangles
+    assert check_inductive_step(report("4points"))
+    assert check_inductive_step(face_report(compute_subdivision(gen_dmax(3))))
 
 
-def test_inductive_step_detects_mixed_restrictions():
-    d = gen_random(7, 1)
-    with pytest.raises(PreconditionViolated, match="-node restrictions disagree: "):
-        check_inductive_step(face_report(compute_subdivision(d)))
+def test_inductive_step_holds_when_restrictions_differ():
+    # same-size facet restrictions with different f-vectors: the sum over
+    # the node sets takes each restriction's own ball
+    assert check_inductive_step(face_report(compute_subdivision(gen_random(7, 1))))
+    for n in range(5, 10):
+        assert check_inductive_step(face_report(compute_subdivision(gen_dmin(n)))), n
+        subs = (compute_subdivision(gen_random(n, s, 10**12)) for s in range(1, 400))
+        for S in islice((S for S in subs if S.generic), 10):
+            assert check_inductive_step(face_report(S)), (n, S.metric)
+
+
+@pytest.mark.parametrize("d", [gen_dmin(8), gen_random(8, 1, 10**12)], ids=["dmin-8", "hires-8.1"])
+def test_inductive_step_catches_a_flipped_ridge(d):
+    # one ridge of the first cell turned round moves that cell to another
+    # down degree: the histogram, and so the report's boundary, no longer
+    # match the restrictions
+    S = compute_subdivision(d)
+    first = S.maximal_cells[0]
+    flipped = first._replace(down=first.down ^ (first.graph.bits & -first.graph.bits))
+    rep = face_report(S._replace(maximal_cells=(flipped,) + S.maximal_cells[1:]))
+    assert check_inductive_step(face_report(S))
+    assert not check_inductive_step(rep)
 
 
 @pytest.mark.parametrize("k", range(5))

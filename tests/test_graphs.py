@@ -14,7 +14,7 @@ from oracles import (
 )
 from tightspan.common import num_pairs, pair_index, pair_table
 from tightspan.errors import PreconditionViolated
-from tightspan.graphs import EdgeGraph, cell_components, empty_graph, format_edge_list
+from tightspan.graphs import EdgeGraph, cell_components, format_edge_list
 from tightspan.graphs import parse_edge_list
 from tightspan.metrics import gen_dmax
 from tightspan.subdivision import candidate_graphs
@@ -62,7 +62,7 @@ def test_components_path_and_empty():
     decomp = components(path)
     assert len(decomp.components) == 1
     assert decomp.components[0].cycle_dim == 0
-    empty = components(empty_graph(4))
+    empty = components(EdgeGraph(4, 0))
     assert empty.components == () and empty.isolated == (1, 2, 3, 4)
 
 
@@ -241,7 +241,7 @@ def test_format_and_parse_edge_list():
     G = EdgeGraph.from_edges(4, [(3, 4), (1, 2)])
     assert format_edge_list(G) == "{1,2} {3,4}"
     assert parse_edge_list(4, "1-2,3-4") == G
-    assert parse_edge_list(4, "") == empty_graph(4)
+    assert parse_edge_list(4, "") == EdgeGraph(4, 0)
     assert parse_edge_list(4, " 1 - 2 , 3-4 ") == G
 
 

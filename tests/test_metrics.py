@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import metric
 from oracles import IsolatedDistance, check_dmax_property, covered_nodes, shift_by_isolated
 from tightspan.errors import PreconditionViolated
-from tightspan.graphs import EdgeGraph, empty_graph
+from tightspan.graphs import EdgeGraph
 from tightspan.metrics import (
     dmin_graph,
     gen_dgamma,
@@ -80,7 +80,7 @@ def test_dmax_entries_distinct():
 
 
 def test_dgamma_empty_graph_is_dmax():
-    assert gen_dgamma(5, empty_graph(5)) == gen_dmax(5)
+    assert gen_dgamma(5, EdgeGraph(5, 0)) == gen_dmax(5)
 
 
 def test_dgamma_triangle_values():
@@ -100,7 +100,7 @@ def test_dgamma_wrong_size():
     with pytest.raises(
         PreconditionViolated, match="^graph on 5 nodes cannot weight a 6-point metric$"
     ):
-        gen_dgamma(6, empty_graph(5))
+        gen_dgamma(6, EdgeGraph(5, 0))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Certificates, cell enumeration, traversal, faces, and genericity verdicts."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -27,9 +28,11 @@ from oracles import (
 )
 from tightspan.common import pair_table
 from tightspan.errors import DegenerateRidge, PreconditionViolated
-from tightspan.facevectors import f_from_h, face_report
+from tightspan.facevectors import f_from_h, face_report, report_json
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
-from tightspan.metrics import gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric
+from tightspan.metrics import (
+    gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric, validate_metric,
+)
 from tightspan.subdivision import (
     Cell,
     DegeneracyReport,
@@ -1070,3 +1073,64 @@ def test_certificate_agrees_with_lp_sampled_n7():
         G = EdgeGraph(7, mask)
         by_cert = isinstance(lambda_certificate(d, G), Cell)
         assert by_cert == is_cell_lp(d, G) == (mask in cells)
+
+
+def _transformed(d, rng):
+    """d relabelled, shifted by isolated distances a >= 0 and scaled, each with its map of cells.
+
+    A relabelling by a permutation permutes the cells and their heights, an
+    isolated shift d_ij + a_i + a_j adds a to the heights, and a positive
+    scaling scales them; none changes the verdict.  Each transform comes as
+    (metric, perm, heights map): node i goes to perm[i - 1], and the map
+    takes a cell's heights to the transformed cell's.
+    """
+    n = d.n
+    nodes = range(1, n + 1)
+    perm = list(nodes)
+    rng.shuffle(perm)
+    back = [perm.index(v) + 1 for v in nodes]
+    a = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in nodes]
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    shifts = [oracles.IsolatedDistance(i, a[i - 1]) for i in nodes]
+    return (
+        (validate_metric([[d.d(back[x - 1], back[y - 1]) for y in nodes] for x in nodes]), perm,
+         lambda heights: tuple(heights[v - 1] for v in back)),
+        (validate_metric(oracles.shift_by_isolated(d, shifts)), list(nodes),
+         lambda heights: tuple(h + s for h, s in zip(heights, a))),
+        (validate_metric([[c * d.d(x, y) for y in nodes] for x in nodes]), list(nodes),
+         lambda heights: tuple(c * h for h in heights)),
+    )
+
+
+INVARIANCE_GRID = [(n, r, range(1, 61)) for n in range(4, 9) for r in (20, 100)] + [
+    (n, 10**12, (1,)) for n in (9, 10, 11)
+]
+
+
+@pytest.mark.parametrize(
+    "n, resolution, seeds", INVARIANCE_GRID, ids=[f"{n}-{r}" for n, r, _ in INVARIANCE_GRID]
+)
+def test_relabelling_shifts_and_scaling_keep_the_answer(n, resolution, seeds):
+    # low resolutions are mostly non-generic: the verdict must not depend on
+    # the route a relabelling takes; on generic inputs the cells, heights,
+    # histogram and report vectors follow each transform
+    for s in seeds:
+        d = gen_random(n, s, resolution)
+        S = compute_subdivision(d)
+        assert S.generic or resolution < 10**12, (n, s)
+        for dT, perm, heights_map in _transformed(d, Random(1000 * n + s)):
+            T = compute_subdivision(dT)
+            assert T.generic == S.generic, (n, s, resolution)
+            if not S.generic:
+                continue
+            mapped = {
+                (EdgeGraph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in c.graph.edges()]),
+                 heights_map(c.heights))
+                for c in S.maximal_cells
+            }
+            assert mapped == {(c.graph, c.heights) for c in T.maximal_cells}
+            assert down_degrees(T) == down_degrees(S)
+            # every node of gen_random is strict, so a shift glues no new corner
+            expected = report_json(face_report(S))
+            expected["glued"] = sorted(perm[v - 1] for v in expected["glued"])
+            assert report_json(face_report(T)) == expected
