@@ -51,7 +51,6 @@ from .metrics import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .facevectors import FaceReport
-    from .subdivision import FaceSet
 
 # (JSON key, text label) of each vector row of a generic report, in report
 # order; the ideal rows are JSON-only
@@ -113,7 +112,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
-    from .subdivision import compute_subdivision, faces_to_json, subdivision_to_json
+    from .subdivision import all_faces, compute_subdivision, faces_to_json, subdivision_to_json
 
     try:
         d = load_metric(args.file)
@@ -155,10 +154,9 @@ def cmd_compute(args) -> int:
     from .facevectors import face_report, report_json
 
     rep = face_report(sub)
-    faces = rep.faces if args.export_faces else None  # listed once, for the export and the oracle
     checks: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
-    for name, check in _checks(rep, args.oracle, faces):
+    for name, check in _checks(rep, args.oracle):
         try:
             verdict = check()
         except TightSpanError as exc:  # the check cannot run: its message is the witness
@@ -178,7 +176,7 @@ def cmd_compute(args) -> int:
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
 
-    if args.export_faces and not _write(args.export_faces, faces_to_json(faces)):
+    if args.export_faces and not _write(args.export_faces, faces_to_json(all_faces(sub))):
         return 2
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
@@ -196,13 +194,12 @@ def _write(path: str, chunks) -> bool:
     return True
 
 
-def _checks(rep: FaceReport, oracle: bool, faces: FaceSet | None = None):
+def _checks(rep: FaceReport, oracle: bool):
     """(name, check) pairs in report order.
 
     Each check returns the Verdict the report prints, a failure included; it
     raises a TightSpanError only when it cannot run, and cmd_compute fails
-    its row with the message as witness.  The oracle reads faces, the face
-    listing of rep, when the caller has listed it.
+    its row with the message as witness.
     """
     from .bounds import verify_metric_against_bounds
     from .facevectors import check_asff, check_ball_relations, check_dehn_sommerville
@@ -214,7 +211,7 @@ def _checks(rep: FaceReport, oracle: bool, faces: FaceSet | None = None):
     if oracle:
         from .primal import crosscheck
 
-        yield "oracle", lambda: crosscheck(rep, faces)
+        yield "oracle", lambda: crosscheck(rep)
 
 
 def cmd_gen(args) -> int:

@@ -17,11 +17,9 @@ FaceReport.  Every count comes by f_from_h from one histogram, the cells'
 down degrees (down_degrees), read forward for the ball and reversed for its
 interior; no face is listed.  The checks, the CLI report, the verify suites
 and the primal crosscheck all read that record and take the metric from its
-subdivision.  Its face listing (all_faces) is built on each read, only for
-the face export and the primal face bijection, which share one listing when
-a report runs both.  check_inductive_step counts each facet restriction the
-same way, from the histogram of the submetric's own subdivision, and sums
-the restrictions by inclusion-exclusion into the boundary's f- and g-vectors
+subdivision.  check_inductive_step counts each facet restriction the same
+way, from the histogram of the submetric's own subdivision, and sums the
+restrictions by inclusion-exclusion into the boundary's f- and g-vectors
 on every generic metric from n = 3.
 """
 
@@ -34,7 +32,7 @@ from typing import NamedTuple, Sequence
 from .common import Verdict
 from .errors import PreconditionViolated
 from .metrics import Metric, strict_triangle_nodes, submetric
-from .subdivision import FaceSet, Subdivision, all_faces, compute_subdivision, down_degrees
+from .subdivision import Subdivision, compute_subdivision, down_degrees
 
 
 class FVector(NamedTuple):
@@ -152,8 +150,7 @@ class FaceReport(NamedTuple):
     f, f_boundary and f_interior are the ball, its boundary sphere and its
     interior (split_interior_boundary); h, h_boundary and h_interior their
     h-vectors; g_boundary the boundary g-vector; span the tight-span
-    vectors.  The checks and every report read these fields; faces, the
-    listing of every face, is built from the subdivision on each read.
+    vectors.  The checks and every report read these fields.
     """
 
     subdivision: Subdivision
@@ -165,10 +162,6 @@ class FaceReport(NamedTuple):
     h_interior: tuple[int, ...]
     g_boundary: tuple[int, ...]
     span: TightSpanVectors
-
-    @property
-    def faces(self) -> FaceSet:
-        return all_faces(self.subdivision)
 
 
 def face_report(S: Subdivision) -> FaceReport:

@@ -25,7 +25,7 @@ from .errors import PreconditionViolated
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import node_edge_masks
 from .metrics import Metric
-from .subdivision import FaceSet
+from .subdivision import all_faces
 
 
 class PrimalVertex(NamedTuple):
@@ -233,7 +233,7 @@ def h_by_outdegree(poset: BoundedFacePoset) -> tuple[int, ...]:
     return tuple(h)
 
 
-def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
+def crosscheck(rep: FaceReport) -> Verdict:
     """The dual face report of a metric d against the full primal pipeline on d.
 
     Face vectors, h-vectors (out-degree against binomial inversion and the
@@ -241,15 +241,15 @@ def crosscheck(rep: FaceReport, faces: FaceSet | None = None) -> Verdict:
     and interior dual faces, and each cell's heights against the vertex whose
     tight mask is the cell's graph must all agree; the first difference
     fails the verdict, its witness a message naming it.  d is the metric of
-    rep's subdivision, and faces rep.faces, listed here unless the caller
-    has it.  Above n = 6, or on a non-simple polyhedron, it cannot run and
-    raises PreconditionViolated.
+    rep's subdivision, whose faces are listed here (all_faces).  Above n = 6,
+    or on a non-simple polyhedron, it cannot run and raises
+    PreconditionViolated.
     """
     d = rep.subdivision.metric
     n = d.n
     if n > 6:
         raise PreconditionViolated("crosscheck is capped at n = 6")
-    F, tv = rep.faces if faces is None else faces, rep.span
+    F, tv = all_faces(rep.subdivision), rep.span
 
     poset = bounded_faces(d)
     f_primal = poset.f_vector

@@ -24,18 +24,19 @@ twice the common entry denominator, by one propagation per component; a mask
 outside its domain raises PreconditionViolated.  One classifier
 (_classify_scaled) reads the heights against d: the first equality or
 non-positive height as a pair, and whether it drops below d.  The filtration
-classifies every candidate, the traversal only its seed, with one solve:
-each further cell, heights and component count included, comes from a ridge
-pencil lam + t*sigma and its ratio test.  sigma is +-1 on the bipartition of
-the ridge's one tree component and 0 elsewhere.  One ridge step per cell
-(_ridge_steps) builds the cell's adjacency and strips its leaves once; per
-interior ridge it makes one walk of that tree alone, which gives sigma, the
-minus nodes and w.sigma, and one ratio test, a running least bound with a
-tie flag.  The traversal and seed_cell's descent both pivot by it.  The
-tables it reads (_Tables) are looked up once per traversal.  A Cell keeps
-these integers;
-Cell.heights builds their Fractions on each read, and only certificate
-callers and the tests read it; the degeneracy certificates carry Fractions.
+classifies every candidate in its own loop (_classify_chunk), serial or per
+pool worker; the traversal calls the classifier on its seed only, with one
+solve: each further cell, heights and component count included, comes from
+a ridge pencil lam + t*sigma and its ratio test.  sigma is +-1 on the
+bipartition of the ridge's one tree component and 0 elsewhere.  One ridge
+step per cell (_ridge_steps) builds the cell's adjacency and strips its
+leaves once; per interior ridge it makes one walk of that tree alone, which
+gives sigma, the minus nodes and w.sigma, and one ratio test, a running
+least bound with a tie flag.  The traversal and seed_cell's descent both
+pivot by it.  The tables it reads (_Tables) are looked up once per
+traversal.  A Cell keeps these integers; Cell.heights builds their
+Fractions on each read, and only certificate callers and the tests read
+it; the degeneracy certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
@@ -134,30 +135,18 @@ class Subdivision(NamedTuple):
     def total_volume(self) -> int:
         return sum(c.volume for c in self.maximal_cells)
 
-    def cell_graphs(self) -> tuple[EdgeGraph, ...]:
-        return tuple(c.graph for c in self.maximal_cells)
-
 
 class FaceSet(NamedTuple):
     """All faces of a triangulation grouped by dimension, with interior tags.
 
     A k-dimensional face is a graph with k+1 edges, stored as its bitmask.
-    Each level of by_dim is sorted by bitmask; graphs() and the face export
-    list the faces in that order, so the exported file is canonical.
+    Each level of by_dim is sorted by bitmask; the face export lists the
+    faces in that order, so the exported file is canonical.
     """
 
     n: int
     by_dim: tuple[tuple[int, ...], ...]
     interior_by_dim: tuple[frozenset[int], ...]
-
-    def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.by_dim)
-
-    def interior_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.interior_by_dim)
-
-    def graphs(self, dim: int) -> tuple[EdgeGraph, ...]:
-        return tuple(EdgeGraph(self.n, mask) for mask in self.by_dim[dim])
 
 
 # -- candidate pool ---------------------------------------------------------------
@@ -316,7 +305,7 @@ def _corner(lam: Sequence[int]) -> Optional[tuple[int, int]]:
 
 
 def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
-    """The one classification loop of both routes: (kept, witnesses) of masks.
+    """enumerate_cells' classification loop, serial or per pool worker: (kept, witnesses) of masks.
 
     kept holds (mask, scaled heights) of the cells, those with a height that
     is not positive included; witnesses holds (mask, pair) for every mask
@@ -686,15 +675,16 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     if c is None:
         raise PreconditionViolated("seed graph is not a candidate cell")
     dnum, D = d.scaled
-    kept, witnesses = _classify_chunk(n, dnum, (G.bits,))
-    if not kept:
-        if not witnesses:
-            raise PreconditionViolated("seed graph carries no strict certificate")
+    lam, pair, below = _classify_scaled(n, G.bits, dnum)
+    if below:
+        raise PreconditionViolated("seed graph carries no strict certificate")
+    witnesses = [] if pair is None else [(G.bits, pair)]
+    if pair is not None and pair[0] != pair[1]:
         return _subdivision(d, D, {}, witnesses)
 
     tab = _tables(n, dnum)
     pairs = tab.pairs
-    cells = {G.bits: [kept[0][1], c, 0, 0]}
+    cells = {G.bits: [lam, c, 0, 0]}
     order = [G.bits]
     for mask in order:  # the list grows while it is read
         cell = cells[mask]

@@ -108,7 +108,7 @@ def report(name: str) -> FaceReport:
 
 
 def faces(name: str) -> FaceSet:
-    return report(name).faces
+    return sd.all_faces(subdivision(name))
 
 
 def tsv(name: str):
@@ -229,6 +229,57 @@ def incidence_rows(n: int, edges) -> list[list[int]]:
         row[j - 1] = 1
         rows.append(row)
     return rows
+
+
+def random_transform(n: int, rng: Random) -> tuple[list[int], list[Fraction], Fraction]:
+    """A permutation, isolated shifts a >= 0 and a scale c > 0 of n nodes, drawn from rng."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    a = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in perm]
+    return perm, a, Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+
+def transformed(d: Metric, perm: list[int], a: list[Fraction], c: Fraction) -> tuple:
+    """d relabelled by perm, shifted by isolated distances a >= 0 and scaled by c > 0.
+
+    A relabelling by a permutation permutes the cells and their heights, an
+    isolated shift d_ij + a_i + a_j adds a to the heights, and a positive
+    scaling scales them; none changes the verdict.  Each transform comes as
+    (metric, perm, heights map): node i goes to perm[i - 1], and the map
+    takes a cell's heights to the transformed cell's.
+    """
+    nodes = range(1, d.n + 1)
+    back = [perm.index(v) + 1 for v in nodes]
+    shifts = [oracles.IsolatedDistance(i, a[i - 1]) for i in nodes]
+    return (
+        (validate_metric([[d.d(back[x - 1], back[y - 1]) for y in nodes] for x in nodes]), perm,
+         lambda heights: tuple(heights[v - 1] for v in back)),
+        (validate_metric(oracles.shift_by_isolated(d, shifts)), list(nodes),
+         lambda heights: tuple(h + s for h, s in zip(heights, a))),
+        (validate_metric([[c * d.d(x, y) for y in nodes] for x in nodes]), list(nodes),
+         lambda heights: tuple(c * h for h in heights)),
+    )
+
+
+def follows_transform(S: Subdivision, T: Subdivision, perm: list[int], heights_map) -> bool:
+    """T has S's verdict and, when S is generic, S's cells and down-degree histogram.
+
+    The cells of S must come out relabelled by perm, at heights_map of their
+    heights: a transform of transformed() and its subdivision T.
+    """
+    if T.generic != S.generic:
+        return False
+    if not S.generic:
+        return True
+    mapped = {
+        EdgeGraph.from_edges(S.n, [(perm[i - 1], perm[j - 1]) for i, j in c.graph.edges()]):
+        heights_map(c.heights)
+        for c in S.maximal_cells
+    }
+    # keyed by graph, so no Fraction is hashed
+    return mapped == {c.graph: c.heights for c in T.maximal_cells} and (
+        sd.down_degrees(T) == sd.down_degrees(S)
+    )
 
 
 def naive_faces(S: Subdivision) -> tuple[tuple, tuple]:
@@ -447,7 +498,7 @@ def faces_json(F: FaceSet) -> str:
                     "interior": graph.bits in F.interior_by_dim[k],
                     "facets": facets(graph.bits, F.interior_by_dim[k]),
                 }
-                for graph in F.graphs(k)
+                for graph in (EdgeGraph(F.n, mask) for mask in F.by_dim[k])
             ]
             for k in range(len(F.by_dim))
         },

@@ -66,7 +66,9 @@ def test_criterion_01_four_point_example():
         S = subdivision("4points")
         assert len(S.maximal_cells) == 4
         F = faces("4points")
-        f_total, f_bd, f_int = split_interior_boundary(F.face_counts(), F.interior_counts())
+        f_total, f_bd, f_int = split_interior_boundary(
+            tuple(map(len, F.by_dim)), tuple(map(len, F.interior_by_dim))
+        )
         assert f_total.counts == (6, 13, 12, 4)
         assert f_bd.counts == (6, 12, 8)
         assert f_int.counts == (0, 1, 4, 4)
@@ -196,7 +198,7 @@ def test_criterion_09_method_agreement():
     with _criterion(9, "independent cell tests agree"):
         for n in (4, 5, 6):
             d = gen_dmax(n)
-            S = set(g.bits for g in subdivision(f"dmax-{n}").cell_graphs())
+            S = set(c.graph.bits for c in subdivision(f"dmax-{n}").maximal_cells)
             for mask in candidate_graphs(n):
                 G = EdgeGraph(n, mask)
                 by_cert = isinstance(lambda_certificate(d, G), Cell)

@@ -265,7 +265,7 @@ def test_compute_builds_one_pipeline(name, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["4points", "dmax-5"])
 def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
     # a plain report counts its faces from the down-degree histogram; the
-    # export and the --oracle face bijection share one listing
+    # export and the --oracle face bijection each list the faces themselves
     path = tmp_path / f"{name}.json"
     path.write_text(metric_to_json(metric(name)))
     calls = _count_calls(monkeypatch, ("subdivision.all_faces", "subdivision.down_degrees"))
@@ -275,7 +275,7 @@ def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
     assert calls == {"down_degrees": 2, "all_faces": 1}
     argv = ["compute", str(path), "--no-timestamp", "--oracle", "--export-faces", str(tmp_path / "g")]
     assert main(argv) == 0
-    assert calls == {"down_degrees": 3, "all_faces": 2}
+    assert calls == {"down_degrees": 3, "all_faces": 3}
 
 
 @pytest.mark.parametrize("kind", ["dmax", "random"])
@@ -460,6 +460,48 @@ def test_compute_pins_traversal_output(d, code, out_sha, cells_sha, tmp_path, ca
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(cells.read_bytes()).hexdigest() == cells_sha
+
+
+# (metric, format, sha256 of the report, sha256 of the face export) of
+# `compute --no-timestamp --oracle --export-faces`: the crosscheck and the
+# export each list the faces
+PINNED_ORACLE_FACES = [
+    ("4points", "text",
+     "16ca42f12091f8e1c9cf68bf9802eef90011498e419a5311b5a97728d9ad8f50",
+     "023a20718f3cd31e0a397dbf5dfe8a1dc0581e482515709bad1c9a213a3423d4"),
+    ("4points", "json",
+     "bcf03f73ad7a3b55f74637f3ab3688551ab9acb2c7b4b224c250f0bb323a4f8e",
+     "023a20718f3cd31e0a397dbf5dfe8a1dc0581e482515709bad1c9a213a3423d4"),
+    ("dmax-6", "text",
+     "e8fad0b2cbe430c0e9dab68f31d9861aaa99c87a3e8eae8a1c28da9396ea0033",
+     "af8c00f941da0aed29ce2e8e8fc7400ae2c490ed6b413a715bb7ff1a714fa208"),
+    ("dmax-6", "json",
+     "06baa89328a4fdb7ae2fdabd7438b2813f678d0d9f74448c81b434a1f5243e67",
+     "af8c00f941da0aed29ce2e8e8fc7400ae2c490ed6b413a715bb7ff1a714fa208"),
+    ("dmin-6", "text",
+     "cfc832201168c79335142299d6d3c8b74f59819dc811c62d4c186cfae080a0cc",
+     "bb86516147b84058cb9883872639abf8ea2bf618f99a759636c18e3a5615523a"),
+    ("dmin-6", "json",
+     "4667b32e30d24422bd412b6a45559ee36155c881a5bf5ac774997f4291e25acb",
+     "bb86516147b84058cb9883872639abf8ea2bf618f99a759636c18e3a5615523a"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fmt, out_sha, faces_sha",
+    PINNED_ORACLE_FACES,
+    ids=[f"{p[0]}-{p[1]}" for p in PINNED_ORACLE_FACES],
+)
+def test_compute_pins_oracle_with_face_export(
+    name, fmt, out_sha, faces_sha, tmp_path, capsys, monkeypatch
+):
+    # relative paths keep the text report's metric line the same in every run
+    monkeypatch.chdir(tmp_path)
+    Path("d.json").write_text(metric_to_json(metric(name)))
+    argv = ["compute", "d.json", "--no-timestamp", "--format", fmt, "--oracle"]
+    assert main([*argv, "--export-faces", "faces.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(Path("faces.json").read_bytes()).hexdigest() == faces_sha
 
 
 @pytest.mark.parametrize("name, code", [("dmin-7", 0), ("ideal", 3)], ids=["dmin-7", "ideal"])

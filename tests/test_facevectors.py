@@ -49,7 +49,9 @@ def test_binomial_inversion_roundtrip(counts, empty):
 
 def test_split_four_points():
     F = faces("4points")
-    total, bd, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
+    total, bd, inner = split_interior_boundary(
+        tuple(map(len, F.by_dim)), tuple(map(len, F.interior_by_dim))
+    )
     assert total.counts == (6, 13, 12, 4)
     assert bd.counts == (6, 12, 8)
     assert inner.counts == (0, 1, 4, 4) and inner.empty == 0
@@ -58,7 +60,9 @@ def test_split_four_points():
 def test_split_boundary_below_total():
     for name in ("dmax-5", "dmax-6", "dmin-6"):
         F = faces(name)
-        total, bd, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
+        total, bd, inner = split_interior_boundary(
+            tuple(map(len, F.by_dim)), tuple(map(len, F.interior_by_dim))
+        )
         assert all(b <= t for b, t in zip(bd.counts, total.counts))
         assert all(t == b + i for t, b, i in zip(total.counts, list(bd.counts) + [0], inner.counts))
 
@@ -211,14 +215,14 @@ def test_inductive_step_catches_a_wrong_boundary_g(k):
 
 def test_inductive_step_lists_no_face(monkeypatch):
     # each restriction is read off the submetric's report, not the listing
-    import tightspan.facevectors as fv
+    import tightspan.subdivision as sd
 
     def refuse(S):
         raise AssertionError("the inductive step listed faces")
 
     d = metric("dmax-6")
     rep = face_report(compute_subdivision(d))
-    monkeypatch.setattr(fv, "all_faces", refuse)
+    monkeypatch.setattr(sd, "all_faces", refuse)
     assert check_inductive_step(rep)
 
 
@@ -252,7 +256,9 @@ def test_glued_ball_h_matches_tightspan_h():
 def test_interior_h_reverses_ball_h():
     for name in ("4points", "dmax-6", "dmin-5"):
         F = faces(name)
-        total, _, inner = split_interior_boundary(F.face_counts(), F.interior_counts())
+        total, _, inner = split_interior_boundary(
+            tuple(map(len, F.by_dim)), tuple(map(len, F.interior_by_dim))
+        )
         hB = h_from_f(total)
         hI = h_from_f(inner)
         assert hI == tuple(reversed(hB))

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import tightspan.facevectors as facevectors
 import tightspan.primal as primal
 from helpers import (
     metric,
@@ -340,11 +339,11 @@ def _broken(name, part, monkeypatch):
         cell = S.maximal_cells[0]
         moved = cell._replace(lam=(cell.lam[0] + 1,) + cell.lam[1:])
         return rep._replace(subdivision=S._replace(maximal_cells=(moved,) + S.maximal_cells[1:]))
-    faces = rep.faces
+    faces = primal.all_faces(rep.subdivision)
     top = faces.interior_by_dim[-1]
     short = faces._replace(interior_by_dim=faces.interior_by_dim[:-1] + (top - {min(top)},))
-    # the report's face listing comes one interior face short
-    monkeypatch.setattr(facevectors, "all_faces", lambda S: short)
+    # the crosscheck's face listing comes one interior face short
+    monkeypatch.setattr(primal, "all_faces", lambda S: short)
     return rep
 
 

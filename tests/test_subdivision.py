@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_equality_witness,
@@ -11,10 +13,13 @@ from helpers import (
     break_ridge_pivot,
     cells_json,
     faces,
+    follows_transform,
     metric,
     naive_faces,
     pencils_against_solver,
+    random_transform,
     subdivision,
+    transformed,
 )
 import oracles
 from oracles import (
@@ -249,7 +254,8 @@ def test_ideal_metric_flagged_degenerate():
     assert pair == (1, 1)  # a strict cell certificate with a vanishing height
     assert graph.edges() == ((1, 2), (1, 3), (1, 4), (2, 4))
     # the subdivision itself agrees with the equivalent metric
-    assert S.cell_graphs() == subdivision("4points").cell_graphs()
+    four = subdivision("4points")
+    assert [c.graph for c in S.maximal_cells] == [c.graph for c in four.maximal_cells]
 
 
 def test_is_generic_verdicts():
@@ -431,7 +437,7 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
     classified = []
     steps = sd._ridge_steps
     solve = sd._solve_scaled
-    classify = sd._classify_chunk
+    classify = sd._classify_scaled
 
     def counting_steps(tab, mask, edges, lam):
         cells.append(mask)
@@ -444,21 +450,21 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
         return solve(*args)
 
     def counting_classify(*args):
-        classified.append(args[2])
+        classified.append(args[1])
         return classify(*args)
 
     d = metric(name)
     seed = seed_cell(d)
     monkeypatch.setattr(sd, "_ridge_steps", counting_steps)
     monkeypatch.setattr(sd, "_solve_scaled", counting_solve)
-    monkeypatch.setattr(sd, "_classify_chunk", counting_classify)
+    monkeypatch.setattr(sd, "_classify_scaled", counting_classify)
     T = traverse_cells(d, seed)
     F = all_faces(T)
     assert sorted(cells) == [c.graph.bits for c in T.maximal_cells]
-    assert len(calls) == len(set(calls)) == F.interior_counts()[d.n - 2]
+    assert len(calls) == len(set(calls)) == len(F.interior_by_dim[d.n - 2])
     assert set(calls) == F.interior_by_dim[d.n - 2]
     assert solves == [seed.graph.bits]
-    assert classified == [(seed.graph.bits,)]
+    assert classified == [seed.graph.bits]
 
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
@@ -504,7 +510,7 @@ def test_walked_pencils_match_the_solver(name):
     # and the component count it gives the neighbour is cell_components'
     S = compute_subdivision(metric(name))
     walked, bad = pencils_against_solver(S)
-    assert walked == 2 * all_faces(S).interior_counts()[S.n - 2]
+    assert walked == 2 * len(all_faces(S).interior_by_dim[S.n - 2])
     assert bad == 0
 
 
@@ -573,7 +579,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
             bits ^= low
             by_ridge.setdefault(mask ^ low, []).append(mask)
     shared = [(r, masks) for r, masks in by_ridge.items() if len(masks) == 2]
-    assert len(shared) == all_faces(S).interior_counts()[n - 2]
+    assert len(shared) == len(all_faces(S).interior_by_dim[n - 2])
     for rmask, (a, b) in shared:
         for here, there in ((a, b), (b, a)):
             leaving = (here ^ rmask).bit_length() - 1
@@ -833,8 +839,8 @@ def test_traverse_volume_identity_n8():
 
 def test_all_faces_four_points():
     F = faces("4points")
-    assert F.face_counts() == (6, 13, 12, 4)
-    assert F.interior_counts() == (0, 1, 4, 4)
+    assert tuple(map(len, F.by_dim)) == (6, 13, 12, 4)
+    assert tuple(map(len, F.interior_by_dim)) == (0, 1, 4, 4)
     (pm,) = F.interior_by_dim[1]
     assert EdgeGraph(4, pm).edges() == ((1, 3), (2, 4))
 
@@ -868,8 +874,8 @@ def test_down_degrees_count_the_listed_faces(name):
     S = compute_subdivision(metric(name))
     hist, F = down_degrees(S), all_faces(S)
     assert sum(hist) == len(S.maximal_cells) and hist[0] == 1
-    assert f_from_h(hist).counts == F.face_counts()
-    assert f_from_h(hist[::-1]).counts == F.interior_counts()
+    assert f_from_h(hist).counts == tuple(map(len, F.by_dim))
+    assert f_from_h(hist[::-1]).counts == tuple(map(len, F.interior_by_dim))
 
 
 def test_faces_closed_under_subgraphs():
@@ -939,8 +945,8 @@ def _assert_restriction_is_submetric(name, i):
     S = subdivision(name)
     d_sub = submetric(S.metric, [v for v in range(1, S.n + 1) if v != i])
     R = _restricted_graphs(S, i)
-    assert R == enumerate_cells(d_sub).cell_graphs()
-    assert R == compute_subdivision(d_sub).cell_graphs()
+    assert R == tuple(c.graph for c in enumerate_cells(d_sub).maximal_cells)
+    assert R == tuple(c.graph for c in compute_subdivision(d_sub).maximal_cells)
 
 
 @pytest.mark.parametrize("i", [1, 3, 6])
@@ -989,7 +995,7 @@ def test_dimension_window():
     for name in ("4points", "dmax-5", "dmax-6", "dmin-5", "dmin-6", "rand-5.1", "rand-6.1"):
         F = faces(name)
         n = F.n
-        min_dim = next(k for k, c in enumerate(F.interior_counts()) if c)
+        min_dim = next(k for k, c in enumerate(map(len, F.interior_by_dim)) if c)
         dim_t = n - 1 - min_dim
         assert -(-n // 3) <= dim_t <= n // 2
 
@@ -1057,7 +1063,8 @@ def test_is_generic_traversal_detects_corner_tangency():
     assert shifted.satisfies_triangle
     S = compute_subdivision(shifted)
     assert not S.generic and S.degeneracy_witness[1] == (1, 1)
-    assert S.cell_graphs() == compute_subdivision(d).cell_graphs()
+    T = compute_subdivision(d)
+    assert [c.graph for c in S.maximal_cells] == [c.graph for c in T.maximal_cells]
 
 
 def test_certificate_agrees_with_lp_sampled_n7():
@@ -1073,33 +1080,6 @@ def test_certificate_agrees_with_lp_sampled_n7():
         G = EdgeGraph(7, mask)
         by_cert = isinstance(lambda_certificate(d, G), Cell)
         assert by_cert == is_cell_lp(d, G) == (mask in cells)
-
-
-def _transformed(d, rng):
-    """d relabelled, shifted by isolated distances a >= 0 and scaled, each with its map of cells.
-
-    A relabelling by a permutation permutes the cells and their heights, an
-    isolated shift d_ij + a_i + a_j adds a to the heights, and a positive
-    scaling scales them; none changes the verdict.  Each transform comes as
-    (metric, perm, heights map): node i goes to perm[i - 1], and the map
-    takes a cell's heights to the transformed cell's.
-    """
-    n = d.n
-    nodes = range(1, n + 1)
-    perm = list(nodes)
-    rng.shuffle(perm)
-    back = [perm.index(v) + 1 for v in nodes]
-    a = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in nodes]
-    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    shifts = [oracles.IsolatedDistance(i, a[i - 1]) for i in nodes]
-    return (
-        (validate_metric([[d.d(back[x - 1], back[y - 1]) for y in nodes] for x in nodes]), perm,
-         lambda heights: tuple(heights[v - 1] for v in back)),
-        (validate_metric(oracles.shift_by_isolated(d, shifts)), list(nodes),
-         lambda heights: tuple(h + s for h, s in zip(heights, a))),
-        (validate_metric([[c * d.d(x, y) for y in nodes] for x in nodes]), list(nodes),
-         lambda heights: tuple(c * h for h in heights)),
-    )
 
 
 INVARIANCE_GRID = [(n, r, range(1, 61)) for n in range(4, 9) for r in (20, 100)] + [
@@ -1118,19 +1098,33 @@ def test_relabelling_shifts_and_scaling_keep_the_answer(n, resolution, seeds):
         d = gen_random(n, s, resolution)
         S = compute_subdivision(d)
         assert S.generic or resolution < 10**12, (n, s)
-        for dT, perm, heights_map in _transformed(d, Random(1000 * n + s)):
+        for dT, perm, heights_map in transformed(d, *random_transform(n, Random(1000 * n + s))):
             T = compute_subdivision(dT)
-            assert T.generic == S.generic, (n, s, resolution)
+            assert follows_transform(S, T, perm, heights_map), (n, s, resolution)
             if not S.generic:
                 continue
-            mapped = {
-                (EdgeGraph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in c.graph.edges()]),
-                 heights_map(c.heights))
-                for c in S.maximal_cells
-            }
-            assert mapped == {(c.graph, c.heights) for c in T.maximal_cells}
-            assert down_degrees(T) == down_degrees(S)
             # every node of gen_random is strict, so a shift glues no new corner
             expected = report_json(face_report(S))
             expected["glued"] = sorted(perm[v - 1] for v in expected["glued"])
             assert report_json(face_report(T)) == expected
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.integers(4, 7),
+    st.integers(1, 10**6),
+    st.sampled_from([20, 100, 10**12]),
+    st.data(),
+)
+def test_transforms_keep_the_answer_property(n, seed, resolution, data):
+    # the grid above on drawn inputs: any relabelling, any isolated shift
+    # with a_i >= 0 (zeros included) and any positive scale (1 included)
+    # keep the verdict, and on generic inputs the cells, heights and histogram
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    shift = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
+    a = data.draw(st.lists(shift, min_size=n, max_size=n))
+    c = data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    d = gen_random(n, seed, resolution)
+    S = compute_subdivision(d)
+    for dT, p, heights_map in transformed(d, perm, a, c):
+        assert follows_transform(S, compute_subdivision(dT), p, heights_map)
