@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
     lines.append(f"volume: {sub.total_volume}")
 
     payload: dict = {"n": d.n, "generic": sub.generic, "cells": len(sub.maximal_cells)}
-    if args.export_cells and not _write(args.export_cells, [subdivision_to_json(sub)]):
+    if args.export_cells and not _write(args.export_cells, lambda: [subdivision_to_json(sub)]):
         return 2
 
     if not sub.generic:
@@ -176,7 +176,7 @@ def cmd_compute(args) -> int:
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
 
-    if args.export_faces and not _write(args.export_faces, faces_to_json(all_faces(sub))):
+    if args.export_faces and not _write(args.export_faces, lambda: faces_to_json(all_faces(sub))):
         return 2
 
     print("\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2))
@@ -184,10 +184,14 @@ def cmd_compute(args) -> int:
 
 
 def _write(path: str, chunks) -> bool:
-    """Write the text chunks to path; False, with one error line, if the path is unwritable."""
+    """Write the text chunks that chunks() returns to path; False if the path is unwritable.
+
+    chunks is called only once the file is open, so an unwritable path is
+    refused, with one error line, before any of the text is built.
+    """
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            fh.writelines(chunks())
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return False
@@ -233,7 +237,7 @@ def cmd_gen(args) -> int:
     except (TightSpanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if _write(args.output, [metric_to_json(d)]) else 2
+    return 0 if _write(args.output, lambda: [metric_to_json(d)]) else 2
 
 
 def _verify_lines(suite: str, args) -> tuple[list[str], bool]:

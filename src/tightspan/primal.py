@@ -6,8 +6,8 @@ bases, one integer elimination (common.pivot) per basis, each tight set one
 bitmask over the constraint slots: the C(n,2) pairs in EdgeGraph bit order,
 then x_1 >= 0, ..., x_n >= 0.  Vertices and faces keep their tight sets as
 these masks.  Bounded faces are the intersection closure of the vertex
-masks, their dimensions and covering read off the graded face lattice by
-mask containment, and the h-vector counts descending edges under a generic
+masks, their dimensions read off the graded face lattice by mask
+containment, and the h-vector counts descending edges under a generic
 positive objective.  It shares no heights, cells or traversal with the dual
 side, only the pivot step.  crosscheck holds it against the dual side's
 FaceReport, the record the CLI report prints: faces by mask, cells by
@@ -45,7 +45,6 @@ class BoundedFacePoset(NamedTuple):
     vertices: tuple[PrimalVertex, ...]
     faces: tuple[BoundedFace, ...]
     f_vector: tuple[int, ...]
-    covering: tuple[tuple[int, int], ...]  # (face index, covered face index)
 
 
 def _eliminate(M: list[list[int]], cols: int) -> tuple[int, int]:
@@ -168,7 +167,7 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
     contain its mask, so in decreasing bit count each face comes after them.
     The face lattice is graded (Ziegler, Lectures on Polytopes, Thm. 2.7):
     a face's dimension is one more than the largest of theirs, 0 for a
-    vertex, and it covers those one dimension down.
+    vertex.
     """
     n = d.n
     vertices = enumerate_vertices(d)
@@ -186,21 +185,16 @@ def bounded_faces(d: Metric) -> BoundedFacePoset:
 
     nodes = [star | 1 << (num_pairs(n) + i) for i, star in enumerate(node_edge_masks(n))]
     dims: dict[int, int] = {}
-    below: dict[int, list[int]] = {}
     for F in sorted(patterns, key=int.bit_count, reverse=True):
         if not all(F & node for node in nodes):
             continue  # unbounded: a free node spans an escape ray
-        proper = [G for G in dims if G & F == F]
-        dims[F] = 1 + max((dims[G] for G in proper), default=-1)
-        below[F] = [G for G in proper if dims[G] == dims[F] - 1]
+        dims[F] = 1 + max((k for G, k in dims.items() if G & F == F), default=-1)
 
     ids = {F: tuple(i for i, t in enumerate(tights) if F & t == F) for F in dims}
     order = sorted(dims, key=lambda F: (dims[F], ids[F]))
-    index = {F: k for k, F in enumerate(order)}
     faces = tuple(BoundedFace(F, ids[F], dims[F]) for F in order)
     fvec = tuple(sum(f.dim == k for f in faces) for k in range(faces[-1].dim + 1))
-    covering = tuple(sorted((index[F], index[G]) for F in dims for G in below[F]))
-    return BoundedFacePoset(n, vertices, faces, fvec, covering)
+    return BoundedFacePoset(n, vertices, faces, fvec)
 
 
 def h_by_outdegree(poset: BoundedFacePoset) -> tuple[int, ...]:

@@ -15,28 +15,31 @@ flat first cell, a ratio-test tie or a zero cell height makes the result
 non-generic with a witness, and a broken invariant, on either route, raises
 DegenerateRidge.  Exhaustive filtration of all candidates
 (enumerate_cells, n <= 8) is kept as the test oracle of the cells.  Both
-routes build the Subdivision with one builder (_subdivision).  seed_cell
+routes build the Subdivision with one builder (_subdivision), which takes
+the equality witnesses a route met, finds the zero-height (corner) witness
+of every cell itself and keeps the witness of least mask.  seed_cell
 descends from the first cell to the cell of least w.lambda by the same
 ridge pivot, the simplex method on the polyhedron dual to the subdivision.
 
 One solver (_solve_scaled) gives the heights of a cell in integers at scale
 twice the common entry denominator, by one propagation per component; a mask
 outside its domain raises PreconditionViolated.  One classifier
-(_classify_scaled) reads the heights against d: the first equality or
-non-positive height as a pair, and whether it drops below d.  The filtration
+(_classify_scaled) reads the heights against d: the first pair off the
+graph met with equality, and whether it drops below d.  The filtration
 classifies every candidate in its own loop (_classify_chunk), serial or per
-pool worker; the traversal calls the classifier on its seed only, with one
-solve: each further cell, heights and component count included, comes from
-a ridge pencil lam + t*sigma and its ratio test.  sigma is +-1 on the
-bipartition of the ridge's one tree component and 0 elsewhere.  One ridge
-step per cell (_ridge_steps) builds the cell's adjacency and strips its
-leaves once; per interior ridge it makes one walk of that tree alone, which
-gives sigma, the minus nodes and w.sigma, and one ratio test, a running
-least bound with a tie flag.  The traversal and seed_cell's descent both
-pivot by it.  The tables it reads (_Tables) are looked up once per
-traversal.  A Cell keeps these integers; Cell.heights builds their
-Fractions on each read, and only certificate callers and the tests read
-it; the degeneracy certificates carry Fractions.
+pool worker; lambda_certificate classifies one graph, and the traversal
+takes its seed from it, with one solve: each further cell, heights and
+component count included, comes from a ridge pencil lam + t*sigma and its
+ratio test.  sigma is +-1 on the bipartition of the ridge's one tree
+component and 0 elsewhere.  One ridge step per cell (_ridge_steps) builds
+the cell's adjacency and strips its leaves once; per interior ridge it
+makes one walk of that tree alone, which gives sigma, the minus nodes and
+w.sigma, and one ratio test, a running least bound with the list of its
+slots.  The traversal and seed_cell's descent both pivot by it.  The
+tables it reads (_Tables) are looked up once per traversal.  A Cell keeps
+these integers; Cell.heights builds their Fractions on each read, and only
+certificate callers and the tests read it; the degeneracy certificates
+carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
@@ -278,9 +281,8 @@ def _classify_scaled(
 ) -> tuple[list[int], Optional[tuple[int, int]], bool]:
     """Classify one candidate mask: (scaled heights, pair, below).
 
-    pair is None for a cell with every inequality strict, (i, j) for the
-    first pair off the graph met with equality, and (i, i) for the first
-    node i whose height is not positive.  below is True when pair drops
+    pair is (i, j) for the first pair off the graph met with equality, else
+    None; the heights' signs are not read.  below is True when pair drops
     under d; the scan stops there, as the mask is not a cell.
     """
     lam, _ = _solve_scaled(n, mask, dnum)
@@ -293,7 +295,7 @@ def _classify_scaled(
             return lam, pair_table(n)[p], True
         if gap == 0 and pair is None:
             pair = pair_table(n)[p]
-    return lam, pair or _corner(lam), False
+    return lam, pair, False
 
 
 def _corner(lam: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -309,7 +311,7 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
 
     kept holds (mask, scaled heights) of the cells, those with a height that
     is not positive included; witnesses holds (mask, pair) for every mask
-    that is not below d and has a pair.
+    that is not below d and meets it with equality on pair.
     """
     kept = []
     witnesses = []
@@ -317,20 +319,26 @@ def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
         lam, pair, below = _classify_scaled(n, mask, dnum)
         if below:
             continue
-        if pair is None or pair[0] == pair[1]:
+        if pair is None:
             kept.append((mask, lam))
-        if pair is not None:
+        else:
             witnesses.append((mask, pair))
     return kept, witnesses
 
 
-def _subdivision(d: Metric, D: int, cells: dict, witnesses: list) -> Subdivision:
-    """Cells by mask from mask -> [lam over 2D, components, down, ...]; the witness of least mask."""
+def _subdivision(d: Metric, cells: dict, witnesses: list) -> Subdivision:
+    """Cells by mask from mask -> [lam over 2D, components, down, ...]; the witness of least mask.
+
+    witnesses holds the (mask, pair) equalities a route met; each cell with a
+    height that is not positive adds (mask, (i, i)) of its first such node i.
+    """
     n = d.n
-    mask, pair = min(witnesses, default=(0, None))
+    corners = [(mask, _corner(lam)) for mask, (lam, *_) in cells.items() if min(lam) <= 0]
+    mask, pair = min(witnesses + corners, default=(0, None))
     witness = None if pair is None else (EdgeGraph(n, mask), pair)
+    scale = 2 * d.scaled[1]
     maximal = tuple(
-        Cell(EdgeGraph(n, mask), tuple(lam), 2 * D, 1 << c - 1, down)
+        Cell(EdgeGraph(n, mask), tuple(lam), scale, 1 << c - 1, down)
         for mask, (lam, c, down, *_) in sorted(cells.items())
     )
     return Subdivision(n, d, maximal, witness)
@@ -369,9 +377,9 @@ def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
 def lambda_certificate(d: Metric, G: EdgeGraph):
     """Solve the height system of G exactly and compare against d off the graph.
 
-    Returns a Cell when every off-graph pair is strictly above d, a
-    DegeneracyReport when some pair is met with equality (and none violated),
-    and NotACell when some pair falls below d.
+    Returns a Cell when every off-graph pair is strictly above d, whatever
+    the signs of its heights, a DegeneracyReport when some pair is met with
+    equality (and none violated), and NotACell when some pair falls below d.
     """
     if G.n != d.n:
         raise PreconditionViolated("graph and metric sizes differ")
@@ -383,7 +391,7 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
         )
     dnum, D = d.scaled
     lam, pair, below = _classify_scaled(G.n, G.bits, dnum)
-    if not below and (pair is None or pair[0] == pair[1]):
+    if pair is None:
         return Cell(G, tuple(lam), 2 * D, 1 << c - 1)
     heights = tuple(Fraction(v, 2 * D) for v in lam)
     return NotACell(G, pair, heights) if below else DegeneracyReport(G, pair, heights)
@@ -421,7 +429,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
         kept, witnesses = _classify_chunk(n, dnum, pool)
     down = _ridge_orientation(n, kept)
     cells = {mask: [lam, cell_components(n, mask), down[mask]] for mask, lam in kept}
-    sub = _subdivision(d, D, cells, witnesses)
+    sub = _subdivision(d, cells, witnesses)
     if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
         raise DegenerateRidge(f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}")
     return sub
@@ -526,8 +534,8 @@ def _ridge_steps(
     The cell is strict, so only a pair with s = sigma_i + sigma_j < 0 bounds
     t, from above by slack/-s: minus-minus pairs (s = -2) and minus-zero
     pairs (s = -1), none of them a ridge edge.  The ratio test keeps the
-    least bound, at the common denominator 2, and a tie flag; only on a tie
-    does it list every slot of the least bound.  The neighbour's heights
+    least bound, at the common denominator 2, and the slots that attain it,
+    in one pass; only on a tie does it sort them.  The neighbour's heights
     are lam + t*sigma, and every other pair stays strictly above d, so the
     neighbour needs no classifying.  lower is w.sigma < 0: the neighbour,
     at t > 0, is lower in w.lambda.  An unbounded pencil raises
@@ -608,8 +616,7 @@ def _ridge_steps(
             sigma[far] = 0
         zero = [v for v in range(n) if not sigma[v]] if len(tree) < n else ()
         # 2 * bound: the slack at s = -2, twice the slack at s = -1
-        least = slot = None
-        tie = False
+        least = None
         for k, i in enumerate(minus):
             row = rows[i]
             h = lam[i]
@@ -617,26 +624,20 @@ def _ridge_steps(
                 p = row[j]
                 g = h + lam[j] - dnum2[p]
                 if least is None or g < least:
-                    least, slot, tie = g, p, False
+                    least, slots = g, [p]
                 elif g == least:
-                    tie = True
+                    slots.append(p)
             for j in zero:
                 p = row[j]
                 g = 2 * (h + lam[j] - dnum2[p])
                 if least is None or g < least:
-                    least, slot, tie = g, p, False
+                    least, slots = g, [p]
                 elif g == least:
-                    tie = True
+                    slots.append(p)
         if least is None:
             raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
-        slots = [slot]
-        if tie:
-            slots = sorted(
-                [p for i in minus for j in minus if i < j for p in (rows[i][j],)
-                 if lam[i] + lam[j] - dnum2[p] == least]
-                + [p for i in minus for j in zero for p in (rows[i][j],)
-                   if 2 * (lam[i] + lam[j] - dnum2[p]) == least]
-            )
+        if len(slots) > 1:
+            slots.sort()
         lower = sum(map(weight, tree)) < 2 * sum(map(weight, minus))
         # exact: both cells' heights are integers at scale 2D
         yield e, slots, least // 2, lower, sigma, tree, far >= 0
@@ -645,9 +646,9 @@ def _ridge_steps(
 def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subdivision:
     """Breadth-first closure of the subdivision under ridge pivots, with its verdict.
 
-    Only the seed is solved and classified; a seed whose heights meet d with
-    equality off its graph gives a non-generic result without cells, with
-    the seed graph and that pair as the witness.  Each interior ridge is
+    Only the seed is solved and classified, by lambda_certificate: a
+    DegeneracyReport gives a non-generic result without cells, with the seed
+    graph and its equality pair as the witness.  Each interior ridge is
     pivoted once, from the first of its two cells to be reached, by that
     cell's one ridge step (_ridge_steps): a walk of the ridge's tree gives
     its pencil lam + t*sigma, and the ratio test gives the entering pair and
@@ -661,31 +662,27 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     w.sigma on its pencil: the higher cell's edge across it is down;
     boundary ridges are up.  One map, mask -> [scaled heights, components,
     down, pivoted edges], holds the cells.  A cell with a height that is not
-    positive is kept and gives the (i, i) witness of its first such node.
-    Matches enumerate_cells, volumes and down edges included, on every
-    generic input.  The seed is a certificate of lambda_certificate or a
-    bare graph, and only its graph is read; PreconditionViolated refuses one
-    that is no candidate cell or drops below d.  Every broken invariant, an
-    unbounded pencil, a pivot off the candidates or a covered volume other
-    than 2^(n-1) - n, raises DegenerateRidge.
+    positive is kept, and the builder (_subdivision) gives the (i, i)
+    witness of its first such node.  Matches enumerate_cells, volumes and
+    down edges included, on every generic input.  The seed is a certificate
+    of lambda_certificate or a bare graph, and only its graph is read;
+    lambda_certificate refuses one that is no candidate cell, and one that
+    drops below d is refused here, both by PreconditionViolated.  Every
+    broken invariant, an unbounded pencil, a pivot off the candidates or a
+    covered volume other than 2^(n-1) - n, raises DegenerateRidge.
     """
     n = d.n
-    G = seed if isinstance(seed, EdgeGraph) else seed.graph
-    c = cell_components(n, G.bits) if G.n == n else None
-    if c is None:
-        raise PreconditionViolated("seed graph is not a candidate cell")
-    dnum, D = d.scaled
-    lam, pair, below = _classify_scaled(n, G.bits, dnum)
-    if below:
+    cert = lambda_certificate(d, seed if isinstance(seed, EdgeGraph) else seed.graph)
+    if isinstance(cert, NotACell):
         raise PreconditionViolated("seed graph carries no strict certificate")
-    witnesses = [] if pair is None else [(G.bits, pair)]
-    if pair is not None and pair[0] != pair[1]:
-        return _subdivision(d, D, {}, witnesses)
+    if isinstance(cert, DegeneracyReport):
+        return _subdivision(d, {}, [(cert.graph.bits, cert.pair)])
 
-    tab = _tables(n, dnum)
+    tab = _tables(n, d.scaled[0])
     pairs = tab.pairs
-    cells = {G.bits: [lam, c, 0, 0]}
-    order = [G.bits]
+    start = cert.graph.bits
+    cells = {start: [list(cert.lam), cert.volume.bit_length(), 0, 0]}
+    order = [start]
     for mask in order:  # the list grows while it is read
         cell = cells[mask]
         lam = cell[0]
@@ -695,7 +692,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
             rmask = mask ^ 1 << leaving
             if len(slots) != 1:
                 tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
-                return _subdivision(d, D, {}, [tie])
+                return _subdivision(d, {}, [tie])
             entering = 1 << slots[0]
             nmask = rmask | entering
             other = cells.get(nmask)
@@ -710,8 +707,6 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
                 nlam = lam[:]
                 for v in tree:
                     nlam[v] += t * sigma[v]
-                if min(nlam) <= 0:
-                    witnesses.append((nmask, _corner(nlam)))
                 other = cells[nmask] = [nlam, cell[1] + off_cycle - (abs(s) == 1), 0, 0]
                 order.append(nmask)
             other[3] |= entering
@@ -720,7 +715,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
             else:
                 other[2] |= entering
 
-    sub = _subdivision(d, D, cells, witnesses)
+    sub = _subdivision(d, cells, [])
     if sub.total_volume != (1 << (n - 1)) - n:
         raise DegenerateRidge(
             f"traversal covered volume {sub.total_volume},"
@@ -755,12 +750,13 @@ def compute_subdivision(d: Metric) -> Subdivision:
 
     The traversal reaches every cell from any one, and each down edge comes
     from its own ridge's pencil, so no seed search is needed.  The first
-    cell goes to the traversal as a bare graph, so only the traversal counts
-    its components and classifies it.  A flat first cell or a ratio-test tie
-    gives a non-generic subdivision without cells, with the (graph, pair)
-    witness of the equality.  The traversal's errors propagate: a broken
-    invariant is DegenerateRidge, and a first cell that is no candidate, which
-    only a broken first-cell rule could give, PreconditionViolated.
+    cell goes to the traversal as a bare graph, which lambda_certificate
+    certifies there, once.  A flat first cell or a ratio-test tie gives a
+    non-generic subdivision without cells, with the (graph, pair) witness of
+    the equality; a cell with a zero height keeps every cell and gives the
+    (i, i) witness.  The traversal's errors propagate: a broken invariant is
+    DegenerateRidge, and a first cell that is no candidate, which only a
+    broken first-cell rule could give, PreconditionViolated.
     """
     return traverse_cells(d, _first_cell(d))
 

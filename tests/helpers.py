@@ -246,18 +246,21 @@ def transformed(d: Metric, perm: list[int], a: list[Fraction], c: Fraction) -> t
     isolated shift d_ij + a_i + a_j adds a to the heights, and a positive
     scaling scales them; none changes the verdict.  Each transform comes as
     (metric, perm, heights map): node i goes to perm[i - 1], and the map
-    takes a cell's heights to the transformed cell's.
+    takes a cell's integer heights and their scale, (lam, scale), to the
+    transformed cell's, in integers, so no Fraction is built.
     """
     nodes = range(1, d.n + 1)
     back = [perm.index(v) + 1 for v in nodes]
     shifts = [oracles.IsolatedDistance(i, a[i - 1]) for i in nodes]
+    q = lcm(*(s.denominator for s in a))
+    aq = [s.numerator * (q // s.denominator) for s in a]  # a at scale q
     return (
         (validate_metric([[d.d(back[x - 1], back[y - 1]) for y in nodes] for x in nodes]), perm,
-         lambda heights: tuple(heights[v - 1] for v in back)),
+         lambda lam, scale: ([lam[v - 1] for v in back], scale)),
         (validate_metric(oracles.shift_by_isolated(d, shifts)), list(nodes),
-         lambda heights: tuple(h + s for h, s in zip(heights, a))),
+         lambda lam, scale: ([v * q + s * scale for v, s in zip(lam, aq)], scale * q)),
         (validate_metric([[c * d.d(x, y) for y in nodes] for x in nodes]), list(nodes),
-         lambda heights: tuple(c * h for h in heights)),
+         lambda lam, scale: ([c.numerator * v for v in lam], scale * c.denominator)),
     )
 
 
@@ -265,7 +268,8 @@ def follows_transform(S: Subdivision, T: Subdivision, perm: list[int], heights_m
     """T has S's verdict and, when S is generic, S's cells and down-degree histogram.
 
     The cells of S must come out relabelled by perm, at heights_map of their
-    heights: a transform of transformed() and its subdivision T.
+    heights: a transform of transformed() and its subdivision T.  Heights
+    are compared as integers, each side's lam times the other's scale.
     """
     if T.generic != S.generic:
         return False
@@ -273,12 +277,17 @@ def follows_transform(S: Subdivision, T: Subdivision, perm: list[int], heights_m
         return True
     mapped = {
         EdgeGraph.from_edges(S.n, [(perm[i - 1], perm[j - 1]) for i, j in c.graph.edges()]):
-        heights_map(c.heights)
+        heights_map(c.lam, c.scale)
         for c in S.maximal_cells
     }
-    # keyed by graph, so no Fraction is hashed
-    return mapped == {c.graph: c.heights for c in T.maximal_cells} and (
-        sd.down_degrees(T) == sd.down_degrees(S)
+    cells = {c.graph: c for c in T.maximal_cells}
+    return (
+        mapped.keys() == cells.keys()
+        and all(
+            [v * cells[g].scale for v in lam] == [v * scale for v in cells[g].lam]
+            for g, (lam, scale) in mapped.items()
+        )
+        and sd.down_degrees(T) == sd.down_degrees(S)
     )
 
 

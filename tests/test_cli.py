@@ -748,6 +748,26 @@ def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, builder",
+    [
+        ("--export-faces", "subdivision.all_faces"),
+        ("--export-cells", "subdivision.subdivision_to_json"),
+    ],
+)
+def test_compute_unwritable_export_builds_nothing(
+    flag, builder, four_points_file, tmp_path, capsys, monkeypatch
+):
+    # the path is opened before the export's text is built, so a refused
+    # path costs none of that work
+    calls = _count_calls(monkeypatch, (builder,))
+    target = tmp_path / "missing" / "x.json"
+    assert main(["compute", four_points_file, "--no-timestamp", flag, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert calls == {} and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output: ")
+
+
 def _fresh_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)

@@ -1,6 +1,8 @@
 """The experiment scripts run end to end on small sizes."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,33 @@ def test_genericity_survey_refuses_bad_arguments(args, line):
     # one error line and exit 2, before any survey line, never a traceback
     r = run(["scripts/genericity_survey.py", "--n", "5", *args])
     assert (r.returncode, r.stdout, r.stderr) == (2, "", line + "\n")
+
+
+def test_compare_reports_names_each_run_that_differs(tmp_path):
+    # a tree against itself differs nowhere; one changed byte in the cell
+    # export's template shows in exactly the runs that export cells (both
+    # metrics are generic; n = 7 takes no --oracle run)
+    path = ROOT / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    compare_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_reports)
+    specs = [s for s in compare_reports.grid() if s[0] in ("dmax-4", "random-7.2")]
+    assert compare_reports.compare(ROOT / "src", ROOT / "src", specs) == (10, [])
+
+    shutil.copytree(ROOT / "src" / "tightspan", tmp_path / "tightspan")
+    module = tmp_path / "tightspan" / "subdivision.py"
+    text = module.read_text()
+    assert text.count('"volume": %d') == 1
+    module.write_text(text.replace('"volume": %d', '"volume":  %d'))
+    total, differing = compare_reports.compare(ROOT / "src", tmp_path, specs)
+    assert total == 10
+    assert differing == [
+        (f"{name} {fmt} {label}", ["cells export"])
+        for name in ("dmax-4", "random-7.2")
+        for fmt in ("text", "json")
+        for label in ("exports", "oracle")
+        if label == "exports" or name == "dmax-4"
+    ]
 
 
 def run(argv):

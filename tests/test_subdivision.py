@@ -170,8 +170,9 @@ def test_solver_ends_on_every_small_mask():
 def test_classifier_reports_an_equality_before_a_zero_height(d24, pair):
     # triangle 1-2-3 with the pendant edge 1-4 carries heights (0, 1, 1, 1):
     # node 1 sits at height 0, and the pair (2, 4) off the graph is met with
-    # equality when d(2,4) = 2; the equality is reported, the zero height
-    # only when no pair is met
+    # equality when d(2,4) = 2; the classifier reports only an equality,
+    # and the zero height gives the subdivision builder's corner witness
+    # (1, 1) when no pair is met
     import tightspan.subdivision as sd
     from tightspan.metrics import validate_metric
 
@@ -182,7 +183,8 @@ def test_classifier_reports_an_equality_before_a_zero_height(d24, pair):
     dnum, D = d.scaled
     lam, got, below = sd._classify_scaled(4, G.bits, dnum)
     assert lam == [0, 2 * D, 2 * D, 2 * D]
-    assert (got, below) == (pair, False)
+    assert (got, below) == (None if pair == (1, 1) else pair, False)
+    assert sd._corner(lam) == (1, 1)
 
 
 def test_enumerate_four_points():
@@ -470,9 +472,10 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
 def test_traversal_counts_components_once_per_cell(name, monkeypatch):
     # only the first cell's components are counted, once, by the
-    # traversal's guard, and only it is solved; every other cell's count
-    # comes from the ridge pencil it is entered by, and is the cell's
-    # volume, so neither the covered-volume check nor the export counts again
+    # lambda_certificate that certifies the seed, and only it is solved;
+    # every other cell's count comes from the ridge pencil it is entered by,
+    # and is the cell's volume, so neither the covered-volume check nor the
+    # export counts again
     import tightspan.graphs as graphs
     import tightspan.subdivision as sd
 
@@ -673,7 +676,9 @@ def test_adjacent_cells_lie_on_one_pencil(name):
 def test_traverse_rejects_bad_seed():
     d = gen_dmax(4)
     bad = Cell(cycle_graph(4, [1, 2, 3, 4]), (0,) * 4, 2, 1)
-    with pytest.raises(PreconditionViolated, match="seed graph is not a candidate cell"):
+    with pytest.raises(
+        PreconditionViolated, match="^certificates exist only for spanning n-edge graphs"
+    ):
         traverse_cells(d, bad)
     not_a_cell = EdgeGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
     with pytest.raises(PreconditionViolated, match="seed graph carries no strict certificate"):
