@@ -6,29 +6,53 @@ Usage:
 
 Each SRC is a directory that holds the tightspan package, as a checkout's
 src/ does; CHANGE_SRC defaults to this checkout's.  The grid is dmax and dmin
-at n = 4..9 and gen_random(n, s, 100) at n = 5..7, s = 1..30, each in text
-and JSON: plain, with --export-cells --export-faces, and, for n <= 6, with
---oracle and both exports; 540 runs.  Each side generates its own metric
-files with its own `tspan gen` and runs from its own directory with the
-same relative paths, so the reports name the same files.  The exit code,
+at n = 4..9, gen_random(n, s, 100) at n = 5..7, s = 1..30, and five metrics
+with a zero cell height (corner_metrics), each in text and JSON: plain,
+with --export-cells --export-faces, and, for n <= 6, with --oracle and both
+exports; 568 runs.  Each side generates its own metric files with its own
+`tspan gen`, writes the corner metrics, which `tspan gen` cannot make, from
+this script's own text, and runs from its own directory with the same
+relative paths, so the reports name the same files.  The exit code,
 stdout, stderr and both exports of every run must match.  Prints each run
 that differs, with what differs, then one line "N runs, K differ"; exits 1
 when K > 0.  Standard library only.
 """
 
+import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 WORKERS = 2  # each worker waits on one run's processes at a time
 FIELDS = ("exit code", "stdout", "stderr", "cells export", "faces export")
 
 
+def corner_metrics() -> list:
+    """(name, n, metric file text) of the metrics whose subdivision has a cell height of 0.
+
+    The 4-point metrics with upper entries 1,2,1,1,2,1 and 1,1,10,1,1,1, and
+    gen_random(n, 1, 10**6) at n = 5..7 with its first entry tripled, drawn
+    here as gen_random draws it: entry 1 + k/10**6, k = randint(1, 10**6 // n),
+    in pair order.  Each gives the corner witness of its traversal.
+    """
+    uppers = [("corner-4.1", 4, [1, 2, 1, 1, 2, 1]), ("corner-4.2", 4, [1, 1, 10, 1, 1, 1])]
+    for n in range(5, 8):
+        rng = random.Random(1)
+        upper = [1 + Fraction(rng.randint(1, 10**6 // n), 10**6) for _ in range(n * (n - 1) // 2)]
+        uppers.append((f"corner-random-{n}", n, [3 * upper[0], *upper[1:]]))
+    return [
+        (name, n, json.dumps({"n": n, "upper": [str(e) for e in upper]}) + "\n")
+        for name, n, upper in uppers
+    ]
+
+
 def grid() -> list:
-    """(name, n, gen arguments) of every metric of the grid."""
+    """(name, n, gen arguments or metric file text) of every metric of the grid."""
     specs = [
         (f"{kind}-{n}", n, ["--kind", kind, "--n", str(n)])
         for kind in ("dmax", "dmin")
@@ -40,7 +64,7 @@ def grid() -> list:
         for n in range(5, 8)
         for s in range(1, 31)
     ]
-    return specs
+    return specs + corner_metrics()
 
 
 def _runs(specs) -> list:
@@ -63,10 +87,16 @@ def _env(src: Path) -> dict:
 
 
 def _generate(src: Path, work: Path, specs) -> None:
-    """Write each metric of specs to work/<name>.json with src's own `tspan gen`, in one process."""
-    calls = ", ".join(f"main(['gen', *{args!r}, '-o', {name + '.json'!r}])" for name, _, args in specs)
-    code = f"import sys\nfrom tightspan.cli import main\nsys.exit(max([{calls}]))"
-    subprocess.run([sys.executable, "-c", code], cwd=work, env=_env(src), check=True)
+    """Write each metric of specs to work/<name>.json: its text, or by src's own `tspan gen`, in one process."""
+    calls = []
+    for name, _, source in specs:
+        if isinstance(source, str):
+            Path(work, f"{name}.json").write_text(source)
+        else:
+            calls.append(f"main(['gen', *{source!r}, '-o', {name + '.json'!r}])")
+    if calls:
+        code = f"import sys\nfrom tightspan.cli import main\nsys.exit(max([{', '.join(calls)}]))"
+        subprocess.run([sys.executable, "-c", code], cwd=work, env=_env(src), check=True)
 
 
 def _run(src: Path, work: Path, k: int, argv: list) -> tuple:

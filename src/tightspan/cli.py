@@ -292,6 +292,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         # exactly lower_bound_top(n) top faces
         if args.n_max < 4:
             raise PreconditionViolated("need n_max >= 4")
+        _require_points(args.n_max)  # before any row is computed
         for n in range(4, args.n_max + 1):
             low, dim_low = lower_bound_top(n), -(-n // 3)
             for gen in (gen_dmax, gen_dmin):

@@ -176,10 +176,9 @@ def face_report(S: Subdivision) -> FaceReport:
     k-faces, all its down edges and k+1-j up edges.  Read in reverse
     (up edges), the histogram gives the interior counts: the cell is the
     highest cell of C(j, k+1-n+j) interior k-faces, all its up edges and
-    k+1-n+j down edges.  No face is listed.
+    k+1-n+j down edges.  No face is listed.  A non-generic S is refused
+    by down_degrees, with PreconditionViolated.
     """
-    if not S.generic:
-        raise PreconditionViolated("tight-span vectors are defined for generic metrics")
     hist = down_degrees(S)
     f, f_bd, f_int = split_interior_boundary(
         f_from_h(hist).counts, f_from_h(hist[::-1]).counts

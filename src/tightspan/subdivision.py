@@ -17,7 +17,9 @@ DegenerateRidge.  Exhaustive filtration of all candidates
 (enumerate_cells, n <= 8) is kept as the test oracle of the cells.  Both
 routes build the Subdivision with one builder (_subdivision), which takes
 the equality witnesses a route met, finds the zero-height (corner) witness
-of every cell itself and keeps the witness of least mask.  seed_cell
+of every cell itself, keeps the witness of least mask and, given no
+equality witness, checks that the cells cover the normalized volume
+2^(n-1) - n of the hypersimplex.  seed_cell
 descends from the first cell to the cell of least w.lambda by the same
 ridge pivot, the simplex method on the polyhedron dual to the subdivision.
 
@@ -35,11 +37,10 @@ component and 0 elsewhere.  One ridge step per cell (_ridge_steps) builds
 the cell's adjacency and strips its leaves once; per interior ridge it
 makes one walk of that tree alone, which gives sigma, the minus nodes and
 w.sigma, and one ratio test, a running least bound with the list of its
-slots.  The traversal and seed_cell's descent both pivot by it.  The
-tables it reads (_Tables) are looked up once per traversal.  A Cell keeps
-these integers; Cell.heights builds their Fractions on each read, and only
-certificate callers and the tests read it; the degeneracy certificates
-carry Fractions.
+slots.  The traversal and seed_cell's descent both pivot by it.  A Cell
+keeps these integers; Cell.heights builds their Fractions on each read,
+and only certificate callers and the tests read it; the degeneracy
+certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
@@ -331,6 +332,8 @@ def _subdivision(d: Metric, cells: dict, witnesses: list) -> Subdivision:
 
     witnesses holds the (mask, pair) equalities a route met; each cell with a
     height that is not positive adds (mask, (i, i)) of its first such node i.
+    Without an equality witness, which may end a route early, the volumes
+    must sum to 2^(n-1) - n, corner cells included, else DegenerateRidge.
     """
     n = d.n
     corners = [(mask, _corner(lam)) for mask, (lam, *_) in cells.items() if min(lam) <= 0]
@@ -341,7 +344,10 @@ def _subdivision(d: Metric, cells: dict, witnesses: list) -> Subdivision:
         Cell(EdgeGraph(n, mask), tuple(lam), scale, 1 << c - 1, down)
         for mask, (lam, c, down, *_) in sorted(cells.items())
     )
-    return Subdivision(n, d, maximal, witness)
+    sub = Subdivision(n, d, maximal, witness)
+    if not witnesses and sub.total_volume != (1 << n - 1) - n:
+        raise DegenerateRidge(f"covered volume {sub.total_volume}, expected {(1 << n - 1) - n}")
+    return sub
 
 
 def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
@@ -405,8 +411,8 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
     off-graph equality, or when a strict certificate touches a corner of the
     positive orthant (a zero height, reported with the diagonal pair (i,i)).
     The pool has 937,440 candidates at n = 8; above that it raises
-    PreconditionViolated.  A generic result whose volumes miss 2^(n-1) - n
-    raises DegenerateRidge.
+    PreconditionViolated.  Without an off-graph equality, the builder
+    (_subdivision) raises DegenerateRidge when the volumes miss 2^(n-1) - n.
     """
     n = d.n
     if n > 8:
@@ -429,10 +435,7 @@ def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
         kept, witnesses = _classify_chunk(n, dnum, pool)
     down = _ridge_orientation(n, kept)
     cells = {mask: [lam, cell_components(n, mask), down[mask]] for mask, lam in kept}
-    sub = _subdivision(d, cells, witnesses)
-    if sub.generic and sub.total_volume != (1 << (n - 1)) - n:
-        raise DegenerateRidge(f"covering identity failed: {sub.total_volume} != 2^{n - 1}-{n}")
-    return sub
+    return _subdivision(d, cells, witnesses)
 
 
 # -- seed cells ----------------------------------------------------------------
@@ -456,10 +459,10 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
     cert = lambda_certificate(d, _first_cell(d))
     if not isinstance(cert, Cell):
         return cert
-    tab = _tables(n, d.scaled[0])
+    dnum2 = [2 * v for v in d.scaled[0]]
     mask, lam = cert.graph.bits, list(cert.lam)
     while True:
-        for leaving, slots, t, lower, sigma, tree, _ in _ridge_steps(tab, mask, mask, lam):
+        for leaving, slots, t, lower, sigma, tree, _ in _ridge_steps(dnum2, mask, mask, lam):
             if lower:
                 break
         else:  # no ridge goes down
@@ -467,7 +470,7 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
         mask ^= 1 << leaving | 1 << slots[0]
         if len(slots) != 1:  # a tie: the entered cell meets d on slots[1]
             break
-        i, j = tab.pairs[slots[0]]
+        i, j = _pairs0(n)[slots[0]]
         if not sigma[i] + sigma[j]:
             raise DegenerateRidge("ridge pivot entered a non-candidate mask")
         for v in tree:
@@ -498,38 +501,21 @@ def _slot_rows(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class _Tables(NamedTuple):
-    """What every ridge step of one traversal reads, looked up once per traversal."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]  # _pairs0(n)
-    rows: tuple[tuple[int, ...], ...]  # _slot_rows(n)
-    w: tuple[int, ...]  # _seed_weight(n)
-    stars: tuple[int, ...]  # node_edge_masks(n)
-    dnum2: list[int]  # 2 * dnum: d at scale 2D, as the heights
-
-
-def _tables(n: int, dnum: Sequence[int]) -> _Tables:
-    """The tables of the ridge steps on a metric whose scaled entries are dnum."""
-    return _Tables(
-        n, _pairs0(n), _slot_rows(n), _seed_weight(n), node_edge_masks(n), [2 * v for v in dnum]
-    )
-
-
 def _ridge_steps(
-    tab: _Tables, mask: int, edges: int, lam: Sequence[int]
+    dnum2: Sequence[int], mask: int, edges: int, lam: Sequence[int]
 ) -> Iterator[tuple[int, list[int], int, bool, list[int], list[int], bool]]:
     """The ridge pivot across each interior ridge mask - e, e in edges, of one cell.
 
     mask is a candidate cell and lam its heights at scale 2D, strict off the
-    graph.  Its adjacency is built once, and leaves are stripped once, which
-    leaves the cycle nodes and gives every other node its neighbour toward
-    its component's cycle.  Without e the ridge has one tree component: e's
-    whole component when e lies on the odd cycle, else the subtree on the
-    far side of e from the cycle.  One walk of that tree, from e's ends in
-    it and never back across e, 2-colours it: sigma of the pencil lam +
-    t*sigma, +1 at those ends, so e's slack grows with t, and 0 off the
-    tree.  The walk also lists the minus nodes.
+    graph, and dnum2 is d at that scale; the tables of n = len(lam) are
+    read from their caches.  Its adjacency is built once, and leaves are
+    stripped once, which leaves the cycle nodes and gives every other node
+    its neighbour toward its component's cycle.  Without e the ridge has one
+    tree component: e's whole component when e lies on the odd cycle, else
+    the subtree on the far side of e from the cycle.  One walk of that tree,
+    from e's ends in it and never back across e, 2-colours it: sigma of the
+    pencil lam + t*sigma, +1 at those ends, so e's slack grows with t, and 0
+    off the tree.  The walk also lists the minus nodes.
 
     The cell is strict, so only a pair with s = sigma_i + sigma_j < 0 bounds
     t, from above by slack/-s: minus-minus pairs (s = -2) and minus-zero
@@ -548,7 +534,8 @@ def _ridge_steps(
     """
     if not edges:
         return
-    n, pairs, rows, w, stars, dnum2 = tab
+    n = len(lam)
+    pairs, rows, w, stars = _pairs0(n), _slot_rows(n), _seed_weight(n), node_edge_masks(n)
     adj: list[list[int]] = [[] for _ in range(n)]
     bits = mask
     while bits:
@@ -668,8 +655,9 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     of lambda_certificate or a bare graph, and only its graph is read;
     lambda_certificate refuses one that is no candidate cell, and one that
     drops below d is refused here, both by PreconditionViolated.  Every
-    broken invariant, an unbounded pencil, a pivot off the candidates or a
-    covered volume other than 2^(n-1) - n, raises DegenerateRidge.
+    broken invariant raises DegenerateRidge: an unbounded pencil, a pivot
+    off the candidates, or, in the builder, a covered volume other than
+    2^(n-1) - n.
     """
     n = d.n
     cert = lambda_certificate(d, seed if isinstance(seed, EdgeGraph) else seed.graph)
@@ -678,8 +666,8 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     if isinstance(cert, DegeneracyReport):
         return _subdivision(d, {}, [(cert.graph.bits, cert.pair)])
 
-    tab = _tables(n, d.scaled[0])
-    pairs = tab.pairs
+    dnum2 = [2 * v for v in d.scaled[0]]
+    pairs = _pairs0(n)
     start = cert.graph.bits
     cells = {start: [list(cert.lam), cert.volume.bit_length(), 0, 0]}
     order = [start]
@@ -687,7 +675,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
         cell = cells[mask]
         lam = cell[0]
         for leaving, slots, t, lower, sigma, tree, off_cycle in _ridge_steps(
-            tab, mask, mask & ~cell[3], lam
+            dnum2, mask, mask & ~cell[3], lam
         ):
             rmask = mask ^ 1 << leaving
             if len(slots) != 1:
@@ -715,13 +703,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
             else:
                 other[2] |= entering
 
-    sub = _subdivision(d, cells, [])
-    if sub.total_volume != (1 << (n - 1)) - n:
-        raise DegenerateRidge(
-            f"traversal covered volume {sub.total_volume},"
-            f" expected {(1 << (n - 1)) - n}"
-        )
-    return sub
+    return _subdivision(d, cells, [])
 
 
 def _first_cell(d: Metric) -> EdgeGraph:
@@ -770,12 +752,13 @@ def _down_masks(S: Subdivision) -> list[int]:
     Cells are the vertices of the simple polyhedron dual to S, and the seed
     weight w, positive on its recession cone, ties no two adjacent cells in
     w.lambda.  An edge of a cell is down when its ridge lies in a lower cell,
-    else up (boundary ridges too).  A non-generic S, as in face_report, and a
-    cell of lambda_certificate, which carries no orientation, raise
+    else up (boundary ridges too).  A non-generic S, the one refusal of
+    face_report, down_degrees and all_faces, and a cell of
+    lambda_certificate, which carries no orientation, raise
     PreconditionViolated.
     """
     if not S.generic:
-        raise PreconditionViolated("face closure requires a generic subdivision")
+        raise PreconditionViolated("face counts and face lists require a generic subdivision")
     downs = [cell.down for cell in S.maximal_cells]
     if None in downs:
         raise PreconditionViolated(
@@ -889,7 +872,7 @@ def subdivision_to_json(S: Subdivision) -> str:
     """The cells of S (edges, heights, volume) and its witness, as indented JSON text.
 
     Each height prints as "p/q", as format_rational prints it, straight from
-    its integer v over the cell's scale by one gcd g: p = v/g, and the text
+    its integer v over S's one scale 2D by one gcd g: p = v/g, and the text
     "/q" of q = scale/g, empty for q = 1, is built once per distinct g.  A
     cell has n edges and n heights, so neither list is empty.  The records
     are joined once, so the text is held twice at most.
@@ -897,11 +880,9 @@ def subdivision_to_json(S: Subdivision) -> str:
     edge = _pair_texts(S.n, "        ")
     parts = ['{\n  "n": %d,\n  "generic": %s,\n  "cells": ' % (S.n, "true" if S.generic else "false")]
     sep = "[\n"
-    scale = None
+    scale = 2 * S.metric.scaled[1]
+    dens = {scale: '"'}  # g -> the height's text after p
     for cell in S.maximal_cells:
-        if cell.scale != scale:
-            scale = cell.scale
-            dens = {scale: '"'}  # g -> the height's text after p
         heights = []
         for v in cell.lam:
             g = math.gcd(v, scale)

@@ -167,11 +167,12 @@ def break_ridge_pivot(monkeypatch) -> None:
     """
     steps = sd._ridge_steps
 
-    def off_the_candidates(tab, mask, edges, lam):
-        for step in steps(tab, mask, edges, lam):
+    def off_the_candidates(dnum2, mask, edges, lam):
+        n = len(lam)
+        for step in steps(dnum2, mask, edges, lam):
             rmask = mask ^ 1 << step[0]
-            for p in range(num_pairs(tab.n)):
-                if not rmask >> p & 1 and cell_components(tab.n, rmask | 1 << p) is None:
+            for p in range(num_pairs(n)):
+                if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
                     step = (step[0], [p], 0, False, *step[4:])
                     break
             yield step
@@ -412,7 +413,7 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     """
     n = S.n
     dnum, _ = S.metric.scaled
-    tab = sd._tables(n, dnum)
+    dnum2 = [2 * v for v in dnum]
     pairs0 = [(i - 1, j - 1) for i, j in pair_table(n)]
     count = {c.graph.bits: cell_components(n, c.graph.bits) for c in S.maximal_cells}
     lams = {c.graph.bits: list(c.lam) for c in S.maximal_cells}
@@ -424,7 +425,7 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     walked: dict[int, int] = {}
     bad = 0
     for mask, lam in lams.items():
-        for leaving, slots, t, _, sigma, tree, off_cycle in sd._ridge_steps(tab, mask, mask, lam):
+        for leaving, slots, t, _, sigma, tree, off_cycle in sd._ridge_steps(dnum2, mask, mask, lam):
             rmask = mask ^ 1 << leaving
             walked[rmask] = walked.get(rmask, 0) + 1
             _, ref = sd._solve_scaled(n, rmask, dnum)

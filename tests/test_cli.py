@@ -593,14 +593,14 @@ def test_compute_ideal_allow_degenerate(ideal_file):
 def test_compute_traversal_failure_exits_4(fmt, four_points_file, capsys, monkeypatch):
     # a DegenerateRidge without a witness is a broken invariant, not a verdict
     def broken(d):
-        raise DegenerateRidge("traversal covered volume 3, expected 4")
+        raise DegenerateRidge("covered volume 3, expected 4")
 
     monkeypatch.setattr(subdivision, "compute_subdivision", broken)
     assert main(["compute", four_points_file, "--format", fmt]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "error: DegenerateRidge: traversal covered volume 3, expected 4"
+        "error: DegenerateRidge: covered volume 3, expected 4"
     ]
 
 
@@ -1049,3 +1049,15 @@ def test_verify_bad_arguments_exit_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == _REFUSED[argv]
+
+
+def test_verify_bounds_refuses_n_max_past_64_before_any_row(capsys, monkeypatch):
+    # gen_dmax(65) would refuse the last row, but only after every report
+    # from n = 4 to 64; the suite refuses n_max itself first
+    import tightspan.cli as cli
+
+    reports = []
+    monkeypatch.setattr(cli, "_report", lambda d: reports.append(d))
+    assert main(["verify", "--suite", "bounds", "--n-max", "65"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err, reports) == ("", "error: PreconditionViolated: need n <= 64, got 65\n", [])

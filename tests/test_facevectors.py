@@ -108,7 +108,7 @@ def test_tightspan_requires_generic():
     d = metric("ideal")
     S = enumerate_cells(d)
     with pytest.raises(
-        PreconditionViolated, match="^tight-span vectors are defined for generic metrics$"
+        PreconditionViolated, match="^face counts and face lists require a generic subdivision$"
     ):
         face_report(S)
 

@@ -38,14 +38,19 @@ def test_genericity_survey_refuses_bad_arguments(args, line):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", line + "\n")
 
 
-def test_compare_reports_names_each_run_that_differs(tmp_path):
-    # a tree against itself differs nowhere; one changed byte in the cell
-    # export's template shows in exactly the runs that export cells (both
-    # metrics are generic; n = 7 takes no --oracle run)
+def load_compare_reports():
     path = ROOT / "scripts" / "compare_reports.py"
     spec = importlib.util.spec_from_file_location("compare_reports", path)
     compare_reports = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_reports)
+    return compare_reports
+
+
+def test_compare_reports_names_each_run_that_differs(tmp_path):
+    # a tree against itself differs nowhere; one changed byte in the cell
+    # export's template shows in exactly the runs that export cells (both
+    # metrics are generic; n = 7 takes no --oracle run)
+    compare_reports = load_compare_reports()
     specs = [s for s in compare_reports.grid() if s[0] in ("dmax-4", "random-7.2")]
     assert compare_reports.compare(ROOT / "src", ROOT / "src", specs) == (10, [])
 
@@ -62,6 +67,27 @@ def test_compare_reports_names_each_run_that_differs(tmp_path):
         for fmt in ("text", "json")
         for label in ("exports", "oracle")
         if label == "exports" or name == "dmax-4"
+    ]
+
+
+def test_compare_reports_sees_a_dropped_corner_witness(tmp_path):
+    # the grid's corner metrics have a cell height of 0: a build whose
+    # builder finds no corner witness reports the first one generic, and
+    # every run of it differs
+    compare_reports = load_compare_reports()
+    specs = [s for s in compare_reports.grid() if s[0] == "corner-4.1"]
+    shutil.copytree(ROOT / "src" / "tightspan", tmp_path / "tightspan")
+    module = tmp_path / "tightspan" / "subdivision.py"
+    text = module.read_text()
+    corners = "    corners = [(mask, _corner(lam)) for mask, (lam, *_) in cells.items() if min(lam) <= 0]\n"
+    assert text.count(corners) == 1
+    module.write_text(text.replace(corners, "    corners = []\n"))
+    total, differing = compare_reports.compare(ROOT / "src", tmp_path, specs)
+    assert total == 6
+    assert [name for name, _ in differing] == [
+        f"corner-4.1 {fmt} {label}"
+        for fmt in ("text", "json")
+        for label in ("plain", "exports", "oracle")
     ]
 
 

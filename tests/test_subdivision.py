@@ -238,8 +238,24 @@ def test_enumeration_refuses_a_short_covering(monkeypatch):
     cell = enumerate_cells(d).maximal_cells[0]
     pool = tuple(mask for mask in candidate_graphs(5) if mask != cell.graph.bits)
     monkeypatch.setattr(sd, "candidate_graphs", lambda n: pool)
-    short = f"covering identity failed: {11 - cell.volume} != 2\\^4-5$"
+    short = f"^covered volume {11 - cell.volume}, expected 11$"
     with pytest.raises(DegenerateRidge, match=short):
+        enumerate_cells(d)
+
+
+def test_enumeration_refuses_a_short_corner_covering(monkeypatch):
+    # a result whose only witnesses are corners (zero heights) is checked as
+    # well: ideal's 4 cells cover 2^3 - 4 = 4, and the pool without one of
+    # them leaves the rest short, with the corner witness still found
+    import tightspan.subdivision as sd
+
+    d = metric("ideal")
+    S = enumerate_cells(d)
+    assert S.degeneracy_witness[1] == (1, 1) and S.total_volume == 4
+    cell = S.maximal_cells[0]  # the witness's cell: the rest still meet corners
+    pool = tuple(mask for mask in candidate_graphs(4) if mask != cell.graph.bits)
+    monkeypatch.setattr(sd, "candidate_graphs", lambda n: pool)
+    with pytest.raises(DegenerateRidge, match=f"^covered volume {4 - cell.volume}, expected 4$"):
         enumerate_cells(d)
 
 
@@ -566,7 +582,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
     S = subdivision(name)
     n = S.n
     dnum, D = S.metric.scaled
-    tab = sd._tables(n, dnum)
+    dnum2 = [2 * v for v in dnum]
     w = sd._seed_weight(n)
     scaled, level = {}, {}
     for cell in S.maximal_cells:
@@ -588,7 +604,7 @@ def test_pivot_carries_heights_to_the_neighbour(name):
             leaving = (here ^ rmask).bit_length() - 1
             entering = (there ^ rmask).bit_length() - 1
             ((e, slots, t, lower, sigma, _, _),) = sd._ridge_steps(
-                tab, here, 1 << leaving, scaled[here]
+                dnum2, here, 1 << leaving, scaled[here]
             )
             assert e == leaving
             assert slots == [entering] and lower == (level[there] < level[here])
@@ -618,7 +634,7 @@ def test_ridge_steps_match_the_list_based_ratio_test(group):
     for d in RATIO_TEST_GROUPS[group]:
         n = d.n
         dnum, _ = d.scaled
-        tab = sd._tables(n, dnum)
+        dnum2 = [2 * v for v in dnum]
         first = lambda_certificate(d, sd._first_cell(d))
         if not isinstance(first, Cell):
             continue
@@ -626,9 +642,9 @@ def test_ridge_steps_match_the_list_based_ratio_test(group):
         order = [first.graph.bits]
         for mask in order:  # the list grows while it is read
             lam = heights[mask]
-            for e, slots, t, lower, sigma, tree, _ in sd._ridge_steps(tab, mask, mask, lam):
+            for e, slots, t, lower, sigma, tree, _ in sd._ridge_steps(dnum2, mask, mask, lam):
                 _, ref = sd._solve_scaled(n, mask ^ 1 << e, dnum)
-                i, j = tab.pairs[e]
+                i, j = sd._pairs0(n)[e]
                 if ref[i] + ref[j] < 0:
                     ref = [-v for v in ref]
                 support = [v for v in range(n) if ref[v]]
@@ -755,7 +771,7 @@ def test_face_closure_refuses_a_non_generic_subdivision(cells):
     # ties in a ratio test and has none
     S = compute_subdivision(metric("ideal") if cells else gen_random(6, 5, 100))
     assert not S.generic and bool(S.maximal_cells) == cells
-    refusal = "^face closure requires a generic subdivision$"
+    refusal = "^face counts and face lists require a generic subdivision$"
     with pytest.raises(PreconditionViolated, match=refusal):
         all_faces(S)
     with pytest.raises(PreconditionViolated, match=refusal):
@@ -795,10 +811,10 @@ def test_descent_pivot_off_the_candidates_raises(monkeypatch):
 
     steps = sd._ridge_steps
 
-    def off_the_candidates(tab, mask, edges, lam):
-        for step in steps(tab, mask, edges, lam):
+    def off_the_candidates(dnum2, mask, edges, lam):
+        for step in steps(dnum2, mask, edges, lam):
             sigma = step[4]
-            for p, (i, j) in enumerate(tab.pairs):
+            for p, (i, j) in enumerate(sd._pairs0(len(lam))):
                 if sigma[i] and sigma[i] + sigma[j] == 0:
                     step = (step[0], [p], 0, True, *step[4:])
                     break
@@ -833,6 +849,26 @@ def test_pivot_off_the_candidates_raises(monkeypatch):
         traverse_cells(d, seed)
     with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
         compute_subdivision(d)
+
+
+@pytest.mark.parametrize("name", ["dmax-6", "dmin-7"])
+def test_traversal_refuses_a_short_covering(name, monkeypatch):
+    # negative control of the covering check on the production route: with
+    # only the first cell's ridges pivoted, the traversal stops at that cell
+    # and its neighbours, which miss 2^(n-1) - n
+    import tightspan.subdivision as sd
+
+    steps = sd._ridge_steps
+    calls = []
+
+    def first_cell_only(dnum2, mask, edges, lam):
+        calls.append(mask)
+        return steps(dnum2, mask, edges, lam) if len(calls) == 1 else iter(())
+
+    monkeypatch.setattr(sd, "_ridge_steps", first_cell_only)
+    with pytest.raises(DegenerateRidge, match=r"^covered volume \d+, expected (26|57)$"):
+        compute_subdivision(metric(name))
+    assert len(calls) > 1
 
 
 def test_traverse_volume_identity_n8():
