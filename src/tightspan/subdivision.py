@@ -34,10 +34,14 @@ takes its seed from it, with one solve: each further cell, heights and
 component count included, comes from a ridge pencil lam + t*sigma and its
 ratio test.  sigma is +-1 on the bipartition of the ridge's one tree
 component and 0 elsewhere.  One ridge step per cell (_ridge_steps) builds
-the cell's adjacency and strips its leaves once; per interior ridge it
-makes one walk of that tree alone, which gives sigma, the minus nodes and
-w.sigma, and one ratio test, a running least bound with the list of its
-slots.  The traversal and seed_cell's descent both pivot by it.  A Cell
+the cell's adjacency and strips its leaves once; per interior ridge it is
+given it makes one walk of that tree alone, which gives sigma, the minus
+nodes and w.sigma, and one ratio test, a running least bound with the list
+of its slots.  The traversal and seed_cell's descent both pivot by it.  The
+traversal pairs the two cells of a ridge in a ridge map once both are
+reached and gives the step only the ridges whose second cell it has not
+reached, so a generic traversal makes one ratio test per cell but the
+first.  A Cell
 keeps these integers; Cell.heights builds their Fractions on each read,
 and only certificate callers and the tests read it; the degeneracy
 certificates carry Fractions.
@@ -45,11 +49,14 @@ certificates carry Fractions.
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
 neighbour is lam + t*sigma, t > 0, on the ridge pencil, so it is lower when
-w.sigma < 0, a signed sum of seed weights that is never 0.  The pivot
-orients each interior ridge by that sign, wherever the walk began; the test
-oracle (enumerate_cells) orients its cells independently, by comparing
-w.lambda over a map of ridges to cells, and the one cell without a down
-edge is seed_cell's, the end of the descent.
+w.sigma < 0, a signed sum of seed weights that is never 0; seed_cell's
+descent reads that sign.  The traversal evaluates w.lambda once per cell,
+when it reaches the cell, and orients each interior ridge, pivoted or
+paired in its ridge map, by comparing its two cells, wherever the walk
+began; the test oracle (enumerate_cells) orients its cells independently,
+by the same comparison over a map of ridges to all its cells
+(_ridge_orientation), and the one cell without a down edge is seed_cell's,
+the end of the descent.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
 down_degrees gives the histogram of the cells' down degrees, from which
@@ -355,8 +362,8 @@ def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
 
     Of the two cells of an interior ridge, the one higher in w.lambda at the
     seed weight gets the ridge's edge as a down edge.  Only the enumeration
-    oracle orients its cells this way; the traversal's pivots orient its
-    cells on their own.
+    oracle calls it; the traversal applies the same rule in its own ridge
+    map, as it reaches the cells.
     """
     w = _seed_weight(n)
     level = {mask: sum(map(mul, w, lam)) for mask, lam in kept}
@@ -480,7 +487,7 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
 
 @lru_cache(maxsize=None)
 def _seed_weight(n: int) -> tuple[int, ...]:
-    """w_i = 2^n + 2^(n-i), once per n: every ridge's orientation and seed_cell's objective.
+    """w_i = 2^n + 2^(n-i), once per n: w.lambda orients every ridge and is seed_cell's objective.
 
     A wall is sum_A w = sum_B w on the two sides of a tree, and no signed
     sum of these w_i vanishes (the 2^(n-i) parts differ and stay below 2^n),
@@ -635,29 +642,39 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
 
     Only the seed is solved and classified, by lambda_certificate: a
     DegeneracyReport gives a non-generic result without cells, with the seed
-    graph and its equality pair as the witness.  Each interior ridge is
-    pivoted once, from the first of its two cells to be reached, by that
-    cell's one ridge step (_ridge_steps): a walk of the ridge's tree gives
-    its pencil lam + t*sigma, and the ratio test gives the entering pair and
-    t, so the neighbour's heights are lam + t*sigma, a copy of lam changed
-    on the tree nodes only.  A tie on the far side ends the traversal the same way, with
-    the neighbour's graph and the tied pair, and the near side needs no
-    test, as the current cell is strict.  The entering pair's s = sigma_i +
-    sigma_j must not be 0, else DegenerateRidge: only s != 0 gives a
-    candidate, with c + [leaving edge off the cycle] - [|s| = 1] components
-    for a cell of c.  The pivot also orients the ridge by the sign of
-    w.sigma on its pencil: the higher cell's edge across it is down;
-    boundary ridges are up.  One map, mask -> [scaled heights, components,
-    down, pivoted edges], holds the cells.  A cell with a height that is not
-    positive is kept, and the builder (_subdivision) gives the (i, i)
-    witness of its first such node.  Matches enumerate_cells, volumes and
-    down edges included, on every generic input.  The seed is a certificate
-    of lambda_certificate or a bare graph, and only its graph is read;
-    lambda_certificate refuses one that is no candidate cell, and one that
-    drops below d is refused here, both by PreconditionViolated.  Every
-    broken invariant raises DegenerateRidge: an unbounded pencil, a pivot
-    off the candidates, or, in the builder, a covered volume other than
-    2^(n-1) - n.
+    graph and its equality pair as the witness.  Each cell, once reached,
+    registers its interior ridges in a ridge map, ridge -> the reached cell
+    that holds it; a ridge is on the boundary when it drops a leaf's edge or
+    the one edge off a full star.  A ridge already there has both its cells:
+    it is popped, and neither cell pivots across it.  A processed cell
+    pivots across the ridges it still holds in the map, by its one ridge
+    step (_ridge_steps): a walk of the ridge's tree gives its pencil lam +
+    t*sigma, and the ratio test gives the entering pair and t, so the
+    neighbour's heights are lam + t*sigma, a copy of lam changed on the tree
+    nodes only.  Every such pivot enters a cell not yet reached, so a
+    generic traversal makes cells - 1 ratio tests.  A tie on the far side
+    ends the traversal the same way, with the neighbour's graph and the tied
+    pair, and the near side needs no test, as the current cell is strict.
+    A paired ridge needs no ratio test for the verdict either: a tie on it
+    would meet d in a cell already reached, and the pivot that reached that
+    cell would have tied first.  The entering pair's s = sigma_i + sigma_j
+    must not be 0, else DegenerateRidge: only s != 0 gives a candidate, with
+    c + [leaving edge off the cycle] - [|s| = 1] components for a cell of c.
+    Each cell's w.lambda at the seed weight is evaluated once, when it is
+    reached, and orients its ridges as they are paired, the pivoted one
+    too, when the new cell registers it: the higher cell's edge across an
+    interior ridge is down; boundary ridges are up.  One map, mask ->
+    [scaled heights, components, down, ridges in the map, w.lambda], holds
+    the cells, the last two only until the cell is processed.  A cell with
+    a height that is not positive is kept, and the builder (_subdivision)
+    gives the (i, i) witness of its first such node.  Matches
+    enumerate_cells, volumes and down edges included, on every generic
+    input.  The seed is a certificate of lambda_certificate or a bare graph,
+    and only its graph is read; lambda_certificate refuses one that is no
+    candidate cell, and one that drops below d is refused here, both by
+    PreconditionViolated.  Every broken invariant raises DegenerateRidge: an
+    unbounded pencil, a pivot off the candidates or into a cell already
+    reached, or, in the builder, a covered volume other than 2^(n-1) - n.
     """
     n = d.n
     cert = lambda_certificate(d, seed if isinstance(seed, EdgeGraph) else seed.graph)
@@ -667,41 +684,65 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
         return _subdivision(d, {}, [(cert.graph.bits, cert.pair)])
 
     dnum2 = [2 * v for v in d.scaled[0]]
-    pairs = _pairs0(n)
+    pairs, w, stars = _pairs0(n), _seed_weight(n), node_edge_masks(n)
+    cells: dict = {}
+    ridges: dict[int, int] = {}
+
+    def reach(mask: int, lam: list[int], components: int) -> None:
+        # the new cell's interior ridges go into the ridge map; one already
+        # there is paired, its edge down on the higher cell
+        level = sum(map(mul, w, lam))
+        bits = mask
+        for star in stars:  # a leaf's edge, and the edge off a full star, bound
+            at = mask & star
+            if not at & at - 1:
+                bits &= ~at
+            elif at == star:
+                bits &= star
+        cell = cells[mask] = [lam, components, 0, bits, level]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            rmask = mask ^ low
+            other = ridges.setdefault(rmask, mask)
+            if other != mask:
+                del ridges[rmask]
+                held = cells[other]
+                edge = other ^ rmask
+                cell[3] ^= low
+                held[3] ^= edge
+                if held[4] < level:
+                    cell[2] |= low
+                else:
+                    held[2] |= edge
+
     start = cert.graph.bits
-    cells = {start: [list(cert.lam), cert.volume.bit_length(), 0, 0]}
+    reach(start, list(cert.lam), cert.volume.bit_length())
     order = [start]
     for mask in order:  # the list grows while it is read
         cell = cells[mask]
         lam = cell[0]
-        for leaving, slots, t, lower, sigma, tree, off_cycle in _ridge_steps(
-            dnum2, mask, mask & ~cell[3], lam
-        ):
+        for leaving, slots, t, _, sigma, tree, off_cycle in _ridge_steps(dnum2, mask, cell[3], lam):
             rmask = mask ^ 1 << leaving
             if len(slots) != 1:
                 tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
                 return _subdivision(d, {}, [tie])
-            entering = 1 << slots[0]
-            nmask = rmask | entering
-            other = cells.get(nmask)
-            if other is None:
-                # s = +-2 closes an odd cycle in the tree, +-1 joins it to a
-                # cyclic component, 0 closes an even or a second cycle: only
-                # a broken ratio test leaves the candidates
-                i, j = pairs[slots[0]]
-                s = sigma[i] + sigma[j]
-                if not s:
-                    raise DegenerateRidge("ridge pivot entered a non-candidate mask")
-                nlam = lam[:]
-                for v in tree:
-                    nlam[v] += t * sigma[v]
-                other = cells[nmask] = [nlam, cell[1] + off_cycle - (abs(s) == 1), 0, 0]
-                order.append(nmask)
-            other[3] |= entering
-            if lower:
-                cell[2] |= 1 << leaving
-            else:
-                other[2] |= entering
+            nmask = rmask | 1 << slots[0]
+            if nmask in cells:
+                raise DegenerateRidge("ridge pivot entered a cell already reached")
+            # s = +-2 closes an odd cycle in the tree, +-1 joins it to a
+            # cyclic component, 0 closes an even or a second cycle: only a
+            # broken ratio test leaves the candidates
+            i, j = pairs[slots[0]]
+            s = sigma[i] + sigma[j]
+            if not s:
+                raise DegenerateRidge("ridge pivot entered a non-candidate mask")
+            nlam = lam[:]
+            for v in tree:
+                nlam[v] += t * sigma[v]
+            reach(nmask, nlam, cell[1] + off_cycle - (abs(s) == 1))  # pairs the ridge
+            order.append(nmask)
+        del cell[3:]  # every ridge of a processed cell is paired
 
     return _subdivision(d, cells, [])
 

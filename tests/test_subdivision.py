@@ -443,14 +443,17 @@ def test_traverse_equals_enumerate(name):
 
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8"])
-def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
-    # one ridge step per cell, and in it one pencil walk and one ratio test
-    # per interior ridge; and one solve, of the seed, which alone is
-    # classified: the pivot hands every other cell over with its heights
+def test_traversal_pivots_once_per_new_cell(name, monkeypatch):
+    # one ridge step per cell, and in all of them cells - 1 pencil walks
+    # and ratio tests, each across a distinct interior ridge into a cell not
+    # yet reached: the ridge map pairs the cells of the other interior ridges;
+    # and one solve, of the seed, which alone is classified: the pivot hands
+    # every other cell over with its heights
     import tightspan.subdivision as sd
 
     cells = []
     calls = []
+    entered = []
     solves = []
     classified = []
     steps = sd._ridge_steps
@@ -461,6 +464,7 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
         cells.append(mask)
         for step in steps(tab, mask, edges, lam):
             calls.append(mask ^ 1 << step[0])
+            entered.append(calls[-1] | 1 << step[1][0])
             yield step
 
     def counting_solve(*args):
@@ -479,10 +483,28 @@ def test_traversal_pivots_each_interior_ridge_once(name, monkeypatch):
     T = traverse_cells(d, seed)
     F = all_faces(T)
     assert sorted(cells) == [c.graph.bits for c in T.maximal_cells]
-    assert len(calls) == len(set(calls)) == len(F.interior_by_dim[d.n - 2])
-    assert set(calls) == F.interior_by_dim[d.n - 2]
+    assert sorted([seed.graph.bits] + entered) == sorted(cells)  # none entered twice
+    assert len(calls) == len(set(calls)) == len(T.maximal_cells) - 1
+    assert set(calls) <= F.interior_by_dim[d.n - 2]
     assert solves == [seed.graph.bits]
     assert classified == [seed.graph.bits]
+
+
+@pytest.mark.parametrize("name", ["dmax-6", "dmin-7"])
+def test_pivot_into_a_reached_cell_raises(name, monkeypatch):
+    # negative control of the ridge map: a step that walks every edge of its
+    # cell, paired ridges included, pivots into a cell already reached, and
+    # the traversal's guard must refuse it
+    import tightspan.subdivision as sd
+
+    steps = sd._ridge_steps
+
+    def every_edge(dnum2, mask, edges, lam):
+        return steps(dnum2, mask, mask, lam)
+
+    monkeypatch.setattr(sd, "_ridge_steps", every_edge)
+    with pytest.raises(DegenerateRidge, match="already reached"):
+        compute_subdivision(metric(name))
 
 
 @pytest.mark.parametrize("name", ["dmax-8", "dmin-8", "hires-8.1"])
@@ -569,6 +591,27 @@ def test_seed_weight_orders_adjacent_cells(name):
     for k in down.values():
         histogram[k] += 1
     assert tuple(histogram) == face_report(S).h
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_traversal_orients_ridges_as_the_ridge_map(n):
+    # past the enumeration cap, each cell's down edges, from its pivots and
+    # its paired ridges, are those of the oracle's map of ridges to cells
+    # (_ridge_orientation); the generic ones among dmax, dmin and five
+    # random metrics at two resolutions
+    import tightspan.subdivision as sd
+
+    inputs = [gen_dmax(n), gen_dmin(n)]
+    inputs += [gen_random(n, s, r) for s in range(1, 6) for r in (100, 10**12)]
+    generic = 0
+    for d in inputs:
+        S = compute_subdivision(d)
+        if not S.generic:
+            continue
+        generic += 1
+        down = sd._ridge_orientation(n, [(c.graph.bits, c.lam) for c in S.maximal_cells])
+        assert [c.down for c in S.maximal_cells] == [down[c.graph.bits] for c in S.maximal_cells]
+    assert generic == 7
 
 
 @pytest.mark.parametrize("name", ["dmax-7", "dmin-7", "hires-8.1"])
