@@ -8,8 +8,8 @@ timestamp line, which --no-timestamp suppresses.
 traversal from node 1's star-plus-pair cell at every n, and every vector and
 check of a generic report from one FaceReport; text and JSON render the
 same ROWS.
---export-cells writes subdivision_to_json, and --export-faces streams
-faces_to_json one face record at a time; both are template writers in
+--export-cells and --export-faces stream subdivision_to_json and
+faces_to_json one record at a time; both are template writers in
 subdivision.py, in the bytes of json.dumps(payload, indent=2) + "\n".
 Exit codes: 0 success, 2 parse or argument error (also an unwritable
 --export-* or -o path, or a stdout closed by its reader), 3 non-generic
@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
     lines.append(f"volume: {sub.total_volume}")
 
     payload: dict = {"n": d.n, "generic": sub.generic, "cells": len(sub.maximal_cells)}
-    if args.export_cells and not _write(args.export_cells, lambda: [subdivision_to_json(sub)]):
+    if args.export_cells and not _write(args.export_cells, lambda: subdivision_to_json(sub)):
         return 2
 
     if not sub.generic:

@@ -35,13 +35,13 @@ component count included, comes from a ridge pencil lam + t*sigma and its
 ratio test.  sigma is +-1 on the bipartition of the ridge's one tree
 component and 0 elsewhere.  One ridge step per cell (_ridge_steps) builds
 the cell's adjacency and strips its leaves once; per interior ridge it is
-given it makes one walk of that tree alone, which gives sigma, the minus
-nodes and w.sigma, and one ratio test, a running least bound with the list
-of its slots.  The traversal and seed_cell's descent both pivot by it.  The
-traversal pairs the two cells of a ridge in a ridge map once both are
-reached and gives the step only the ridges whose second cell it has not
-reached, so a generic traversal makes one ratio test per cell but the
-first.  A Cell
+given (_interior_edges: no leaf's edge, and no edge off a full star) it
+makes one walk of that tree alone, which gives sigma and the minus nodes,
+and one ratio test, a running least bound with the list of its slots.  The
+traversal and seed_cell's descent both pivot by it.  The traversal pairs
+the two cells of a ridge in a ridge map once both are reached and gives
+the step only the ridges whose second cell it has not reached, so a
+generic traversal makes one ratio test per cell but the first.  A Cell
 keeps these integers; Cell.heights builds their Fractions on each read,
 and only certificate callers and the tests read it; the degeneracy
 certificates carry Fractions.
@@ -50,13 +50,13 @@ Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
 neighbour is lam + t*sigma, t > 0, on the ridge pencil, so it is lower when
 w.sigma < 0, a signed sum of seed weights that is never 0; seed_cell's
-descent reads that sign.  The traversal evaluates w.lambda once per cell,
-when it reaches the cell, and orients each interior ridge, pivoted or
-paired in its ridge map, by comparing its two cells, wherever the walk
-began; the test oracle (enumerate_cells) orients its cells independently,
-by the same comparison over a map of ridges to all its cells
-(_ridge_orientation), and the one cell without a down edge is seed_cell's,
-the end of the descent.
+descent sums it from the pencil of each step.  The traversal evaluates
+w.lambda once per cell, when it reaches the cell, and orients each
+interior ridge, pivoted or paired in its ridge map, by comparing its two
+cells, wherever the walk began; the test oracle (enumerate_cells) orients
+its cells independently, by the same comparison over a map of ridges to
+all its cells (_ridge_orientation), and the one cell without a down edge
+is seed_cell's, the end of the descent.
 Each face is then built once: from its lowest cell with every down edge,
 and each interior face from its highest cell with every up edge.
 down_degrees gives the histogram of the cells' down degrees, from which
@@ -67,8 +67,9 @@ submetric on the nodes off I.
 
 subdivision_to_json writes the cell export and faces_to_json the face
 export, both from %-templates in the bytes of json.dumps(payload, indent=2)
-+ "\n"; each height prints as p/q from its integer by one gcd, and the text
-"/q" is built once per distinct gcd.
++ "\n", and both stream one chunk per record; each height prints as p/q
+from its integer by one gcd, and the text "/q" is built once per distinct
+gcd.
 """
 
 from __future__ import annotations
@@ -453,24 +454,27 @@ def seed_cell(d: Metric) -> Cell | DegeneracyReport:
 
     The cells are the vertices of the polyhedron dual to the subdivision,
     and w is positive on its recession cone, so the simplex method ends on
-    the vertex of least w.lambda.  Its pivot is the traversal's own: while
-    the cell has an interior ridge whose pencil goes down (w.sigma < 0),
-    cross the one of least slot.  On a generic d the end is the one cell of
-    compute_subdivision without a down edge.  Returns its
-    lambda_certificate; on a non-generic d that of the flat first cell, or
-    of the cell entered at the first ratio-test tie, a DegeneracyReport.  An
-    entering pair with sigma_i + sigma_j = 0 raises DegenerateRidge, as in
-    the traversal.
+    the vertex of least w.lambda.  Its pivot is the traversal's own, across
+    the ridges of _interior_edges: while the cell has one whose pencil goes
+    down, cross the one of least slot.  The descent alone reads that sign,
+    w.sigma < 0, which it sums from the sigma each step yields.  On a
+    generic d the end is the one cell of compute_subdivision without a down
+    edge.  Returns its lambda_certificate; on a non-generic d that of the
+    flat first cell, or of the cell entered at the first ratio-test tie, a
+    DegeneracyReport.  An entering pair with sigma_i + sigma_j = 0 raises
+    DegenerateRidge, as in the traversal.
     """
     n = d.n
     cert = lambda_certificate(d, _first_cell(d))
     if not isinstance(cert, Cell):
         return cert
     dnum2 = [2 * v for v in d.scaled[0]]
+    w = _seed_weight(n)
     mask, lam = cert.graph.bits, list(cert.lam)
     while True:
-        for leaving, slots, t, lower, sigma, tree, _ in _ridge_steps(dnum2, mask, mask, lam):
-            if lower:
+        steps = _ridge_steps(dnum2, mask, _interior_edges(n, mask), lam)
+        for leaving, slots, t, sigma, tree, _ in steps:
+            if sum(map(mul, w, sigma)) < 0:
                 break
         else:  # no ridge goes down
             break
@@ -508,21 +512,39 @@ def _slot_rows(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _interior_edges(n: int, mask: int) -> int:
+    """The edges e of the candidate cell mask whose ridge mask - e is interior.
+
+    The ridge lies on a facet of the hypersimplex, x_i = 0 or x_i = 1, just
+    when it misses a node or holds a full star: when e is a leaf's edge, or
+    the one edge of the cell off a node's full star.
+    """
+    bits = mask
+    for star in node_edge_masks(n):
+        at = mask & star
+        if not at & at - 1:
+            bits &= ~at
+        elif at == star:
+            bits &= star
+    return bits
+
+
 def _ridge_steps(
     dnum2: Sequence[int], mask: int, edges: int, lam: Sequence[int]
-) -> Iterator[tuple[int, list[int], int, bool, list[int], list[int], bool]]:
-    """The ridge pivot across each interior ridge mask - e, e in edges, of one cell.
+) -> Iterator[tuple[int, list[int], int, list[int], list[int], bool]]:
+    """The ridge pivot across each ridge mask - e, e in edges, of one cell.
 
     mask is a candidate cell and lam its heights at scale 2D, strict off the
     graph, and dnum2 is d at that scale; the tables of n = len(lam) are
-    read from their caches.  Its adjacency is built once, and leaves are
-    stripped once, which leaves the cycle nodes and gives every other node
-    its neighbour toward its component's cycle.  Without e the ridge has one
-    tree component: e's whole component when e lies on the odd cycle, else
-    the subtree on the far side of e from the cycle.  One walk of that tree,
-    from e's ends in it and never back across e, 2-colours it: sigma of the
-    pencil lam + t*sigma, +1 at those ends, so e's slack grows with t, and 0
-    off the tree.  The walk also lists the minus nodes.
+    read from their caches.  edges are interior (_interior_edges).  The
+    cell's adjacency is built once, and leaves are stripped once, which
+    leaves the cycle nodes and gives every other node its neighbour toward
+    its component's cycle.  Without e the ridge has one tree component: e's
+    whole component when e lies on the odd cycle, else the subtree on the
+    far side of e from the cycle.  One walk of that tree, from e's ends in
+    it and never back across e, 2-colours it: sigma of the pencil lam +
+    t*sigma, +1 at those ends, so e's slack grows with t, and 0 off the
+    tree.  The walk also lists the minus nodes.
 
     The cell is strict, so only a pair with s = sigma_i + sigma_j < 0 bounds
     t, from above by slack/-s: minus-minus pairs (s = -2) and minus-zero
@@ -530,19 +552,18 @@ def _ridge_steps(
     least bound, at the common denominator 2, and the slots that attain it,
     in one pass; only on a tie does it sort them.  The neighbour's heights
     are lam + t*sigma, and every other pair stays strictly above d, so the
-    neighbour needs no classifying.  lower is w.sigma < 0: the neighbour,
-    at t > 0, is lower in w.lambda.  An unbounded pencil raises
-    DegenerateRidge.
+    neighbour needs no classifying.  An unbounded pencil, which a boundary
+    ridge gives, raises DegenerateRidge.
 
-    Yields (slot of e, entering slots, t, lower, sigma, tree nodes, e off
-    the cycle) per interior ridge.  The entering slots are those of the
-    least bound in slot order: one, or more on a ratio-test tie, where the
-    neighbour meets d with equality on the second.
+    Yields (slot of e, entering slots, t, sigma, tree nodes, e off the
+    cycle) per ridge.  The entering slots are those of the least bound in
+    slot order: one, or more on a ratio-test tie, where the neighbour meets
+    d with equality on the second.
     """
     if not edges:
         return
     n = len(lam)
-    pairs, rows, w, stars = _pairs0(n), _slot_rows(n), _seed_weight(n), node_edge_masks(n)
+    pairs, rows = _pairs0(n), _slot_rows(n)
     adj: list[list[int]] = [[] for _ in range(n)]
     bits = mask
     while bits:
@@ -552,19 +573,7 @@ def _ridge_steps(
         adj[i].append(j)
         adj[j].append(i)
     degree = [len(a) for a in adj]
-    # the ridge is interior (spanning, no full star) unless e is a leaf's
-    # edge or the one edge off a node's full star
-    leaves = []
-    boundary = 0
-    for v, k in enumerate(degree):
-        if k == 1:
-            leaves.append(v)
-            boundary |= 1 << rows[v][adj[v][0]]
-        elif k == n - 1:
-            boundary |= mask & ~stars[v]
-    ridges = edges & ~boundary
-    if not ridges:
-        return
+    leaves = [v for v in range(n) if degree[v] == 1]
     up = [-1] * n  # each node's neighbour toward its cycle; -1 on the cycle
     for v in leaves:  # the list grows while it is read
         degree[v] = 0
@@ -574,10 +583,9 @@ def _ridge_steps(
                 degree[u] -= 1
                 if degree[u] == 1:
                     leaves.append(u)
-    weight = w.__getitem__
-    while ridges:
-        low = ridges & -ridges
-        ridges ^= low
+    while edges:
+        low = edges & -edges
+        edges ^= low
         e = low.bit_length() - 1
         a, b = pairs[e]
         sigma = [0] * n
@@ -632,9 +640,8 @@ def _ridge_steps(
             raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
         if len(slots) > 1:
             slots.sort()
-        lower = sum(map(weight, tree)) < 2 * sum(map(weight, minus))
         # exact: both cells' heights are integers at scale 2D
-        yield e, slots, least // 2, lower, sigma, tree, far >= 0
+        yield e, slots, least // 2, sigma, tree, far >= 0
 
 
 def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subdivision:
@@ -643,11 +650,10 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     Only the seed is solved and classified, by lambda_certificate: a
     DegeneracyReport gives a non-generic result without cells, with the seed
     graph and its equality pair as the witness.  Each cell, once reached,
-    registers its interior ridges in a ridge map, ridge -> the reached cell
-    that holds it; a ridge is on the boundary when it drops a leaf's edge or
-    the one edge off a full star.  A ridge already there has both its cells:
-    it is popped, and neither cell pivots across it.  A processed cell
-    pivots across the ridges it still holds in the map, by its one ridge
+    registers its interior ridges (_interior_edges) in a ridge map, ridge
+    -> the reached cell that holds it.  A ridge already there has both its
+    cells: it is popped, and neither cell pivots across it.  A processed
+    cell pivots across the ridges it still holds in the map, by its one ridge
     step (_ridge_steps): a walk of the ridge's tree gives its pencil lam +
     t*sigma, and the ratio test gives the entering pair and t, so the
     neighbour's heights are lam + t*sigma, a copy of lam changed on the tree
@@ -684,7 +690,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
         return _subdivision(d, {}, [(cert.graph.bits, cert.pair)])
 
     dnum2 = [2 * v for v in d.scaled[0]]
-    pairs, w, stars = _pairs0(n), _seed_weight(n), node_edge_masks(n)
+    pairs, w = _pairs0(n), _seed_weight(n)
     cells: dict = {}
     ridges: dict[int, int] = {}
 
@@ -692,13 +698,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
         # the new cell's interior ridges go into the ridge map; one already
         # there is paired, its edge down on the higher cell
         level = sum(map(mul, w, lam))
-        bits = mask
-        for star in stars:  # a leaf's edge, and the edge off a full star, bound
-            at = mask & star
-            if not at & at - 1:
-                bits &= ~at
-            elif at == star:
-                bits &= star
+        bits = _interior_edges(n, mask)
         cell = cells[mask] = [lam, components, 0, bits, level]
         while bits:
             low = bits & -bits
@@ -722,7 +722,7 @@ def traverse_cells(d: Metric, seed: Cell | DegeneracyReport | EdgeGraph) -> Subd
     for mask in order:  # the list grows while it is read
         cell = cells[mask]
         lam = cell[0]
-        for leaving, slots, t, _, sigma, tree, off_cycle in _ridge_steps(dnum2, mask, cell[3], lam):
+        for leaving, slots, t, sigma, tree, off_cycle in _ridge_steps(dnum2, mask, cell[3], lam):
             rmask = mask ^ 1 << leaving
             if len(slots) != 1:
                 tie = (rmask | 1 << slots[0], pair_table(n)[slots[1]])
@@ -909,17 +909,17 @@ _CELL = """    {
     }"""
 
 
-def subdivision_to_json(S: Subdivision) -> str:
+def subdivision_to_json(S: Subdivision) -> Iterator[str]:
     """The cells of S (edges, heights, volume) and its witness, as indented JSON text.
 
-    Each height prints as "p/q", as format_rational prints it, straight from
-    its integer v over S's one scale 2D by one gcd g: p = v/g, and the text
-    "/q" of q = scale/g, empty for q = 1, is built once per distinct g.  A
-    cell has n edges and n heights, so neither list is empty.  The records
-    are joined once, so the text is held twice at most.
+    One chunk per cell record, so the text is never held whole.  Each height
+    prints as "p/q", as format_rational prints it, straight from its integer
+    v over S's one scale 2D by one gcd g: p = v/g, and the text "/q" of q =
+    scale/g, empty for q = 1, is built once per distinct g.  A cell has n
+    edges and n heights, so neither list is empty.
     """
     edge = _pair_texts(S.n, "        ")
-    parts = ['{\n  "n": %d,\n  "generic": %s,\n  "cells": ' % (S.n, "true" if S.generic else "false")]
+    yield '{\n  "n": %d,\n  "generic": %s,\n  "cells": ' % (S.n, "true" if S.generic else "false")
     sep = "[\n"
     scale = 2 * S.metric.scaled[1]
     dens = {scale: '"'}  # g -> the height's text after p
@@ -931,27 +931,22 @@ def subdivision_to_json(S: Subdivision) -> str:
             if den is None:
                 den = dens[g] = "/" + _str_of(scale // g) + '"'
             heights.append(_str_of(v // g) + den)
-        parts.append(sep)
-        parts.append(
-            _CELL
-            % (
-                ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(cell.graph.bits)]),
-                '        "' + ',\n        "'.join(heights),
-                cell.volume,
-            )
+        yield sep + _CELL % (
+            ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(cell.graph.bits)]),
+            '        "' + ',\n        "'.join(heights),
+            cell.volume,
         )
         sep = ",\n"
-    parts.append("\n  ]" if S.maximal_cells else "[]")
+    yield "\n  ]" if S.maximal_cells else "[]"
     if S.degeneracy_witness is not None:
         graph, (i, j) = S.degeneracy_witness
         edge = _pair_texts(S.n, "      ")
         edges = [edge[b.bit_length() - 1] for b in _edge_bits(graph.bits)]
-        parts.append(
+        yield (
             ',\n  "witness": {\n    "graph": %s,\n    "pair": [\n      %d,\n      %d\n    ]\n  }'
             % (_json_list(edges, "    "), i, j)
         )
-    parts.append("\n}\n")
-    return "".join(parts)
+    yield "\n}\n"
 
 
 _FACE = """      {

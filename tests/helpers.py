@@ -17,6 +17,7 @@ import oracles
 import tightspan.subdivision as sd
 from oracles import is_interior_mask
 from tightspan.common import format_rational, num_pairs, pair_table, parse_rational
+from tightspan.errors import DegenerateRidge
 from tightspan.facevectors import FaceReport, face_report
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
 from tightspan.metrics import (
@@ -173,7 +174,7 @@ def break_ridge_pivot(monkeypatch) -> None:
             rmask = mask ^ 1 << step[0]
             for p in range(num_pairs(n)):
                 if not rmask >> p & 1 and cell_components(n, rmask | 1 << p) is None:
-                    step = (step[0], [p], 0, False, *step[4:])
+                    step = (step[0], [p], 0, *step[3:])
                     break
             yield step
 
@@ -402,13 +403,14 @@ def vertices_against_cells(S: Subdivision) -> tuple[dict, dict]:
 def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     """(interior ridges walked, those that differ) over every cell of generic S.
 
-    Each cell's ridge steps come from subdivision._ridge_steps.  On each
-    one, sigma must be the ridge's _solve_scaled sigma up to sign, the sign
-    that makes the leaving pair's slack grow, and the tree its support; the
-    step must enter the other cell of the ridge, at its heights lam +
-    t*sigma, and that cell must have the cell's cell_components count, plus
-    1 when the leaving edge is off the cycle, minus 1 when the entering
-    pair's sigma sum s has |s| = 1.  Every ridge shared by two cells must be
+    Each cell's ridge steps come from subdivision._ridge_steps, given the
+    cell's subdivision._interior_edges.  On each one, sigma must be the
+    ridge's _solve_scaled sigma up to sign, the sign that makes the leaving
+    pair's slack grow, and the tree its support; the step must enter the
+    other cell of the ridge, at its heights lam + t*sigma, and that cell
+    must have the cell's cell_components count, plus 1 when the leaving edge
+    is off the cycle, minus 1 when the entering pair's sigma sum s has
+    |s| = 1.  Every ridge shared by two cells must be
     walked from both and no other ridge at all; each miss counts as one.
     """
     n = S.n
@@ -425,7 +427,8 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     walked: dict[int, int] = {}
     bad = 0
     for mask, lam in lams.items():
-        for leaving, slots, t, _, sigma, tree, off_cycle in sd._ridge_steps(dnum2, mask, mask, lam):
+        edges = sd._interior_edges(n, mask)
+        for leaving, slots, t, sigma, tree, off_cycle in sd._ridge_steps(dnum2, mask, edges, lam):
             rmask = mask ^ 1 << leaving
             walked[rmask] = walked.get(rmask, 0) + 1
             _, ref = sd._solve_scaled(n, rmask, dnum)
@@ -444,6 +447,40 @@ def pencils_against_solver(S: Subdivision) -> tuple[int, int]:
     shared = {r for r, masks in cells_of.items() if len(masks) == 2}
     bad += sum(walked.get(r) != 2 for r in shared) + len(walked.keys() - shared)
     return sum(walked.values()), bad
+
+
+def boundary_rule_against_tags(S: Subdivision) -> tuple[int, int, int]:
+    """(edges of the cells of S, boundary edges among them, those that differ).
+
+    An edge e of a cell mask must be in subdivision._interior_edges just
+    when its ridge mask - e has no facet in boundary_tags, the face
+    export's tags; subdivision._ridge_steps, given a boundary edge, must
+    raise DegenerateRidge for an unbounded pencil.  Each miss counts as one.
+    """
+    n = S.n
+    dnum2 = [2 * v for v in S.metric.scaled[0]]
+    edges = boundary = bad = 0
+    for cell in S.maximal_cells:
+        mask = cell.graph.bits
+        interior = sd._interior_edges(n, mask)
+        bad += bool(interior & ~mask)
+        for p in range(num_pairs(n)):
+            e = 1 << p
+            if not mask & e:
+                continue
+            edges += 1
+            tagged = boundary_tags(n, mask ^ e) != ((), ())
+            bad += tagged == bool(interior & e)
+            if not tagged:
+                continue
+            boundary += 1
+            try:
+                list(sd._ridge_steps(dnum2, mask, e, cell.lam))
+            except DegenerateRidge as exc:
+                bad += str(exc) != "ridge pencil is unbounded beyond the ridge"
+            else:
+                bad += 1
+    return edges, boundary, bad
 
 
 def outdegree_h(poset: BoundedFacePoset, alpha) -> tuple[int, ...]:

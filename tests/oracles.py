@@ -19,8 +19,8 @@ orientation: it shares no code with the ridge traversal, whose descent
 
 pivot_entering is the list-based ratio test that the traversal ran before
 its ridge step kept a running least bound: the reference that every
-entering slot, t and orientation of subdivision._ridge_steps is compared
-with, on the pencil of the height solver's own sigma.
+entering slot and t of subdivision._ridge_steps is compared with, on the
+pencil of the height solver's own sigma.
 """
 
 from __future__ import annotations
@@ -388,8 +388,8 @@ def lp_seed_cell(d: Metric) -> Cell | DegeneracyReport:
 
 def pivot_entering(
     n: int, dnum: Sequence[int], lam: list[int], sigma: list[int], tree: list[int]
-) -> tuple[list[int], int, bool]:
-    """The neighbour across a ridge by a list of every bound: (entering slots, t, lower).
+) -> tuple[list[int], int]:
+    """The neighbour across a ridge by a list of every bound: (entering slots, t).
 
     lam holds the current cell's heights, the point t = 0 of the ridge pencil
     lam + t*sigma, and sigma (nonzero on the tree nodes) is signed so that
@@ -398,7 +398,7 @@ def pivot_entering(
     minus-minus pairs (s = -2) and minus-zero pairs (s = -1).  Every bound
     is listed, at the common denominator 2, and the least one enters; the
     slots are those of the least bound in slot order: one, or more on a
-    ratio-test tie.  lower is w.sigma < 0 at the seed weight.
+    ratio-test tie.
     """
     rows = _slot_rows(n)
     minus = [v for v in tree if sigma[v] < 0]
@@ -420,9 +420,7 @@ def pivot_entering(
     if not bounds:
         raise DegenerateRidge("ridge pencil is unbounded beyond the ridge")
     least = min(bounds)[0]
-    slots = sorted([p for bound, p in bounds if bound == least])
-    w = _seed_weight(n)
-    return slots, least // 2, sum([w[v] * sigma[v] for v in tree]) < 0
+    return sorted([p for bound, p in bounds if bound == least]), least // 2
 
 
 def is_cell_lp(d: Metric, G: EdgeGraph) -> bool:

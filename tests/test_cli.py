@@ -439,6 +439,18 @@ PINNED = [
     ("hires-11.1", gen_random(11, 1, 10**12), 0,
      "eab5b0e23e2e048e56e5c30ab9dd36259c9dfd7db36d5cdfc1b719e0ad6b39c1",
      "8f5af41f0f9e852c8a049f12bc0dc71f4ee70f8a34f8f865c8d49c0e524d8ae7"),
+    # n = 12, between the report grid of scripts/compare_reports.py (n <= 9)
+    # and CI's n = 14 pins: cell exports of 2.2, 1.3 and 2.1 MB, so the
+    # streamed cell writer is pinned over many chunks
+    ("dmax-12", gen_dmax(12), 0,
+     "43e400f09b34fa7fd185ce29cf1d78543d50e7988aef84574993e737c2fbd3d7",
+     "1976d3d9fe1e9b59016bffbee80679387b799428dd9974a8d227a6355ff90009"),
+    ("dmin-12", gen_dmin(12), 0,
+     "790ac1db70d9e21da0c60d8137704de6216c7dc9c145212fe10af5fe4f5792e0",
+     "e02fd20f4411589a9ed59ec0368819944715f33c575ce24f7f9eaa2e827f9b4f"),
+    ("hires-12.1", gen_random(12, 1, 10**12), 0,
+     "fd4ba04ab884bff2cf021a9db7dd3fdbaa1816a44e3a184a418e552338e470b1",
+     "89c3ca46167c3404528617a343dd5b2a8c3e00d48dfa1990f65daf2e24d6b170"),
     # a ratio-test tie
     ("random-6.5-res100", gen_random(6, 5, 100), 3,
      "833ec54f62d0447793f1d2c442dca5a4a948fcac42cca81edd5f88fbd30d8236",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_equality_witness,
+    boundary_rule_against_tags,
     break_lp_support,
     break_ridge_pivot,
     cells_json,
@@ -492,17 +493,17 @@ def test_traversal_pivots_once_per_new_cell(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["dmax-6", "dmin-7"])
 def test_pivot_into_a_reached_cell_raises(name, monkeypatch):
-    # negative control of the ridge map: a step that walks every edge of its
-    # cell, paired ridges included, pivots into a cell already reached, and
-    # the traversal's guard must refuse it
+    # negative control of the ridge map: a step that walks every interior
+    # ridge of its cell, paired ridges included, pivots into a cell already
+    # reached, and the traversal's guard must refuse it
     import tightspan.subdivision as sd
 
     steps = sd._ridge_steps
 
-    def every_edge(dnum2, mask, edges, lam):
-        return steps(dnum2, mask, mask, lam)
+    def every_ridge(dnum2, mask, edges, lam):
+        return steps(dnum2, mask, sd._interior_edges(len(lam), mask), lam)
 
-    monkeypatch.setattr(sd, "_ridge_steps", every_edge)
+    monkeypatch.setattr(sd, "_ridge_steps", every_ridge)
     with pytest.raises(DegenerateRidge, match="already reached"):
         compute_subdivision(metric(name))
 
@@ -536,7 +537,7 @@ def test_traversal_counts_components_once_per_cell(name, monkeypatch):
     monkeypatch.setattr(sd, "_solve_scaled", counting_solve)
     S = compute_subdivision(d)
     assert S.total_volume == (1 << (S.n - 1)) - S.n
-    subdivision_to_json(S)
+    "".join(subdivision_to_json(S))
     assert calls == solves == [sd._first_cell(d).bits]
     monkeypatch.undo()
     assert [c.volume for c in S.maximal_cells] == [
@@ -553,6 +554,22 @@ def test_walked_pencils_match_the_solver(name):
     walked, bad = pencils_against_solver(S)
     assert walked == 2 * len(all_faces(S).interior_by_dim[S.n - 2])
     assert bad == 0
+
+
+def test_one_boundary_rule_for_traversal_and_face_tags():
+    # every edge of every cell: the traversal's interior edges are exactly
+    # those whose ridge the face export tags with no facet, and a ridge step
+    # across any other edge finds its pencil unbounded
+    inputs = [gen(n) for gen in (gen_dmax, gen_dmin) for n in range(4, 11)]
+    inputs += [gen_random(n, s, 10**12) for n in range(5, 10) for s in (1, 2)]
+    edges = boundary = 0
+    for d in inputs:
+        S = compute_subdivision(d)
+        assert S.generic
+        e, b, bad = boundary_rule_against_tags(S)
+        assert bad == 0
+        edges, boundary = edges + e, boundary + b
+    assert (edges, boundary) == (23615, 11837)
 
 
 @pytest.mark.parametrize(
@@ -618,7 +635,8 @@ def test_traversal_orients_ridges_as_the_ridge_map(n):
 def test_pivot_carries_heights_to_the_neighbour(name):
     # from either cell of an interior ridge, the ratio test on the pencil the
     # cell's walk gives returns the other cell's edge and its heights, scaled
-    # by 2D as the traversal keeps them, and whether that cell is lower in
+    # by 2D as the traversal keeps them, and the pencil's w.sigma, which
+    # seed_cell's descent reads, is negative just when that cell is lower in
     # w.lambda at the seed weight
     import tightspan.subdivision as sd
 
@@ -646,11 +664,11 @@ def test_pivot_carries_heights_to_the_neighbour(name):
         for here, there in ((a, b), (b, a)):
             leaving = (here ^ rmask).bit_length() - 1
             entering = (there ^ rmask).bit_length() - 1
-            ((e, slots, t, lower, sigma, _, _),) = sd._ridge_steps(
+            ((e, slots, t, sigma, _, _),) = sd._ridge_steps(
                 dnum2, here, 1 << leaving, scaled[here]
             )
-            assert e == leaving
-            assert slots == [entering] and lower == (level[there] < level[here])
+            assert e == leaving and slots == [entering]
+            assert (sum(x * v for x, v in zip(w, sigma)) < 0) == (level[there] < level[here])
             assert [h + t * v for h, v in zip(scaled[here], sigma)] == scaled[there]
 
 
@@ -668,9 +686,9 @@ def test_ridge_steps_match_the_list_based_ratio_test(group):
     # on every interior ridge of every strict cell reached from the first
     # cell across untied ridges, the ridge step's sigma and tree are the
     # height solver's, signed so that the leaving pair's slack grows, and
-    # its entering slots (every tied one on a tie), t and orientation are
-    # those of the list-based ratio test (oracles.pivot_entering) on that
-    # pencil; the resolution-100 metrics tie
+    # its entering slots (every tied one on a tie) and t are those of the
+    # list-based ratio test (oracles.pivot_entering) on that pencil; the
+    # resolution-100 metrics tie
     import tightspan.subdivision as sd
 
     ridges = ties = 0
@@ -685,14 +703,15 @@ def test_ridge_steps_match_the_list_based_ratio_test(group):
         order = [first.graph.bits]
         for mask in order:  # the list grows while it is read
             lam = heights[mask]
-            for e, slots, t, lower, sigma, tree, _ in sd._ridge_steps(dnum2, mask, mask, lam):
+            edges = sd._interior_edges(n, mask)
+            for e, slots, t, sigma, tree, _ in sd._ridge_steps(dnum2, mask, edges, lam):
                 _, ref = sd._solve_scaled(n, mask ^ 1 << e, dnum)
                 i, j = sd._pairs0(n)[e]
                 if ref[i] + ref[j] < 0:
                     ref = [-v for v in ref]
                 support = [v for v in range(n) if ref[v]]
                 assert sigma == ref and sorted(tree) == support
-                assert (slots, t, lower) == pivot_entering(n, dnum, lam, ref, support)
+                assert (slots, t) == pivot_entering(n, dnum, lam, ref, support)
                 ridges += 1
                 if len(slots) > 1:
                     ties += 1
@@ -856,10 +875,10 @@ def test_descent_pivot_off_the_candidates_raises(monkeypatch):
 
     def off_the_candidates(dnum2, mask, edges, lam):
         for step in steps(dnum2, mask, edges, lam):
-            sigma = step[4]
+            sigma = step[3]
             for p, (i, j) in enumerate(sd._pairs0(len(lam))):
                 if sigma[i] and sigma[i] + sigma[j] == 0:
-                    step = (step[0], [p], 0, True, *step[4:])
+                    step = (step[0], [p], 0, *step[3:])
                     break
             yield step
 
@@ -1088,11 +1107,12 @@ def test_export_json_is_canonical():
     import json
 
     S = subdivision("4points")
-    payload = json.loads(subdivision_to_json(S))
+    payload = json.loads("".join(subdivision_to_json(S)))
     assert payload["n"] == 4 and payload["generic"] is True
     assert len(payload["cells"]) == 4
     assert payload["cells"][1]["lambda"] == ["3/2", "1/2", "3/2", "5/2"]
-    assert subdivision_to_json(S) == subdivision_to_json(enumerate_cells(metric("4points")))
+    oracle = enumerate_cells(metric("4points"))
+    assert "".join(subdivision_to_json(S)) == "".join(subdivision_to_json(oracle))
 
 
 @pytest.mark.parametrize(
@@ -1105,14 +1125,14 @@ def test_cell_export_is_the_json_encoders_text(name):
     # ideal has a zero height: its cells and a witness; long has heights of
     # more digits than CPython converts by default
     S = compute_subdivision(metric(name))
-    assert subdivision_to_json(S) == cells_json(S)
+    assert "".join(subdivision_to_json(S)) == cells_json(S)
 
 
 def test_cell_export_of_a_ratio_tie_is_the_json_encoders_text():
     # random-6.5 at resolution 100 ties in a ratio test: no cells, a witness
     S = compute_subdivision(gen_random(6, 5, 100))
     assert S.maximal_cells == () and S.degeneracy_witness is not None
-    assert subdivision_to_json(S) == cells_json(S)
+    assert "".join(subdivision_to_json(S)) == cells_json(S)
 
 
 def test_candidate_pool_sizes():
