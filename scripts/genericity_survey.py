@@ -15,7 +15,7 @@ from collections import Counter
 
 from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import face_report
-from tightspan.metrics import gen_random
+from tightspan.gen import gen_random
 from tightspan.subdivision import compute_subdivision
 
 

@@ -12,16 +12,17 @@ _HOME = {
     name: module
     for module, names in {
         "metrics": (
-            "Metric", "gen_dgamma", "gen_dmax", "gen_dmin", "gen_random", "load_metric",
-            "metric_from_json", "metric_to_json", "strict_triangle_nodes", "submetric",
+            "Metric", "load_metric", "metric_from_json", "strict_triangle_nodes", "submetric",
             "validate_metric",
         ),
+        "gen": ("gen_dgamma", "gen_dmax", "gen_dmin", "gen_random", "metric_to_json"),
         "graphs": ("EdgeGraph",),
         "subdivision": (
-            "Cell", "DegeneracyReport", "FaceSet", "NotACell", "Subdivision", "all_faces",
-            "compute_subdivision", "down_degrees", "enumerate_cells", "lambda_certificate",
-            "seed_cell", "traverse_cells",
+            "Cell", "DegeneracyReport", "NotACell", "Subdivision", "compute_subdivision",
+            "down_degrees", "lambda_certificate", "traverse_cells",
         ),
+        "filtration": ("enumerate_cells", "seed_cell"),
+        "faces": ("FaceSet", "all_faces"),
         "facevectors": (
             "FaceReport", "FVector", "TightSpanVectors", "check_asff", "check_ball_relations",
             "check_dehn_sommerville", "check_inductive_step", "face_report", "g_from_h",
@@ -34,7 +35,7 @@ _HOME = {
     }.items()
     for name in names
 }
-_SUBMODULES = frozenset({*_HOME.values(), "cli", "common", "errors"})
+_SUBMODULES = frozenset({*_HOME.values(), "cli", "common", "errors", "suites"})
 
 __all__ = list(_HOME)
 

@@ -1,17 +1,16 @@
-"""Shared helpers: pair indexing, the pivot step, exact rational parsing, verdicts.
+"""Shared helpers: pair indexing, exact rational parsing, verdicts, the commands' file writer.
 
 Nodes are numbered 1..n throughout.  The C(n,2) unordered pairs {i,j}, i<j,
 are laid out in lexicographic order (1,2),(1,3),...,(1,n),(2,3),...,(n-1,n);
 pair_index gives the 0-based slot of a pair in that order.
 
-pivot is the one elimination step of the package: the primal oracle solves
-all its linear systems with it, in integers, and so does the matching LP of
-the tests.
+_write is the one file writer of `tspan compute` and `tspan gen`.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,27 +35,6 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
 
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def pivot(T: list[list[int]], r: int, c: int, scale: int) -> int:
-    """Fraction-free Gauss-Jordan step on an integer table; returns the new scale.
-
-    T holds scale * B^-1 [A | b] for the current basis B.  Row r stays as it
-    is and every other row becomes (a*p - f*b) // scale, where p = T[r][c]
-    is the new scale.  Every entry is then a minor of [A | b] (Edmonds,
-    Bareiss), so the division is exact.
-    """
-    prow = T[r]
-    p = prow[c]
-    for i, row in enumerate(T):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            T[i] = [(a * p - f * b) // scale for a, b in zip(row, prow)]
-        elif p != scale:  # f = 0 only rescales the row
-            T[i] = [a * p // scale for a in row]
-    return p
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
@@ -134,6 +112,21 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return _str_of(q.numerator)
     return f"{_str_of(q.numerator)}/{_str_of(q.denominator)}"
+
+
+def _write(path: str, chunks) -> bool:
+    """Write the text chunks that chunks() returns to path; False if the path is unwritable.
+
+    chunks is called only once the file is open, so an unwritable path is
+    refused, with one error line, before any of the text is built.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks())
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 class Verdict(NamedTuple):

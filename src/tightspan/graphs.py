@@ -7,7 +7,7 @@ and canonically ordered (the bitset integer is the sort key everywhere).
 The odd-cycle rule of the cells (each component holds one cycle, and it is
 odd) lives in one parity union-find: _join adds an edge or refuses it when it
 closes an even or a second cycle, _split undoes a join.  cell_components and
-subdivision.candidate_graphs decide with it.  The independent depth-first
+filtration.candidate_graphs decide with it.  The independent depth-first
 reference that the tests hold it against, components() and
 is_odd_unicyclic, is test code (tests/oracles.py), as are the path sums and
 even-tour test of the paper's cell lemmas.
@@ -15,12 +15,10 @@ even-tour test of the paper's cell lemmas.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .common import _quote, pair_index, pair_table
-from .errors import PreconditionViolated
+from .common import pair_index, pair_table
 
 
 class EdgeGraph(NamedTuple):
@@ -138,28 +136,3 @@ def cell_components(n: int, mask: int) -> Optional[int]:
 def format_edge_list(G: EdgeGraph) -> str:
     """Text form "{i,j}" pairs sorted lexicographically."""
     return " ".join("{%d,%d}" % (i, j) for i, j in sorted(G.edges()))
-
-
-_EDGE = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*")
-
-
-def parse_edge_list(n: int, text: str) -> EdgeGraph:
-    """Edge list in CLI form "1-2,3-4" (empty string means no edges).
-
-    Each chunk is two ASCII-digit node numbers joined by "-"; any other
-    chunk raises ValueError, and a node outside 1..n PreconditionViolated,
-    both quoting it.  A number with more digits than n is out of range unread.
-    """
-    text = text.strip()
-    if not text:
-        return EdgeGraph(n, 0)
-    edges = []
-    for chunk in text.split(","):
-        match = _EDGE.fullmatch(chunk)
-        if match is None:
-            raise ValueError(f"bad edge {_quote(chunk)}: expected i-j")
-        ends = [v.lstrip("0") for v in match.groups()]
-        if any(len(v) > len(str(n)) or not 1 <= int(v or 0) <= n for v in ends):
-            raise PreconditionViolated(f"bad edge {_quote(chunk)}: nodes must lie in 1..{n}")
-        edges.append((int(ends[0]), int(ends[1])))
-    return EdgeGraph.from_edges(n, edges)

@@ -1,4 +1,4 @@
-"""Exact rational metrics: validation, generators, and metric-level predicates.
+"""Exact rational metrics: validation, metric-level predicates and the file reader.
 
 All distances are fractions.Fraction values (arbitrary precision, always in
 lowest terms); no floating point enters anywhere.  A Metric stores only the
@@ -14,6 +14,8 @@ that the paper's proofs use are test oracles (tests/oracles.py).
 
 The canonical file format is JSON: {"n": <int>, "upper": ["p/q", ...]} with
 entries in lexicographic pair order; floating-point literals are rejected.
+load_metric reads it.  The metric families and the file writer
+(gen.metric_to_json) are in gen.py, which no report loads.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from random import Random
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .common import _int_of, _quote, format_rational, num_pairs, pair_index, pair_table
+from .common import _int_of, _quote, num_pairs, pair_index, pair_table
 from .common import parse_rational
 from .errors import PreconditionViolated
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .graphs import EdgeGraph
 
 
 class Metric(NamedTuple):
@@ -121,75 +119,6 @@ def _require_points(n: int) -> None:
         raise PreconditionViolated(f"need n <= {_MAX_POINTS}, got {_quote(n)}")
 
 
-def gen_dmax(n: int) -> Metric:
-    """The perturbed unit metric 1 + 1/(n^2 + i*n + j); attains every upper bound."""
-    _require_points(n)
-    upper = tuple(
-        Fraction(1) + Fraction(1, n * n + i * n + j) for i, j in pair_table(n)
-    )
-    return metric_from_upper(n, upper)
-
-
-def gen_dgamma(n: int, graph: EdgeGraph) -> Metric:
-    """Graph-weighted metric: distance 2 on edges of the graph, dmax values elsewhere."""
-    _require_points(n)
-    if graph.n != n:
-        raise PreconditionViolated(f"graph on {graph.n} nodes cannot weight a {n}-point metric")
-    upper = tuple(
-        Fraction(2) if graph.has_edge(i, j) else Fraction(1) + Fraction(1, n * n + i * n + j)
-        for i, j in pair_table(n)
-    )
-    return metric_from_upper(n, upper)
-
-
-def dmin_graph(n: int) -> EdgeGraph:
-    """Cluster graph of floor(n/3) triangles with n mod 3 isolated nodes.
-
-    Nodes group as {1,2,3},{4,5,6},...; when n = 2 (mod 3) the last node is
-    kept isolated even though its group would otherwise pair it with n-1.
-    """
-    from .graphs import EdgeGraph
-
-    _require_points(n)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i - 1) // 3 != (j - 1) // 3:
-                continue
-            if n % 3 == 2 and j >= n:
-                continue
-            edges.append((i, j))
-    return EdgeGraph.from_edges(n, edges)
-
-
-def gen_dmin(n: int) -> Metric:
-    """Triangle-cluster metric attaining the top-dimension lower bound."""
-    return gen_dgamma(n, dmin_graph(n))
-
-
-def gen_random(n: int, seed: int, resolution: int = 0) -> Metric:
-    """Deterministic random metric with entries 1 + k/resolution.
-
-    k lies in [1, max(1, resolution // n)], so below resolution n every entry
-    is 1 + 1/resolution.  All entries lie in (1, 1 + max(1/n, 1/resolution)],
-    inside (1, 2], so any two sum to more than 2, which no third exceeds:
-    the triangle inequality holds structurally.  Genericity is not guaranteed; test it.
-    resolution 0 means the default max(10^4, n^4); a negative one raises
-    PreconditionViolated.
-    """
-    _require_points(n)
-    if resolution < 0:
-        raise PreconditionViolated(f"resolution must be >= 0, got {resolution}")
-    if resolution == 0:
-        resolution = max(10_000, n**4)
-    rng = Random(seed)
-    top = max(1, resolution // n)
-    upper = tuple(
-        Fraction(1) + Fraction(rng.randint(1, top), resolution) for _ in pair_table(n)
-    )
-    return metric_from_upper(n, upper)
-
-
 def submetric(d: Metric, nodes: Iterable[int]) -> Metric:
     """Metric induced on a node subset, relabeled 1..|S| preserving order."""
     subset = sorted(set(nodes))
@@ -226,11 +155,6 @@ def strict_triangle_nodes(d: Metric) -> frozenset[int]:
 
 
 # -- canonical JSON file format -------------------------------------------------
-
-
-def metric_to_json(d: Metric) -> str:
-    payload = {"n": d.n, "upper": [format_rational(e) for e in d.entries]}
-    return json.dumps(payload, indent=None, separators=(", ", ": ")) + "\n"
 
 
 def _reject_float(text: str) -> Fraction:

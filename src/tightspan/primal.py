@@ -2,14 +2,15 @@
 
 The polyhedron {x : x_i + x_j >= d(i,j) for all i <= j} (the diagonal gives
 x_i >= 0) is attacked head on: its vertices by a walk over its feasible
-bases, one integer elimination (common.pivot) per basis, each tight set one
+bases, one integer elimination (pivot) per basis, each tight set one
 bitmask over the constraint slots: the C(n,2) pairs in EdgeGraph bit order,
 then x_1 >= 0, ..., x_n >= 0.  Vertices and faces keep their tight sets as
 these masks.  Bounded faces are the intersection closure of the vertex
 masks, their dimensions read off the graded face lattice by mask
 containment, and the h-vector counts descending edges under a generic
 positive objective.  It shares no heights, cells or traversal with the dual
-side, only the pivot step.  crosscheck holds it against the dual side's
+side; pivot, the package's one elimination step, also solves the matching
+LP of the tests.  crosscheck holds it against the dual side's
 FaceReport, the record the CLI report prints: faces by mask, cells by
 heights.  Like every report check, it answers with a Verdict, and a failed
 one names the first difference.
@@ -20,12 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .common import Verdict, num_pairs, pair_table, pivot
+from .common import Verdict, num_pairs, pair_table
 from .errors import PreconditionViolated
 from .facevectors import FaceReport, glued_ball_f, h_from_f
 from .graphs import node_edge_masks
 from .metrics import Metric
-from .subdivision import all_faces
+from .faces import all_faces
 
 
 class PrimalVertex(NamedTuple):
@@ -45,6 +46,27 @@ class BoundedFacePoset(NamedTuple):
     vertices: tuple[PrimalVertex, ...]
     faces: tuple[BoundedFace, ...]
     f_vector: tuple[int, ...]
+
+
+def pivot(T: list[list[int]], r: int, c: int, scale: int) -> int:
+    """Fraction-free Gauss-Jordan step on an integer table; returns the new scale.
+
+    T holds scale * B^-1 [A | b] for the current basis B.  Row r stays as it
+    is and every other row becomes (a*p - f*b) // scale, where p = T[r][c]
+    is the new scale.  Every entry is then a minor of [A | b] (Edmonds,
+    Bareiss), so the division is exact.
+    """
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = [(a * p - f * b) // scale for a, b in zip(row, prow)]
+        elif p != scale:  # f = 0 only rescales the row
+            T[i] = [a * p // scale for a in row]
+    return p
 
 
 def _eliminate(M: list[list[int]], cols: int) -> tuple[int, int]:

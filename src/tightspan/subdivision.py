@@ -12,85 +12,88 @@ traversal from node 1's star plus the pair of least Gromov product at node 1
 (_first_cell), a candidate cell of every input; the breadth-first closure
 reaches every cell from any one.  The traversal returns every verdict: a
 flat first cell, a ratio-test tie or a zero cell height makes the result
-non-generic with a witness, and a broken invariant, on either route, raises
-DegenerateRidge.  Exhaustive filtration of all candidates
-(enumerate_cells, n <= 8) is kept as the test oracle of the cells.  Both
-routes build the Subdivision with one builder (_subdivision), which takes
-the equality witnesses a route met, finds the zero-height (corner) witness
-of every cell itself, keeps the witness of least mask and, given no
-equality witness, checks that the cells cover the normalized volume
-2^(n-1) - n of the hypersimplex.  seed_cell
-descends from the first cell to the cell of least w.lambda by the same
-ridge pivot, the simplex method on the polyhedron dual to the subdivision.
+non-generic with a witness, and a broken invariant raises DegenerateRidge.
+The test oracles of this route, exhaustive filtration of all candidates
+(enumerate_cells, n <= 8) and the descent to the cell of least w.lambda
+(seed_cell), live in filtration.py, which no command loads.  Both routes
+build the Subdivision with one function (_subdivision), which takes the
+equality witnesses a route met, finds the zero-height (corner) witness of
+every cell itself, keeps the witness of least mask and, given no equality
+witness, checks that the cells cover the normalized volume 2^(n-1) - n of
+the hypersimplex.
 
 One solver (_solve_scaled) gives the heights of a cell in integers at scale
 twice the common entry denominator, by one propagation per component; a mask
 outside its domain raises PreconditionViolated.  One classifier
 (_classify_scaled) reads the heights against d: the first pair off the
-graph met with equality, and whether it drops below d.  The filtration
-classifies every candidate in its own loop (_classify_chunk), serial or per
-pool worker; lambda_certificate classifies one graph, and the traversal
-takes its seed from it, with one solve: each further cell, heights and
-component count included, comes from a ridge pencil lam + t*sigma and its
-ratio test.  sigma is +-1 on the bipartition of the ridge's one tree
-component and 0 elsewhere.  One ridge step per cell (_ridge_steps) builds
-the cell's adjacency and strips its leaves once; per interior ridge it is
-given (_interior_edges: no leaf's edge, and no edge off a full star) it
-makes one walk of that tree alone, which gives sigma and the minus nodes,
-and one ratio test, a running least bound with the list of its slots.  The
-traversal and seed_cell's descent both pivot by it.  The traversal pairs
-the two cells of a ridge in a ridge map once both are reached and gives
-the step only the ridges whose second cell it has not reached, so a
-generic traversal makes one ratio test per cell but the first.  A Cell
-keeps these integers; Cell.heights builds their Fractions on each read,
-and only certificate callers and the tests read it; the degeneracy
-certificates carry Fractions.
+graph met with equality, and whether it drops below d.  lambda_certificate
+classifies one graph, and the traversal takes its seed from it, with one
+solve: each further cell, heights and component count included, comes from
+a ridge pencil lam + t*sigma and its ratio test.  sigma is +-1 on the
+bipartition of the ridge's one tree component and 0 elsewhere.  One ridge
+step per cell (_ridge_steps) builds the cell's adjacency and strips its
+leaves once; per interior ridge it is given (_interior_edges: no leaf's
+edge, and no edge off a full star) it makes one walk of that tree alone,
+which gives sigma and the minus nodes, and one ratio test, a running least
+bound with the list of its slots.  The traversal and seed_cell's descent
+both pivot by it.  The traversal pairs the two cells of a ridge in a ridge
+map once both are reached and gives the step only the ridges whose second
+cell it has not reached, so a generic traversal makes one ratio test per
+cell but the first.  A Cell keeps these integers; Cell.heights builds their
+Fractions on each read, and only certificate callers and the tests read
+it; the degeneracy certificates carry Fractions.
 
 Each cell also keeps its down edges: those whose ridge it shares with a
 neighbour lower in w.lambda at the seed weight w_i = 2^n + 2^(n-i).  That
 neighbour is lam + t*sigma, t > 0, on the ridge pencil, so it is lower when
-w.sigma < 0, a signed sum of seed weights that is never 0; seed_cell's
-descent sums it from the pencil of each step.  The traversal evaluates
-w.lambda once per cell, when it reaches the cell, and orients each
-interior ridge, pivoted or paired in its ridge map, by comparing its two
-cells, wherever the walk began; the test oracle (enumerate_cells) orients
-its cells independently, by the same comparison over a map of ridges to
-all its cells (_ridge_orientation), and the one cell without a down edge
-is seed_cell's, the end of the descent.
-Each face is then built once: from its lowest cell with every down edge,
-and each interior face from its highest cell with every up edge.
-down_degrees gives the histogram of the cells' down degrees, from which
-facevectors.face_report counts every face; all_faces lists the faces, only
-for the face export and the primal face bijection.  The subdivision
-restricted to a hypersimplex face x_I = 0 is compute_subdivision of the
-submetric on the nodes off I.
+w.sigma < 0, a signed sum of seed weights that is never 0.  The traversal
+evaluates w.lambda once per cell, when it reaches the cell, and orients
+each interior ridge, pivoted or paired in its ridge map, by comparing its
+two cells, wherever the walk began.  down_degrees gives the histogram of
+the cells' down degrees, from which facevectors.face_report counts every
+face; faces.all_faces lists the faces, only for the face export and the
+primal face bijection.  The subdivision restricted to a hypersimplex face
+x_I = 0 is compute_subdivision of the submetric on the nodes off I.
 
-subdivision_to_json writes the cell export and faces_to_json the face
-export, both from %-templates in the bytes of json.dumps(payload, indent=2)
-+ "\n", and both stream one chunk per record; each height prints as p/q
-from its integer by one gcd, and the text "/q" is built once per distinct
-gcd.
+subdivision_to_json writes the cell export from %-templates in the bytes of
+json.dumps(payload, indent=2) + "\n", one chunk per record; each height
+prints as p/q from its integer by one gcd, and the text "/q" is built once
+per distinct gcd.  faces.faces_to_json writes the face export the same way,
+from the JSON helpers here.
+
+Four names moved out of this module still resolve here on first access
+(__getattr__), for the benchmark's traced run and sweep, which call them on
+this module: candidate_graphs, enumerate_cells and seed_cell
+(filtration.py) and all_faces (faces.py).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import _str_of, num_pairs, pair_index, pair_table
 from .errors import DegenerateRidge, PreconditionViolated
-from .graphs import (
-    EdgeGraph,
-    _join,
-    _split,
-    cell_components,
-    node_edge_masks,
-)
+from .graphs import EdgeGraph, cell_components, node_edge_masks
 from .metrics import Metric
+
+# moved name -> the module that defines it now, imported on first access
+_MOVED = {
+    "candidate_graphs": "filtration",
+    "enumerate_cells": "filtration",
+    "seed_cell": "filtration",
+    "all_faces": "faces",
+}
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module("." + _MOVED[name], __package__), name)
 
 
 class Cell(NamedTuple):
@@ -146,72 +149,6 @@ class Subdivision(NamedTuple):
     @property
     def total_volume(self) -> int:
         return sum(c.volume for c in self.maximal_cells)
-
-
-class FaceSet(NamedTuple):
-    """All faces of a triangulation grouped by dimension, with interior tags.
-
-    A k-dimensional face is a graph with k+1 edges, stored as its bitmask.
-    Each level of by_dim is sorted by bitmask; the face export lists the
-    faces in that order, so the exported file is canonical.
-    """
-
-    n: int
-    by_dim: tuple[tuple[int, ...], ...]
-    interior_by_dim: tuple[frozenset[int], ...]
-
-
-# -- candidate pool ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def candidate_graphs(n: int) -> tuple[int, ...]:
-    """Bitmasks of every spanning n-edge subgraph of K_n with odd-unicyclic components.
-
-    These are exactly the edge sets whose incidence vectors e_i + e_j form a
-    basis, hence the candidate maximal cells for every metric on n points.
-    Generated once per n by a depth-first search over edges in slot order
-    that joins each edge into graphs._join's parity forest, skips the edges
-    it refuses and splits it again on the way back; it prunes when the edges
-    left cannot cover the uncovered nodes, or when the first uncovered node's
-    last edge slot is passed.
-    """
-    m = num_pairs(n)
-    pairs = pair_table(n)
-    last_edge = [pair_index(n, v, n) if v < n else m - 1 for v in range(1, n + 1)]
-    parent, parity, cyclic = list(range(n + 1)), [0] * (n + 1), [False] * (n + 1)
-    degree = [0] * (n + 1)
-    results: list[int] = []
-
-    def rec(start: int, count: int, mask: int, covered: int) -> None:
-        remaining = n - count
-        if n - covered > 2 * remaining:
-            return
-        if not remaining:
-            # n edges on n nodes, no component with two cycles: each holds one
-            results.append(mask)
-            return
-        cap = m - remaining
-        for v in range(1, n + 1):
-            if not degree[v]:
-                cap = min(cap, last_edge[v - 1])
-                break
-        for e in range(start, cap + 1):
-            i, j = pairs[e]
-            undo = _join(parent, parity, cyclic, i, j)
-            if undo is None:
-                continue
-            newly = (not degree[i]) + (not degree[j])
-            degree[i] += 1
-            degree[j] += 1
-            rec(e + 1, count + 1, mask | 1 << e, covered + newly)
-            degree[i] -= 1
-            degree[j] -= 1
-            _split(parent, parity, cyclic, undo)
-
-    rec(0, 0, 0, 0)
-    results.sort()
-    return tuple(results)
 
 
 # -- scaled certificate arithmetic ---------------------------------------------
@@ -315,26 +252,6 @@ def _corner(lam: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _classify_chunk(n: int, dnum: Sequence[int], masks: Sequence[int]) -> tuple:
-    """enumerate_cells' classification loop, serial or per pool worker: (kept, witnesses) of masks.
-
-    kept holds (mask, scaled heights) of the cells, those with a height that
-    is not positive included; witnesses holds (mask, pair) for every mask
-    that is not below d and meets it with equality on pair.
-    """
-    kept = []
-    witnesses = []
-    for mask in masks:
-        lam, pair, below = _classify_scaled(n, mask, dnum)
-        if below:
-            continue
-        if pair is None:
-            kept.append((mask, lam))
-        else:
-            witnesses.append((mask, pair))
-    return kept, witnesses
-
-
 def _subdivision(d: Metric, cells: dict, witnesses: list) -> Subdivision:
     """Cells by mask from mask -> [lam over 2D, components, down, ...]; the witness of least mask.
 
@@ -356,33 +273,6 @@ def _subdivision(d: Metric, cells: dict, witnesses: list) -> Subdivision:
     if not witnesses and sub.total_volume != (1 << n - 1) - n:
         raise DegenerateRidge(f"covered volume {sub.total_volume}, expected {(1 << n - 1) - n}")
     return sub
-
-
-def _ridge_orientation(n: int, kept: list) -> dict[int, int]:
-    """Down edges of each (mask, scaled heights) cell, from a map of ridges to cells.
-
-    Of the two cells of an interior ridge, the one higher in w.lambda at the
-    seed weight gets the ridge's edge as a down edge.  Only the enumeration
-    oracle calls it; the traversal applies the same rule in its own ridge
-    map, as it reaches the cells.
-    """
-    w = _seed_weight(n)
-    level = {mask: sum(map(mul, w, lam)) for mask, lam in kept}
-    down = dict.fromkeys(level, 0)
-    ridges: dict[int, int] = {}
-    for mask in level:
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            other = ridges.setdefault(mask ^ low, mask)
-            if other == mask:
-                continue
-            if level[other] < level[mask]:
-                down[mask] |= low
-            else:
-                down[other] |= other ^ mask ^ low
-    return down
 
 
 # -- public certificate API -------------------------------------------------------
@@ -411,82 +301,7 @@ def lambda_certificate(d: Metric, G: EdgeGraph):
     return NotACell(G, pair, heights) if below else DegeneracyReport(G, pair, heights)
 
 
-def enumerate_cells(d: Metric, jobs: int = 1) -> Subdivision:
-    """All maximal cells by exhaustive candidate filtration: the test oracle.
-
-    Every spanning odd-unicyclic n-edge graph is tested for a strict height
-    certificate.  The result is non-generic when some candidate yields an
-    off-graph equality, or when a strict certificate touches a corner of the
-    positive orthant (a zero height, reported with the diagonal pair (i,i)).
-    The pool has 937,440 candidates at n = 8; above that it raises
-    PreconditionViolated.  Without an off-graph equality, the builder
-    (_subdivision) raises DegenerateRidge when the volumes miss 2^(n-1) - n.
-    """
-    n = d.n
-    if n > 8:
-        raise PreconditionViolated("cell enumeration is capped at n = 8")
-    pool = candidate_graphs(n)
-    dnum, D = d.scaled
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = max(1, len(pool) // (jobs * 4))
-        parts = [pool[k : k + chunks] for k in range(0, len(pool), chunks)]
-        kept, witnesses = [], []
-        with ProcessPoolExecutor(max_workers=jobs) as pom:
-            for part_kept, part_wit in pom.map(
-                _classify_chunk, repeat(n), repeat(dnum), parts
-            ):
-                kept.extend(part_kept)
-                witnesses.extend(part_wit)
-    else:
-        kept, witnesses = _classify_chunk(n, dnum, pool)
-    down = _ridge_orientation(n, kept)
-    cells = {mask: [lam, cell_components(n, mask), down[mask]] for mask, lam in kept}
-    return _subdivision(d, cells, witnesses)
-
-
-# -- seed cells ----------------------------------------------------------------
-
-
-def seed_cell(d: Metric) -> Cell | DegeneracyReport:
-    """The cell of least w.lambda at the seed weight, by descent from _first_cell.
-
-    The cells are the vertices of the polyhedron dual to the subdivision,
-    and w is positive on its recession cone, so the simplex method ends on
-    the vertex of least w.lambda.  Its pivot is the traversal's own, across
-    the ridges of _interior_edges: while the cell has one whose pencil goes
-    down, cross the one of least slot.  The descent alone reads that sign,
-    w.sigma < 0, which it sums from the sigma each step yields.  On a
-    generic d the end is the one cell of compute_subdivision without a down
-    edge.  Returns its lambda_certificate; on a non-generic d that of the
-    flat first cell, or of the cell entered at the first ratio-test tie, a
-    DegeneracyReport.  An entering pair with sigma_i + sigma_j = 0 raises
-    DegenerateRidge, as in the traversal.
-    """
-    n = d.n
-    cert = lambda_certificate(d, _first_cell(d))
-    if not isinstance(cert, Cell):
-        return cert
-    dnum2 = [2 * v for v in d.scaled[0]]
-    w = _seed_weight(n)
-    mask, lam = cert.graph.bits, list(cert.lam)
-    while True:
-        steps = _ridge_steps(dnum2, mask, _interior_edges(n, mask), lam)
-        for leaving, slots, t, sigma, tree, _ in steps:
-            if sum(map(mul, w, sigma)) < 0:
-                break
-        else:  # no ridge goes down
-            break
-        mask ^= 1 << leaving | 1 << slots[0]
-        if len(slots) != 1:  # a tie: the entered cell meets d on slots[1]
-            break
-        i, j = _pairs0(n)[slots[0]]
-        if not sigma[i] + sigma[j]:
-            raise DegenerateRidge("ridge pivot entered a non-candidate mask")
-        for v in tree:
-            lam[v] += t * sigma[v]
-    return lambda_certificate(d, EdgeGraph(n, mask))
+# -- ridge pivot traversal -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -498,9 +313,6 @@ def _seed_weight(n: int) -> tuple[int, ...]:
     so w ties no two adjacent cells.
     """
     return tuple((1 << n) + (1 << (n - 1 - i)) for i in range(n))
-
-
-# -- ridge pivot traversal -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -784,7 +596,7 @@ def compute_subdivision(d: Metric) -> Subdivision:
     return traverse_cells(d, _first_cell(d))
 
 
-# -- faces -----------------------------------------------------------------------
+# -- down edges ------------------------------------------------------------------
 
 
 def _down_masks(S: Subdivision) -> list[int]:
@@ -818,24 +630,6 @@ def _edge_bits(mask: int) -> list[int]:
     return bits
 
 
-def all_faces(S: Subdivision) -> FaceSet:
-    """Closure of the maximal cell graphs under nonempty subgraphs, with interior tags.
-
-    Each face is built exactly once, from its lowest cell in w.lambda with
-    every down edge, and each interior (bounded) face from its highest with
-    every up edge.
-    """
-    n = S.n
-    levels, interior = [[] for _ in range(n)], [[] for _ in range(n)]
-    for cell, down in zip(S.maximal_cells, _down_masks(S)):
-        downs, ups = _edge_bits(down), _edge_bits(cell.graph.bits ^ down)
-        for kept, free, out in ((downs, ups, levels), (ups, downs, interior)):
-            base = sum(kept)
-            for r in range(0 if kept else 1, len(free) + 1):
-                out[len(kept) + r - 1].extend(map(sum, combinations(free, r), repeat(base)))
-    return FaceSet(n, tuple(map(tuple, map(sorted, levels))), tuple(map(frozenset, interior)))
-
-
 def down_degrees(S: Subdivision) -> tuple[int, ...]:
     """Entry j counts the cells of S with exactly j down edges; no face is listed."""
     histogram = [0] * (S.n + 1)
@@ -844,46 +638,11 @@ def down_degrees(S: Subdivision) -> tuple[int, ...]:
     return tuple(histogram)
 
 
-def boundary_tags(n: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Facets of the hypersimplex containing a boundary face.
-
-    Returns (missed nodes i, giving facets x_i = 0) and (star centers c, for
-    faces inside the simplex facet at c).
-    """
-    node_masks = node_edge_masks(n)
-    missed = tuple(v + 1 for v in range(n) if mask & node_masks[v] == 0)
-    centers = tuple(v + 1 for v in range(n) if mask & ~node_masks[v] == 0)
-    return missed, centers
-
-
-# -- random generic fixtures --------------------------------------------------------
-
-
-_MAX_TRIES = 400
-
-
-@lru_cache(maxsize=None)
-def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]:
-    """First `count` seeds from 1 whose random metric is generic."""
-    from .metrics import gen_random
-
-    out = []
-    for seed in range(1, _MAX_TRIES + 1):
-        if len(out) == count:
-            break
-        d = gen_random(n, seed)
-        if compute_subdivision(d).generic:
-            out.append((seed, d))
-    if len(out) < count:
-        raise PreconditionViolated(f"only {len(out)} generic metrics found in {_MAX_TRIES} seeds")
-    return tuple(out)
-
-
 # -- export ------------------------------------------------------------------------
 #
-# Both exports, the cells and the faces, are written from %-templates in the
-# bytes of json.dumps(payload, indent=2) + "\n": two spaces a level, one item
-# a line, an empty list as [] and an empty object as {}.
+# Both exports, the cells here and the faces (faces.py), are written from
+# %-templates in the bytes of json.dumps(payload, indent=2) + "\n": two spaces
+# a level, one item a line, an empty list as [] and an empty object as {}.
 
 
 def _json_list(items: Sequence[str], pad: str) -> str:
@@ -947,49 +706,3 @@ def subdivision_to_json(S: Subdivision) -> Iterator[str]:
             % (_json_list(edges, "    "), i, j)
         )
     yield "\n}\n"
-
-
-_FACE = """      {
-        "edges": [
-%s
-        ],
-        "interior": %s,
-        "facets": %s
-      }"""
-
-_FACETS = """{
-          "missed_nodes": %s,
-          "star_centers": %s
-        }"""
-
-
-def faces_to_json(F: FaceSet) -> Iterator[str]:
-    """The faces of F by dimension, with their tags, as indented JSON text.
-
-    One chunk per face record, so the text is never held whole.  A face
-    lists its edges, whether it is interior, and its facets: {} for an
-    interior face, else boundary_tags' missed nodes and star centers.  A
-    face has at least one edge, and F at least one level.
-    """
-    n = F.n
-    edge = _pair_texts(n, "          ")
-    node = ["            %d" % v for v in range(n + 1)]
-    yield '{\n  "n": %d,\n  "faces": {' % n
-    for k, (level, interior) in enumerate(zip(F.by_dim, F.interior_by_dim)):
-        yield '%s\n    "%d": %s' % ("," if k else "", k, "[" if level else "[]")
-        sep = "\n"
-        for mask in level:
-            edges = ",\n".join([edge[b.bit_length() - 1] for b in _edge_bits(mask)])
-            if mask in interior:
-                yield sep + _FACE % (edges, "true", "{}")
-            else:
-                missed, centers = boundary_tags(n, mask)
-                facets = _FACETS % (
-                    _json_list([node[v] for v in missed], "          "),
-                    _json_list([node[v] for v in centers], "          "),
-                )
-                yield sep + _FACE % (edges, "false", facets)
-            sep = ",\n"
-        if level:
-            yield "\n    ]"
-    yield "\n  }\n}\n"

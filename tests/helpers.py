@@ -20,14 +20,10 @@ from tightspan.common import format_rational, num_pairs, pair_table, parse_ratio
 from tightspan.errors import DegenerateRidge
 from tightspan.facevectors import FaceReport, face_report
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
-from tightspan.metrics import (
-    Metric,
-    gen_dmax,
-    gen_dmin,
-    gen_random,
-    metric_from_upper,
-    validate_metric,
-)
+from tightspan.faces import FaceSet, all_faces, boundary_tags
+from tightspan.filtration import enumerate_cells
+from tightspan.gen import gen_dmax, gen_dmin, gen_random
+from tightspan.metrics import Metric, metric_from_upper, validate_metric
 from tightspan.primal import (
     BoundedFacePoset,
     PrimalVertex,
@@ -35,14 +31,7 @@ from tightspan.primal import (
     _eliminate,
     enumerate_vertices,
 )
-from tightspan.subdivision import (
-    DegeneracyReport,
-    FaceSet,
-    Subdivision,
-    boundary_tags,
-    enumerate_cells,
-    lambda_certificate,
-)
+from tightspan.subdivision import DegeneracyReport, Subdivision, lambda_certificate
 
 FOUR_POINTS = [[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]]
 IDEAL_FOUR = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
@@ -109,7 +98,7 @@ def report(name: str) -> FaceReport:
 
 
 def faces(name: str) -> FaceSet:
-    return sd.all_faces(subdivision(name))
+    return all_faces(subdivision(name))
 
 
 def tsv(name: str):

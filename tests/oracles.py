@@ -10,12 +10,12 @@ it maximizes <mu, d> over non-negative edge vectors mu with degree sums
 sum_i mu(i,j) = w_j.  The solver is a dense two-phase primal simplex with
 Bland's smallest-index rule, so it terminates, is deterministic, and returns
 a basic optimum.  Its table is fraction-free: integers over one scale,
-updated by tightspan.common.pivot, with the reduced costs as the last row.
+updated by tightspan.primal.pivot, with the reduced costs as the last row.
 Every solve is certified in Fractions against its own dual vector
 (complementary slackness and objective equality) before it is returned.
 Solved at the seed weight (lp_seed_cell), it is the oracle of the
 orientation: it shares no code with the ridge traversal, whose descent
-(subdivision.seed_cell) must end on the same cell.
+(filtration.seed_cell) must end on the same cell.
 
 pivot_entering is the list-based ratio test that the traversal ran before
 its ridge step kept a running least bound: the reference that every
@@ -29,10 +29,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from tightspan.common import Verdict, num_pairs, pair_table, pivot
+from tightspan.common import Verdict, num_pairs, pair_table
 from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.graphs import EdgeGraph, _join, cell_components, node_edge_masks
 from tightspan.metrics import Metric, _square
+from tightspan.primal import pivot
 from tightspan.subdivision import (
     Cell,
     DegeneracyReport,
@@ -376,7 +377,7 @@ def _certify(d, w, mu, value, dual) -> None:
 
 
 def lp_seed_cell(d: Metric) -> Cell | DegeneracyReport:
-    """The matching LP's cell at the seed weight: subdivision.seed_cell's oracle.
+    """The matching LP's cell at the seed weight: filtration.seed_cell's oracle.
 
     No signed sum of the seed weights vanishes, so the basis is
     nondegenerate: its support is the cell that contains w, and its

@@ -28,19 +28,12 @@ from tightspan.facevectors import (
     h_from_f,
     split_interior_boundary,
 )
+from tightspan.filtration import candidate_graphs, enumerate_cells, seed_cell
+from tightspan.gen import gen_dmax, gen_dmin
 from tightspan.graphs import EdgeGraph
-from tightspan.metrics import gen_dmax, gen_dmin
 from tightspan.primal import bounded_faces, crosscheck, h_by_outdegree
-from tightspan.subdivision import (
-    Cell,
-    candidate_graphs,
-    compute_subdivision,
-    enumerate_cells,
-    lambda_certificate,
-    random_generic_metrics,
-    seed_cell,
-    traverse_cells,
-)
+from tightspan.subdivision import Cell, compute_subdivision, lambda_certificate, traverse_cells
+from tightspan.suites import random_generic_metrics
 
 NAMED_FIXTURES = ("4points", "dmax-4", "dmax-5", "dmax-6", "dmax-7",
                   "dmin-5", "dmin-6", "dmin-7")

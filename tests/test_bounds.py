@@ -19,7 +19,7 @@ from tightspan.bounds import (
 from tightspan.common import Verdict
 from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import TightSpanVectors, face_report
-from tightspan.metrics import gen_dmax, gen_dmin
+from tightspan.gen import gen_dmax, gen_dmin
 from tightspan.subdivision import compute_subdivision
 
 

@@ -30,16 +30,11 @@ from tightspan.cli import main
 from tightspan.common import Verdict, parse_rational
 from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.graphs import EdgeGraph
-from tightspan.metrics import (
-    gen_dmax,
-    gen_dmin,
-    gen_random,
-    load_metric,
-    metric_from_upper,
-    metric_to_json,
-    validate_metric,
-)
-from tightspan.subdivision import all_faces, compute_subdivision, enumerate_cells, faces_to_json
+from tightspan.faces import all_faces, faces_to_json
+from tightspan.filtration import enumerate_cells
+from tightspan.gen import gen_dmax, gen_dmin, gen_random, metric_to_json
+from tightspan.metrics import load_metric, metric_from_upper, validate_metric
+from tightspan.subdivision import compute_subdivision
 
 
 @pytest.fixture()
@@ -247,7 +242,7 @@ def test_compute_builds_one_pipeline(name, tmp_path, capsys, monkeypatch):
         monkeypatch,
         (
             "subdivision.compute_subdivision",
-            "subdivision.all_faces",
+            "faces.all_faces",
             "facevectors.split_interior_boundary",
             "facevectors.tightspan_vectors",
         ),
@@ -268,7 +263,7 @@ def test_compute_lists_faces_only_for_the_export(name, tmp_path, monkeypatch):
     # export and the --oracle face bijection each list the faces themselves
     path = tmp_path / f"{name}.json"
     path.write_text(metric_to_json(metric(name)))
-    calls = _count_calls(monkeypatch, ("subdivision.all_faces", "subdivision.down_degrees"))
+    calls = _count_calls(monkeypatch, ("faces.all_faces", "subdivision.down_degrees"))
     assert main(["compute", str(path), "--no-timestamp"]) == 0
     assert calls == {"down_degrees": 1}
     assert main(["compute", str(path), "--no-timestamp", "--export-faces", str(tmp_path / "f")]) == 0
@@ -763,7 +758,7 @@ def test_compute_unwritable_export_exits_2(flag, fmt, four_points_file, tmp_path
 @pytest.mark.parametrize(
     "flag, builder",
     [
-        ("--export-faces", "subdivision.all_faces"),
+        ("--export-faces", "faces.all_faces"),
         ("--export-cells", "subdivision.subdivision_to_json"),
     ],
 )
@@ -834,19 +829,30 @@ def _main_loads(argv: list[str], code: int) -> set[str]:
     return {m.removeprefix("tightspan.") for m in loaded}
 
 
+_REPORT = {"graphs", "subdivision", "facevectors", "bounds"}
+
+
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, code, extra",
     [
-        (["gen", "--kind", "dmax", "--n", "4", "-o", "{tmp}/d.json"], set()),
-        (["verify", "--suite", "identities", "--n-max", "6"], {"bounds"}),
+        (["gen", "--kind", "dmax", "--n", "4", "-o", "{tmp}/d.json"], 0, {"gen"}),
+        (["verify", "--suite", "identities", "--n-max", "6"], 0, {"suites", "gen", "bounds"}),
+        (["compute", "{tmp}/dmax5.json"], 0, _REPORT),
+        (["compute", "{tmp}/random7.json"], 3, {"graphs", "subdivision"}),
+        (["compute", "{tmp}/dmax5.json", "--export-faces", "{tmp}/f.json"], 0, _REPORT | {"faces"}),
+        (["compute", "{tmp}/dmax5.json", "--oracle"], 0, _REPORT | {"faces", "primal"}),
     ],
-    ids=["gen-dmax", "identities"],
+    ids=["gen-dmax", "identities", "generic", "non-generic", "export-faces", "oracle"],
 )
-def test_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+def test_command_loads_only_the_modules_it_runs(argv, code, extra, tmp_path):
     # a dmax metric needs no graph code, the bound identities no subdivision,
-    # and no command the dataclass machinery (dataclasses, inspect)
+    # a report neither the test oracles (filtration), the face listing
+    # (faces), the suites nor the generators, and no command the dataclass
+    # machinery (dataclasses, inspect)
+    (tmp_path / "dmax5.json").write_text(metric_to_json(gen_dmax(5)))
+    (tmp_path / "random7.json").write_text(metric_to_json(gen_random(7, 5, 100)))
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert _main_loads(argv, 0) == {"tightspan", "cli", "metrics", "common", "errors", *extra}
+    assert _main_loads(argv, code) == {"tightspan", "cli", "metrics", "common", "errors", *extra}
 
 
 @pytest.mark.parametrize(
@@ -1066,10 +1072,21 @@ def test_verify_bad_arguments_exit_2(argv, capsys):
 def test_verify_bounds_refuses_n_max_past_64_before_any_row(capsys, monkeypatch):
     # gen_dmax(65) would refuse the last row, but only after every report
     # from n = 4 to 64; the suite refuses n_max itself first
-    import tightspan.cli as cli
+    import tightspan.suites as suites
 
     reports = []
-    monkeypatch.setattr(cli, "_report", lambda d: reports.append(d))
+    monkeypatch.setattr(suites, "_report", lambda d: reports.append(d))
     assert main(["verify", "--suite", "bounds", "--n-max", "65"]) == 2
     out, err = capsys.readouterr()
     assert (out, err, reports) == ("", "error: PreconditionViolated: need n <= 64, got 65\n", [])
+
+
+@pytest.mark.parametrize("n_max", ["65", "100000"])
+def test_verify_identities_refuses_n_max_past_64_before_any_row(n_max, capsys, monkeypatch):
+    # the identities take seconds at n_max = 128 and never end at 100000;
+    # the suite refuses n_max past the bounds suite's cap before any row
+    calls = []
+    monkeypatch.setattr(bounds, "identity_checks", lambda n: calls.append(n))
+    assert main(["verify", "--suite", "identities", "--n-max", n_max]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err, calls) == ("", f"error: PreconditionViolated: need n <= 64, got {n_max}\n", [])

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from tightspan.common import format_rational, parse_rational, pivot
+from tightspan.common import format_rational, parse_rational
+from tightspan.primal import pivot
 
 
 def _gauss_jordan(M, cols, step):

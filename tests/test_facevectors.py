@@ -21,7 +21,7 @@ from tightspan.facevectors import (
     h_from_f,
     split_interior_boundary,
 )
-from tightspan.metrics import gen_dmax, gen_dmin, gen_random
+from tightspan.gen import gen_dmax, gen_dmin, gen_random
 from tightspan.subdivision import compute_subdivision
 
 
@@ -103,7 +103,7 @@ def test_gluing_consistency():
 
 
 def test_tightspan_requires_generic():
-    from tightspan.subdivision import enumerate_cells
+    from tightspan.filtration import enumerate_cells
 
     d = metric("ideal")
     S = enumerate_cells(d)
@@ -215,14 +215,14 @@ def test_inductive_step_catches_a_wrong_boundary_g(k):
 
 def test_inductive_step_lists_no_face(monkeypatch):
     # each restriction is read off the submetric's report, not the listing
-    import tightspan.subdivision as sd
+    import tightspan.faces as fc
 
     def refuse(S):
         raise AssertionError("the inductive step listed faces")
 
     d = metric("dmax-6")
     rep = face_report(compute_subdivision(d))
-    monkeypatch.setattr(sd, "all_faces", refuse)
+    monkeypatch.setattr(fc, "all_faces", refuse)
     assert check_inductive_step(rep)
 
 

@@ -14,10 +14,9 @@ from oracles import (
 )
 from tightspan.common import num_pairs, pair_index, pair_table
 from tightspan.errors import PreconditionViolated
+from tightspan.filtration import candidate_graphs
+from tightspan.gen import gen_dmax, parse_edge_list
 from tightspan.graphs import EdgeGraph, cell_components, format_edge_list
-from tightspan.graphs import parse_edge_list
-from tightspan.metrics import gen_dmax
-from tightspan.subdivision import candidate_graphs
 
 
 def test_edge_index_formula():

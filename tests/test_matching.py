@@ -14,8 +14,8 @@ from oracles import (
 from tightspan.common import num_pairs, pair_table
 from tightspan.errors import PreconditionViolated
 from tightspan.graphs import EdgeGraph
-from tightspan.metrics import gen_dmax, gen_dmin, gen_random
-from tightspan.subdivision import candidate_graphs
+from tightspan.filtration import candidate_graphs
+from tightspan.gen import gen_dmax, gen_dmin, gen_random
 
 
 def test_unit_weights_dmax4_matches_exhaustive_matching():
@@ -77,7 +77,7 @@ def test_solver_deterministic():
 
 def test_dual_is_height_certificate_on_cells():
     # for the degree vector of a cell, the optimal dual solves the height system
-    from tightspan.subdivision import enumerate_cells
+    from tightspan.filtration import enumerate_cells
 
     d = gen_dmax(5)
     for cell in enumerate_cells(d).maximal_cells:
@@ -104,7 +104,7 @@ def test_interleaved_cycle_is_cell():
 def test_non_unique_optimum_on_flat_cell():
     # the weight-2 four-cycle metric has a six-edge flat cell; querying it
     # finds its indicator tying a different basic optimum
-    from tightspan.metrics import gen_dgamma
+    from tightspan.gen import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
     flat = EdgeGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 4)])

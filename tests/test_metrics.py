@@ -10,15 +10,10 @@ from helpers import metric
 from oracles import IsolatedDistance, check_dmax_property, covered_nodes, shift_by_isolated
 from tightspan.errors import PreconditionViolated
 from tightspan.graphs import EdgeGraph
+from tightspan.gen import dmin_graph, gen_dgamma, gen_dmax, gen_dmin, gen_random, metric_to_json
 from tightspan.metrics import (
-    dmin_graph,
-    gen_dgamma,
-    gen_dmax,
-    gen_dmin,
-    gen_random,
     metric_from_json,
     metric_from_upper,
-    metric_to_json,
     strict_triangle_nodes,
     submetric,
     validate_metric,

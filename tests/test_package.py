@@ -105,11 +105,51 @@ def test_submodules_resolve_on_first_access():
     code = (
         "import tightspan\n"
         "assert tightspan.errors.TightSpanError and tightspan.graphs.EdgeGraph\n"
-        "assert tightspan.metrics.gen_dmax and tightspan.subdivision.compute_subdivision\n"
+        "assert tightspan.metrics.metric_from_upper and tightspan.subdivision.compute_subdivision\n"
     )
     loaded = loaded_modules(code)
     assert {f"tightspan.{m}" for m in ("errors", "graphs", "metrics", "subdivision")} <= loaded
     assert "tightspan.primal" not in loaded and "tightspan.cli" not in loaded
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_names() -> set[str]:
+    """<module>.<name> of each package function the benchmark wraps or calls.
+
+    The traced run wraps each key of spans.py's TRACED; the traced run, the
+    sweep and the report gate (traced.py, sweep.py, check.py) call
+    sub.<name> on sub = ts.subdivision.  Read from the source, not imported.
+    """
+    names = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            names |= {key.value for key in node.value.keys}
+    for file_name in ("traced.py", "sweep.py", "check.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / file_name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sub":
+                names.add("subdivision." + node.attr)
+    return names
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the benchmark reads the enumeration oracle, the descent and the face
+    # listing on subdivision, where they no longer live; a fresh process
+    # must resolve each of them there, and every traced name, to a function
+    names = _benchmark_names()
+    moved = {"candidate_graphs", "enumerate_cells", "seed_cell", "all_faces"}
+    assert {f"subdivision.{name}" for name in moved} <= names
+    assert "primal.h_by_outdegree" in names and "metrics.load_metric" in names
+    code = "import importlib\nimport tightspan.subdivision as sd\n"
+    for qualname in sorted(names):
+        module_name, _, attr = qualname.partition(".")
+        code += f"assert callable(getattr(importlib.import_module('tightspan.{module_name}'), {attr!r}))\n"
+    code += "sd.candidate_graphs.cache_clear()\n"
+    loaded = loaded_modules(code)
+    assert {"tightspan.filtration", "tightspan.faces"} <= loaded
 
 
 def test_unknown_name_is_an_attribute_error():

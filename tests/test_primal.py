@@ -16,13 +16,8 @@ from helpers import (
 from tightspan.common import pair_table
 from tightspan.errors import PreconditionViolated
 from tightspan.facevectors import FVector, face_report
-from tightspan.metrics import (
-    gen_dmax,
-    gen_dmin,
-    gen_random,
-    metric_from_upper,
-    validate_metric,
-)
+from tightspan.gen import gen_dmax, gen_dmin, gen_random
+from tightspan.metrics import metric_from_upper, validate_metric
 from tightspan.primal import (
     BoundedFace,
     bounded_faces,
@@ -30,7 +25,8 @@ from tightspan.primal import (
     enumerate_vertices,
     h_by_outdegree,
 )
-from tightspan.subdivision import compute_subdivision, down_degrees, random_generic_metrics
+from tightspan.subdivision import compute_subdivision, down_degrees
+from tightspan.suites import random_generic_metrics
 
 
 def tight_pairs(n, mask):
@@ -300,7 +296,7 @@ def test_crosscheck_small_fixtures():
 
 def test_crosscheck_graph_weighted_family():
     from tightspan.graphs import EdgeGraph
-    from tightspan.metrics import gen_dgamma
+    from tightspan.gen import gen_dgamma
     from tightspan.subdivision import compute_subdivision
 
     one_edge = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2)]))

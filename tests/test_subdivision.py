@@ -36,25 +36,21 @@ from tightspan.common import pair_table
 from tightspan.errors import DegenerateRidge, PreconditionViolated
 from tightspan.facevectors import f_from_h, face_report, report_json
 from tightspan.graphs import EdgeGraph, cell_components, node_edge_masks
-from tightspan.metrics import (
-    gen_dmax, gen_dmin, gen_random, metric_from_upper, submetric, validate_metric,
-)
+from tightspan.faces import all_faces, boundary_tags
+from tightspan.filtration import candidate_graphs, enumerate_cells, seed_cell
+from tightspan.gen import gen_dmax, gen_dmin, gen_random
+from tightspan.metrics import metric_from_upper, submetric, validate_metric
 from tightspan.subdivision import (
     Cell,
     DegeneracyReport,
     NotACell,
-    all_faces,
-    boundary_tags,
-    candidate_graphs,
     compute_subdivision,
     down_degrees,
-    enumerate_cells,
     lambda_certificate,
-    random_generic_metrics,
-    seed_cell,
     subdivision_to_json,
     traverse_cells,
 )
+from tightspan.suites import random_generic_metrics
 
 
 def test_certificate_strict_cell():
@@ -233,12 +229,12 @@ def test_enumerate_parallel_matches_serial_degenerate():
 def test_enumeration_refuses_a_short_covering(monkeypatch):
     # negative control of the covering identity: a pool one cell short still
     # gives a generic result, but its volumes miss 2^(n-1) - n = 11
-    import tightspan.subdivision as sd
+    import tightspan.filtration as filtration
 
     d = metric("dmax-5")
     cell = enumerate_cells(d).maximal_cells[0]
     pool = tuple(mask for mask in candidate_graphs(5) if mask != cell.graph.bits)
-    monkeypatch.setattr(sd, "candidate_graphs", lambda n: pool)
+    monkeypatch.setattr(filtration, "candidate_graphs", lambda n: pool)
     short = f"^covered volume {11 - cell.volume}, expected 11$"
     with pytest.raises(DegenerateRidge, match=short):
         enumerate_cells(d)
@@ -248,14 +244,14 @@ def test_enumeration_refuses_a_short_corner_covering(monkeypatch):
     # a result whose only witnesses are corners (zero heights) is checked as
     # well: ideal's 4 cells cover 2^3 - 4 = 4, and the pool without one of
     # them leaves the rest short, with the corner witness still found
-    import tightspan.subdivision as sd
+    import tightspan.filtration as filtration
 
     d = metric("ideal")
     S = enumerate_cells(d)
     assert S.degeneracy_witness[1] == (1, 1) and S.total_volume == 4
     cell = S.maximal_cells[0]  # the witness's cell: the rest still meet corners
     pool = tuple(mask for mask in candidate_graphs(4) if mask != cell.graph.bits)
-    monkeypatch.setattr(sd, "candidate_graphs", lambda n: pool)
+    monkeypatch.setattr(filtration, "candidate_graphs", lambda n: pool)
     with pytest.raises(DegenerateRidge, match=f"^covered volume {4 - cell.volume}, expected 4$"):
         enumerate_cells(d)
 
@@ -616,7 +612,7 @@ def test_traversal_orients_ridges_as_the_ridge_map(n):
     # its paired ridges, are those of the oracle's map of ridges to cells
     # (_ridge_orientation); the generic ones among dmax, dmin and five
     # random metrics at two resolutions
-    import tightspan.subdivision as sd
+    import tightspan.filtration as filtration
 
     inputs = [gen_dmax(n), gen_dmin(n)]
     inputs += [gen_random(n, s, r) for s in range(1, 6) for r in (100, 10**12)]
@@ -626,7 +622,7 @@ def test_traversal_orients_ridges_as_the_ridge_map(n):
         if not S.generic:
             continue
         generic += 1
-        down = sd._ridge_orientation(n, [(c.graph.bits, c.lam) for c in S.maximal_cells])
+        down = filtration._ridge_orientation(n, [(c.graph.bits, c.lam) for c in S.maximal_cells])
         assert [c.down for c in S.maximal_cells] == [down[c.graph.bits] for c in S.maximal_cells]
     assert generic == 7
 
@@ -766,7 +762,7 @@ def test_traverse_rejects_bad_seed():
 def test_traverse_detects_ridge_tie_on_flat_metric():
     # a weight-2 four-cycle zeroes an alternating distance sum, so the
     # subdivision has a flat cell; pivoting out of a strict one must tie
-    from tightspan.metrics import gen_dgamma
+    from tightspan.gen import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
     S = enumerate_cells(d)
@@ -780,7 +776,7 @@ def test_traverse_detects_ridge_tie_on_flat_metric():
 
 
 def test_ridge_tie_witness_rechecks():
-    from tightspan.metrics import gen_dgamma
+    from tightspan.gen import gen_dgamma
 
     d = gen_dgamma(5, EdgeGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
     tie = traverse_cells(d, enumerate_cells(d).maximal_cells[0])
@@ -869,9 +865,10 @@ def test_descent_pivot_off_the_candidates_raises(monkeypatch):
     # nodes of opposite colour: an even cycle, or a ridge edge again) is no
     # candidate; only a broken ratio test could pick it, and the descent's
     # guard must refuse it as the traversal's does
+    import tightspan.filtration as filtration
     import tightspan.subdivision as sd
 
-    steps = sd._ridge_steps
+    steps = filtration._ridge_steps
 
     def off_the_candidates(dnum2, mask, edges, lam):
         for step in steps(dnum2, mask, edges, lam):
@@ -884,7 +881,7 @@ def test_descent_pivot_off_the_candidates_raises(monkeypatch):
 
     d = metric("hires-7.1")
     assert seed_cell(d).graph != sd._first_cell(d)  # the descent takes a step
-    monkeypatch.setattr(sd, "_ridge_steps", off_the_candidates)
+    monkeypatch.setattr(filtration, "_ridge_steps", off_the_candidates)
     with pytest.raises(DegenerateRidge, match="ridge pivot entered a non-candidate mask"):
         seed_cell(d)
 
