@@ -26,11 +26,18 @@ module of the command it dispatches to: gen.py for `gen`, suites.py for
 `verify`.  `compute` imports each layer where it first runs it: the
 subdivision, then the report layers after the genericity verdict, faces.py
 only for --export-faces, and primal only under --oracle.
+
+main registers gc.freeze with atexit, once per process however often it
+runs, so the collections of interpreter finalization skip the objects alive
+at exit, which die with the process; open files are closed by `with` and the
+standard streams are flushed at exit all the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -198,6 +205,8 @@ def _checks(rep: FaceReport, oracle: bool):
 
 
 def main(argv=None) -> int:
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

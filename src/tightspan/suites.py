@@ -6,7 +6,9 @@ subdivision), paper-examples (the four-point metric, dmax and dmin at n = 5
 and 6), bounds (dmax attains every F_k(n) and dmin the top-face lower bound,
 n = 4..--n-max) and oracle-random (the primal crosscheck of the first
 generic gen_random metrics).  identities and bounds refuse --n-max outside
-4..64 before any row is computed.  Only `tspan verify` loads this module.
+4..64 before any row is computed.  Only `tspan verify` loads this module;
+the suites that draw metrics import their generators where they run, so
+the identities suite loads no gen.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionViolated, TightSpanError
-from .gen import gen_dmax, gen_dmin, gen_random
 from .metrics import Metric, _require_points, validate_metric
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,6 +57,8 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
         return lines, ok_all
 
     if suite == "paper-examples":
+        from .gen import gen_dmax, gen_dmin
+
         d4 = validate_metric([[0, 2, 3, 2], [2, 0, 2, 3], [3, 2, 0, 2], [2, 3, 2, 0]])
         rep = _report(d4)
         sub = rep.subdivision
@@ -76,6 +79,7 @@ def _verify_lines(suite: str, args) -> tuple[list[str], bool]:
 
     if suite == "bounds":
         from .bounds import F_bound, lower_bound_top, verify_metric_against_bounds
+        from .gen import gen_dmax, gen_dmin
 
         # dmax attains every F_k(n); dmin has dimension ceil(n/3) and
         # exactly lower_bound_top(n) top faces
@@ -136,6 +140,7 @@ _MAX_TRIES = 400
 @lru_cache(maxsize=None)
 def random_generic_metrics(n: int, count: int) -> tuple[tuple[int, Metric], ...]:
     """First `count` seeds from 1 whose random metric is generic."""
+    from .gen import gen_random
     from .subdivision import compute_subdivision
 
     out = []

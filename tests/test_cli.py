@@ -1,5 +1,7 @@
 """Command-line interface: generation, pipeline runs, suites, exit codes."""
 
+import atexit
+import gc
 import hashlib
 import importlib
 import json
@@ -836,7 +838,7 @@ _REPORT = {"graphs", "subdivision", "facevectors", "bounds"}
     "argv, code, extra",
     [
         (["gen", "--kind", "dmax", "--n", "4", "-o", "{tmp}/d.json"], 0, {"gen"}),
-        (["verify", "--suite", "identities", "--n-max", "6"], 0, {"suites", "gen", "bounds"}),
+        (["verify", "--suite", "identities", "--n-max", "6"], 0, {"suites", "bounds"}),
         (["compute", "{tmp}/dmax5.json"], 0, _REPORT),
         (["compute", "{tmp}/random7.json"], 3, {"graphs", "subdivision"}),
         (["compute", "{tmp}/dmax5.json", "--export-faces", "{tmp}/f.json"], 0, _REPORT | {"faces"}),
@@ -845,10 +847,10 @@ _REPORT = {"graphs", "subdivision", "facevectors", "bounds"}
     ids=["gen-dmax", "identities", "generic", "non-generic", "export-faces", "oracle"],
 )
 def test_command_loads_only_the_modules_it_runs(argv, code, extra, tmp_path):
-    # a dmax metric needs no graph code, the bound identities no subdivision,
-    # a report neither the test oracles (filtration), the face listing
-    # (faces), the suites nor the generators, and no command the dataclass
-    # machinery (dataclasses, inspect)
+    # a dmax metric needs no graph code, the bound identities no subdivision
+    # and no generator, a report neither the test oracles (filtration), the
+    # face listing (faces), the suites nor the generators, and no command the
+    # dataclass machinery (dataclasses, inspect)
     (tmp_path / "dmax5.json").write_text(metric_to_json(gen_dmax(5)))
     (tmp_path / "random7.json").write_text(metric_to_json(gen_random(7, 5, 100)))
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -873,6 +875,87 @@ def test_compute_loads_only_the_layers_it_runs(d, flags, code, absent, tmp_path)
     layers = {"facevectors", "bounds", "primal"}
     assert "subdivision" in loaded and loaded & layers == layers - absent
     assert not loaded & {"matching", "dataclasses", "inspect"}
+
+
+# (argv, exit code) of one command of each kind, its paths relative to a
+# directory that _inputs fills: gen, a generic and a non-generic report with
+# a cell export, and the identities suite
+_RUNS = [
+    (["gen", "--kind", "dmax", "--n", "4", "-o", "d.json"], 0),
+    (["compute", "dmax5.json", "--format", "json", "--no-timestamp", "--export-cells", "c.json"], 0),
+    (["compute", "random7.json", "--no-timestamp", "--export-cells", "c.json"], 3),
+    (["verify", "--suite", "identities", "--n-max", "6"], 0),
+]
+_RUN_IDS = ["gen", "generic", "non-generic", "identities"]
+
+
+def _inputs(path: Path) -> Path:
+    """A new directory at path that holds dmax5.json (generic) and random7.json (non-generic)."""
+    path.mkdir()
+    (path / "dmax5.json").write_text(metric_to_json(gen_dmax(5)))
+    (path / "random7.json").write_text(metric_to_json(gen_random(7, 5, 100)))
+    return path
+
+
+def _files(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["enabled", "disabled-and-frozen"])
+def test_main_keeps_the_callers_gc_state(frozen, tmp_path, capsys, monkeypatch):
+    # main only registers the freeze for exit: an in-process caller's
+    # collector is as the caller left it after every command.  A frozen
+    # object freed by a command would lower the count, so the frozen caller
+    # runs each command once first, to load what it loads on first use
+    monkeypatch.chdir(_inputs(tmp_path / "run"))
+    if frozen:
+        for argv, code in _RUNS:
+            assert main(argv) == code
+        gc.disable()
+        gc.freeze()
+    try:
+        state = (gc.isenabled(), gc.get_freeze_count())
+        for argv, code in _RUNS:
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == state, argv
+    finally:
+        if frozen:
+            gc.unfreeze()
+            gc.enable()
+
+
+def test_main_registers_one_exit_freeze_per_process(tmp_path, capsys, monkeypatch):
+    # a process that runs main three times holds the exit handler once.  The
+    # spy stands in for atexit's registry: atexit._ncallbacks also counts the
+    # slots that unregister blanks, so it cannot count handlers
+    handlers = []
+
+    def unregister(func):
+        handlers[:] = [h for h in handlers if h != func]
+
+    monkeypatch.setattr(atexit, "register", handlers.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    monkeypatch.chdir(_inputs(tmp_path / "run"))
+    for argv, code in _RUNS[:3]:
+        assert main(argv) == code
+    assert handlers.count(gc.freeze) == 1
+
+
+@pytest.mark.parametrize("argv, code", _RUNS, ids=_RUN_IDS)
+def test_exit_loses_no_output(argv, code, tmp_path, capsys, monkeypatch):
+    # the collections skipped at exit hide no unclosed file and no lost
+    # flush: a fresh process in dev mode, warnings as errors, prints nothing
+    # on stderr and gives the in-process run's code, stdout and files
+    fresh = _inputs(tmp_path / "fresh")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "tightspan.cli", *argv],
+        capture_output=True, cwd=fresh, env=_fresh_env(), timeout=120,
+    )
+    monkeypatch.chdir(_inputs(tmp_path / "in-process"))
+    assert main(argv) == code
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert _files(fresh) == _files(tmp_path / "in-process")
 
 
 def test_compute_rejects_route_options(four_points_file):
